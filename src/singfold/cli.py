@@ -1,9 +1,9 @@
 """Command-line surface: case catalogue, root systems, subsystem
 enumeration, fiber classification, verification bundles, and batch reports.
 
-Exit codes: 0 = success / all checks passed, 1 = a verification failed,
-2 = usage error.  Reports are deterministic for a fixed seed and are
-written as sorted JSON.
+Exit codes: 0 = success / all checks passed, 1 = a verification failed or
+stopped with an error, 2 = usage error.  Reports are deterministic for a
+fixed seed and are written as sorted JSON.
 """
 
 from __future__ import annotations
@@ -213,36 +213,44 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _check_args(args) -> Optional[List[str]]:
+    """Validate the arguments of `verify` and `report`; returns the section
+    list (None for all) or raises ValueError, a usage error."""
+    if args.samples < 1:
+        raise ValueError("sample count must be >= 1")
+    sections = args.sections.split(",") if args.sections else None
+    bad = [s for s in sections or () if s not in SECTIONS]
+    if bad:
+        raise ValueError(f"unknown sections: {bad}; choose from {SECTIONS}")
+    return sections
+
+
 def _cmd_verify(args) -> int:
     cases = CASE_IDS if args.all or not args.case else (args.case,)
-    sections = args.sections.split(",") if args.sections else None
-    if sections:
-        bad = [s for s in sections if s not in SECTIONS]
-        if bad:
-            print(f"unknown sections: {bad}; choose from {SECTIONS}",
-                  file=sys.stderr)
-            return 2
+    sections = _check_args(args)
     ok = True
-    for cid in cases:
-        rep = verify_case(cid, seed=args.seed, samples=args.samples,
-                          theorem2_count=args.theorem2_count,
-                          sections=sections)
-        ok = ok and rep["ok"]
-        _emit(rep, args)
+    try:
+        for cid in cases:
+            rep = verify_case(cid, seed=args.seed, samples=args.samples,
+                              theorem2_count=args.theorem2_count,
+                              sections=sections)
+            ok = ok and rep["ok"]
+            _emit(rep, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 1
 
 
 def _cmd_report(args) -> int:
-    if args.samples < 1:
-        print("sample count must be >= 1", file=sys.stderr)
-        return 2
-    sections = args.sections.split(",") if args.sections else None
-    if sections and any(s not in SECTIONS for s in sections):
-        print(f"unknown sections; choose from {SECTIONS}", file=sys.stderr)
-        return 2
-    summary = full_report(seed=args.seed, samples=args.samples,
-                          theorem2_count=args.theorem2_count,
-                          out_dir=args.out, sections=sections)
+    sections = _check_args(args)
+    try:
+        summary = full_report(seed=args.seed, samples=args.samples,
+                              theorem2_count=args.theorem2_count,
+                              out_dir=args.out, sections=sections)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(summary, args)
     return 0 if summary["ok"] else 1
 

@@ -881,101 +881,10 @@ def _qdeg(case: CaseDescriptor, p: Polynomial, extra: Dict[str, int] = {}) -> in
     return degs.pop()
 
 
-def _t_monomials(case: CaseDescriptor, d: int) -> List[Polynomial]:
-    """All parameter monomials of quasi-degree exactly d."""
+def _monomials(case: CaseDescriptor, names: Sequence[str],
+               d: int) -> List[Polynomial]:
+    """All monomials in `names` of quasi-degree exactly d."""
     out = []
-
-    def rec(i: int, left: int, acc: Polynomial):
-        if i == len(case.params):
-            if left == 0:
-                out.append(acc)
-            return
-        p = case.params[i]
-        w = case.weights[p]
-        k = 0
-        while k * w <= left:
-            rec(i + 1, left - k * w, acc * Polynomial.var(p) ** k if k else acc)
-            k += 1
-
-    rec(0, d, Polynomial.constant(Fraction(1)))
-    return out
-
-
-def _coeff_vector(p: Polynomial, index: Dict, rows: List, variables) -> List[Fraction]:
-    q = align(p, variables) if not p.is_zero() else p
-    vec = [Fraction(0)] * len(rows)
-    if p.is_zero():
-        return vec
-    for e, c in q.terms.items():
-        if e not in index:
-            index[e] = len(rows)
-            rows.append(e)
-            vec.append(Fraction(0))
-        vec[index[e]] = c
-    return vec
-
-
-class _SpanSolver:
-    """Incremental membership tests in a span of quasi-homogeneous polys."""
-
-    def __init__(self, variables):
-        self.variables = tuple(variables)
-        self.index: Dict = {}
-        self.rows: List = []
-        self.basis: List[List[Fraction]] = []
-
-    def _vec(self, p: Polynomial) -> List[Fraction]:
-        v = _coeff_vector(p, self.index, self.rows, self.variables)
-        n = len(self.rows)
-        for b in self.basis:
-            b.extend([Fraction(0)] * (n - len(b)))
-        return v + [Fraction(0)] * (n - len(v))
-
-    def add(self, p: Polynomial):
-        self.basis.append(self._vec(p))
-
-    def contains(self, p: Polynomial) -> bool:
-        from .exact import solve_linear
-        target = self._vec(p)
-        if not self.basis:
-            return not any(target)
-        cols = list(zip(*self.basis))
-        return solve_linear([list(r) for r in cols], list(target)) is not None
-
-
-def _algebra_span(case: CaseDescriptor, gens: List[Polynomial], d: int,
-                  include_ideal: bool = True) -> List[Polynomial]:
-    """Spanning set of quasi-degree-d elements of the generated subalgebra
-    (with parameter coefficients), plus fiber-ideal elements."""
-    out: List[Polynomial] = []
-    qdegs = [_qdeg(case, g) for g in gens]
-
-    def rec(i: int, left: int, acc: Polynomial):
-        if i == len(gens):
-            for tm in _t_monomials(case, left):
-                out.append(acc * tm)
-            return
-        k = 0
-        cur = acc
-        while k * qdegs[i] <= left:
-            rec(i + 1, left - k * qdegs[i], cur)
-            k += 1
-            if k * qdegs[i] <= left:
-                cur = cur * gens[i]
-
-    rec(0, d, Polynomial.constant(Fraction(1)))
-    if include_ideal:
-        fdeg = _qdeg(case, case.fiber)
-        if d >= fdeg:
-            vars_all = tuple(case.fiber_vars) + tuple(case.params)
-            for m in _xyz_t_monomials(case, d - fdeg):
-                out.append(case.fiber * m)
-    return out
-
-
-def _xyz_t_monomials(case: CaseDescriptor, d: int) -> List[Polynomial]:
-    out = []
-    names = tuple(case.fiber_vars) + tuple(case.params)
 
     def rec(i: int, left: int, acc: Polynomial):
         if i == len(names):
@@ -993,67 +902,157 @@ def _xyz_t_monomials(case: CaseDescriptor, d: int) -> List[Polynomial]:
     return out
 
 
-def _in_algebra(case: CaseDescriptor, gens: List[Polynomial],
-                target: Polynomial) -> bool:
-    d = _qdeg(case, target)
-    if d < 0:
-        return True
-    solver = _SpanSolver(tuple(case.fiber_vars) + tuple(case.params))
-    for b in _algebra_span(case, gens, d):
-        solver.add(b)
-    return solver.contains(target)
+def _candidates(case: CaseDescriptor, gens: Sequence[Polynomial], d: int):
+    """Spanning set of the quasi-degree-d part of the algebra generated by
+    `gens` over the parameters, plus that of the fiber ideal.
 
-
-def _algebra_certificate(case: CaseDescriptor, gens: List[Polynomial],
-                         target: Polynomial) -> Optional[Polynomial]:
-    """Expression of target in the generators (modulo the fiber ideal), as a
-    polynomial in the abstract symbols g1, g2, g3 with parameter
-    coefficients; None if target is not in the algebra."""
-    from .exact import solve_linear
-    d = _qdeg(case, target)
-    if d < 0:
-        return Polynomial.zero()
+    Yields (polynomial, symbol): a generator monomial times a parameter
+    monomial comes with the same product in the abstract symbols g1, g2, ...;
+    a fiber-ideal element (fiber times a monomial) comes with None.
+    """
     qdegs = [_qdeg(case, g) for g in gens]
-    sym = [f"g{i+1}" for i in range(len(gens))]
-    cands: List[Tuple[Polynomial, Optional[Polynomial]]] = []
+    sym = [Polynomial.var(f"g{i + 1}") for i in range(len(gens))]
+    one = Polynomial.constant(Fraction(1))
 
     def rec(i: int, left: int, acc_p: Polynomial, acc_s: Polynomial):
         if i == len(gens):
-            for tm in _t_monomials(case, left):
-                cands.append((acc_p * tm, acc_s * tm))
+            for tm in _monomials(case, case.params, left):
+                yield acc_p * tm, acc_s * tm
             return
         k = 0
-        cp, cs = acc_p, acc_s
         while k * qdegs[i] <= left:
-            rec(i + 1, left - k * qdegs[i], cp, cs)
+            yield from rec(i + 1, left - k * qdegs[i], acc_p, acc_s)
             k += 1
             if k * qdegs[i] <= left:
-                cp = cp * gens[i]
-                cs = cs * Polynomial.var(sym[i])
+                acc_p, acc_s = acc_p * gens[i], acc_s * sym[i]
 
-    rec(0, d, Polynomial.constant(Fraction(1)),
-        Polynomial.constant(Fraction(1)))
+    yield from rec(0, d, one, one)
     fdeg = _qdeg(case, case.fiber)
     if d >= fdeg:
-        for m in _xyz_t_monomials(case, d - fdeg):
-            cands.append((case.fiber * m, None))
-    variables = tuple(case.fiber_vars) + tuple(case.params)
-    index: Dict = {}
-    rows: List = []
-    vecs = [_coeff_vector(p, index, rows, variables) for p, _ in cands]
-    tvec = _coeff_vector(target, index, rows, variables)
-    n = len(rows)
-    matrix = [[v[i] if i < len(v) else Fraction(0) for v in vecs]
-              for i in range(n)]
-    sol = solve_linear(matrix, [tvec[i] if i < len(tvec) else Fraction(0)
-                                for i in range(n)])
-    if sol is None:
+        names = tuple(case.fiber_vars) + tuple(case.params)
+        for m in _monomials(case, names, d - fdeg):
+            yield case.fiber * m, None
+
+
+class _Echelon:
+    """Column echelon form over Q of sparse vectors, exact throughout.
+
+    A vector is a dict from monomial exponent tuples to nonzero Fractions.
+    Columns are added in order; each is reduced against the earlier pivots
+    and becomes a pivot column or a free column.  A pivot row holds the
+    reduced column scaled to 1 at its pivot monomial, together with that
+    row's combination of the original columns (column index -> coefficient).
+
+    Reduction expresses a vector over the pivot columns only, with 0 on
+    every free column.  That is the solution `exact.solve_linear` returns,
+    and for a free column c, e_c minus it is the kernel vector
+    `exact.nullspace` returns for c: both are fixed by the column order
+    alone, whatever the row order or the choice of pivot monomial.
+    """
+
+    def __init__(self) -> None:
+        self.pivots: List[Tuple[tuple, Dict[tuple, Fraction],
+                                Dict[int, Fraction]]] = []
+        self.columns = 0
+
+    def _reduce(self, vec: Dict[tuple, Fraction]):
+        """(residual, combination of pivot columns): vec = residual + sum of
+        coefficient * column over the combination."""
+        vec = dict(vec)
+        combo: Dict[int, Fraction] = {}
+        # each pivot row is zero at the pivots before it, so one pass in
+        # insertion order clears every pivot monomial
+        for mono, row, row_combo in self.pivots:
+            c = vec.get(mono)
+            if not c:
+                continue
+            for m, a in row.items():
+                s = vec.get(m, 0) - c * a
+                if s:
+                    vec[m] = s
+                else:
+                    del vec[m]
+            for j, a in row_combo.items():
+                s = combo.get(j, 0) + c * a
+                if s:
+                    combo[j] = s
+                else:
+                    del combo[j]
+        return vec, combo
+
+    def add(self, column: Dict[tuple, Fraction]) -> Optional[Dict[int, Fraction]]:
+        """Append a column.  For a free column, return its coefficients over
+        the earlier pivot columns; for a pivot column, return None."""
+        index = self.columns
+        self.columns += 1
+        residual, combo = self._reduce(column)
+        if not residual:
+            return combo
+        mono = min(residual)
+        inv = 1 / residual[mono]
+        row_combo = {j: -a * inv for j, a in combo.items()}
+        row_combo[index] = inv
+        self.pivots.append((mono, {m: a * inv for m, a in residual.items()},
+                            row_combo))
         return None
-    cert = Polynomial.zero()
-    for c, (_, s) in zip(sol, cands):
-        if c and s is not None:
-            cert = cert + s * c
-    return cert
+
+    def solve(self, target: Dict[tuple, Fraction]) -> Optional[Dict[int, Fraction]]:
+        """Coefficients of target over the pivot columns (0 on the free
+        ones), or None if target is not in the column span."""
+        residual, combo = self._reduce(target)
+        return None if residual else combo
+
+
+def _vector(case: CaseDescriptor, p: Polynomial) -> Dict[tuple, Fraction]:
+    return align(p, tuple(case.fiber_vars) + tuple(case.params)).terms
+
+
+def _span(case: CaseDescriptor, gens: Sequence[Polynomial], d: int,
+          echelons: Dict) -> Tuple[_Echelon, List[Optional[Polynomial]]]:
+    """The echelon of the degree-d candidates, with their symbols; built once
+    per (generator tuple, degree) and kept in `echelons`."""
+    key = (tuple(gens), d)
+    if key not in echelons:
+        ech, symbols = _Echelon(), []
+        for p, s in _candidates(case, gens, d):
+            ech.add(_vector(case, p))
+            symbols.append(s)
+        echelons[key] = ech, symbols
+    return echelons[key]
+
+
+def _in_algebra(case: CaseDescriptor, gens: Sequence[Polynomial],
+                target: Polynomial, echelons: Dict) -> bool:
+    """Is target in the generated algebra modulo the fiber ideal?"""
+    d = _qdeg(case, target)
+    if d < 0:
+        return True
+    ech, _ = _span(case, gens, d, echelons)
+    return ech.solve(_vector(case, target)) is not None
+
+
+def _algebra_certificate(case: CaseDescriptor, gens: Sequence[Polynomial],
+                         target: Polynomial,
+                         echelons: Dict) -> Optional[Polynomial]:
+    """Expression of target in the generators (modulo the fiber ideal), as a
+    polynomial in the abstract symbols g1, g2, g3 with parameter
+    coefficients; None if target is not in the algebra."""
+    d = _qdeg(case, target)
+    if d < 0:
+        return Polynomial.zero()
+    ech, symbols = _span(case, gens, d, echelons)
+    sol = ech.solve(_vector(case, target))
+    return None if sol is None else _symbolic(symbols, sol)
+
+
+def _symbolic(symbols: List[Optional[Polynomial]],
+              coeffs: Dict[int, Fraction]) -> Polynomial:
+    """The generator-monomial part of a column combination, in symbols."""
+    out = Polynomial.zero()
+    for j in sorted(coeffs):
+        if symbols[j] is not None:
+            out = out + symbols[j] * coeffs[j]
+    return out
 
 
 def reynolds_average(case: CaseDescriptor, p: Polynomial) -> Polynomial:
@@ -1072,6 +1071,11 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     derives the unique quasi-homogeneous relation among the generators, and
     checks that the catalogued chart generates the same invariant algebra
     and satisfies the catalogued quotient equation modulo the fiber ideal.
+
+    The linear algebra is exact and sparse: the candidate polynomials of one
+    generator tuple and quasi-degree are brought to column echelon form once
+    (`_Echelon`), and the admission, minimization and coverage checks and the
+    chart certificates all query that one echelon.
     """
     if degree_bound < 6:
         raise ValueError("degree bound must be at least 6")
@@ -1090,17 +1094,18 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
             if key not in seen:
                 seen.add(key)
                 invariants.append(avg)
+    echelons: Dict = {}
     # greedy admission then minimization
     gens: List[Polynomial] = []
     for v in invariants:
-        if not _in_algebra(case, gens, v):
+        if not _in_algebra(case, gens, v, echelons):
             gens.append(v)
     changed = True
     while changed:
         changed = False
         for i in range(len(gens) - 1, -1, -1):
             rest = gens[:i] + gens[i + 1:]
-            if _in_algebra(case, rest, gens[i]):
+            if _in_algebra(case, rest, gens[i], echelons):
                 gens.pop(i)
                 changed = True
     report = {"case": case_id, "generators": [repr(g) for g in gens],
@@ -1110,7 +1115,7 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
         report["error"] = f"{len(gens)} generators, expected a triple"
         return report
     # every averaged invariant reduces to the triple
-    report["invariants_generated"] = all(_in_algebra(case, gens, v)
+    report["invariants_generated"] = all(_in_algebra(case, gens, v, echelons)
                                          for v in invariants)
     # the unique relation among the generators
     rel = _derive_relation(case, gens)
@@ -1120,7 +1125,7 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     certs: Dict[str, Polynomial] = {}
     emb_ok = True
     for key, p in case.embedding.items():
-        cert = _algebra_certificate(case, gens, p)
+        cert = _algebra_certificate(case, gens, p, echelons)
         if cert is None:
             emb_ok = False
         else:
@@ -1204,53 +1209,25 @@ def _monomials_of_degree(names, d):
 
 def _derive_relation(case: CaseDescriptor, gens: List[Polynomial]):
     """The quasi-homogeneous relation among the generator triple, found by
-    exact linear algebra at the quasi-degree of the quotient equation."""
-    from .exact import nullspace
+    exact linear algebra at the quasi-degree of the quotient equation: the
+    kernel vector of the first free candidate column whose generator part
+    is nonzero."""
     qw = {v: case.weights[v] for v in case.quotient_vars}
     target = _qdeg(case, case.quotient, extra=qw)
-    qdegs = [_qdeg(case, g) for g in gens]
-    sym = ["g1", "g2", "g3"]
-    candidates: List[Tuple[Polynomial, Optional[Polynomial]]] = []
-
-    def rec(i: int, left: int, acc_poly: Polynomial, acc_sym: Polynomial):
-        if i == len(gens):
-            for tm in _t_monomials(case, left):
-                candidates.append((acc_poly * tm, acc_sym * tm))
-            return
-        k = 0
-        cp, cs = acc_poly, acc_sym
-        while k * qdegs[i] <= left:
-            rec(i + 1, left - k * qdegs[i], cp, cs)
-            k += 1
-            if k * qdegs[i] <= left:
-                cp = cp * gens[i]
-                cs = cs * Polynomial.var(sym[i])
-    rec(0, target, Polynomial.constant(Fraction(1)),
-        Polynomial.constant(Fraction(1)))
-    fdeg = _qdeg(case, case.fiber)
-    ideal_start = len(candidates)
-    if target >= fdeg:
-        for m in _xyz_t_monomials(case, target - fdeg):
-            candidates.append((case.fiber * m, None))
-    variables = tuple(case.fiber_vars) + tuple(case.params)
-    index: Dict = {}
-    rows: List = []
-    vecs = [_coeff_vector(p, index, rows, variables) for p, _ in candidates]
-    n = len(rows)
-    matrix = [[v[i] if i < len(v) else Fraction(0) for v in vecs]
-              for i in range(n)]
-    kernel = nullspace(matrix)
-    best = None
-    for vec in kernel:
-        if any(vec[i] != 0 for i in range(ideal_start)):
-            rel = Polynomial.zero()
-            for i in range(ideal_start):
-                if vec[i]:
-                    rel = rel + candidates[i][1] * vec[i]
-            if not rel.is_zero():
-                best = rel.drop_unused()
-                break
-    return best
+    ech = _Echelon()
+    symbols: List[Optional[Polynomial]] = []
+    for p, s in _candidates(case, gens, target):
+        symbols.append(s)
+        combo = ech.add(_vector(case, p))
+        if combo is None:
+            continue
+        # kernel vector: 1 at this column, -combo on the earlier pivots
+        kernel = {j: -a for j, a in combo.items()}
+        kernel[len(symbols) - 1] = Fraction(1)
+        rel = _symbolic(symbols, kernel)
+        if not rel.is_zero():
+            return rel.drop_unused()
+    return None
 
 
 def _quotient_identity_holds(case: CaseDescriptor) -> bool:

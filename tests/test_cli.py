@@ -1,5 +1,6 @@
 import json
 
+import singfold.cli
 from singfold.cli import main, verify_case
 
 
@@ -114,3 +115,20 @@ def test_report_writes_files_and_is_deterministic(tmp_path, capsys):
 def test_report_rejects_bad_count(capsys):
     code, _ = run(capsys, "--samples", "0", "report")
     assert code == 2
+
+
+def test_verify_rejects_bad_count(capsys):
+    code, _ = run(capsys, "--samples", "0", "verify", "--case", "A3B2D4")
+    assert code == 2
+
+
+def test_error_inside_verification_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("sampler found too few points")
+
+    monkeypatch.setattr(singfold.cli, "verify_case", broken)
+    monkeypatch.delenv("SINGFOLD_THREADS", raising=False)
+    assert main(["verify", "--case", "A3B2D4"]) == 1
+    assert "error: sampler found too few points" in capsys.readouterr().err
+    assert main(["report", "--out", str(tmp_path / "reports")]) == 1
+    assert "error: sampler found too few points" in capsys.readouterr().err

@@ -1,9 +1,16 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singfold.families import (check_stratum_point, classify_quotient_fiber,
+from singfold.exact import nullspace, solve_linear
+from singfold.families import (_Echelon, check_stratum_point,
+                               classify_quotient_fiber,
                                derive_quotient_chart, descriptor, fiber_at,
                                quotient_fiber, sample_stratum,
                                stratum_membership, theorem_singular_spotcheck,
@@ -159,3 +166,86 @@ def test_derive_quotient_chart_b2():
 def test_derive_quotient_chart_rejects_small_bound():
     with pytest.raises(ValueError):
         derive_quotient_chart("A3B2D4", degree_bound=4)
+
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_derive_quotient_chart_matches_recorded_bundle(cid):
+    # the seed-0 report's quotient-derivation section, digest as recorded
+    want = json.loads(EXPECTED.read_text())["sections"][cid]["quotient-derivation"]
+    got = hashlib.sha256(json.dumps(derive_quotient_chart(cid),
+                                    sort_keys=True).encode()).hexdigest()
+    assert got == want
+
+
+def _check_echelon_against_dense(nrows, columns, rhs):
+    """The sparse echelon gives the kernel basis of exact.nullspace, the
+    solution of exact.solve_linear and its membership verdict."""
+    ncols = len(columns)
+    matrix = [[col[i] for col in columns] for i in range(nrows)]
+    ech = _Echelon()
+    kernel = []
+    for c, col in enumerate(columns):
+        combo = ech.add({(i,): a for i, a in enumerate(col) if a})
+        if combo is not None:
+            vec = [Fraction(0)] * ncols
+            for j, a in combo.items():
+                vec[j] = -a
+            vec[c] = Fraction(1)
+            kernel.append(tuple(vec))
+    assert kernel == nullspace(matrix)
+    sol = ech.solve({(i,): b for i, b in enumerate(rhs) if b})
+    dense = solve_linear(matrix, rhs)
+    assert (sol is None) == (dense is None)
+    if sol is not None:
+        assert tuple(sol.get(j, Fraction(0)) for j in range(ncols)) == dense
+
+
+_entries = st.tuples(st.booleans(), st.fractions(-3, 3, max_denominator=4)).map(
+    lambda t: t[1] if t[0] else Fraction(0))
+
+
+@st.composite
+def _column_sets(draw):
+    """Sparse rational columns, some zero, duplicated or dependent, and a
+    right-hand side in or out of their span."""
+    nrows = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("random", "zero", "duplicate",
+                                     "combination")))
+        if kind == "zero":
+            columns.append([Fraction(0)] * nrows)
+        elif kind == "random" or not columns:
+            columns.append(draw(st.lists(_entries, min_size=nrows,
+                                         max_size=nrows)))
+        elif kind == "duplicate":
+            columns.append(list(draw(st.sampled_from(columns))))
+        else:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            x, y = draw(_entries), draw(_entries)
+            columns.append([x * u + y * v for u, v in zip(a, b)])
+    if columns and draw(st.booleans()):
+        rhs = [Fraction(0)] * nrows
+        for col in columns:
+            c = draw(_entries)
+            rhs = [r + c * a for r, a in zip(rhs, col)]
+    else:
+        rhs = draw(st.lists(_entries, min_size=nrows, max_size=nrows))
+    return nrows, columns, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_sets())
+def test_echelon_matches_dense_linear_algebra(case):
+    _check_echelon_against_dense(*case)
+
+
+def test_echelon_degenerate_matrices():
+    zero = [Fraction(0)] * 3
+    _check_echelon_against_dense(3, [zero, zero], zero)                 # all zero
+    _check_echelon_against_dense(3, [zero, zero], [Fraction(1)] + zero[1:])
+    _check_echelon_against_dense(3, [], zero)                           # no columns
+    _check_echelon_against_dense(3, [], [Fraction(0), Fraction(2), Fraction(0)])
