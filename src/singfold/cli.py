@@ -2,8 +2,9 @@
 enumeration, fiber classification, verification bundles, and batch reports.
 
 Exit codes: 0 = success / all checks passed, 1 = a verification failed or
-stopped with an error, 2 = usage error.  Reports are deterministic for a
-fixed seed and are written as sorted JSON.
+stopped with an error, or `classify` refused a well-formed surface, 2 = usage
+error.  Reports are deterministic for a fixed seed and are written as sorted
+JSON.
 """
 
 from __future__ import annotations
@@ -208,7 +209,11 @@ def _cmd_classify(args) -> int:
             return 2
         source = case.fiber if args.cover else case.quotient
         F = source.subs({p: t[p] for p in case.params}).drop_unused()
-    conf = fiber_configuration(F)
+    try:
+        conf = fiber_configuration(F)
+    except ClassificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(conf.to_json(), args)
     return 0
 
@@ -280,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate vanishing-set subsystems of a case")
     s.add_argument("--case", required=True, choices=CASE_IDS)
     s.add_argument("--table", action="store_true")
-    s.add_argument("--json", action="store_true")
 
     k = sub.add_parser("classify", help="classify the singular points of a "
                                         "surface or of a case fiber")

@@ -6,8 +6,14 @@ the gcd that exposed it yields a nontrivial factorization ``m = m1*m2`` and a
 :class:`SplitEvent` is raised; callers restart the computation on each factor
 (dynamic evaluation).  No univariate factorization is ever performed.
 
-Univariate polynomials over Q are plain tuples of :class:`fractions.Fraction`
-coefficients in increasing degree, with no trailing zeros.
+Univariate polynomials are tuples of coefficients in increasing degree,
+with no trailing zeros, over one scalar ring: :class:`fractions.Fraction`
+or the :class:`AlgebraicScalar` elements of one extension ring.  The
+``upoly_*`` functions below are the package's only univariate polynomial
+code.  Trimming, division, the monic gcd, the derivative and the squarefree
+part work over either ring and invert leads with :func:`invert`, so a zero
+divisor surfaces as a SplitEvent; the rest, which carries the arithmetic of
+:class:`AlgebraicScalar` itself, works on Fraction tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ def _frac(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# univariate polynomials
 # ---------------------------------------------------------------------------
 
 def upoly(coeffs: Iterable) -> UPoly:
@@ -77,43 +83,76 @@ def upoly_mul(p: UPoly, q: UPoly) -> UPoly:
     return upoly(out)
 
 
-def upoly_divmod(p: UPoly, q: UPoly) -> Tuple[UPoly, UPoly]:
+def upoly_trim(p: Sequence) -> tuple:
+    """The coefficients of p without trailing zeros, as a tuple."""
+    n = len(p)
+    while n and not p[n - 1]:
+        n -= 1
+    return tuple(p[:n])
+
+
+def upoly_divmod(p: Sequence, q: Sequence) -> Tuple[tuple, tuple]:
+    """Quotient and remainder of p by a trimmed q over one scalar ring.
+
+    A lead of q other than 1 is inverted with :func:`invert`, so over an
+    extension ring a zero-divisor lead raises SplitEvent.
+    """
     if not q:
         raise ZeroDivisionError("division by zero polynomial")
-    r = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     dq = len(q) - 1
-    lead = q[-1]
-    while len(r) - 1 >= dq and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dq:
-            break
-        c = r[-1] / lead
-        k = len(r) - 1 - dq
+    if len(p) <= dq:
+        return (), upoly_trim(p)
+    inv = None if q[-1] == 1 else invert(q[-1])
+    low = [(i, b) for i, b in enumerate(q[:dq]) if b]
+    r = list(p)
+    quot = r[dq:]
+    for k in range(len(quot) - 1, -1, -1):
+        c = r[k + dq]
+        if c:
+            if inv is not None:
+                c = c * inv
+            for i, b in low:
+                r[k + i] = r[k + i] - c * b
         quot[k] = c
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        r.pop()
-    return upoly(quot), upoly(r)
+    return upoly_trim(quot), upoly_trim(r[:dq])
 
 
-def upoly_monic(p: UPoly) -> UPoly:
-    if not p:
-        return ()
-    return upoly_scale(p, 1 / p[-1])
+def upoly_monic(p: Sequence) -> tuple:
+    """p divided by its lead, which is inverted unless it is 1; may raise
+    SplitEvent."""
+    if not p or p[-1] == 1:
+        return tuple(p)
+    inv = invert(p[-1])
+    return tuple(c * inv for c in p)
 
 
-def upoly_gcd(p: UPoly, q: UPoly) -> UPoly:
-    """Monic gcd over Q via the Euclidean algorithm."""
-    a, b = p, q
-    while b:
-        a, b = b, upoly_divmod(a, b)[1]
-    return upoly_monic(a)
+def upoly_gcd(*polys: Sequence) -> tuple:
+    """Monic gcd of polynomials over one scalar ring; () if all vanish.
+
+    Each Euclid step makes its divisor monic before dividing by it, so over
+    an extension ring the first zero-divisor lead raises SplitEvent.  The
+    fold stops once the gcd is 1.
+    """
+    g: tuple = ()
+    for p in polys:
+        b = upoly_trim(p)
+        if not b:
+            continue
+        if not g:
+            g = b
+            continue
+        a = g
+        while b:
+            bm = upoly_monic(b)
+            a, b = bm, upoly_divmod(a, bm)[1]
+        g = a
+        if len(g) == 1:
+            break
+    return upoly_monic(g)
 
 
 def upoly_xgcd(p: UPoly, q: UPoly) -> Tuple[UPoly, UPoly, UPoly]:
-    """Extended gcd: returns monic g and u, v with u*p + v*q = g."""
+    """Extended gcd over Q: returns monic g and u, v with u*p + v*q = g."""
     r0, r1 = p, q
     s0, s1 = upoly((1,)), ()
     t0, t1 = (), upoly((1,))
@@ -129,18 +168,18 @@ def upoly_xgcd(p: UPoly, q: UPoly) -> Tuple[UPoly, UPoly, UPoly]:
     return upoly_scale(r0, inv), upoly_scale(s0, inv), upoly_scale(t0, inv)
 
 
-def upoly_deriv(p: UPoly) -> UPoly:
-    return upoly(i * c for i, c in enumerate(p) if i > 0)
+def upoly_deriv(p: Sequence) -> tuple:
+    return upoly_trim([i * c for i, c in enumerate(p) if i])
 
 
-def upoly_squarefree_part(p: UPoly) -> UPoly:
-    """Monic squarefree part p / gcd(p, p')."""
-    if upoly_deg(p) < 1:
-        return upoly_monic(p)
-    g = upoly_gcd(p, upoly_deriv(p))
-    q, r = upoly_divmod(p, g)
-    assert not r
-    return upoly_monic(q)
+def upoly_squarefree_part(p: Sequence) -> tuple:
+    """Monic squarefree part p / gcd(p, p'); may raise SplitEvent."""
+    if len(p) > 2:
+        g = upoly_gcd(p, upoly_deriv(p))
+        if len(g) > 1:
+            p, r = upoly_divmod(p, g)
+            assert not r
+    return upoly_monic(p)
 
 
 def upoly_eval(p: UPoly, x: Fraction) -> Fraction:
@@ -148,41 +187,6 @@ def upoly_eval(p: UPoly, x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def _int_divisors(n: int, cap: int = 200000) -> List[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n and d <= cap:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def upoly_rational_roots(p: UPoly) -> List[Fraction]:
-    """All rational roots of p, via the rational root theorem."""
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    # strip powers of x
-    k = 0
-    while p[k] == 0:
-        k += 1
-    roots = [Fraction(0)] if k > 0 else []
-    q = p[k:]
-    if len(q) == 1:
-        return roots
-    from math import lcm
-    den = lcm(*[c.denominator for c in q])
-    zq = [int(c * den) for c in q]
-    for num in _int_divisors(zq[0]):
-        for dd in _int_divisors(zq[-1]):
-            for cand in (Fraction(num, dd), Fraction(-num, dd)):
-                if cand not in roots and upoly_eval(q, cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
 
 
 def upoly_str(p: UPoly, var: str = "x") -> str:
@@ -219,6 +223,14 @@ class SplitEvent(Exception):
         self.factor_b = factor_b
         super().__init__(
             f"modulus split: ({upoly_str(factor_a)}) * ({upoly_str(factor_b)})")
+
+    @classmethod
+    def from_factor(cls, ring: "ExtensionRing", factor: UPoly) -> "SplitEvent":
+        """The split of the modulus of ``ring`` into a monic proper factor
+        and its cofactor."""
+        cof, rem = upoly_divmod(ring.modulus, factor)
+        assert not rem
+        return cls(ring, factor, upoly_monic(cof))
 
 
 @dataclass(frozen=True)
@@ -382,9 +394,7 @@ def invert(a: Scalar) -> Scalar:
     if upoly_deg(g) == 0:
         _, r = upoly_divmod(u, a.ring.modulus)
         return AlgebraicScalar(a.ring, r)
-    cof, rem = upoly_divmod(a.ring.modulus, g)
-    assert not rem
-    raise SplitEvent(a.ring, g, upoly_monic(cof))
+    raise SplitEvent.from_factor(a.ring, g)
 
 
 def map_to_factor(x: Scalar, new_ring: ExtensionRing) -> Scalar:
@@ -433,10 +443,6 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]]):
         if pr == len(rows):
             break
     return len(pivots), rows, pivots
-
-
-def matrix_rank(matrix: Sequence[Sequence[Scalar]]) -> int:
-    return row_reduce(matrix)[0]
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[Tuple[Fraction, ...]]:

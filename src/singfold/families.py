@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import RATIONAL_RING, AlgebraicScalar, Scalar, SplitEvent, upoly_deg
+from .exact import (RATIONAL_RING, AlgebraicScalar, Scalar, SplitEvent, upoly,
+                    upoly_deg, upoly_gcd)
 from .poly import Polynomial, align, parse
 from .rootsys import CASE_IDS, CaseMeta, case_meta
 from .singclass import (Branch, FiberConfiguration, classify_point,
@@ -464,11 +465,6 @@ def _build_f4_strata() -> Tuple[Stratum, ...]:
     t8plus = P("192*t8 + t2^4 - 48*t2*t6")    # t8 = -t2^4/192 + t2*t6/4
     t8minus = P("192*t8 + t2^4 + 48*t2*t6")   # t8 = -t2^4/192 - t2*t6/4
     t2v = P("t2")
-
-    def scale6(k):
-        t2 = _sval(k)
-        return t2
-
     return (
         Stratum("origin", "t = 0",
                 (P("t2"), P("t6"), P("t8"), P("t12")), (), "E7", None, None,
@@ -476,21 +472,21 @@ def _build_f4_strata() -> Tuple[Stratum, ...]:
                            "t12": _fr(0)}, max_samples=1),
         Stratum("D6", "H1, t8-pinch, t2^3 = 8 t6",
                 (H1, d4cond, P("t2^3 - 8*t6")), (t2v,), "D6", None, None,
-                lambda k: {"t2": (t2 := scale6(k)), "t6": t2 ** 3 / 8,
+                lambda k: {"t2": (t2 := _sval(k)), "t6": t2 ** 3 / 8,
                            "t8": 5 * t2 ** 4 / 192, "t12": t2 ** 6 / 256}),
         Stratum("D5+A1", "H1, t8-pinch, t2^3 = -8 t6",
                 (H1, d4cond, P("t2^3 + 8*t6")), (t2v,), "D5+A1", None, None,
-                lambda k: {"t2": (t2 := scale6(k)), "t6": -t2 ** 3 / 8,
+                lambda k: {"t2": (t2 := _sval(k)), "t6": -t2 ** 3 / 8,
                            "t8": 5 * t2 ** 4 / 192, "t12": -t2 ** 6 / 256}),
         Stratum("A5+A1", "H1 & H2, t8 = -t2^4/192 + t2 t6/4",
                 (H1, H2, t8plus), (t2v, P("t2^3 - 8*t6")), "A5+A1", None, None,
-                lambda k: {"t2": (t2 := scale6(k)), "t6": t2 ** 3 / 72,
+                lambda k: {"t2": (t2 := _sval(k)), "t6": t2 ** 3 / 72,
                            "t8": -t2 ** 4 / 576,
                            "t12": -7 * t2 ** 6 / 20736}),
         Stratum("A3+A2+A1", "H1 & H2, t8 = -t2^4/192 - t2 t6/4",
                 (H1, H2, t8minus), (t2v, P("t2^3 + 8*t6")), "A3+A2+A1", None,
                 None,
-                lambda k: {"t2": (t2 := scale6(k)), "t6": -t2 ** 3 / 72,
+                lambda k: {"t2": (t2 := _sval(k)), "t6": -t2 ** 3 / 72,
                            "t8": -t2 ** 4 / 576,
                            "t12": 7 * t2 ** 6 / 20736}),
         # the t8-pinch component of H1 lies inside H1 & H2 as a set, so it
@@ -681,7 +677,6 @@ def _apply_map(sub: Subst, variables, coords) -> Tuple[Scalar, ...]:
 def _fixed_part_degree(ring, coords, image) -> Tuple[int, "object"]:
     """gcd of the modulus with the coordinate differences: the fixed locus
     inside the branch.  Returns (degree of fixed part, fixed-part modulus)."""
-    from .exact import upoly_gcd, upoly
     if ring is RATIONAL_RING or ring.degree == 1:
         same = all((a - b) == 0 for a, b in zip(coords, image))
         return (1, None) if same else (0, None)
@@ -727,10 +722,7 @@ def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
                 stab += 1
             elif deg_fixed > 0:
                 # split into the fixed and the moving part
-                from .exact import upoly_divmod, upoly_monic
-                cof, rem = upoly_divmod(ring.modulus, gfix)
-                assert not rem
-                ev = SplitEvent(ring, tuple(gfix), upoly_monic(cof))
+                ev = SplitEvent.from_factor(ring, gfix)
                 queue.extend(split_branch(ring, coords, ev))
                 split_again = True
                 break

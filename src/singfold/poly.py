@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exact import AlgebraicScalar, Scalar, invert, _frac
+from .exact import AlgebraicScalar, Scalar, invert, upoly_gcd, _frac
 
 # fixed precedence for the variable universe; unknown names sort after, alphabetically
 _VAR_ORDER = [
@@ -495,14 +495,6 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(union, out)
 
 
-def divides(q: Polynomial, p: Polynomial) -> bool:
-    try:
-        div_exact(p, q)
-        return True
-    except ValueError:
-        return False
-
-
 def _det_bareiss(m: List[List[Polynomial]], variables) -> Polynomial:
     """Fraction-free determinant over a polynomial ring."""
     n = len(m)
@@ -567,140 +559,32 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     return -det if n % 2 == 1 else det
 
 
-def _upoly_of(p: Polynomial, name: str) -> List[Scalar]:
-    """Scalar coefficient list of a univariate polynomial, low to high."""
-    if p.is_zero():
-        return []
-    used = set(p.used_variables())
-    if used - {name}:
+def univariate_coefficients(p: Polynomial, name: str) -> tuple:
+    """Scalar coefficients of a polynomial in ``name`` alone, low to high."""
+    if set(p.used_variables()) - {name}:
         raise ValueError(f"not univariate in {name!r}: {p}")
-    q = align(p, (name,)) if name in p.variables or not used else align(p, (name,))
-    d = q.degree_in(name)
-    out: List[Scalar] = [Fraction(0)] * (d + 1)
+    q = align(p, (name,))
+    out: List[Scalar] = [Fraction(0)] * (q.degree_in(name) + 1)
     for e, c in q.terms.items():
         out[e[0]] = c
-    return out
-
-
-def _from_coeffs(coeffs: Sequence[Scalar], name: str) -> Polynomial:
-    return Polynomial((name,), {(i,): c for i, c in enumerate(coeffs) if not _is_zero(c)})
+    return tuple(out)
 
 
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd of univariate polynomials over one scalar ring.
 
-    Over Q a subresultant PRS controls coefficient growth; over an extension
-    ring a monic Euclidean sequence is used and may raise SplitEvent.
+    The coefficients go through :func:`singfold.exact.upoly_gcd`; over an
+    extension ring it may raise SplitEvent.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    if p.is_zero():
-        return _make_monic(q)
-    if q.is_zero():
-        return _make_monic(p)
     names = set(p.used_variables()) | set(q.used_variables())
     if len(names) > 1:
         raise ValueError("gcd_univariate needs univariate input")
     name = names.pop() if names else "x"
-    a = _upoly_of(p, name)
-    b = _upoly_of(q, name)
-    rational = all(isinstance(c, Fraction) for c in a + b)
-    if rational:
-        g = _subresultant_gcd([Fraction(c) for c in a], [Fraction(c) for c in b])
-    else:
-        g = _euclid_gcd(a, b)
-    return _from_coeffs(g, name)
-
-
-def _make_monic(p: Polynomial) -> Polynomial:
-    lead_exp = max(p.terms, key=lambda e: (sum(e), e))
-    return p * invert(p.terms[lead_exp])
-
-
-def _strip(c: List) -> List:
-    while c and _is_zero(c[-1]):
-        c.pop()
-    return c
-
-
-def _euclid_gcd(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
-    a, b = _strip(list(a)), _strip(list(b))
-    while b:
-        # monic division step; inversion may raise SplitEvent
-        inv = invert(b[-1])
-        bm = [c * inv for c in b]
-        r = list(a)
-        while len(r) >= len(bm) and _strip(r):
-            if _is_zero(r[-1]):
-                r.pop()
-                continue
-            c = r[-1]
-            k = len(r) - len(bm)
-            for i, bc in enumerate(bm):
-                r[k + i] = r[k + i] - c * bc
-            r.pop()
-        a, b = bm, _strip(r)
-    inv = invert(a[-1])
-    return [c * inv for c in a]
-
-
-def _subresultant_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    """Monic gcd over Q via the subresultant PRS on integer primitives."""
-    from math import gcd as igcd, lcm
-
-    def to_int_primitive(p: List[Fraction]) -> List[int]:
-        den = lcm(*[c.denominator for c in p]) if p else 1
-        zs = [int(c * den) for c in p]
-        g = 0
-        for c in zs:
-            g = igcd(g, abs(c))
-        return [c // g for c in zs] if g else zs
-
-    def pseudo_rem(f: List[int], g: List[int]) -> List[int]:
-        # lc(g)^(deg f - deg g + 1) * f mod g
-        f = f[:]
-        dg = len(g) - 1
-        lg = g[-1]
-        steps = len(f) - len(g) + 1
-        while len(f) - 1 >= dg and any(f):
-            while f and f[-1] == 0:
-                f.pop()
-            if len(f) - 1 < dg:
-                break
-            c = f[-1]
-            k = len(f) - 1 - dg
-            f = [x * lg for x in f]
-            for i, gc in enumerate(g):
-                f[k + i] -= c * gc
-            while f and f[-1] == 0:
-                f.pop()
-            steps -= 1
-        if steps > 0:
-            f = [x * lg ** steps for x in f]
-        return f
-
-    A = to_int_primitive(_strip(list(a)))
-    B = to_int_primitive(_strip(list(b)))
-    if len(A) < len(B):
-        A, B = B, A
-    g = 1
-    h = 1
-    while True:
-        delta = len(A) - len(B)
-        R = pseudo_rem(A, B)
-        if not R:
-            gp = to_int_primitive(B)
-            lc = Fraction(gp[-1])
-            return [Fraction(c) / lc for c in gp]
-        if len(R) == 1:
-            return [Fraction(1)]
-        denom = g * h ** delta
-        A, B = B, [c // denom for c in R]
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
+    g = upoly_gcd(univariate_coefficients(p, name),
+                  univariate_coefficients(q, name))
+    return Polynomial((name,), {(i,): c for i, c in enumerate(g)})
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,6 @@ class RootSystem:
                                 Fraction(0))
         return acc
 
-    def pairing(self, alpha: Vector, h: Vector) -> Fraction:
-        """Value alpha(h) of a root on a Cartan point."""
-        return dot(alpha, h)
-
     def cartan_matrix(self) -> List[List[int]]:
         n = self.rank
         return [[int(self.inner(self.simple_roots[i], self.simple_roots[j]))

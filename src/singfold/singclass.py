@@ -16,8 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, ExtensionRing, Scalar,
                     SplitEvent, invert, make_extension, map_to_factor,
-                    upoly, upoly_deg)
-from .poly import Polynomial, align, gcd_univariate, resultant, _sort_vars
+                    row_reduce, upoly, upoly_deg, upoly_gcd,
+                    upoly_squarefree_part)
+from .poly import (Polynomial, align, gcd_univariate, resultant, _sort_vars,
+                   univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -81,26 +83,23 @@ def _as_scalar_in(ring: ExtensionRing, x: Scalar) -> Scalar:
 # univariate root branches over Q
 # ---------------------------------------------------------------------------
 
-def _upoly_from(p: Polynomial, name: str) -> List[Scalar]:
-    if p.is_zero():
-        return []
-    d = p.degree_in(name)
-    out: List[Scalar] = [Fraction(0)] * (d + 1)
-    i = p.variables.index(name) if name in p.variables else None
-    for e, c in p.terms.items():
-        k = e[i] if i is not None else 0
-        out[k] = out[k] + c
-    return out
+def _rational(c: Scalar) -> Fraction:
+    return c if isinstance(c, Fraction) else c.as_rational()
 
 
-def _root_branches_q(p: Polynomial, name: str) -> List[Tuple[ExtensionRing, Scalar]]:
-    """Branches of roots of a nonzero squarefree-able polynomial over Q."""
-    coeffs = _upoly_from(p, name)
-    m = upoly(c if isinstance(c, Fraction) else c.as_rational() for c in coeffs)
+def _monic_rational(coeffs) -> Tuple[Fraction, ...]:
+    """Rational coefficients made monic; () for a constant."""
+    m = upoly(_rational(c) for c in coeffs)
     if upoly_deg(m) < 1:
+        return ()
+    return tuple(c / m[-1] for c in m)
+
+
+def _root_branches_q(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
+    """Branches of the roots of a univariate polynomial over Q."""
+    m = _monic_rational(coeffs)
+    if not m:
         return []
-    lead = m[-1]
-    m = tuple(c / lead for c in m)
     ring = make_extension(m)
     if ring.degree == 1:
         return [(RATIONAL_RING, -ring.modulus[0])]
@@ -121,76 +120,6 @@ def _eval_coeffs(p: Polynomial, u: str, v: str, alpha: Scalar) -> List[Scalar]:
         else:
             out.append(c.evaluate({u: alpha}))
     return out
-
-
-def _strip_scalars(c: List[Scalar]) -> List[Scalar]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _gcd_scalar_polys(polys: List[List[Scalar]]) -> List[Scalar]:
-    """Monic gcd of scalar coefficient lists; may raise SplitEvent."""
-    g: Optional[List[Scalar]] = None
-    for p in polys:
-        p = _strip_scalars(list(p))
-        if not p:
-            continue
-        if g is None:
-            g = p
-            continue
-        a, b = g, p
-        while b:
-            inv = invert(b[-1])
-            bm = [c * inv for c in b]
-            r = list(a)
-            while True:
-                r = _strip_scalars(r)
-                if len(r) < len(bm):
-                    break
-                c = r[-1]
-                k = len(r) - len(bm)
-                for i, bc in enumerate(bm):
-                    r[k + i] = r[k + i] - c * bc
-                r.pop()
-            a, b = bm, _strip_scalars(r)
-        g = a
-        if len(g) == 1:
-            break
-    if g is None:
-        raise ClassificationError("all polynomials vanish identically: non-isolated locus")
-    inv = invert(g[-1])
-    return [c * inv for c in g]
-
-
-def _scalar_poly_divide(num: List[Scalar], den: List[Scalar]) -> List[Scalar]:
-    """Exact division of scalar coefficient lists; den monic."""
-    r = list(num)
-    out: List[Scalar] = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while True:
-        r = _strip_scalars(r)
-        if len(r) < len(den):
-            break
-        c = r[-1]
-        k = len(r) - len(den)
-        out[k] = c
-        for i, dc in enumerate(den):
-            r[k + i] = r[k + i] - c * dc
-        r.pop()
-    if _strip_scalars(r):
-        raise AssertionError("inexact scalar polynomial division")
-    return _strip_scalars(out)
-
-
-def _scalar_poly_squarefree(g: List[Scalar]) -> List[Scalar]:
-    """Squarefree part of a monic scalar polynomial; may raise SplitEvent."""
-    if len(g) <= 2:
-        return list(g)
-    deriv = [i * c for i, c in enumerate(g)][1:]
-    h = _gcd_scalar_polys([list(g), deriv])
-    if len(h) == 1:
-        return list(g)
-    return _scalar_poly_divide(list(g), h)
 
 
 def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
@@ -214,16 +143,11 @@ def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
         # gamma = v + k*u
         shifted = gv.subs({v_name: Polynomial.var("_g") - k * Polynomial.var(u_name)})
         M = resultant(align(mpoly, _sort_vars({u_name, "_g"})), shifted, u_name)
-        mc = _upoly_from(M, "_g")
-        mq = upoly(c if isinstance(c, Fraction) else c.as_rational() for c in mc)
-        if upoly_deg(mq) < 1:
-            continue
-        mq = tuple(c / mq[-1] for c in mq)
-        from .exact import upoly_gcd, upoly_deriv
-        if upoly_deg(upoly_gcd(mq, upoly_deriv(mq))) != 0:
+        mq = _monic_rational(univariate_coefficients(M, "_g"))
+        if not mq or upoly_squarefree_part(mq) != mq:
             continue  # not squarefree for this k; try the next shear
         out: List[Tuple[ExtensionRing, Scalar, Scalar]] = []
-        queue: List[ExtensionRing] = [make_extension(mq, "a")]
+        queue: List[ExtensionRing] = [ExtensionRing(mq, "a")]
         ok = True
         while queue and ok:
             newring = queue.pop()
@@ -234,7 +158,7 @@ def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
                 cs = shifted.coefficients_in(u_name)  # shifted lives in (u, _g)
                 gu_c = [c.evaluate({"_g": gamma}) if not c.is_constant()
                         else _as_scalar_in(newring, c.constant_value()) for c in cs]
-                common = _gcd_scalar_polys([mu_c, gu_c])
+                common = upoly_gcd(mu_c, gu_c)
             except SplitEvent as e:
                 queue.append(ExtensionRing(e.factor_a, newring.gen))
                 queue.append(ExtensionRing(e.factor_b, newring.gen))
@@ -282,22 +206,19 @@ def _solve_bivariate(G: Polynomial, u: str, v: str) -> List[Tuple[ExtensionRing,
         raise ClassificationError("eliminant vanishes identically: non-isolated locus")
     if cand.total_degree() == 0:
         return []
-    branches = _root_branches_q(align(cand.drop_unused(), (u,)), u)
+    branches = _root_branches_q(univariate_coefficients(cand, u))
     out: List[Tuple[ExtensionRing, Scalar, Scalar]] = []
     queue: List[Tuple[ExtensionRing, Scalar]] = list(branches)
     while queue:
         ring, alpha = queue.pop()
         try:
-            scal = [_eval_coeffs(p, u, v, alpha) for p in with_v]
-            g = _scalar_poly_squarefree(_gcd_scalar_polys(scal))
+            g = upoly_gcd(*(_eval_coeffs(p, u, v, alpha) for p in with_v))
+            if not g:
+                raise ClassificationError(
+                    "all polynomials vanish identically: non-isolated locus")
+            g = upoly_squarefree_part(g)
         except SplitEvent as e:
-            for fac in (e.factor_a, e.factor_b):
-                r2 = ExtensionRing(fac, ring.gen) if upoly_deg(fac) > 1 else RATIONAL_RING
-                if r2 is RATIONAL_RING:
-                    a2: Scalar = -fac[0]
-                else:
-                    a2 = map_to_factor(alpha, r2)
-                queue.append((r2, a2))
+            queue.extend((r2, c2[0]) for r2, c2 in split_branch(ring, (alpha,), e))
             continue
         deg = len(g) - 1
         if deg <= 0:
@@ -307,11 +228,8 @@ def _solve_bivariate(G: Polynomial, u: str, v: str) -> List[Tuple[ExtensionRing,
             continue
         if ring.degree == 1 or ring is RATIONAL_RING:
             # plain univariate in v over Q
-            coeffs = [c if isinstance(c, Fraction) else c.as_rational() for c in g]
-            sub = _root_branches_q(Polynomial((v,), {(i,): c for i, c in enumerate(coeffs) if c}), v)
-            for r2, beta in sub:
-                a2 = alpha if isinstance(alpha, Fraction) else alpha.as_rational()
-                out.append((r2, _as_scalar_in(r2, a2), beta))
+            for r2, beta in _root_branches_q(g):
+                out.append((r2, _as_scalar_in(r2, _rational(alpha)), beta))
             continue
         out.extend(_merge_extension(ring, g, u, v))
     return out
@@ -339,7 +257,7 @@ def singular_points(F: Polynomial) -> List[Branch]:
         if g.total_degree() < 1:
             return []
         out = []
-        for ring, val in _root_branches_q(g, u):
+        for ring, val in _root_branches_q(univariate_coefficients(g, u)):
             out.append((ring, (val,)))
         return out
     if len(names) == 2:
@@ -363,7 +281,7 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
             # P and P' share no root: singular points need P(w)=P'(w)=0
             return []
         out = []
-        for ring, val in _root_branches_q(g, w):
+        for ring, val in _root_branches_q(univariate_coefficients(g, w)):
             zero = _as_scalar_in(ring, Fraction(0)) if ring is not RATIONAL_RING else Fraction(0)
             coords = [zero, zero, zero]
             coords[iw] = val
@@ -565,13 +483,8 @@ def _hessian_corank_translated(G: Polynomial, names):
             d = G.diff(a).diff(b)
             row.append(d.terms.get(zero_exp, Fraction(0)))
         H.append(row)
-    rank, rows, pivots = row_reduce_ring(H)
+    rank, rows, pivots = row_reduce(H)
     return n - rank, rows, pivots, H
-
-
-def row_reduce_ring(matrix):
-    from .exact import row_reduce as rr
-    return rr(matrix)
 
 
 def _hessian_kernel(rows, pivots, n) -> List[List[Scalar]]:

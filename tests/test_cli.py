@@ -67,6 +67,8 @@ def test_classify_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, "classify", "--surface", "x^2 +")
     assert code == 2
+    code, _ = run(capsys, "classify", "--surface", "x +")
+    assert code == 2
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -132,3 +134,24 @@ def test_error_inside_verification_exits_1(tmp_path, capsys, monkeypatch):
     assert "error: sampler found too few points" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "reports")]) == 1
     assert "error: sampler found too few points" in capsys.readouterr().err
+
+
+def test_classify_refused_surface_exits_1(capsys):
+    assert main(["classify", "--surface", "x*y + z^3 + x^3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unsupported equation shape" in captured.err
+
+
+def test_report_process_pool_matches_serial(tmp_path, capsys, monkeypatch):
+    sections = "equivariance,flat-relations,iso"
+    written = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("SINGFOLD_THREADS", threads)
+        out_dir = tmp_path / f"threads{threads}"
+        code, _ = run(capsys, "report", "--out", str(out_dir),
+                      "--sections", sections)
+        assert code == 0
+        written[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(written["2"]) == 7
+    assert written["2"] == written["1"]

@@ -5,8 +5,7 @@ import pytest
 
 from singfold.exact import (SplitEvent, invert, make_extension, nullspace,
                             row_reduce, solve_linear, upoly, upoly_deg,
-                            upoly_gcd, upoly_mul, upoly_rational_roots,
-                            upoly_squarefree_part)
+                            upoly_gcd, upoly_mul, upoly_squarefree_part)
 
 
 def test_make_extension_linear_is_rational():
@@ -161,7 +160,6 @@ def test_nullspace_and_solve():
 
 def test_upoly_helpers():
     p = upoly((6, -5, 1))  # (x-2)(x-3)
-    assert upoly_rational_roots(p) == [Fraction(2), Fraction(3)]
     sq = upoly_mul(p, p)
     assert upoly_squarefree_part(sq) == p
     assert upoly_gcd(upoly_mul(p, upoly((1, 1))), p) == p

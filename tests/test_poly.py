@@ -2,11 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from singfold.exact import make_extension
+try:
+    import sympy
+except ImportError:  # the differential test against sympy is optional
+    sympy = None
+
+from singfold.exact import (make_extension, upoly, upoly_deriv, upoly_mul,
+                            upoly_squarefree_part)
 from singfold.poly import (ParseError, Polynomial, binary_cubic_shape,
                            div_exact, gcd_univariate, parse, resultant,
-                           to_text)
+                           to_text, univariate_coefficients)
 
 
 def _rand_poly(rng, names, deg=2, terms=4):
@@ -158,3 +166,99 @@ def test_homogeneous_part():
     assert p.homogeneous_part(3) == parse("x^3")
     assert p.homogeneous_part(2) == parse("x*y")
     assert p.homogeneous_part(0) == parse("5")
+
+
+# ---------------------------------------------------------------------------
+# the univariate core over Q and over extension rings
+# ---------------------------------------------------------------------------
+
+# Q itself, Q(sqrt 2) and the cubic field Q(a)/(a^3 - 3a + 1); both moduli
+# are irreducible, so a rational gcd computed over them never splits.
+_RINGS = (None, make_extension((-2, 0, 1)), make_extension((1, -3, 0, 1)))
+
+_small = st.fractions(-4, 4, max_denominator=3)
+
+
+@st.composite
+def _rational_pairs(draw):
+    """(p, q) over Q sharing a random factor; q is sometimes p'."""
+    common = upoly(draw(st.lists(_small, max_size=4)))
+    p = upoly_mul(upoly(draw(st.lists(_small, max_size=4))), common)
+    if draw(st.booleans()):
+        return p, upoly_deriv(p)
+    return p, upoly_mul(upoly(draw(st.lists(_small, max_size=4))), common)
+
+
+def _embed(p, ring):
+    return p if ring is None else tuple(ring.element(c) for c in p)
+
+
+def _as_poly(coeffs):
+    return Polynomial(("x",), {(i,): c for i, c in enumerate(coeffs)})
+
+
+def _rational_coeffs(coeffs):
+    return tuple(c if isinstance(c, Fraction) else c.as_rational()
+                 for c in coeffs)
+
+
+def _gcd_and_squarefree(p, q, ring):
+    """gcd_univariate(p, q) and the core squarefree part of p over a ring,
+    mapped back to rational coefficients."""
+    g = gcd_univariate(_as_poly(_embed(p, ring)), _as_poly(_embed(q, ring)))
+    sq = upoly_squarefree_part(_embed(p, ring))
+    return (_rational_coeffs(univariate_coefficients(g, "x")),
+            _rational_coeffs(sq))
+
+
+# x^4 - 129 x^2 and its derivative: the remainder drops two degrees
+_DEGREE_DROP = (upoly((0, 0, -129, 0, 1)), upoly((0, -258, 0, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_pairs())
+@example(_DEGREE_DROP)
+def test_gcd_and_squarefree_agree_over_every_ring(pq):
+    p, q = pq
+    assume(p or q)
+    over_q = _gcd_and_squarefree(p, q, None)
+    g, sq = over_q
+    assert g[-1] == 1 and (not sq or sq[-1] == 1)
+    for ring in _RINGS[1:]:
+        assert _gcd_and_squarefree(p, q, ring) == over_q
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=100, deadline=None)
+@given(_rational_pairs())
+@example(_DEGREE_DROP)
+def test_gcd_and_squarefree_match_sympy(pq):
+    p, q = pq
+    assume(p or q)
+    x = sympy.Symbol("x")
+
+    def to_sympy(c):
+        return sympy.Poly([sympy.Rational(a.numerator, a.denominator)
+                           for a in reversed(c)] or [0], x, domain="QQ")
+
+    def from_sympy(f):
+        if f.is_zero:
+            return ()
+        f = f.monic()
+        return tuple(Fraction(int(a.p), int(a.q)) for a in reversed(f.all_coeffs()))
+
+    want = (from_sympy(to_sympy(p).gcd(to_sympy(q))),
+            from_sympy(to_sympy(p).sqf_part()) if p else ())
+    for ring in _RINGS:
+        assert _gcd_and_squarefree(p, q, ring) == want
+
+
+def test_binary_cubic_shape_over_extension_rings():
+    for ring in _RINGS[1:]:
+        a = Polynomial.constant(ring.generator())
+        u, v = parse("u"), parse("v")
+        rational = (u + v) ** 2 * (u - 2 * v)
+        lifted = Polynomial(rational.variables,
+                            {e: ring.element(c) for e, c in rational.terms.items()})
+        assert binary_cubic_shape(lifted) == "one-double"
+        assert binary_cubic_shape((u - a * v) ** 2 * (u + 2 * a * v)) == "one-double"
