@@ -171,7 +171,6 @@ def _cmd_subsystems(args) -> int:
     subs = subsystems_for_case(args.case)
     if args.table:
         for i, s in enumerate(subs):
-            gens = ", ".join(str(tuple(map(str, g))) for g in s.simple_system)
             print(f"[{i:3d}] {s.type_string():16s} witness="
                   f"{tuple(map(str, s.witness))}")
         print(f"total: {len(subs)}")

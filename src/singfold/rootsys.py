@@ -8,11 +8,10 @@ plain dot product.  Numbering follows Bourbaki throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
-
-from .exact import solve_linear
 
 Vector = Tuple[Fraction, ...]
 
@@ -21,12 +20,6 @@ CASE_IDS = ("A3B2D4", "A5B3D5", "D4C3D6", "D4G2E6", "D4G2E7", "E6F4E7")
 
 def _vec(xs) -> Vector:
     return tuple(Fraction(x) for x in xs)
-
-
-def dot(a: Vector, b: Vector) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
@@ -55,28 +48,24 @@ class RootSystem:
     positive_roots: Tuple[Vector, ...]
     roots: frozenset
     form: Tuple[Tuple[Fraction, ...], ...]      # bilinear form on root coords
-    expansions: Dict[Vector, Vector]            # root -> simple-root coefficients
+    expansions: Dict[Vector, Tuple[int, ...]]   # root -> simple-root coefficients
 
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
 
     def inner(self, a: Vector, b: Vector) -> Fraction:
-        acc = Fraction(0)
-        for i, ai in enumerate(a):
-            if ai:
-                row = self.form[i]
-                acc += ai * sum((row[j] * bj for j, bj in enumerate(b) if bj),
-                                Fraction(0))
-        return acc
+        return _inner(self.form, a, b)
 
     def cartan_matrix(self) -> List[List[int]]:
         n = self.rank
         return [[int(self.inner(self.simple_roots[i], self.simple_roots[j]))
                  for j in range(n)] for i in range(n)]
 
-    def is_positive(self, alpha: Vector) -> bool:
-        return all(c >= 0 for c in self.expansions[alpha])
+
+def _inner(form, a: Vector, b: Vector) -> Fraction:
+    return sum((ai * sum((row[j] * bj for j, bj in enumerate(b) if bj), Fraction(0))
+                for ai, row in zip(a, form) if ai), Fraction(0))
 
 
 def _identity_form(dim: int):
@@ -95,10 +84,6 @@ def _bourbaki_edges(label: str) -> List[Tuple[int, int]]:
         return [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
     if label == "E7":
         return [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]
-    if label == "E8":
-        return [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
-    if label.startswith("A"):
-        return [(i, i + 1) for i in range(1, rank)]
     raise ValueError(f"unsupported type {label!r}")
 
 
@@ -155,53 +140,86 @@ _cache: Dict[str, RootSystem] = {}
 
 def build_root_system(label: str) -> RootSystem:
     """Construct the full root system by closing the simple roots under
-    the simple reflections."""
+    the simple reflections, carrying each root's simple-root coordinates."""
     if label in _cache:
         return _cache[label]
     if label not in _ROOT_COUNTS:
         raise ValueError(f"unsupported type {label!r}")
     simples, dim, form = _simple_roots(label)
-
-    def inner(a, b):
-        return sum((a[i] * sum(form[i][j] * b[j] for j in range(dim) if b[j])
-                    for i in range(dim) if a[i]), Fraction(0))
-
-    roots = set(simples)
+    rank = len(simples)
+    cartan = expected_cartan(label)
+    if [[_inner(form, a, b) for b in simples] for a in simples] != cartan:
+        raise AssertionError(f"{label}: Cartan matrix mismatch")
+    expansions = {a: tuple(int(i == j) for j in range(rank))
+                  for i, a in enumerate(simples)}
     frontier = list(simples)
     while frontier:
         nxt = []
         for beta in frontier:
-            for alpha in simples:
-                r = vsub(beta, vscale(alpha, inner(beta, alpha)))
-                if r not in roots:
-                    roots.add(r)
+            c = expansions[beta]
+            for i, alpha in enumerate(simples):
+                k = sum(cj * cartan[j][i] for j, cj in enumerate(c))
+                r = vsub(beta, vscale(alpha, k))
+                if r not in expansions:
+                    expansions[r] = c[:i] + (c[i] - k,) + c[i + 1:]
                     nxt.append(r)
         frontier = nxt
-    if len(roots) != _ROOT_COUNTS[label]:
+    if len(expansions) != _ROOT_COUNTS[label]:
         raise AssertionError(
-            f"{label}: generated {len(roots)} roots, expected {_ROOT_COUNTS[label]}")
-
-    # simple-root coefficient expansions
-    cols = list(zip(*simples))  # dim x rank
-    expansions: Dict[Vector, Vector] = {}
-    for rt in roots:
-        sol = solve_linear([list(row) for row in cols], list(rt))
-        if sol is None:
-            raise AssertionError("root outside the simple-root lattice")
-        expansions[rt] = tuple(sol)
+            f"{label}: generated {len(expansions)} roots, expected {_ROOT_COUNTS[label]}")
 
     positive = tuple(sorted(
-        (rt for rt in roots if all(c >= 0 for c in expansions[rt])),
+        (rt for rt, c in expansions.items() if min(c) >= 0),
         key=lambda v: (sum(expansions[v]), v)))
-    if 2 * len(positive) != len(roots):
+    if 2 * len(positive) != len(expansions):
         raise AssertionError("positive roots are not half of all roots")
 
-    rs = RootSystem(label, dim, simples, positive, frozenset(roots), form,
+    rs = RootSystem(label, dim, simples, positive, frozenset(expansions), form,
                     expansions)
-    if rs.cartan_matrix() != expected_cartan(label):
-        raise AssertionError(f"{label}: Cartan matrix mismatch")
     _cache[label] = rs
     return rs
+
+
+@dataclass(frozen=True)
+class RootKernel:
+    """Integer tables of a root system, by root index.
+
+    Index i < npos is ``positive_roots[i]`` and i + npos is its negative.
+    ``ambient`` holds each root times ``den``, the least common denominator
+    of the coordinates, so a root pairs with a Cartan point in integers.
+    """
+
+    roots: Tuple[Vector, ...]
+    index: Dict[Vector, int]
+    npos: int
+    ambient: Tuple[Tuple[int, ...], ...]
+    pair: Tuple[Tuple[int, ...], ...]   # pair[i][j] = (root i, root j)
+    refl: Tuple[Tuple[int, ...], ...]   # refl[i][j] = index of s_j(root i)
+
+
+_kernels: Dict[str, RootKernel] = {}
+
+
+def root_kernel(rs: RootSystem) -> RootKernel:
+    """The integer tables of ``rs``, built on first use."""
+    if rs.label not in _kernels:
+        roots = rs.positive_roots + tuple(vneg(r) for r in rs.positive_roots)
+        coeffs = [rs.expansions[r] for r in roots]
+        cartan = expected_cartan(rs.label)
+        rows = [[sum(ci * ca for ci, ca in zip(c, col)) for col in zip(*cartan)]
+                for c in coeffs]
+        pair = [[sum(x * y for x, y in zip(row, c)) for c in coeffs]
+                for row in rows]
+        at = {c: i for i, c in enumerate(coeffs)}
+        refl = [[at[tuple(x - p * y for x, y in zip(ci, cj))]
+                 for cj, p in zip(coeffs, prow)]
+                for ci, prow in zip(coeffs, pair)]
+        den = math.lcm(*(x.denominator for r in roots for x in r))
+        _kernels[rs.label] = RootKernel(
+            roots, {r: i for i, r in enumerate(roots)}, len(rs.positive_roots),
+            tuple(tuple(int(x * den) for x in r) for r in roots),
+            tuple(map(tuple, pair)), tuple(map(tuple, refl)))
+    return _kernels[rs.label]
 
 
 def reflect(rs: RootSystem, beta: Vector, alpha: Vector) -> Vector:
@@ -231,23 +249,19 @@ def cartan_point(rs: RootSystem, coords: Sequence) -> Vector:
 def vanishing_set(rs: RootSystem, h: Sequence) -> frozenset:
     """All roots vanishing on h: a reflection-closed sub-root system."""
     hv = cartan_point(rs, h)
-    out = set()
-    for alpha in rs.positive_roots:
-        if dot(alpha, hv) == 0:
-            out.add(alpha)
-            out.add(vneg(alpha))
-    return frozenset(out)
+    den = math.lcm(*(x.denominator for x in hv))
+    hi = [int(x * den) for x in hv]
+    k = root_kernel(rs)
+    return frozenset(r for r, a in zip(k.roots, k.ambient)
+                     if not sum(x * y for x, y in zip(a, hi)))
 
 
 def root_from_coefficients(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
     """The root with the given simple-root coefficients."""
-    v = (Fraction(0),) * rs.dim
-    for c, alpha in zip(coeffs, rs.simple_roots):
-        if c:
-            v = vadd(v, vscale(alpha, Fraction(c)))
-    if v not in rs.roots:
-        raise ValueError(f"coefficients {tuple(coeffs)} do not give a root")
-    return v
+    for v, c in rs.expansions.items():
+        if c == tuple(coeffs):
+            return v
+    raise ValueError(f"coefficients {tuple(coeffs)} do not give a root")
 
 
 @dataclass(frozen=True)

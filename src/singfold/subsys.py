@@ -9,13 +9,14 @@ rational witness point that realizes it maximally (no other root vanishes).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .exact import nullspace, row_reduce
-from .rootsys import (RootSystem, Vector, build_root_system, case_meta, dot,
-                      root_from_coefficients, theta_roots, vneg,
+from .exact import nullspace
+from .rootsys import (RootSystem, Vector, build_root_system, case_meta,
+                      root_from_coefficients, root_kernel, theta_roots,
                       vanishing_set)
 
 TypeMultiset = Tuple[str, ...]
@@ -36,10 +37,6 @@ def parse_type(text: str) -> TypeMultiset:
     return canonical_type(text.split("+"))
 
 
-def type_rank(labels: Sequence[str]) -> int:
-    return sum(int(lab[1:]) for lab in labels)
-
-
 @dataclass(frozen=True)
 class SubRootSystem:
     ambient: str
@@ -57,38 +54,29 @@ class SubRootSystem:
 
 
 # ---------------------------------------------------------------------------
-# classification of a reflection-closed root set
+# classification of a reflection-closed root set, on root indices
 # ---------------------------------------------------------------------------
 
 def simple_system_of(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[Vector, ...]:
-    """Indecomposable positive roots of the subsystem, in ambient positivity."""
-    pos = [r for r in roots if rs.is_positive(r)]
-    posset = set(pos)
-    simple = []
-    for a in pos:
-        decomposable = any((vsub := tuple(x - y for x, y in zip(a, b))) in posset
-                           for b in pos if b != a)
-        if not decomposable:
-            simple.append(a)
-    return tuple(sorted(simple))
+    """Indecomposable positive roots of the subsystem, in ambient positivity.
+
+    In a simply-laced system a - b is a root exactly when (a, b) = 1, and
+    then it is s_b(a).
+    """
+    k = root_kernel(rs)
+    pos = [i for i in {k.index[r] for r in roots} if i < k.npos]
+    inside = set(pos)
+    return tuple(sorted(k.roots[a] for a in pos if not any(
+        k.pair[a][b] == 1 and k.refl[a][b] in inside for b in pos)))
 
 
-def _component_label(rs: RootSystem, comp: List[Vector]) -> str:
+def _component_label(adj: Dict[int, List[int]], comp: List[int]) -> str:
     n = len(comp)
-    adj = {i: [] for i in range(n)}
-    edges = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rs.inner(comp[i], comp[j]) != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-                edges += 1
-    if edges != n - 1:
+    if sum(len(adj[a]) for a in comp) != 2 * (n - 1):
         raise ValueError("simple system is not a tree: not simply-laced ADE")
-    degs = sorted(len(v) for v in adj.values())
-    branch_nodes = [i for i in range(n) if len(adj[i]) >= 3]
-    if any(len(adj[i]) > 3 for i in range(n)):
+    if any(len(adj[a]) > 3 for a in comp):
         raise ValueError("diagram has a node of degree > 3")
+    branch_nodes = [a for a in comp if len(adj[a]) == 3]
     if not branch_nodes:
         return f"A{n}"
     if len(branch_nodes) > 1:
@@ -98,11 +86,8 @@ def _component_label(rs: RootSystem, comp: List[Vector]) -> str:
     for start in adj[b]:
         ln = 1
         prev, cur = b, start
-        while True:
-            nxt = [k for k in adj[cur] if k != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(x for x in adj[cur] if x != prev)
             ln += 1
         lengths.append(ln)
     lengths.sort()
@@ -112,8 +97,6 @@ def _component_label(rs: RootSystem, comp: List[Vector]) -> str:
         return "E6"
     if lengths == [1, 2, 3]:
         return "E7"
-    if lengths == [1, 2, 4]:
-        return "E8"
     raise ValueError(f"diagram shape {lengths} matches no ADE type")
 
 
@@ -121,28 +104,20 @@ def classify_subsystem(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[TypeMu
     """ADE type multiset of a reflection-closed root set, plus its simple system."""
     if not roots:
         return (), ()
-    simple = simple_system_of(rs, roots)
+    k = root_kernel(rs)
+    simple = [k.index[r] for r in simple_system_of(rs, roots)]
+    adj = {a: [b for b in simple if b != a and k.pair[a][b]] for a in simple}
     # connected components of the Dynkin graph
-    n = len(simple)
-    seen = [False] * n
-    labels = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for j in range(n):
-                if not seen[j] and rs.inner(simple[a], simple[j]) != 0:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        labels.append(_component_label(rs, [simple[k] for k in comp]))
+    labels, left = [], simple
+    while left:
+        comp = left[:1]
+        for c in comp:
+            comp.extend(b for b in adj[c] if b not in comp)
+        left = [a for a in left if a not in comp]
+        labels.append(_component_label(adj, comp))
     if 2 * sum(_root_count(lab) for lab in labels) != len(roots):
         raise ValueError("root count disagrees with the identified type")
-    return canonical_type(labels), simple
+    return canonical_type(labels), tuple(k.roots[a] for a in simple)
 
 
 def _root_count(label: str) -> int:
@@ -151,139 +126,150 @@ def _root_count(label: str) -> int:
         return n * (n + 1) // 2
     if label[0] == "D":
         return n * (n - 1)
-    return {"E6": 36, "E7": 63, "E8": 120}[label]
+    return {"E6": 36, "E7": 63}[label]
 
 
 def reflection_closure(rs: RootSystem, gens: Sequence[Vector]) -> FrozenSet[Vector]:
-    """Smallest reflection-closed root set containing the generators."""
-    roots = set()
+    """Smallest reflection-closed root set containing the generators: their
+    orbit under the group W' their reflections generate (Dyer, J. Algebra
+    1990), as the reflection in w(b) is w s_b w^-1 and -b = s_b(b)."""
     for g in gens:
         if g not in rs.roots:
             raise ValueError(f"{g} is not a root")
-        roots.add(g)
-        roots.add(vneg(g))
-    frontier = list(roots)
+    k = root_kernel(rs)
+    gi = [k.index[g] for g in gens]
+    orbit = set(gi)
+    frontier = gi
     while frontier:
-        nxt = []
-        for b in list(roots):
-            for a in frontier:
-                r = tuple(x - rs.inner(b, a) * y for x, y in zip(b, a))
-                if r not in roots:
-                    roots.add(r)
-                    nxt.append(r)
-                r2 = tuple(x - rs.inner(a, b) * y for x, y in zip(a, b))
-                if r2 not in roots:
-                    roots.add(r2)
-                    nxt.append(r2)
-        frontier = nxt
-    return frozenset(roots)
+        new = {k.refl[i][j] for i in frontier for j in gi} - orbit
+        orbit |= new
+        frontier = list(new)
+    return frozenset(k.roots[i] for i in orbit)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _rref_rows(vectors: Sequence[Vector]) -> Tuple[Vector, ...]:
-    rank, rows, _ = row_reduce([list(v) for v in vectors])
-    return tuple(tuple(r) for r in rows[:rank])
-
-
-def _in_rowspace(rref: Tuple[Vector, ...], v: Vector) -> bool:
-    r = list(v)
-    for row in rref:
-        p = next(i for i, c in enumerate(row) if c)
-        if r[p]:
-            f = r[p]
-            r = [a - f * b for a, b in zip(r, row)]
-    return not any(r)
+def _extend(vals: List[List[int]], r: int):
+    """The flat spanned by a flat and a positive root r outside it, and the
+    mask of its positive roots.  A flat is held as the values on the positive
+    roots of independent integer functionals that cut it out; one
+    fraction-free elimination step keeps those that vanish on r."""
+    piv = next(v for v in vals if v[r])
+    out = []
+    for v in vals:
+        if v is not piv:
+            if v[r]:
+                v = [piv[r] * a - v[r] * b for a, b in zip(v, piv)]
+                g = math.gcd(*v)
+                v = [a // g for a in v]
+            out.append(v)
+    mask = (1 << len(piv)) - 1
+    for v in out:
+        mask &= sum(1 << i for i, x in enumerate(v) if not x)
+    return out, mask
 
 
 def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRootSystem]:
     """All vanishing-set subsystems containing theta, with rational witnesses.
 
-    Walks subspaces spanned by theta plus roots, intersects each with the
-    root set, and keeps the distinct intersections; each gets a witness on
-    which exactly its roots vanish.
+    Walks the flats (root-spanned subspaces) containing theta upward, one
+    root at a time, keyed by the mask of their positive roots.  The roots of
+    a flat form a subsystem, with a witness on which exactly they vanish.
     """
     for t in theta:
         if t not in rs.roots:
             raise ValueError("theta must consist of roots")
-    pos = list(rs.positive_roots)
-    start = _rref_rows(theta)
-    seen = {start}
-    frontier = [start]
-    subsystems: Dict[FrozenSet[Vector], Vector] = {}
-
-    def record(space: Tuple[Vector, ...]):
-        inside = frozenset(r for r in rs.roots if _in_rowspace(space, r))
-        if inside not in subsystems:
-            subsystems[inside] = _find_witness(rs, inside)
-
-    record(start)
+    k = root_kernel(rs)
+    npos = k.npos
+    # the simple-root coordinates cut out the zero subspace
+    vals = [list(c) for c in zip(*(rs.expansions[r] for r in rs.positive_roots))]
+    mask, gens = 0, []  # gens: positive roots that span the flat
+    for i in (k.index[t] % npos for t in theta):
+        if not mask >> i & 1:
+            (vals, mask), gens = _extend(vals, i), gens + [i]
+    flats = {mask: gens}
+    frontier = [(vals, mask, gens)]
     while frontier:
         nxt = []
-        for space in frontier:
-            d = len(space)
-            if d >= rs.rank:
-                continue
-            for r in pos:
-                if _in_rowspace(space, r):
-                    continue
-                new = _rref_rows(list(space) + [r])
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-                    record(new)
+        for vals, covered, gens in frontier:
+            for r in range(npos):
+                if not covered >> r & 1:
+                    new, mask = _extend(vals, r)
+                    covered |= mask
+                    if mask not in flats:
+                        flats[mask] = gens + [r]
+                        nxt.append((new, mask, gens + [r]))
         frontier = nxt
 
     out = []
-    for roots, witness in subsystems.items():
+    for mask, gens in flats.items():
+        members = [i + s for s in (0, npos) for i in range(npos) if mask >> i & 1]
+        roots = frozenset(k.roots[i] for i in members)
+        witness = _find_witness(rs, [k.roots[i] for i in gens])
         if vanishing_set(rs, witness) != roots:
             raise AssertionError("witness does not realize its subsystem maximally")
         label, simple = classify_subsystem(rs, roots)
-        out.append(SubRootSystem(rs.label, roots, witness, label, simple))
-    out.sort(key=lambda s: (s.rank, s.type_label, sorted(s.roots)))
-    return out
+        # integer ambient vectors sort as the roots do: as sorted(roots)
+        key = (len(simple), label, sorted(k.ambient[i] for i in members))
+        out.append((key, SubRootSystem(rs.label, roots, witness, label, simple)))
+    out.sort(key=lambda e: e[0])
+    return [s for _, s in out]
 
 
-def _cartan_constraints(rs: RootSystem) -> List[List[Fraction]]:
-    if rs.label == "E7":
-        row = [Fraction(0)] * 8
-        row[6] = Fraction(1)
-        row[7] = Fraction(1)
-        return [row]
-    return []
+def _witness_problem(rs: RootSystem, span: Sequence[Vector]):
+    """Integer basis of the Cartan points on which ``span`` vanishes, and
+    the integer pairings with it of each positive root not in its span.
+
+    The basis is the canonical ``nullspace`` one with each vector cleared of
+    denominators, so it depends only on the subspace that ``span`` spans.
+    """
+    eqs = [list(r) for r in span]
+    if rs.label == "E7":  # Cartan points satisfy x7 + x8 = 0
+        eqs.append([Fraction(int(i >= 6)) for i in range(8)])
+    basis = []
+    for b in nullspace(eqs or [[Fraction(0)] * rs.dim]):
+        den = math.lcm(*(c.denominator for c in b))
+        basis.append(tuple(int(c * den) for c in b))
+    k = root_kernel(rs)
+    pairs = [[sum(x * y for x, y in zip(k.ambient[i], b)) for b in basis]
+             for i in range(k.npos)]
+    return basis, [row for row in pairs if any(row)]
 
 
-def _find_witness(rs: RootSystem, roots: FrozenSet[Vector]) -> Vector:
-    """A rational Cartan point whose vanishing set is exactly ``roots``."""
-    eqs = [list(r) for r in roots if rs.is_positive(r)]
-    eqs.extend(_cartan_constraints(rs))
-    if not eqs:
-        eqs = [[Fraction(0)] * rs.dim]
-    basis = nullspace(eqs)
-    if not basis:
-        h = tuple(Fraction(0) for _ in range(rs.dim))
-        if vanishing_set(rs, h) != roots:
-            raise AssertionError("zero witness does not realize the full system")
-        return h
-    # clear denominators for readability
-    scaled = []
-    for b in basis:
-        den = 1
-        for c in b:
-            den = den * c.denominator // __import__("math").gcd(den, c.denominator)
-        scaled.append(tuple(c * den for c in b))
-    others = [r for r in rs.positive_roots if r not in roots]
+def _avoids(combo: Sequence[int], pairs: List[List[int]]) -> bool:
+    return all(sum(c * p for c, p in zip(combo, row)) for row in pairs)
+
+
+def _point(rs: RootSystem, basis, combo: Sequence[int]) -> Vector:
+    return tuple(Fraction(sum(c * b[i] for c, b in zip(combo, basis)))
+                 for i in range(rs.dim))
+
+
+def _find_witness(rs: RootSystem, span: Sequence[Vector]) -> Vector:
+    """A rational Cartan point on which exactly the roots in the span of
+    ``span`` vanish: the first integer combination of the basis, by growing
+    box radius, else a point of the moment curve."""
+    basis, pairs = _witness_problem(rs, span)
     for radius in range(1, 40):
-        for combo in itertools.product(range(-radius, radius + 1), repeat=len(scaled)):
+        for combo in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
             if max((abs(c) for c in combo), default=0) != radius:
                 continue
-            h = tuple(sum((Fraction(c) * b[i] for c, b in zip(combo, scaled)),
-                          Fraction(0)) for i in range(rs.dim))
-            if all(dot(r, h) != 0 for r in others):
-                return h
-    raise AssertionError("no witness found in search budget")
+            if _avoids(combo, pairs):
+                return _point(rs, basis, combo)
+    return _moment_witness(rs, span)
+
+
+def _moment_witness(rs: RootSystem, span: Sequence[Vector]) -> Vector:
+    """The first point sum s^i b_i, s = 1, 2, ..., that avoids each of the N
+    roots outside the span.  Each restricts to a nonzero polynomial in s of
+    degree below k = len(basis), so one of s = 1 .. N(k-1)+1 avoids them all.
+    """
+    basis, pairs = _witness_problem(rs, span)
+    powers = ([s ** i for i in range(len(basis))]
+              for s in range(1, len(pairs) * (len(basis) - 1) + 2))
+    return _point(rs, basis, next(p for p in powers if _avoids(p, pairs)))
 
 
 # ---------------------------------------------------------------------------

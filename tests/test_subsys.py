@@ -1,12 +1,17 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
-                              theta_roots, vanishing_set)
+                              theta_roots, vanishing_set, vneg)
 from singfold.subsys import (EXPECTED_SUBSYSTEM_COUNTS, REALIZATIONS,
-                             canonical_type, classify_subsystem,
-                             format_type, match_realizations, parse_type,
+                             _moment_witness, canonical_type,
+                             classify_subsystem, format_type,
+                             match_realizations, parse_type,
                              reflection_closure, subsystems_for_case)
 
 EXPECTED_COUNTS_BY_TYPE = {
@@ -53,7 +58,7 @@ def test_enumeration_is_stable():
         [(s.type_label, sorted(s.roots)) for s in second]
 
 
-@pytest.mark.parametrize("cid", ["A3B2D4", "A5B3D5", "D4G2E6", "D4G2E7"])
+@pytest.mark.parametrize("cid", CASE_IDS)
 def test_witness_is_maximal(cid):
     rs = build_root_system(case_meta(cid).quotient_type)
     for s in subsystems_for_case(cid):
@@ -125,3 +130,64 @@ def test_e7_case_has_uncatalogued_realization():
     assert rep.counts["A3+A2+A1"] == 3
     catalogued = [m for m in rep.matches if m["type"] == "A3+A2+A1"]
     assert len(catalogued) == 2
+
+
+def _pairwise_closure(rs, gens):
+    # reference: reflect every root found so far in every new one, and back,
+    # in Fraction arithmetic, until nothing new appears
+    roots = set()
+    for g in gens:
+        roots.add(g)
+        roots.add(vneg(g))
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for b in list(roots):
+            for a in frontier:
+                for r in (tuple(x - rs.inner(b, a) * y for x, y in zip(b, a)),
+                          tuple(x - rs.inner(a, b) * y for x, y in zip(a, b))):
+                    if r not in roots:
+                        roots.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    return frozenset(roots)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["D4", "D5", "D6", "E6", "E7"]),
+       st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_reflection_closure_matches_pairwise_closure(label, picks):
+    rs = build_root_system(label)
+    roots = sorted(rs.roots)
+    gens = [roots[i % len(roots)] for i in picks]
+    assert reflection_closure(rs, gens) == _pairwise_closure(rs, gens)
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_moment_curve_witness_is_maximal(cid):
+    # the fallback behind the box search, called on every enumerated flat
+    rs = build_root_system(case_meta(cid).quotient_type)
+    for s in subsystems_for_case(cid):
+        h = _moment_witness(rs, s.simple_system)
+        assert vanishing_set(rs, h) == s.roots
+
+
+# sha256 of each case's enumeration: type, simple system, witness and roots
+ENUMERATION_DIGESTS = {
+    "A3B2D4": "d2579556de200e805d3a90d8d696dc033797fed2f145887c01162f00976445da",
+    "A5B3D5": "4bb4d570092758bccf951dc8c734e9a98a735baccbe3a72cf2f794ac0233961d",
+    "D4C3D6": "cbe94e0adb048371444851a9cd11d54f5d310d7d7e855c0824c2e7d1d151c323",
+    "D4G2E6": "645857a0acb81b8dd0c5db883d0b627b028db0f01c83746846f7ff522fd0dd99",
+    "D4G2E7": "044fc887a6603082594b8a443dfad8ad6377af59c0c01230f32cb57987ca755b",
+    "E6F4E7": "9491ce1d0707e753ae8c128d88708026ba422442c21ab2909ea78ed83a04e5e8",
+}
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_enumeration_matches_recorded_digest(cid):
+    def ser(v):
+        return [str(c) for c in v]
+    doc = [[s.type_string(), [ser(v) for v in s.simple_system], ser(s.witness),
+            [ser(v) for v in sorted(s.roots)]] for s in subsystems_for_case(cid)]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[cid]
