@@ -2,9 +2,9 @@
 enumeration, fiber classification, verification bundles, and batch reports.
 
 Exit codes: 0 = success / all checks passed, 1 = a verification failed or
-stopped with an error, or `classify` refused a well-formed surface, 2 = usage
-error.  Reports are deterministic for a fixed seed and are written as sorted
-JSON.
+stopped with an error, or `classify` refused or failed on a well-formed
+surface, 2 = usage error.  Reports are deterministic for a fixed seed and are
+written as sorted JSON.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _cmd_classify(args) -> int:
         F = source.subs({p: t[p] for p in case.params}).drop_unused()
     try:
         conf = fiber_configuration(F)
-    except ClassificationError as exc:
+    except Exception as exc:  # the input parsed: any failure is the program's
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(conf.to_json(), args)

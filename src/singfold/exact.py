@@ -378,10 +378,6 @@ class AlgebraicScalar:
 Scalar = Union[Fraction, AlgebraicScalar]
 
 
-def scalar_ring(x: Scalar) -> ExtensionRing:
-    return x.ring if isinstance(x, AlgebraicScalar) else RATIONAL_RING
-
-
 def invert(a: Scalar) -> Scalar:
     """Multiplicative inverse; raises SplitEvent on a zero divisor."""
     if isinstance(a, (int, Fraction)):

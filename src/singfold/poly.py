@@ -10,6 +10,8 @@ unique.  Polynomials are immutable by convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .exact import AlgebraicScalar, Scalar, invert, upoly_gcd, _frac
@@ -495,68 +497,132 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(union, out)
 
 
-def _det_bareiss(m: List[List[Polynomial]], variables) -> Polynomial:
-    """Fraction-free determinant over a polynomial ring."""
+# Sylvester resultants run on dense coefficient lists over Z[t]: Python ints,
+# low to high, trimmed, [] for zero.  Bareiss elimination keeps every entry
+# integral, so each division below is exact.
+
+def _zt_mul(a: List[int], b: List[int]) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zt_sub(a: List[int], b: List[int]) -> List[int]:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zt_div_exact(a: List[int], b: List[int]) -> List[int]:
+    """a / b in Z[t] for a nonzero b that divides a."""
+    if not a:
+        return []
+    db, lead = len(b) - 1, b[-1]
+    rem = a[:]
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lead)
+        if r:
+            raise ArithmeticError("inexact division in Z[t]")
+        if c:
+            quo[k] = c
+            for i, y in enumerate(b):
+                rem[k + i] -= c * y
+    if any(rem[:db]) or not quo:
+        raise ArithmeticError("inexact division in Z[t]")
+    return quo
+
+
+def _zt_det(m: List[List[List[int]]]) -> List[int]:
+    """Determinant over Z[t] by fraction-free Bareiss elimination."""
     n = len(m)
-    if n == 0:
-        return Polynomial.constant(1, variables)
-    m = [row[:] for row in m]
     sign = 1
-    prev = Polynomial.constant(1, variables)
+    prev = [1]
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero():
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return Polynomial.zero(variables)
+                return []
+        pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            a = row_i[k]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = div_exact(num, prev)
-            m[i][k] = Polynomial.zero(variables)
-        prev = m[k][k]
+                num = _zt_sub(_zt_mul(pivot, row_i[j]), _zt_mul(a, row_k[j]))
+                row_i[j] = num if prev == [1] else _zt_div_exact(num, prev)
+        prev = pivot
     d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return [-c for c in d] if sign < 0 else d
+
+
+def _integer_coefficients(p: Polynomial, name: str, t) -> Tuple[List[List[int]], int]:
+    """Coefficients of p in ``name``, low to high, as dense Z[t] lists after
+    clearing denominators, and the multiplier d that cleared them."""
+    i = p.variables.index(name) if name in p.variables else None
+    j = p.variables.index(t) if t in p.variables else None
+    d = 1
+    for c in p.terms.values():
+        if not isinstance(c, (int, Fraction)):
+            raise ValueError("resultant needs rational coefficients")
+        d = lcm(d, Fraction(c).denominator)
+    coeffs: Dict[int, Dict[int, int]] = {}
+    for e, c in p.terms.items():
+        c = Fraction(c) * d
+        coeffs.setdefault(e[i] if i is not None else 0, {})[
+            e[j] if j is not None else 0] = c.numerator
+    out = []
+    for k in range(max(coeffs) + 1):
+        dense = coeffs.get(k, {})
+        out.append([dense.get(s, 0) for s in range(max(dense, default=-1) + 1)])
+    return out, d
 
 
 def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     """Sylvester resultant of p and q with respect to ``name``.
 
-    Vanishes exactly on parameter values where p and q share a root.
+    Vanishes exactly on parameter values where p and q share a root.  The
+    coefficients must be rational, in at most one variable t besides
+    ``name``; the determinant runs fraction-free over Z[t].
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    pc = p.coefficients_in(name)
-    qc = q.coefficients_in(name)
-    m, n = len(pc) - 1, len(qc) - 1
     rest = _sort_vars((set(p.variables) | set(q.variables)) - {name})
-    pc = [align(c.drop_unused(), rest) if not c.is_zero() else Polynomial.zero(rest) for c in pc]
-    qc = [align(c.drop_unused(), rest) if not c.is_zero() else Polynomial.zero(rest) for c in qc]
+    free = _sort_vars((set(p.used_variables()) | set(q.used_variables())) - {name})
+    if len(free) > 1:
+        raise ValueError(f"resultant needs at most one variable besides "
+                         f"{name!r}, got {', '.join(free)}")
+    t = free[0] if free else None
+    pc, dp = _integer_coefficients(p, name, t)
+    qc, dq = _integer_coefficients(q, name, t)
+    m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
         return Polynomial.constant(1, rest)
     if m == 0:
-        return align(pc[0], rest) ** n
+        return align(p.drop_unused(), rest) ** n
     if n == 0:
-        return align(qc[0], rest) ** m
-    size = m + n
-    zero = Polynomial.zero(rest)
-    rows: List[List[Polynomial]] = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    det = _det_bareiss(rows, rest).drop_unused()
+        return align(q.drop_unused(), rest) ** m
+    rows = [[[]] * i + pc[::-1] + [[]] * (n - 1 - i) for i in range(n)]
+    rows += [[[]] * i + qc[::-1] + [[]] * (m - 1 - i) for i in range(m)]
+    det = _zt_det(rows)
+    # the rows of p were scaled by dp, those of q by dq
+    scale = dp ** n * dq ** m
     # sign normalized so that Res_v(p, v) = -p(0) and Res_v(p-v, p+v) = 2p
-    return -det if n % 2 == 1 else det
+    if n % 2 == 1:
+        scale = -scale
+    variables = (t,) if t is not None else ()
+    terms = {(k,) if t is not None else (): Fraction(c, scale)
+             for k, c in enumerate(det) if c}
+    return Polynomial(variables, terms).drop_unused()
 
 
 def univariate_coefficients(p: Polynomial, name: str) -> tuple:

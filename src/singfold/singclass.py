@@ -1,10 +1,11 @@
 """Exact location and ADE classification of surface singularities.
 
 Given F(u,v,w) = 0 with rational coefficients, the singular points are found
-by structured elimination (the equations handled here are quadratic in one
-variable with constant leading coefficient, or of split form c*u*v + P(w)),
-with coordinates in extension rings produced by dynamic evaluation.  Each
-point is classified by Milnor number, Hessian corank and the shape of the
+by structured elimination, with coordinates in extension rings produced by
+dynamic evaluation.  Three equation shapes are handled, tried in this order:
+the split form c*u*v + P(w); F quadratic in one variable with constant
+leading coefficient; and F linear in one variable, F = A*w + B.  Each point
+is classified by Milnor number, Hessian corank and the shape of the
 kernel-restricted cubic.
 """
 
@@ -183,6 +184,13 @@ def _solve_bivariate(G: Polynomial, u: str, v: str) -> List[Tuple[ExtensionRing,
         polys.append(G.diff(u))
     if v in G.variables:
         polys.append(G.diff(v))
+    return _common_zeros(polys, u, v)
+
+
+def _common_zeros(polys: List[Polynomial], u: str,
+                  v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
+    """Common zeros (u, v) of rational polynomials in u and v, by resultants
+    in v, a gcd of the eliminants in u, and a gcd in v over each root."""
     pure_u = [p for p in polys if not p.is_zero() and v not in p.used_variables()]
     with_v = [p for p in polys if not p.is_zero() and v in p.used_variables()]
     if not with_v:
@@ -290,8 +298,11 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
     # quadratic variable with constant leading coefficient
     quad = _detect_quadratic_var(F, names)
     if quad is None:
-        raise ClassificationError(
-            "unsupported equation shape for singular-point elimination")
+        linear = _detect_linear_var(F, names)
+        if linear is None:
+            raise ClassificationError(
+                "unsupported equation shape for singular-point elimination")
+        return _solve_linear_var(names, *linear)
     w, A, B, C = quad
     rest = tuple(n for n in names if n != w)
     D = Polynomial.constant(Fraction(4)) * A * C - B * B
@@ -311,6 +322,49 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
         wval = -bv * invert(2 * a_const) if bv else (
             _as_scalar_in(ring, Fraction(0)) if ring is not RATIONAL_RING else Fraction(0))
         coords = {u: aval, v: bval, w: wval}
+        out.append((ring, tuple(coords[n] for n in names)))
+    return out
+
+
+def _is_unit(x: Scalar) -> bool:
+    """Whether x is invertible; a zero divisor raises SplitEvent."""
+    try:
+        invert(x)
+    except ZeroDivisionError:
+        return False
+    return True
+
+
+def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branch]:
+    """Singular points of F = A*w + B with A and B free of w.
+
+    They lie over the common zeros of A, B and A_u*B_v - A_v*B_u, where
+    w = -B_u/A_u or -B_v/A_v solves A_u*w + B_u = A_v*w + B_v = 0.
+    """
+    u, v = (n for n in names if n != w)
+    A, B = align(A, (u, v)), align(B, (u, v))
+    Au, Av, Bu, Bv = A.diff(u), A.diff(v), B.diff(u), B.diff(v)
+    queue: List[Branch] = [(ring, (a, b)) for ring, a, b in
+                           _common_zeros([A, B, Au * Bv - Av * Bu], u, v)]
+    out: List[Branch] = []
+    while queue:
+        ring, (a, b) = queue.pop()
+        at = {u: a, v: b}
+        try:
+            for dA, dB in ((Au, Bu), (Av, Bv)):
+                da = dA.evaluate(at)
+                if _is_unit(da):
+                    wval = -dB.evaluate(at) * invert(da)
+                    break
+            else:
+                if _is_unit(Bu.evaluate(at)) or _is_unit(Bv.evaluate(at)):
+                    continue  # no w solves both equations: not singular
+                raise ClassificationError(
+                    "non-isolated singular locus: w is free over a point")
+        except SplitEvent as e:
+            queue.extend(split_branch(ring, (a, b), e))
+            continue
+        coords = {u: a, v: b, w: wval}
         out.append((ring, tuple(coords[n] for n in names)))
     return out
 
@@ -362,6 +416,15 @@ def _detect_quadratic_var(F: Polynomial, names):
         B = cs[1].drop_unused() if len(cs) > 1 else Polynomial.zero()
         C = cs[0].drop_unused()
         return w, A, B, C
+    return None
+
+
+def _detect_linear_var(F: Polynomial, names):
+    """First variable w with deg_w F = 1; returns (w, A, B), F = A*w + B."""
+    for w in names:
+        if F.degree_in(w) == 1:
+            B, A = F.coefficients_in(w)
+            return w, A.drop_unused(), B.drop_unused()
     return None
 
 

@@ -137,10 +137,30 @@ def test_error_inside_verification_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_classify_refused_surface_exits_1(capsys):
-    assert main(["classify", "--surface", "x*y + z^3 + x^3"]) == 1
+    assert main(["classify", "--surface", "x^3 + y^3 + z^3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: unsupported equation shape" in captured.err
+
+
+def test_classify_surface_linear_in_one_variable(capsys):
+    code, out = run(capsys, "classify", "--surface", "x*y + z^3 + x^3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["configuration"] == "A2"
+    assert doc["points"][0]["coordinates"] == ["0", "0", "0"]
+
+
+def test_classify_computation_error_exits_1(capsys, monkeypatch):
+    def broken(F):
+        raise ValueError("inexact division in Z[t]")
+
+    monkeypatch.setattr(singfold.cli, "fiber_configuration", broken)
+    assert main(["classify", "--surface", "x^2 + y^2 + z^2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: inexact division in Z[t]" in captured.err
+    assert main(["classify", "--surface", "x^2 +"]) == 2
 
 
 def test_report_process_pool_matches_serial(tmp_path, capsys, monkeypatch):

@@ -262,3 +262,147 @@ def test_binary_cubic_shape_over_extension_rings():
                             {e: ring.element(c) for e, c in rational.terms.items()})
         assert binary_cubic_shape(lifted) == "one-double"
         assert binary_cubic_shape((u - a * v) ** 2 * (u + 2 * a * v)) == "one-double"
+
+
+# ---------------------------------------------------------------------------
+# resultants over Q[x] and Q[t][x]
+# ---------------------------------------------------------------------------
+
+def _det_bareiss(m, variables):
+    """Fraction-free determinant over the dict polynomial ring (oracle)."""
+    n = len(m)
+    if n == 0:
+        return Polynomial.constant(1, variables)
+    m = [row[:] for row in m]
+    sign = 1
+    prev = Polynomial.constant(1, variables)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.zero(variables)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = div_exact(num, prev)
+            m[i][k] = Polynomial.zero(variables)
+        prev = m[k][k]
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
+def _oracle_resultant(p, q, name):
+    """The Sylvester determinant over dict polynomials, same sign rule."""
+    pc, qc = p.coefficients_in(name), q.coefficients_in(name)
+    m, n = len(pc) - 1, len(qc) - 1
+    if m == 0 and n == 0:
+        return Polynomial.constant(1)
+    if m == 0:
+        return pc[0] ** n
+    if n == 0:
+        return qc[0] ** m
+    zero = Polynomial.zero()
+    rows = [[zero] * i + pc[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + qc[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    det = _det_bareiss(rows, ())
+    return -det if n % 2 == 1 else det
+
+
+_T = parse("t")
+_X = parse("x")
+
+
+@st.composite
+def _t_coefficient(draw, with_t):
+    """A rational, or a polynomial of degree <= 2 in t, sometimes with a
+    rational root so that a lead coefficient vanishes at some t."""
+    c = Polynomial.constant(draw(_small))
+    if not with_t:
+        return c
+    c = c + draw(_small) * _T + draw(_small) * _T ** 2
+    if draw(st.booleans()):
+        c = c * (_T - draw(_small))
+    return c
+
+
+@st.composite
+def _operand(draw, with_t, max_deg=3):
+    coeffs = [draw(_t_coefficient(with_t))
+              for _ in range(draw(st.integers(0, max_deg)) + 1)]
+    p = sum((c * _X ** i for i, c in enumerate(coeffs)), Polynomial.zero())
+    assume(not p.is_zero())
+    return p
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(p, q, shared) over Q[x] or Q[t][x]; shared says that p and q were
+    given a common factor of positive degree in x, so the resultant is 0."""
+    with_t = draw(st.booleans())
+    p, q = draw(_operand(with_t)), draw(_operand(with_t))
+    if not draw(st.booleans()):
+        return p, q, False
+    common = draw(_operand(with_t, max_deg=1))
+    return p * common, q * common, common.degree_in("x") > 0
+
+
+_RESULTANT_EXAMPLES = [
+    # a lead coefficient that vanishes at t = 1
+    (parse("(t - 1)*x^2 + x + t"), parse("x^3/2 - t*x + 1/3"), False),
+    # degree-0 operands
+    (parse("3/2"), parse("t*x^2 - 1"), False),
+    (parse("t*x^2 + 1/5"), parse("7"), False),
+    (parse("(x - t)*(x + 2)"), parse("(x - t)*(3*x - 1/2)"), True),
+    (parse("x^3 - 2"), parse("x^2/3 + x - 5/7"), False),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_resultant_pairs())
+@example(_RESULTANT_EXAMPLES[0])
+@example(_RESULTANT_EXAMPLES[1])
+@example(_RESULTANT_EXAMPLES[2])
+@example(_RESULTANT_EXAMPLES[3])
+def test_resultant_matches_dict_bareiss(pqs):
+    p, q, shared = pqs
+    res = resultant(p, q, "x")
+    assert res == _oracle_resultant(p, q, "x")
+    if shared:
+        assert res.is_zero()
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(_resultant_pairs())
+@example(_RESULTANT_EXAMPLES[0])
+@example(_RESULTANT_EXAMPLES[4])
+@example((parse("x*t^2 + t^2"), parse("x^3*t^2"), False))  # m < n, m*n odd
+def test_resultant_matches_sympy_up_to_sign(pqs):
+    p, q, _ = pqs
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        return sympy.sympify(to_text(f).replace("^", "**"))
+
+    m, n = p.degree_in("x"), q.degree_in("x")
+    # ours is (-1)^n times the Sylvester determinant, and a degree-0 operand
+    # gives its power unsigned.  sympy.resultant returns the determinant,
+    # except that for m < n it returns (-1)^(m*n) times it.
+    sign = 1
+    if m > 0 and n > 0:
+        sign = (-1) ** n * ((-1) ** (m * n) if m < n else 1)
+    want = sign * sympy.resultant(to_sympy(p), to_sympy(q), x)
+    got = to_sympy(resultant(p, q, "x"))
+    assert sympy.expand(got - want) == 0
+
+
+def test_resultant_domain_is_checked():
+    with pytest.raises(ValueError, match="at most one variable"):
+        resultant(parse("x*y + z"), parse("x - 1"), "x")
+    a = make_extension((-2, 0, 1)).generator()
+    with pytest.raises(ValueError, match="rational coefficients"):
+        resultant(_X - Polynomial.constant(a), _X + 1, "x")

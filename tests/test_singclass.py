@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from singfold import singclass
+from singfold.exact import make_extension
 from singfold.poly import Polynomial, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, hessian_corank,
@@ -163,3 +165,66 @@ def test_mu_orbit_sum_invariant_under_variable_permutation():
         conf = fiber_configuration(base.subs(sub).drop_unused())
         totals.append(sum(r.mu * r.orbit_size for r in conf.points))
     assert len(set(totals)) == 1
+
+
+# ---------------------------------------------------------------------------
+# surfaces linear in one variable: F = A*w + B
+# ---------------------------------------------------------------------------
+
+# General-position ADE forms whose square coefficient cancels, leaving one
+# variable of degree 1 (the benchmark's seeded surface inputs 3/130, 4/35,
+# 5/33, 7/130 and 18/131).
+LINEAR_VARIABLE_FORMS = [
+    ("(-1/4)*((-1)*x+(1)*y+(2)*z+(1))^2 + (1)*((2)*x+(2)*y+(-1)*z+(1))^2"
+     " + (3/2)*((-2)*x+(-1)*y+(0)*z+(1/3))^4", "A3"),
+    ("(-1)*((-1)*x+(1)*y+(1)*z+(-4))^2 + (1)*((1)*x+(1)*y+(-1)*z+(1))^2"
+     " + (-5/4)*((-2)*x+(1)*y+(0)*z+(-1))^5", "A4"),
+    ("(2)*((1)*x+(2)*y+(-1)*z+(-1/2))^2 + (-2)*((1)*x+(0)*y+(1)*z+(1/4))^2"
+     " + (-8/3)*((0)*x+(1)*y+(1)*z+(-1))^3", "A2"),
+    ("(-1)*((-1)*x+(1)*y+(2)*z+(9/2))^2 + (4)*((2)*x+(2)*y+(-1)*z+(-3/2))^2"
+     " + (4)*((-2)*x+(-1)*y+(0)*z+(-3/4))^4", "A3"),
+    ("(1/4)*((2)*x+(2)*y+(-2)*z+(8))^2 + (-1)*((1)*x+(0)*y+(-2)*z+(-6))^2"
+     " + (4)*((0)*x+(-2)*y+(2)*z+(-5))^5", "A4"),
+]
+
+
+@pytest.mark.parametrize("text,label", LINEAR_VARIABLE_FORMS)
+def test_general_position_forms_linear_in_one_variable(text, label):
+    F = parse(text)
+    assert 1 in (F.degree_in(n) for n in F.used_variables())
+    assert fiber_configuration(F).type_string() == label
+
+
+def test_linear_variable_points_over_an_extension():
+    # A = x^2 - 2 vanishes at x = +-sqrt(2); there y = 0 and z = -x
+    conf = fiber_configuration(parse("(x^2 - 2)*z + y^3 + x^3 - 2*x"))
+    assert conf.type_string() == "A2+A2"
+    (rec,) = conf.points
+    assert rec.orbit_size == 2 and rec.ring.degree == 2
+    a = rec.coords[0]
+    assert rec.coords[1] == 0 and rec.coords[2] == -a
+
+
+def test_linear_variable_lift_splits_a_composite_branch(monkeypatch):
+    # over Q[a]/((a - 1)(a^2 - 2)) the lift's divisor A_x is a zero divisor:
+    # A_x vanishes at a = 1, where w = -B_y/A_y instead
+    A = parse("y + (x - 1)^2*(x^2 - 2)")
+    B = parse("y^3") + parse("x") * A
+    ring = make_extension((2, -2, -1, 1))
+    monkeypatch.setattr(singclass, "_common_zeros",
+                        lambda polys, u, v: [(ring, ring.generator(),
+                                              ring.element(0))])
+    points = singclass._solve_linear_var(("x", "y", "z"), "z", A, B)
+    assert len(points) == 2
+    degrees = sorted(r.degree for r, _ in points)
+    assert degrees == [1, 2]
+    for r, (x0, y0, z0) in points:
+        assert y0 == 0 and z0 == -x0
+    assert any(c == (Fraction(1), Fraction(0), Fraction(-1)) for _, c in points)
+    assert fiber_configuration(A * parse("z") + B).type_string() == "A5+A2+A2"
+
+
+def test_linear_variable_non_isolated_locus_is_refused():
+    # x*y + x^2*z is singular along the line x = y = 0
+    with pytest.raises(ClassificationError, match="non-isolated"):
+        fiber_configuration(parse("x*y + x^2*z"))
