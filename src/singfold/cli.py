@@ -222,6 +222,8 @@ def _check_args(args) -> Optional[List[str]]:
     list (None for all) or raises ValueError, a usage error."""
     if args.samples < 1:
         raise ValueError("sample count must be >= 1")
+    if args.theorem2_count < 1:
+        raise ValueError("theorem2 count must be >= 1")
     sections = args.sections.split(",") if args.sections else None
     bad = [s for s in sections or () if s not in SECTIONS]
     if bad:
@@ -316,7 +318,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .families import verify_catalogue
         cat = verify_catalogue()
         if not cat["ok"]:
-            print(f"error: case catalogue drift: {cat['cases']}", file=sys.stderr)
+            for cid, problems in cat["cases"].items():
+                for problem in problems:
+                    print(f"error: case catalogue {cid}: {problem}",
+                          file=sys.stderr)
             return 1
         if args.command == "cases":
             if args.action == "show" and not args.case:

@@ -441,8 +441,9 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]]):
     return len(pivots), rows, pivots
 
 
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[Tuple[Fraction, ...]]:
-    """Basis of the rational kernel of a matrix over Q."""
+def nullspace(matrix: Sequence[Sequence[Scalar]]) -> List[Tuple[Scalar, ...]]:
+    """Kernel basis of a matrix over one scalar ring, one vector per free
+    column of `row_reduce`; may raise SplitEvent."""
     if not matrix:
         return []
     ncols = len(matrix[0])

@@ -9,6 +9,7 @@ do not.  Samplers emit exact rational points on each stratum.
 
 from __future__ import annotations
 
+import importlib.resources
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Scalar, SplitEvent, upoly,
                     upoly_deg, upoly_gcd)
-from .poly import Polynomial, align, parse
+from .poly import (Polynomial, align, div_exact, exponent_tuples,
+                   gcd_univariate, parse)
 from .rootsys import CASE_IDS, CaseMeta, case_meta
 from .singclass import (Branch, FiberConfiguration, classify_point,
                         fiber_configuration, singular_points, split_branch)
@@ -132,68 +134,11 @@ def _quad(k: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
 # case construction
 # ---------------------------------------------------------------------------
 
-_FIBERS = {
-    "A3B2D4": "z^4 + t2*z^2 + t4 + t2^2/8 - x*y",
-    "A5B3D5": "z^6 + t2*z^4 + (t4 + t2^2/4)*z^2 + t6 + t2*t4/6 + t2^3/108 - x*y",
-    "D4C3D6": "x*y*(x+y) - t2/2*x*y - t4/4*x + 1/4*(t6 + t2*t4/6 + t2^3/108) - z^2",
-    "D4G2E6": "x*y*(x+y) - t2/2*x*y + 1/4*(t6 + t2^3/108) - z^2",
-    "D4G2E7": "x*y*(x+y) - t2/2*x*y + 1/4*(t6 + t2^3/108) - z^2",
-    "E6F4E7": ("-1/4*x^4 + y^3 + z^2 - t2/4*x^2*y + 1/48*(t6 - t2^3/8)*x^2"
-               " + 1/48*(-t8 + t6*t2/4 - t2^4/192)*y"
-               " + 1/576*(t12 - t8*t2^2/8 - t6^2/8 + t6*t2^3/96)"),
-}
+# group order and generator names of each symmetry group
+_OMEGA = {"Z/2": (2, ("sigma",)), "Z/3": (3, ("rho",)),
+          "S3": (6, ("rho", "sigma"))}
 
-_QUOTIENTS = {
-    "A3B2D4": "Z*(X^2 - 4*Z^2) + W^2 - 4*t2*Z^2 - 4*(t4 + t2^2/8)*Z",
-    "A5B3D5": ("Z*(X^2 + 4*Z^3) + W^2 + 4*t2*Z^3 + 4*(t4 + t2^2/4)*Z^2"
-               " + 4*(t6 + t2*t4/6 + t2^3/108)*Z"),
-    "D4C3D6": ("-1/64*X^5 + X*Y^2 - W^2 + t2/32*X^4"
-               " + (-3/128*t2^2 - 1/32*t4)*X^3"
-               " + (7/192*t2*t4 + 1/32*t6 + 7/864*t2^3)*X^2"
-               " + (-1/32*t6*t2 - 5/384*t2^2*t4 - 35/27648*t2^4 - 1/64*t4^2)*X"
-               " + (1/4*t6 + 1/24*t2*t4 + 1/432*t2^3)*Y"
-               " + 1/128*t6*t2^2 + 1/32*t6*t4 + 11/6912*t2^3*t4"
-               " + 1/192*t2*t4^2 + 1/13824*t2^5"),
-    "D4G2E6": ("11664*X^4 - Y^3 - Z^2 - 324*t2*X^2*Y - (189*t2^3 + 5832*t6)*X^2"
-               " + (81*t2*t6 + 15/16*t2^4)*Y + 11/32*t2^6 + 189/4*t2^3*t6"
-               " + 729*t6^2"),
-    "D4G2E7": ("X^3*Y - 11664*Y^3 + Z^2 + 324*t2*X*Y^2 + (189*t2^3 + 5832*t6)*Y^2"
-               " - (15/16*t2^4 + 81*t2*t6)*X*Y"
-               " - (11/32*t2^6 + 189/4*t2^3*t6 + 729*t6^2)*Y"),
-    "E6F4E7": ("-1/4*X^3 + X*Y^3 + Z^2 - t2/4*X^2*Y + 1/48*(t6 - t2^3/8)*X^2"
-               " + 1/48*(-t8 + t6*t2/4 - t2^4/192)*X*Y"
-               " + 1/576*(t12 - t8*t2^2/8 - t6^2/8 + t6*t2^3/96)*X"),
-}
-
-# invariant charts: quotient generators as polynomials on the fiber
-# (a key "V^2" gives the image of V squared, for generators rational only
-# after squaring)
-_EMBEDDINGS = {
-    "A3B2D4": {"X": "x + y", "Z": "z^2", "W^2": "-(z*(x - y))^2"},
-    "A5B3D5": {"X": "x - y", "Z": "z^2", "W^2": "-(z*(x + y))^2"},
-    "D4C3D6": {"X": "x",
-               "Y": "x*y + y^2 - t2*y/2 + x^2/8 - t2*x/8 + t2^2/32 - t4/8",
-               "W^2": "1/4*(z*(x + 2*y - t2/2))^2"},
-    "D4G2E6": {"X": "z",
-               "Y": "12*(x^2 + x*y + y^2 - t2/2*(x + y) + t2^2/12) - 3/4*t2^2",
-               "Z^2": "-432*(3*_v1 + 2*_v2)^2"},
-    "D4G2E7": {"X": "12*(x^2 + x*y + y^2 - t2/2*(x + y) + t2^2/12) - 3/4*t2^2",
-               "Y": "z^2",
-               "Z^2": "-1728*(z*(_v2 + 3/2*_v1))^2"},
-    "E6F4E7": {"X": "x^2", "Y": "y", "Z^2": "(x*z)^2"},
-}
-
-_OMEGA_GENS = {
-    "A3B2D4": {"sigma": {"x": "y", "y": "x", "z": "-z"}},
-    "A5B3D5": {"sigma": {"x": "-y", "y": "-x", "z": "-z"}},
-    "D4C3D6": {"sigma": {"x": "x", "y": "-x - y + t2/2", "z": "-z"}},
-    "D4G2E6": {"rho": {"x": "y", "y": "-x - y + t2/2", "z": "z"}},
-    "D4G2E7": {"rho": {"x": "y", "y": "-x - y + t2/2", "z": "z"},
-               "sigma": {"x": "x", "y": "-x - y + t2/2", "z": "-z"}},
-    "E6F4E7": {"sigma": {"x": "-x", "y": "y", "z": "-z"}},
-}
-
-_OMEGA_ORDER = {"Z/2": 2, "Z/3": 3, "S3": 6}
+_FIBER_VARS = ("x", "y", "z")
 
 _WEIGHTS = {
     "A3B2D4": {"x": 2, "y": 2, "z": 1, "t2": 2, "t4": 4,
@@ -235,15 +180,6 @@ _FIXED_LOCUS = {
     "D4G2E7": ({"x": "t2/6", "y": "t2/6", "z": "0"}, 0),
     "E6F4E7": ({"x": "0", "y": "s", "z": "0"}, 1),
 }
-
-
-def _parse_embedding(text: str) -> Polynomial:
-    v1 = parse("(x - t2/6)*(y - t2/6)*(x + y - t2/3)")
-    v2 = parse("-(x - t2/6)^3 - 3*(x - t2/6)^2*(y - t2/6) + (y - t2/6)^3")
-    p = parse(text.replace("_v1", "V1").replace("_v2", "V2"))
-    if "V1" in p.variables or "V2" in p.variables:
-        p = p.subs({"V1": v1, "V2": v2})
-    return p.drop_unused()
 
 
 def _fr(x) -> Fraction:
@@ -513,14 +449,85 @@ def _build_f4_strata() -> Tuple[Stratum, ...]:
     )
 
 
+# ---------------------------------------------------------------------------
+# catalogue files: the one copy of fiber, quotient, action and chart
+# ---------------------------------------------------------------------------
+
+CATALOGUE = importlib.resources.files(__package__) / "data"
+
+
+class CatalogueError(ValueError):
+    """A malformed case catalogue file; each problem starts with its key."""
+
+    def __init__(self, case_id: str, problems: List[str]):
+        super().__init__(f"case catalogue {case_id}: " + "; ".join(problems))
+        self.problems = problems
+
+
+def _read_catalogue(case_id: str, params: Sequence[str],
+                    quot_vars: Sequence[str],
+                    generators: Sequence[str]) -> Dict[str, Polynomial]:
+    """Parse and validate `data/<case>.txt`: key -> polynomial, in file order.
+
+    Every non-comment line is `key = expr`.  The keys are exactly `fiber`,
+    `quotient`, `action.<gen>.<x|y|z>` for each generator, and one of
+    `chart.V` or `chart.V^2` for each quotient variable V; each expression
+    uses only the variables allowed for its key.
+    """
+    cover = {*_FIBER_VARS, *params}
+    allowed = {"fiber": cover, "quotient": {*quot_vars, *params}}
+    allowed.update((f"action.{g}.{v}", cover)
+                   for g in generators for v in _FIBER_VARS)
+    allowed.update((f"chart.{v}{sq}", cover)
+                   for v in quot_vars for sq in ("", "^2"))
+    entries: Dict[str, Polynomial] = {}
+    seen = set()
+    problems = []
+    text = (CATALOGUE / f"{case_id}.txt").read_text()
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, expr = (part.strip() for part in line.partition("="))
+        if not (key and eq and expr):
+            problems.append(f"line {n}: {line!r} is not 'key = expr'")
+        elif key not in allowed:
+            problems.append(f"{key}: unknown key")
+        elif key in seen:
+            problems.append(f"{key}: given twice")
+        else:
+            seen.add(key)
+            try:
+                entries[key] = parse(expr)
+            except (ValueError, ZeroDivisionError) as exc:
+                problems.append(f"{key}: {exc}")
+                continue
+            stray = set(entries[key].used_variables()) - allowed[key]
+            if stray:
+                problems.append(f"{key}: variables {sorted(stray)} "
+                                "not allowed")
+    for key in allowed:
+        if not key.startswith("chart.") and key not in seen:
+            problems.append(f"{key}: missing")
+    for v in quot_vars:
+        given = [k for k in (f"chart.{v}", f"chart.{v}^2") if k in seen]
+        if len(given) != 1:
+            problems.append(f"chart.{v}: " + ("missing" if not given else
+                                              "given both plain and squared"))
+    if problems:
+        raise CatalogueError(case_id, problems)
+    return entries
+
+
 def _build_case(case_id: str) -> CaseDescriptor:
     meta = case_meta(case_id)
     params, slots = _PARAMS[case_id]
-    fiber = parse(_FIBERS[case_id])
-    quotient = parse(_QUOTIENTS[case_id])
-    gens = {name: {v: parse(expr) for v, expr in sub.items()}
-            for name, sub in _OMEGA_GENS[case_id].items()}
-    emb = {k: _parse_embedding(v) for k, v in _EMBEDDINGS[case_id].items()}
+    order, generators = _OMEGA[meta.omega]
+    entries = _read_catalogue(case_id, params, QUOT_VARS[case_id], generators)
+    gens = {g: {v: entries[f"action.{g}.{v}"] for v in _FIBER_VARS}
+            for g in generators}
+    emb = {k[len("chart."):]: p for k, p in entries.items()
+           if k.startswith("chart.")}
     floc_raw, fdim = _FIXED_LOCUS[case_id]
     floc = {v: parse(expr) for v, expr in floc_raw.items()}
     b_fixed = None
@@ -530,9 +537,9 @@ def _build_case(case_id: str) -> CaseDescriptor:
         b_fixed = (-1, -1, parse("t6 + t2*t4/6 + t2^3/108"))
     return CaseDescriptor(
         case_id=case_id, meta=meta, params=params, param_slots=slots,
-        weights=_WEIGHTS[case_id], fiber_vars=("x", "y", "z"), fiber=fiber,
-        quotient_vars=QUOT_VARS[case_id], quotient=quotient,
-        omega_gens=gens, omega_order=_OMEGA_ORDER[meta.omega],
+        weights=_WEIGHTS[case_id], fiber_vars=_FIBER_VARS,
+        fiber=entries["fiber"], quotient_vars=QUOT_VARS[case_id],
+        quotient=entries["quotient"], omega_gens=gens, omega_order=order,
         embedding=emb, strata=_build_strata(case_id),
         fixed_locus=floc, fixed_locus_dim=fdim, b_fixed=b_fixed)
 
@@ -552,6 +559,20 @@ def all_descriptors() -> List[CaseDescriptor]:
     return [descriptor(cid) for cid in CASE_IDS]
 
 
+def verify_catalogue() -> dict:
+    """Build every case through its catalogue file; the problems of each
+    case are listed by key (an empty list for a sound file)."""
+    report = {"ok": True, "cases": {}}
+    for cid in CASE_IDS:
+        try:
+            descriptor(cid)
+            report["cases"][cid] = []
+        except CatalogueError as exc:
+            report["cases"][cid] = exc.problems
+            report["ok"] = False
+    return report
+
+
 # ---------------------------------------------------------------------------
 # equivariance
 # ---------------------------------------------------------------------------
@@ -569,33 +590,20 @@ def verify_equivariance(case_id: str) -> dict:
         else:
             report["generators"][name] = "broken"
             report["ok"] = False
-    idmap = {v: Polynomial.var(v) for v in case.fiber_vars}
-
-    def power(g, n):
-        out = idmap
+    fv = case.fiber_vars
+    idmap = {v: Polynomial.var(v) for v in fv}
+    relations = report["relations"]
+    for name, g in case.omega_gens.items():
+        n = 3 if name == "rho" else 2   # rho is a rotation, sigma a reflection
+        power = idmap
         for _ in range(n):
-            out = compose_subst(g, out, case.fiber_vars)
-        return out
-
-    if case.meta.omega == "Z/2":
-        s = case.omega_gens["sigma"]
-        report["relations"]["sigma^2"] = subst_equal(power(s, 2), idmap,
-                                                     case.fiber_vars)
-    elif case.meta.omega == "Z/3":
-        r = case.omega_gens["rho"]
-        report["relations"]["rho^3"] = subst_equal(power(r, 3), idmap,
-                                                   case.fiber_vars)
-    else:
+            power = compose_subst(g, power, fv)
+        relations[f"{name}^{n}"] = subst_equal(power, idmap, fv)
+    if len(case.omega_gens) == 2:
         r, s = case.omega_gens["rho"], case.omega_gens["sigma"]
-        report["relations"]["rho^3"] = subst_equal(power(r, 3), idmap,
-                                                   case.fiber_vars)
-        report["relations"]["sigma^2"] = subst_equal(power(s, 2), idmap,
-                                                     case.fiber_vars)
-        srs = compose_subst(s, compose_subst(r, s, case.fiber_vars),
-                            case.fiber_vars)
-        rr = compose_subst(r, r, case.fiber_vars)
-        report["relations"]["sigma*rho*sigma=rho^2"] = subst_equal(
-            srs, rr, case.fiber_vars)
+        relations["sigma*rho*sigma=rho^2"] = subst_equal(
+            compose_subst(s, compose_subst(r, s, fv), fv),
+            compose_subst(r, r, fv), fv)
         # the full group must close with the right order
         case.group_elements()
     if not all(report["relations"].values()):
@@ -642,7 +650,8 @@ def sample_stratum(case_id: str, stratum_id: str, count: int,
         out.append(t)
     if len(out) < count:
         raise ValueError(
-            f"{case_id}/{stratum_id}: found {len(out)} of {count} samples")
+            f"{case_id}/{stratum_id}: found {len(out)} of {count} samples "
+            f"in a budget of {budget} candidates")
     return out
 
 
@@ -763,7 +772,6 @@ def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
 
 def _smooth_fixed_count(case: CaseDescriptor, F: Polynomial,
                         t: Dict[str, Fraction], records) -> int:
-    from .poly import gcd_univariate
     vals = {p: Fraction(v) for p, v in t.items()}
     locus = {v: case.fixed_locus[v].subs(vals) for v in case.fiber_vars}
     on_locus = F.subs(locus).drop_unused()
@@ -1075,7 +1083,7 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     invariants: List[Polynomial] = []
     seen = set()
     for d in range(1, degree_bound + 1):
-        for mono in sorted(_monomials_of_degree(case.fiber_vars, d)):
+        for mono in sorted(exponent_tuples(len(case.fiber_vars), d)):
             p = Polynomial(case.fiber_vars,
                            {mono: Fraction(1)})
             avg = reynolds_average(case, p).drop_unused()
@@ -1138,6 +1146,27 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     return report
 
 
+def _chart_substitute(q: Polynomial,
+                      chart: Dict[str, Polynomial]) -> Optional[Polynomial]:
+    """Substitute a chart into q.  A key "V^2" replaces V^(2k) by the k-th
+    power of its image (None if q has an odd power of V); the plain keys
+    then replace their variables."""
+    plain = {}
+    for key, image in chart.items():
+        if not key.endswith("^2"):
+            plain[key] = image
+            continue
+        cs = q.coefficients_in(key[:-2])
+        if any(i % 2 == 1 and not c.is_zero() for i, c in enumerate(cs)):
+            return None
+        acc = Polynomial.zero()
+        for i, c in enumerate(cs):
+            if not c.is_zero():
+                acc = acc + c * image ** (i // 2)
+        q = acc
+    return q.subs(plain)
+
+
 def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
                     rel: Polynomial) -> Optional[Fraction]:
     """Substitute the chart certificates into the catalogued quotient
@@ -1147,31 +1176,16 @@ def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
     choice telescopes the equation to zero, the squared-generator
     certificate is shifted by the relation itself to expose the scalar.
     """
-    squared = {k[:-2]: v for k, v in certs.items() if k.endswith("^2")}
-    plain = {k: v for k, v in certs.items() if not k.endswith("^2")}
     r = rel.drop_unused()
     if r.is_zero():
         return None
-
-    def substitute(shift: bool) -> Optional[Polynomial]:
-        q = case.quotient
-        for var, image in squared.items():
-            if shift:
-                image = image + r
-            cs = q.coefficients_in(var)
-            if any(i % 2 == 1 and not c.is_zero() for i, c in enumerate(cs)):
-                return None
-            acc = Polynomial.zero()
-            for i, c in enumerate(cs):
-                if not c.is_zero():
-                    acc = acc + c * image ** (i // 2)
-            q = acc
-        return q.subs(plain).drop_unused()
-
     for shift in (False, True):
-        q = substitute(shift)
+        q = _chart_substitute(case.quotient, {
+            k: v + r if shift and k.endswith("^2") else v
+            for k, v in certs.items()})
         if q is None:
             return None
+        q = q.drop_unused()
         if q.is_zero():
             continue
         lead = max(r.terms, key=lambda e: (sum(e), e))
@@ -1183,20 +1197,6 @@ def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
         lam = q_al.terms[lead] * (1 / r.terms[lead])
         return lam if (r * lam) == q_al else None
     return None
-
-
-def _monomials_of_degree(names, d):
-    out = []
-
-    def rec(prefix, remaining, left):
-        if remaining == 1:
-            out.append(prefix + (left,))
-            return
-        for k in range(left + 1):
-            rec(prefix + (k,), remaining - 1, left - k)
-
-    rec((), len(names), d)
-    return out
 
 
 def _derive_relation(case: CaseDescriptor, gens: List[Polynomial]):
@@ -1225,67 +1225,11 @@ def _derive_relation(case: CaseDescriptor, gens: List[Polynomial]):
 def _quotient_identity_holds(case: CaseDescriptor) -> bool:
     """The catalogued quotient equation vanishes on the catalogued chart
     modulo the fiber ideal (exact divisibility by the fiber equation)."""
-    from .poly import div_exact
-    subst: Dict[str, Polynomial] = {}
-    squared: Dict[str, Polynomial] = {}
-    for key, p in case.embedding.items():
-        if key.endswith("^2"):
-            squared[key[:-2]] = p
-        else:
-            subst[key] = p
-    q = case.quotient
-    for var, image2 in squared.items():
-        cs = q.coefficients_in(var)
-        if any(i % 2 == 1 and not c.is_zero() for i, c in enumerate(cs)):
-            return False
-        acc = Polynomial.zero()
-        for i, c in enumerate(cs):
-            if not c.is_zero():
-                acc = acc + c * image2 ** (i // 2)
-        q = acc
-    q = q.subs(subst)
+    q = _chart_substitute(case.quotient, case.embedding)
+    if q is None:
+        return False
     try:
         div_exact(q, case.fiber)
         return True
     except ValueError:
         return False
-
-
-# ---------------------------------------------------------------------------
-# catalogue files
-# ---------------------------------------------------------------------------
-
-def verify_catalogue() -> dict:
-    """Cross-check the in-code case constants against the shipped data files.
-
-    Each case ships a text file with the fiber and quotient equations, the
-    symmetry action and the invariant chart in canonical polynomial syntax;
-    a mismatch signals an accidental edit on either side.
-    """
-    import importlib.resources as res
-    report = {"ok": True, "cases": {}}
-    for case in all_descriptors():
-        entries: Dict[str, Polynomial] = {}
-        text = (res.files("singfold") / "data" / f"{case.case_id}.txt").read_text()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, expr = line.partition("=")
-            entries[key.strip()] = parse(expr)
-        problems = []
-        if entries.get("fiber") != case.fiber:
-            problems.append("fiber")
-        if entries.get("quotient") != case.quotient:
-            problems.append("quotient")
-        for name, sub in case.omega_gens.items():
-            for v in case.fiber_vars:
-                if entries.get(f"action.{name}.{v}") != sub[v]:
-                    problems.append(f"action.{name}.{v}")
-        for key, p in case.embedding.items():
-            if entries.get(f"chart.{key}") != p:
-                problems.append(f"chart.{key}")
-        report["cases"][case.case_id] = problems
-        if problems:
-            report["ok"] = False
-    return report

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .families import (classify_quotient_fiber, descriptor, sample_stratum,
                        stratum_membership)
 from .poly import Polynomial, parse
 from .rootsys import Vector, build_root_system, case_meta, cartan_point
-from .subsys import subsystems_for_case
+from .subsys import format_type, subsystems_for_case
 
 # psi symbols: p<degree>, plus "pf" for the degree-r Pfaffian-type coordinate
 # of the D-series
@@ -269,35 +270,9 @@ _INVERSE_TEXT = {
                       " - 1/3125*p12"},
 }
 
-# which stratum realizes each subsystem type
-TYPE_TO_STRATUM = {
-    "A3B2D4": {"A1+A1": "generic", "A1+A1+A1": "t4=t2^2/8",
-               "A3": "t4=-t2^2/8", "D4": "origin"},
-    "A5B3D5": {"A1+A1": "generic", "A1+A1+A1": "H2", "A3": "H1",
-               "A2+A1+A1": "H2,t4=t2^2/12", "A3+A1": "H1,t4=0",
-               "D4": "H1,t4=-t2^2/4", "D5": "origin"},
-    "D4C3D6": {"A1+A1+A1": "generic", "A1+A1+A1+A1": "L", "A3+A1": "H",
-               "A3+A1+A1": "L&H", "D4+A1": "L,t4=-t2^2/4",
-               "A5": "H,t4=t2^2/12", "D6": "origin"},
-    "D4G2E6": {"A2+A2": "generic", "A2+A2+A1": "t6=-t2^3/108",
-               "A5": "t6=t2^3/108", "E6": "origin"},
-    "D4G2E7": {"A2+A1+A1+A1": "generic", "A3+A2+A1": "t6=-t2^3/108",
-               "D5+A1": "t6=t2^3/108", "E7": "origin"},
-    "E6F4E7": {"A1+A1+A1": "generic", "A3+A1": "H1", "D4+A1": "D4+A1",
-               "D5+A1": "D5+A1", "D6": "D6", "A5": "A5",
-               "A1+A1+A1+A1": "H2", "A2+A1+A1+A1": "A2+A1+A1+A1",
-               "A3+A1+A1": "H1&H2", "A3+A2+A1": "A3+A2+A1",
-               "A5+A1": "A5+A1", "E7": "origin"},
-}
-
-_chart_cache: Dict[str, FlatChart] = {}
-_bc_cache: Dict[str, BaseChange] = {}
-
-
+@lru_cache(maxsize=None)
 def flat_chart(case_id: str) -> FlatChart:
     """The restricted flat coordinates and their relations, verified at load."""
-    if case_id in _chart_cache:
-        return _chart_cache[case_id]
     names = _PSI_NAMES[case_id]
     cvars = _CHART_VARS[case_id]
     if case_id == "D4G2E7":
@@ -313,18 +288,14 @@ def flat_chart(case_id: str) -> FlatChart:
             if not rel.subs(formulas).is_zero():
                 raise AssertionError(
                     f"{case_id}: flat-chart relation fails to vanish: {rel}")
-    _chart_cache[case_id] = chart
     return chart
 
 
+@lru_cache(maxsize=None)
 def base_change(case_id: str) -> BaseChange:
-    if case_id in _bc_cache:
-        return _bc_cache[case_id]
     fwd = tuple(parse(s) for s in _FORWARD_TEXT[case_id])
     inv = {k: parse(v) for k, v in _INVERSE_TEXT[case_id].items()}
-    bc = BaseChange(case_id, fwd, inv)
-    _bc_cache[case_id] = bc
-    return bc
+    return BaseChange(case_id, fwd, inv)
 
 
 def verify_iso(case_id: str) -> dict:
@@ -375,7 +346,10 @@ def verify_iso(case_id: str) -> dict:
 
 
 def witness_to_chart(case_id: str, witness: Vector) -> Dict[str, Fraction]:
-    """Coordinates of a pinned-locus Cartan point in the case chart."""
+    """Coordinates of a pinned-locus Cartan point in the case chart: chart
+    variable x<i> is the i-th Cartan coordinate."""
+    if flat_chart(case_id).formulas is None:
+        raise ValueError(f"no explicit chart for {case_id}")
     meta = case_meta(case_id)
     rs = build_root_system(meta.quotient_type)
     h = cartan_point(rs, witness)
@@ -383,38 +357,22 @@ def witness_to_chart(case_id: str, witness: Vector) -> Dict[str, Fraction]:
         alpha = rs.simple_roots[i - 1]
         if sum(a * b for a, b in zip(alpha, h)) != 0:
             raise ValueError("witness violates a pinned hyperplane constraint")
-    if case_id == "A3B2D4":
-        return {"x1": h[0], "x2": h[1]}
-    if case_id == "A5B3D5":
-        return {"x1": h[0], "x2": h[1], "x3": h[2]}
-    if case_id == "D4C3D6":
-        return {"x1": h[0], "x3": h[2], "x5": h[4]}
-    if case_id == "D4G2E6":
-        return {"x2": h[1], "x4": h[3]}
-    if case_id == "D4G2E7":
-        return {"x3": h[2], "x5": h[4]}
-    raise ValueError(f"no explicit chart for {case_id}")
+    return {v: h[int(v[1:]) - 1] for v in _CHART_VARS[case_id]}
 
 
 def pi_prime(case_id: str, witness: Vector) -> Dict[str, Fraction]:
     """Flat coordinates of the projection of a pinned Cartan point."""
-    chart = flat_chart(case_id)
-    if chart.formulas is None:
-        raise ValueError(f"{case_id}: chart formulas are withheld")
     coords = witness_to_chart(case_id, witness)
     vals = {k: Fraction(v) for k, v in coords.items()}
-    out = {}
-    for name in chart.psi_names:
-        f = chart.formulas[name]
-        out[name] = f.evaluate(vals) if not f.is_zero() else Fraction(0)
-    return out
+    chart = flat_chart(case_id)
+    return {name: chart.formulas[name].evaluate(vals)
+            for name in chart.psi_names}
 
 
 def chart_point_to_params(case_id: str, psi: Dict[str, Fraction]) -> Dict[str, Fraction]:
     case = descriptor(case_id)
     bc = base_change(case_id)
-    return {p: bc.inverse[p].evaluate(psi) if not bc.inverse[p].is_constant()
-            else bc.inverse[p].constant_value() for p in case.params}
+    return {p: bc.inverse[p].evaluate(psi) for p in case.params}
 
 
 def correspondence_check(case_id: str, samples_per_stratum: int = 1) -> dict:
@@ -429,7 +387,9 @@ def correspondence_check(case_id: str, samples_per_stratum: int = 1) -> dict:
     chart = flat_chart(case_id)
     bc = base_change(case_id)
     subs = subsystems_for_case(case_id)
-    type_map = TYPE_TO_STRATUM[case_id]
+    # the stratum realizing each subsystem type
+    type_map = {format_type(st.quotient_config.split("+")): st.stratum_id
+                for st in case.strata}
     entries = []
     ok = True
     stratum_cache: Dict[str, bool] = {}
@@ -449,9 +409,7 @@ def correspondence_check(case_id: str, samples_per_stratum: int = 1) -> dict:
             # consistency: f(t) must reproduce psi
             tvals = {k: Fraction(v) for k, v in t.items()}
             for name, fwd in zip(chart.psi_names, bc.forward):
-                val = fwd.evaluate(tvals) if not fwd.is_constant() \
-                    else fwd.constant_value()
-                if val != psi[name]:
+                if fwd.evaluate(tvals) != psi[name]:
                     entry["error"] = f"f(g(psi)) != psi at {name}"
                     ok = False
             entry["psi"] = {k: str(v) for k, v in psi.items()}

@@ -293,6 +293,22 @@ def _pair(p: Polynomial, other) -> Tuple[Polynomial, Polynomial]:
     return align(p, union), align(q, union)
 
 
+def exponent_tuples(n_vars: int, d: int) -> List[Tuple[int, ...]]:
+    """All exponent tuples in n_vars >= 1 variables of total degree d, in
+    lexicographic order."""
+    out = []
+
+    def rec(prefix, remaining, left):
+        if remaining == 1:
+            out.append(prefix + (left,))
+            return
+        for k in range(left + 1):
+            rec(prefix + (k,), remaining - 1, left - k)
+
+    rec((), n_vars, d)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -344,6 +360,8 @@ def parse(text: str) -> Polynomial:
         return tokens[pos[0]] if pos[0] < len(tokens) else None
 
     def take():
+        if pos[0] == len(tokens):
+            raise ParseError("unexpected end of input")
         t = tokens[pos[0]]
         pos[0] += 1
         return t

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, ExtensionRing, Scalar,
                     SplitEvent, invert, make_extension, map_to_factor,
-                    row_reduce, upoly, upoly_deg, upoly_gcd,
+                    nullspace, upoly, upoly_deg, upoly_gcd,
                     upoly_squarefree_part)
-from .poly import (Polynomial, align, gcd_univariate, resultant, _sort_vars,
-                   univariate_coefficients)
+from .poly import (Polynomial, align, exponent_tuples, gcd_univariate,
+                   resultant, _sort_vars, univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -469,18 +469,7 @@ def _sparse_rank(rows: List[Dict[Tuple[int, ...], Scalar]]) -> int:
 
 def _monomials_below(n_vars: int, deg: int) -> List[Tuple[int, ...]]:
     """All exponent tuples of total degree < deg, ordered by degree."""
-    out = []
-
-    def rec(prefix, remaining, left):
-        if remaining == 1:
-            out.append(prefix + (left,))
-            return
-        for k in range(left + 1):
-            rec(prefix + (k,), remaining - 1, left - k)
-
-    for d in range(deg):
-        rec((), n_vars, d)
-    return out
+    return [e for d in range(deg) for e in exponent_tuples(n_vars, d)]
 
 
 def milnor_number(F: Polynomial, point: Point, cap: int = 16) -> int:
@@ -532,34 +521,14 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
 def hessian_corank(F: Polynomial, point: Point) -> int:
     """3 - rank of the Hessian at the point (or n - rank in n variables)."""
     names = F.used_variables()
-    G = _translate(F, names, point)
-    return _hessian_corank_translated(G, names)[0]
+    return len(nullspace(_hessian(_translate(F, names, point), names)))
 
 
-def _hessian_corank_translated(G: Polynomial, names):
-    n = len(names)
-    H = []
+def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
+    """The Hessian matrix of G at the origin."""
     zero_exp = (0,) * len(G.variables)
-    for a in names:
-        row = []
-        for b in names:
-            d = G.diff(a).diff(b)
-            row.append(d.terms.get(zero_exp, Fraction(0)))
-        H.append(row)
-    rank, rows, pivots = row_reduce(H)
-    return n - rank, rows, pivots, H
-
-
-def _hessian_kernel(rows, pivots, n) -> List[List[Scalar]]:
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec: List[Scalar] = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
+    return [[G.diff(a).diff(b).terms.get(zero_exp, Fraction(0))
+             for b in names] for a in names]
 
 
 def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_RING,
@@ -579,14 +548,14 @@ def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_R
     mu = _milnor_translated(G, names)
     if mu > 8:
         raise ClassificationError(f"mu = {mu} > 8: outside the ADE range")
-    corank, rows, pivots, H = _hessian_corank_translated(G, names)
+    kern = nullspace(_hessian(G, names))
+    corank = len(kern)
     shape = None
     if corank <= 1:
         ade = f"A{mu}"
         if corank == 0 and mu != 1:
             raise ClassificationError("nondegenerate Hessian forces mu = 1")
     elif corank == 2:
-        kern = _hessian_kernel(rows, pivots, len(names))
         cubic = G.homogeneous_part(3)
         s, t = Polynomial.var("_s"), Polynomial.var("_t")
         subs = {}

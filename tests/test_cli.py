@@ -1,7 +1,11 @@
+import hashlib
 import json
+
+import pytest
 
 import singfold.cli
 from singfold.cli import main, verify_case
+from singfold.families import sample_stratum
 
 
 def run(capsys, *argv):
@@ -122,6 +126,50 @@ def test_report_rejects_bad_count(capsys):
 def test_verify_rejects_bad_count(capsys):
     code, _ = run(capsys, "--samples", "0", "verify", "--case", "A3B2D4")
     assert code == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_theorem2_count_below_one_is_usage_error(tmp_path, capsys, count):
+    assert main(["verify", "--case", "A3B2D4", "--sections", "theorem2",
+                 "--theorem2-count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theorem2 count must be >= 1" in captured.err
+    out_dir = tmp_path / "reports"
+    assert main(["report", "--out", str(out_dir),
+                 "--theorem2-count", count]) == 2
+    assert "theorem2 count must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sampler_budget_exhaustion_exits_1(capsys, monkeypatch):
+    def starved(case_id, stratum_id, count):
+        return sample_stratum(case_id, stratum_id, count, budget=1)
+
+    monkeypatch.setattr(singfold.cli, "sample_stratum", starved)
+    assert main(["verify", "--case", "A3B2D4", "--sections", "tables"]) == 1
+    err = capsys.readouterr().err
+    assert "error: A3B2D4/t4=-t2^2/8: found 1 of 3 samples" in err
+    assert "budget of 1 candidates" in err
+
+
+# sha256 of `singfold cases show <case>`, recorded before the catalogue moved
+# into the data files alone
+CASES_SHOW_SHA256 = {
+    "A3B2D4": "e5c229c99265e175e69855fcac83632d80e798eb0fab7e763a3d8d1b483d3fbf",
+    "A5B3D5": "3e9f37070a1b32d56e5db78652de3e67b1858e7f451283d51189ac563fcff76b",
+    "D4C3D6": "3ee869738a91b0262ca1b004e009628ad9087ac16c3aa2f9a34eeb6314caf908",
+    "D4G2E6": "5416a972087d9a4446716ec4b78e047e2eb556a6b304a9ea9edccf6a3e5abbc1",
+    "D4G2E7": "c9cefc04dc58c4130b43f6f82f776c68a2d85acf580f60b039d0110de1b3b960",
+    "E6F4E7": "6a88ac5981da6eb038fd84079f4d421ccece7d3fdbd0aaf6d0f7a3b3b739c041",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(CASES_SHOW_SHA256))
+def test_cases_show_is_pinned(capsys, cid):
+    code, out = run(capsys, "cases", "show", cid)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CASES_SHOW_SHA256[cid]
 
 
 def test_error_inside_verification_exits_1(tmp_path, capsys, monkeypatch):

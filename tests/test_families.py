@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singfold import families
+from singfold.cli import main
 from singfold.exact import nullspace, solve_linear
 from singfold.families import (_Echelon, check_stratum_point,
                                classify_quotient_fiber,
@@ -35,6 +37,45 @@ def test_group_orders():
 def test_catalogue_files_match_constants():
     rep = verify_catalogue()
     assert rep["ok"], rep
+    assert rep["cases"] == {cid: [] for cid in CASE_IDS}
+
+
+# (case, line to replace, replacement, key the problem must name)
+BROKEN_CATALOGUES = [
+    ("A3B2D4", "action.sigma.z = -z\n", "", "action.sigma.z: missing"),
+    ("D4G2E6", "chart.X = z\n", "chart.X = z\nchart.T = z\n",
+     "chart.T: unknown key"),
+    ("A5B3D5", "chart.Z = z^2\n", "chart.Z = z^^2\n", "chart.Z: "),
+    ("E6F4E7", "chart.Y = y\n", "chart.Y = Y\n",
+     "chart.Y: variables ['Y'] not allowed"),
+    ("D4G2E7", "chart.Y = z^2\n", "chart.Y^2 = z^4\nchart.Y = z^2\n",
+     "chart.Y: given both plain and squared"),
+    ("D4C3D6", "fiber = ", "fiber ", "line 3: "),
+]
+
+
+@pytest.mark.parametrize("cid,old,new,problem", BROKEN_CATALOGUES,
+                         ids=[f"{b[0]}-{b[3].split(':')[0]}"
+                              for b in BROKEN_CATALOGUES])
+def test_malformed_catalogue_file_is_reported(tmp_path, monkeypatch, capsys,
+                                              cid, old, new, problem):
+    for case_id in CASE_IDS:
+        text = (families.CATALOGUE / f"{case_id}.txt").read_text()
+        if case_id == cid:
+            assert old in text
+            text = text.replace(old, new, 1)
+        (tmp_path / f"{case_id}.txt").write_text(text)
+    monkeypatch.setattr(families, "CATALOGUE", tmp_path)
+    monkeypatch.setattr(families, "_case_cache", {})
+    rep = verify_catalogue()
+    assert not rep["ok"]
+    assert [p for p in rep["cases"][cid] if p.startswith(problem)], rep
+    assert all(not rep["cases"][c] for c in CASE_IDS if c != cid)
+    with pytest.raises(families.CatalogueError):
+        descriptor(cid)
+    assert main(["cases", "list"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: case catalogue {cid}: {problem}" in err
 
 
 def test_descriptor_errors():

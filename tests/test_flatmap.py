@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from singfold.flatmap import (TYPE_TO_STRATUM, base_change,
-                              chart_point_to_params, correspondence_check,
+from singfold.families import descriptor
+from singfold.flatmap import (base_change, chart_point_to_params, correspondence_check,
                               flat_chart, pi_prime, verify_iso,
                               witness_to_chart)
 from singfold.rootsys import CASE_IDS
-from singfold.subsys import subsystems_for_case
+from singfold.subsys import format_type, subsystems_for_case
 
 RELATION_COUNTS = {"A3B2D4": 1, "A5B3D5": 1, "D4C3D6": 3, "D4G2E6": 2,
                    "D4G2E7": 5, "E6F4E7": 3}
@@ -113,10 +113,27 @@ def test_correspondence_small_case():
 
 
 def test_type_to_stratum_covers_all_types():
+    # correspondence_check maps each subsystem type to the stratum with that
+    # quotient configuration: every type needs one, and every stratum is hit
     for cid in CASE_IDS:
         subs = subsystems_for_case(cid)
         types = {s.type_string() for s in subs}
-        assert types == set(TYPE_TO_STRATUM[cid])
+        strata = {format_type(st.quotient_config.split("+"))
+                  for st in descriptor(cid).strata}
+        assert types == strata
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_strata_configurations_are_distinct(cid):
+    # so the derived type -> stratum map is a function
+    configs = [format_type(st.quotient_config.split("+"))
+               for st in descriptor(cid).strata]
+    assert len(configs) == len(set(configs))
+
+
+def test_witness_to_chart_refuses_withheld_chart():
+    with pytest.raises(ValueError, match="no explicit chart for E6F4E7"):
+        witness_to_chart("E6F4E7", (Fraction(0),) * 8)
 
 
 def test_chart_point_roundtrip():

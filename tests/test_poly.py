@@ -40,6 +40,9 @@ def test_parse_errors():
         parse("x ^ y")
     with pytest.raises(ParseError):
         parse("(x")
+    for truncated in ("x^", "x*", "2/"):
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            parse(truncated)
 
 
 def test_basic_arithmetic():
