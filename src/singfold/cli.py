@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .families import (all_descriptors, check_stratum_point, descriptor,
@@ -182,13 +182,26 @@ def _cmd_subsystems(args) -> int:
     return 0
 
 
-def _parse_point(text: str) -> Dict[str, Fraction]:
+def _parse_point(text: str, params: Sequence[str]) -> Dict[str, Fraction]:
+    """Parameter values from `name=value,...`; an item without `=`, a name
+    that is not in params or a repeated name raises ValueError naming the
+    item (a usage error)."""
     out = {}
     for item in text.split(","):
-        if not item.strip():
+        item = item.strip()
+        if not item:
             continue
-        key, _, val = item.partition("=")
-        out[key.strip()] = Fraction(val.strip())
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"point item {item!r} is not name=value")
+        if key not in params:
+            raise ValueError(f"point item {item!r}: unknown parameter "
+                             f"{key!r}; the case has {list(params)}")
+        if key in out:
+            raise ValueError(f"point item {item!r}: parameter {key!r} "
+                             f"given twice")
+        out[key] = Fraction(val.strip())
     return out
 
 
@@ -200,8 +213,8 @@ def _cmd_classify(args) -> int:
             print("classify needs --surface or --case with --point",
                   file=sys.stderr)
             return 2
-        t = _parse_point(args.point)
         case = descriptor(args.case)
+        t = _parse_point(args.point, case.params)
         missing = [p for p in case.params if p not in t]
         if missing:
             print(f"missing parameters: {missing}", file=sys.stderr)

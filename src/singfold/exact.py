@@ -14,15 +14,23 @@ code.  Trimming, division, the monic gcd, the derivative and the squarefree
 part work over either ring and invert leads with :func:`invert`, so a zero
 divisor surfaces as a SplitEvent; the rest, which carries the arithmetic of
 :class:`AlgebraicScalar` itself, works on Fraction tuples.
+
+Linear algebra has one elimination loop, :class:`Echelon`: sparse vectors
+are top-reduced against pivot rows whose leads are inverted with
+:func:`invert`, so a zero divisor again raises SplitEvent, and a vector
+added with an index carries its combination of the added vectors.  The
+Milnor numbers and the Reynolds re-derivation use it directly;
+:func:`row_reduce`, :func:`nullspace` and :func:`solve_linear` are queries
+on the echelon of a matrix's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
-Rational = Fraction
 UPoly = Tuple[Fraction, ...]  # univariate over Q, low -> high, trimmed
 
 
@@ -405,69 +413,115 @@ def map_to_factor(x: Scalar, new_ring: ExtensionRing) -> Scalar:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
+def _subtract(target: Dict, f: Scalar, row: Dict) -> None:
+    """target -= f * row for sparse vectors, dropping the zeros."""
+    for k, a in row.items():
+        s = target.get(k, 0) - f * a
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
+class Echelon:
+    """Sparse echelon form over one scalar ring: the package's only
+    elimination loop.
+
+    A vector is a dict from keys to nonzero scalars; its lead is
+    ``lead(vector)``, the largest key unless the caller passes another rule.
+    An added vector is top-reduced: while its lead is the lead of a pivot
+    row, that row is subtracted.  A remainder becomes a pivot row, scaled to
+    1 at its lead by :func:`invert`, so a zero divisor raises SplitEvent.
+
+    A vector added with an ``index`` carries its combination of the added
+    vectors (index -> coefficient) through the reduction; the relations and
+    solutions read from these combinations depend on the order of addition
+    only, not on the lead rule.
+    """
+
+    def __init__(self, lead: Callable[[Dict], Hashable] = max) -> None:
+        self.lead = lead
+        self.pivots: Dict[Hashable, Tuple[Dict, Optional[Dict]]] = {}
+
+    def _reduce(self, vec: Dict, combo: Optional[Dict]) -> Optional[Hashable]:
+        """Top-reduce vec in place, with combo in step; return the lead left
+        over, or None if vec vanishes."""
+        while vec:
+            lead = self.lead(vec)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return lead
+            f = vec[lead]
+            _subtract(vec, f, piv[0])
+            if combo is not None:
+                _subtract(combo, f, piv[1])
+        return None
+
+    def add(self, vec: Dict, index: Optional[int] = None) -> Optional[Dict]:
+        """Add a copy of vec.  Returns None if it is independent of the
+        vectors added before and became a pivot row; otherwise the vanishing
+        combination of added vectors it completes, 1 at ``index`` ({}
+        without an index)."""
+        vec = dict(vec)
+        combo = None if index is None else {index: Fraction(1)}
+        lead = self._reduce(vec, combo)
+        if lead is None:
+            return {} if combo is None else combo
+        inv = invert(vec[lead])
+        self.pivots[lead] = ({k: c * inv for k, c in vec.items()},
+                             combo and {j: c * inv for j, c in combo.items()})
+        return None
+
+    def solve(self, target: Dict) -> Optional[Dict]:
+        """Coefficients of the added vectors that sum to target, zero on each
+        dependent one, or None if target is not in their span."""
+        combo: Dict = {}
+        if self._reduce(dict(target), combo) is not None:
+            return None
+        return {j: -c for j, c in combo.items()}
+
+
+def _column_echelon(matrix: Sequence[Sequence[Scalar]]):
+    """An Echelon of the columns of a matrix, keyed by row index with the
+    lowest row as lead, and per column None (a pivot column) or the relation
+    that makes it dependent on the earlier ones."""
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(r) != ncols for r in matrix):
+        raise ValueError("ragged matrix")
+    ech = Echelon(lead=min)
+    return ech, [ech.add({i: r[c] for i, r in enumerate(matrix) if r[c]}, c)
+                 for c in range(ncols)]
+
+
 def row_reduce(matrix: Sequence[Sequence[Scalar]]):
     """Reduced row echelon form over one scalar ring.
 
-    Returns (rank, rows, pivot_columns).  Raises SplitEvent if a pivot
-    inversion meets a zero divisor, and ValueError on a ragged matrix.
+    Returns (rank, rows, pivot_columns); the rows below the rank are zero.
+    Raises SplitEvent if a pivot inversion meets a zero divisor, and
+    ValueError on a ragged matrix.
     """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0, [], []
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    pivots: List[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = invert(rows[pr][pc])
-        rows[pr] = [x * inv for x in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][pc]:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
+    _, relations = _column_echelon(matrix)
+    pivots = [c for c, rel in enumerate(relations) if rel is None]
+    zero = Fraction(0)
+    rows = [[Fraction(c == pc) if rel is None else -rel.get(pc, zero)
+             for c, rel in enumerate(relations)] for pc in pivots]
+    rows += [[zero] * len(relations) for _ in range(len(matrix) - len(pivots))]
     return len(pivots), rows, pivots
 
 
 def nullspace(matrix: Sequence[Sequence[Scalar]]) -> List[Tuple[Scalar, ...]]:
     """Kernel basis of a matrix over one scalar ring, one vector per free
     column of `row_reduce`; may raise SplitEvent."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rank, rows, pivots = row_reduce(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    _, relations = _column_echelon(matrix)
+    return [tuple(rel.get(j, Fraction(0)) for j in range(len(relations)))
+            for rel in relations if rel is not None]
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]],
                  rhs: Sequence[Fraction]):
-    """One rational solution of M x = b, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    rank, rows, pivots = row_reduce(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][-1]
-    return tuple(x)
+    """One rational solution of M x = b, zero on the free columns of
+    `row_reduce`, or None if inconsistent."""
+    ech, relations = _column_echelon(matrix)
+    x = ech.solve({i: b for i, b in enumerate(rhs) if b})
+    return None if x is None else tuple(x.get(j, Fraction(0))
+                                        for j in range(len(relations)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import (RATIONAL_RING, AlgebraicScalar, Scalar, SplitEvent, upoly,
-                    upoly_deg, upoly_gcd)
+from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, Scalar,
+                    SplitEvent, upoly, upoly_deg, upoly_gcd)
 from .poly import (Polynomial, align, div_exact, exponent_tuples,
                    gcd_univariate, parse)
 from .rootsys import CASE_IDS, CaseMeta, case_meta
@@ -934,88 +934,20 @@ def _candidates(case: CaseDescriptor, gens: Sequence[Polynomial], d: int):
             yield case.fiber * m, None
 
 
-class _Echelon:
-    """Column echelon form over Q of sparse vectors, exact throughout.
-
-    A vector is a dict from monomial exponent tuples to nonzero Fractions.
-    Columns are added in order; each is reduced against the earlier pivots
-    and becomes a pivot column or a free column.  A pivot row holds the
-    reduced column scaled to 1 at its pivot monomial, together with that
-    row's combination of the original columns (column index -> coefficient).
-
-    Reduction expresses a vector over the pivot columns only, with 0 on
-    every free column.  That is the solution `exact.solve_linear` returns,
-    and for a free column c, e_c minus it is the kernel vector
-    `exact.nullspace` returns for c: both are fixed by the column order
-    alone, whatever the row order or the choice of pivot monomial.
-    """
-
-    def __init__(self) -> None:
-        self.pivots: List[Tuple[tuple, Dict[tuple, Fraction],
-                                Dict[int, Fraction]]] = []
-        self.columns = 0
-
-    def _reduce(self, vec: Dict[tuple, Fraction]):
-        """(residual, combination of pivot columns): vec = residual + sum of
-        coefficient * column over the combination."""
-        vec = dict(vec)
-        combo: Dict[int, Fraction] = {}
-        # each pivot row is zero at the pivots before it, so one pass in
-        # insertion order clears every pivot monomial
-        for mono, row, row_combo in self.pivots:
-            c = vec.get(mono)
-            if not c:
-                continue
-            for m, a in row.items():
-                s = vec.get(m, 0) - c * a
-                if s:
-                    vec[m] = s
-                else:
-                    del vec[m]
-            for j, a in row_combo.items():
-                s = combo.get(j, 0) + c * a
-                if s:
-                    combo[j] = s
-                else:
-                    del combo[j]
-        return vec, combo
-
-    def add(self, column: Dict[tuple, Fraction]) -> Optional[Dict[int, Fraction]]:
-        """Append a column.  For a free column, return its coefficients over
-        the earlier pivot columns; for a pivot column, return None."""
-        index = self.columns
-        self.columns += 1
-        residual, combo = self._reduce(column)
-        if not residual:
-            return combo
-        mono = min(residual)
-        inv = 1 / residual[mono]
-        row_combo = {j: -a * inv for j, a in combo.items()}
-        row_combo[index] = inv
-        self.pivots.append((mono, {m: a * inv for m, a in residual.items()},
-                            row_combo))
-        return None
-
-    def solve(self, target: Dict[tuple, Fraction]) -> Optional[Dict[int, Fraction]]:
-        """Coefficients of target over the pivot columns (0 on the free
-        ones), or None if target is not in the column span."""
-        residual, combo = self._reduce(target)
-        return None if residual else combo
-
-
 def _vector(case: CaseDescriptor, p: Polynomial) -> Dict[tuple, Fraction]:
     return align(p, tuple(case.fiber_vars) + tuple(case.params)).terms
 
 
 def _span(case: CaseDescriptor, gens: Sequence[Polynomial], d: int,
-          echelons: Dict) -> Tuple[_Echelon, List[Optional[Polynomial]]]:
-    """The echelon of the degree-d candidates, with their symbols; built once
-    per (generator tuple, degree) and kept in `echelons`."""
+          echelons: Dict) -> Tuple[Echelon, List[Optional[Polynomial]]]:
+    """The echelon of the degree-d candidates, each added with its index,
+    and their symbols; built once per (generator tuple, degree) and kept in
+    `echelons`."""
     key = (tuple(gens), d)
     if key not in echelons:
-        ech, symbols = _Echelon(), []
+        ech, symbols = Echelon(), []
         for p, s in _candidates(case, gens, d):
-            ech.add(_vector(case, p))
+            ech.add(_vector(case, p), len(symbols))
             symbols.append(s)
         echelons[key] = ech, symbols
     return echelons[key]
@@ -1024,11 +956,7 @@ def _span(case: CaseDescriptor, gens: Sequence[Polynomial], d: int,
 def _in_algebra(case: CaseDescriptor, gens: Sequence[Polynomial],
                 target: Polynomial, echelons: Dict) -> bool:
     """Is target in the generated algebra modulo the fiber ideal?"""
-    d = _qdeg(case, target)
-    if d < 0:
-        return True
-    ech, _ = _span(case, gens, d, echelons)
-    return ech.solve(_vector(case, target)) is not None
+    return _algebra_certificate(case, gens, target, echelons) is not None
 
 
 def _algebra_certificate(case: CaseDescriptor, gens: Sequence[Polynomial],
@@ -1073,9 +1001,9 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     and satisfies the catalogued quotient equation modulo the fiber ideal.
 
     The linear algebra is exact and sparse: the candidate polynomials of one
-    generator tuple and quasi-degree are brought to column echelon form once
-    (`_Echelon`), and the admission, minimization and coverage checks and the
-    chart certificates all query that one echelon.
+    generator tuple and quasi-degree are brought to echelon form once
+    (`exact.Echelon`), and the admission, minimization and coverage checks
+    and the chart certificates all query that one echelon.
     """
     if degree_bound < 6:
         raise ValueError("degree bound must be at least 6")
@@ -1206,19 +1134,15 @@ def _derive_relation(case: CaseDescriptor, gens: List[Polynomial]):
     is nonzero."""
     qw = {v: case.weights[v] for v in case.quotient_vars}
     target = _qdeg(case, case.quotient, extra=qw)
-    ech = _Echelon()
+    ech = Echelon()
     symbols: List[Optional[Polynomial]] = []
     for p, s in _candidates(case, gens, target):
+        kernel = ech.add(_vector(case, p), len(symbols))
         symbols.append(s)
-        combo = ech.add(_vector(case, p))
-        if combo is None:
-            continue
-        # kernel vector: 1 at this column, -combo on the earlier pivots
-        kernel = {j: -a for j, a in combo.items()}
-        kernel[len(symbols) - 1] = Fraction(1)
-        rel = _symbolic(symbols, kernel)
-        if not rel.is_zero():
-            return rel.drop_unused()
+        if kernel is not None:
+            rel = _symbolic(symbols, kernel)
+            if not rel.is_zero():
+                return rel.drop_unused()
     return None
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import (RATIONAL_RING, AlgebraicScalar, ExtensionRing, Scalar,
-                    SplitEvent, invert, make_extension, map_to_factor,
+from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
+                    Scalar, SplitEvent, invert, make_extension, map_to_factor,
                     nullspace, upoly, upoly_deg, upoly_gcd,
                     upoly_squarefree_part)
 from .poly import (Polynomial, align, exponent_tuples, gcd_univariate,
@@ -439,34 +439,6 @@ def _translate(F: Polynomial, names: Sequence[str], point: Point) -> Polynomial:
     return F.subs(subs)
 
 
-def _lead_key(e: Tuple[int, ...]):
-    return (sum(e), e)
-
-
-def _sparse_rank(rows: List[Dict[Tuple[int, ...], Scalar]]) -> int:
-    """Rank of sparse rows over a scalar ring; may raise SplitEvent."""
-    pivots: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Scalar]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = max(row, key=_lead_key)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = invert(row[lead])
-                row = {e: c * inv for e, c in row.items()}
-                pivots[lead] = row
-                break
-            f = row[lead]
-            for e, c in piv.items():
-                s = row.get(e, 0) - f * c
-                if not s:
-                    row.pop(e, None)
-                else:
-                    row[e] = s
-        # empty row contributes nothing
-    return len(pivots)
-
-
 def _monomials_below(n_vars: int, deg: int) -> List[Tuple[int, ...]]:
     """All exponent tuples of total degree < deg, ordered by degree."""
     return [e for d in range(deg) for e in exponent_tuples(n_vars, d)]
@@ -492,24 +464,19 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     nv = len(names)
     prev = None
     for N in range(4, cap + 1):
-        rows = []
+        # rows keyed by (degree, exponents): the lead is the graded largest
+        ech = Echelon()
         for g in parts:
             low = g.lowest_degree()
             for m in _monomials_below(nv, max(N - low, 1)):
-                row: Dict[Tuple[int, ...], Scalar] = {}
+                row: Dict[Tuple[int, Tuple[int, ...]], Scalar] = {}
                 for e, c in g.terms.items():
                     ee = tuple(a + b for a, b in zip(e, m))
-                    if sum(ee) < N:
-                        s = row.get(ee, 0) + c
-                        if not s:
-                            row.pop(ee, None)
-                        else:
-                            row[ee] = s
-                if row:
-                    rows.append(row)
-        rank = _sparse_rank(rows)
-        total = len(_monomials_below(nv, N))
-        mu = total - rank
+                    d = sum(ee)
+                    if d < N:
+                        row[d, ee] = c
+                ech.add(row)
+        mu = len(_monomials_below(nv, N)) - len(ech.pivots)
         if prev is not None and mu == prev:
             if mu < 1:
                 raise ClassificationError("vanishing local algebra: smooth point?")

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,18 @@ def test_classify_case_point(capsys):
                     "--point", "t2=8,t4=8")
     assert code == 0
     assert json.loads(out)["configuration"] == "A1+A1+A1"
+
+
+@pytest.mark.parametrize("point, item", [
+    ("t2=1,t4=1,t9=3", "'t9=3': unknown parameter 't9'"),
+    ("t2=1,t4=1,t2=5", "'t2=5': parameter 't2' given twice"),
+    ("t2=1,t4", "'t4' is not name=value"),
+])
+def test_classify_bad_point_item_is_usage_error(capsys, point, item):
+    assert main(["classify", "--case", "A3B2D4", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"point item {item}" in captured.err
 
 
 def test_classify_usage_errors(capsys):
@@ -223,3 +237,28 @@ def test_report_process_pool_matches_serial(tmp_path, capsys, monkeypatch):
         written[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert len(written["2"]) == 7
     assert written["2"] == written["1"]
+
+
+def test_tracer_targets_exist():
+    # the benchmark's tracer wraps these functions by name
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, funcs in tracer.TARGETS.items():
+        mod = importlib.import_module(f"singfold.{mod_name}")
+        for fname in funcs:
+            assert callable(getattr(mod, fname, None)), f"{mod_name}.{fname}"
+
+
+def test_report_writes_only_the_listed_cases(tmp_path, capsys, monkeypatch):
+    # the benchmark's worker narrows a report by rebinding cli.CASE_IDS
+    monkeypatch.setattr(singfold.cli, "CASE_IDS", ("D4G2E6",))
+    monkeypatch.delenv("SINGFOLD_THREADS", raising=False)
+    out_dir = tmp_path / "reports"
+    code, out = run(capsys, "report", "--out", str(out_dir),
+                    "--sections", "equivariance")
+    assert code == 0
+    assert json.loads(out)["cases"] == {"D4G2E6": True}
+    assert {p.name for p in out_dir.iterdir()} == {"D4G2E6.json",
+                                                  "summary.json"}

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singfold.exact import (SplitEvent, invert, make_extension, nullspace,
-                            row_reduce, solve_linear, upoly, upoly_deg,
-                            upoly_gcd, upoly_mul, upoly_squarefree_part)
+from singfold.exact import (Echelon, SplitEvent, invert, make_extension,
+                            nullspace, row_reduce, solve_linear, upoly,
+                            upoly_deg, upoly_gcd, upoly_mul,
+                            upoly_squarefree_part)
 
 
 def test_make_extension_linear_is_rational():
@@ -156,6 +159,112 @@ def test_nullspace_and_solve():
     sol = solve_linear([[Fraction(2)]], [Fraction(5)])
     assert sol == (Fraction(5, 2),)
     assert solve_linear([[Fraction(0)]], [Fraction(1)]) is None
+
+
+def dense_rref(matrix):
+    """Reduced row echelon form by the dense column-by-column loop, kept as
+    the oracle for the sparse engine: (rows, pivot columns)."""
+    rows = [list(r) for r in matrix]
+    pivots = []
+    pr = 0
+    for pc in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = invert(rows[pr][pc])
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][pc]:
+                f = rows[i][pc]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_kernel(matrix, ncols):
+    """Kernel basis from the oracle: per free column, 1 there and minus its
+    reduced entries on the pivot columns."""
+    rows, pivots = dense_rref(matrix)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def dense_solution(matrix, rhs, ncols):
+    """Solution of M x = b from the oracle, zero on the free columns, or
+    None if inconsistent."""
+    rows, pivots = dense_rref([list(r) + [b] for r, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][-1]
+    return tuple(x)
+
+
+SQRT2 = make_extension([-2, 0, 1])
+_small = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def _systems(draw):
+    """A matrix over Q or Q(sqrt 2), sparse, with dependent rows and columns
+    now and then, and a right-hand side in or out of its column span."""
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(Fraction(0)), _small)
+    else:
+        entry = st.one_of(st.just(SQRT2.zero()),
+                          st.tuples(_small, _small).map(SQRT2.element))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    matrix = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+              for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):       # a row combination
+        c = draw(entry)
+        matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1])]
+    if ncols > 1 and draw(st.booleans()):       # a column combination
+        c = draw(entry)
+        for row in matrix:
+            row[-1] = row[0] + c * row[1]
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0))
+               for row in matrix]
+    else:
+        rhs = [draw(entry) for _ in range(nrows)]
+    return matrix, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_engine_matches_dense_oracle(system):
+    matrix, rhs = system
+    ncols = len(matrix[0])
+    rows, pivots = dense_rref(matrix)
+    assert row_reduce(matrix) == (len(pivots), rows, pivots)
+    assert nullspace(matrix) == dense_kernel(matrix, ncols)
+    assert solve_linear(matrix, rhs) == dense_solution(matrix, rhs, ncols)
+
+
+def test_zero_divisor_pivot_splits():
+    ring = make_extension([-1, 0, 1])       # a^2 - 1 = (a - 1)(a + 1)
+    a = ring.generator()
+    matrix = [[a - 1, ring.one()], [ring.zero(), a + 1]]
+    for query in (row_reduce, nullspace,
+                  lambda m: solve_linear(m, [ring.one(), ring.zero()]),
+                  lambda m: Echelon().add({0: m[0][0]})):
+        with pytest.raises(SplitEvent) as exc:
+            query(matrix)
+        assert exc.value.ring == ring
+        assert upoly_mul(exc.value.factor_a, exc.value.factor_b) == ring.modulus
 
 
 def test_upoly_helpers():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from singfold import families
 from singfold.cli import main
-from singfold.exact import nullspace, solve_linear
-from singfold.families import (_Echelon, check_stratum_point,
+from singfold.exact import Echelon
+from singfold.families import (check_stratum_point,
                                classify_quotient_fiber,
                                derive_quotient_chart, descriptor, fiber_at,
                                quotient_fiber, sample_stratum,
@@ -19,6 +19,7 @@ from singfold.families import (_Echelon, check_stratum_point,
                                verify_catalogue, verify_equivariance)
 from singfold.poly import parse
 from singfold.rootsys import CASE_IDS
+from test_exact import dense_kernel, dense_solution
 
 
 @pytest.mark.parametrize("cid", CASE_IDS)
@@ -222,23 +223,21 @@ def test_derive_quotient_chart_matches_recorded_bundle(cid):
 
 
 def _check_echelon_against_dense(nrows, columns, rhs):
-    """The sparse echelon gives the kernel basis of exact.nullspace, the
-    solution of exact.solve_linear and its membership verdict."""
+    """The engine, fed the columns with their indices as the quotient
+    derivation feeds it (monomial-tuple keys, largest lead), gives the
+    kernel basis and the solution of the dense oracle and its membership
+    verdict."""
     ncols = len(columns)
     matrix = [[col[i] for col in columns] for i in range(nrows)]
-    ech = _Echelon()
+    ech = Echelon()
     kernel = []
     for c, col in enumerate(columns):
-        combo = ech.add({(i,): a for i, a in enumerate(col) if a})
-        if combo is not None:
-            vec = [Fraction(0)] * ncols
-            for j, a in combo.items():
-                vec[j] = -a
-            vec[c] = Fraction(1)
-            kernel.append(tuple(vec))
-    assert kernel == nullspace(matrix)
+        rel = ech.add({(i,): a for i, a in enumerate(col) if a}, c)
+        if rel is not None:
+            kernel.append(tuple(rel.get(j, Fraction(0)) for j in range(ncols)))
+    assert kernel == dense_kernel(matrix, ncols)
     sol = ech.solve({(i,): b for i, b in enumerate(rhs) if b})
-    dense = solve_linear(matrix, rhs)
+    dense = dense_solution(matrix, rhs, ncols)
     assert (sol is None) == (dense is None)
     if sol is not None:
         assert tuple(sol.get(j, Fraction(0)) for j in range(ncols)) == dense

@@ -228,3 +228,21 @@ def test_linear_variable_non_isolated_locus_is_refused():
     # x*y + x^2*z is singular along the line x = y = 0
     with pytest.raises(ClassificationError, match="non-isolated"):
         fiber_configuration(parse("x*y + x^2*z"))
+
+
+def test_milnor_cap_reports_no_stabilization():
+    # a non-isolated singularity: mu grows with every truncation order
+    with pytest.raises(ClassificationError, match="did not stabilize by N = 8"):
+        milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=8)
+
+
+def test_merge_extension_reports_exhausted_shears(monkeypatch):
+    ring = make_extension([-2, 0, 1])                  # u^2 = 2
+    u = ring.generator()
+    g = [-u, Fraction(0), Fraction(1)]                 # v^2 = u
+    assert singclass._merge_extension(ring, g, "u", "v")
+    # no shear k in 0..11 yields a linear common factor
+    monkeypatch.setattr(singclass, "upoly_gcd", lambda *polys: (Fraction(1),))
+    with pytest.raises(ClassificationError,
+                       match="primitive-element merge failed"):
+        singclass._merge_extension(ring, g, "u", "v")
