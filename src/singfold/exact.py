@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 UPoly = Tuple[Fraction, ...]  # univariate over Q, low -> high, trimmed
 
@@ -71,12 +71,6 @@ def upoly_neg(p: UPoly) -> UPoly:
 
 def upoly_sub(p: UPoly, q: UPoly) -> UPoly:
     return upoly_add(p, upoly_neg(q))
-
-
-def upoly_scale(p: UPoly, c: Fraction) -> UPoly:
-    if c == 0:
-        return ()
-    return tuple(x * c for x in p)
 
 
 def upoly_mul(p: UPoly, q: UPoly) -> UPoly:
@@ -171,9 +165,8 @@ def upoly_xgcd(p: UPoly, q: UPoly) -> Tuple[UPoly, UPoly, UPoly]:
         t0, t1 = t1, upoly_sub(t0, upoly_mul(qt, t1))
     if not r0:
         return (), s0, t0
-    lc = r0[-1]
-    inv = 1 / lc
-    return upoly_scale(r0, inv), upoly_scale(s0, inv), upoly_scale(t0, inv)
+    inv = 1 / r0[-1]
+    return tuple(tuple(c * inv for c in p) for p in (r0, s0, t0))
 
 
 def upoly_deriv(p: Sequence) -> tuple:
@@ -427,33 +420,37 @@ class Echelon:
     """Sparse echelon form over one scalar ring: the package's only
     elimination loop.
 
-    A vector is a dict from keys to nonzero scalars; its lead is
-    ``lead(vector)``, the largest key unless the caller passes another rule.
-    An added vector is top-reduced: while its lead is the lead of a pivot
-    row, that row is subtracted.  A remainder becomes a pivot row, scaled to
-    1 at its lead by :func:`invert`, so a zero divisor raises SplitEvent.
+    A vector is a dict from keys to nonzero scalars; its lead is its largest
+    key, so callers choose the pivot order through their keys.  An added
+    vector is top-reduced: while its lead is the lead of a pivot row, that
+    row is subtracted.  A remainder becomes a pivot row, scaled to 1 at its
+    lead by :func:`invert`, so a zero divisor raises SplitEvent.
 
     A vector added with an ``index`` carries its combination of the added
     vectors (index -> coefficient) through the reduction; the relations and
     solutions read from these combinations depend on the order of addition
-    only, not on the lead rule.
+    only, not on the keys.  ``solve`` and an indexed ``add`` need every
+    pivot row they meet to carry its combination, and raise ValueError on
+    a row added without an index.
     """
 
-    def __init__(self, lead: Callable[[Dict], Hashable] = max) -> None:
-        self.lead = lead
+    def __init__(self) -> None:
         self.pivots: Dict[Hashable, Tuple[Dict, Optional[Dict]]] = {}
 
     def _reduce(self, vec: Dict, combo: Optional[Dict]) -> Optional[Hashable]:
         """Top-reduce vec in place, with combo in step; return the lead left
         over, or None if vec vanishes."""
         while vec:
-            lead = self.lead(vec)
+            lead = max(vec)
             piv = self.pivots.get(lead)
             if piv is None:
                 return lead
             f = vec[lead]
             _subtract(vec, f, piv[0])
             if combo is not None:
+                if piv[1] is None:
+                    raise ValueError("echelon row added without an index "
+                                     "has no combination")
                 _subtract(combo, f, piv[1])
         return None
 
@@ -482,14 +479,14 @@ class Echelon:
 
 
 def _column_echelon(matrix: Sequence[Sequence[Scalar]]):
-    """An Echelon of the columns of a matrix, keyed by row index with the
-    lowest row as lead, and per column None (a pivot column) or the relation
-    that makes it dependent on the earlier ones."""
+    """An Echelon of the columns of a matrix, row i keyed by -i so that the
+    first nonzero row is the lead, and per column None (a pivot column) or
+    the relation that makes it dependent on the earlier ones."""
     ncols = len(matrix[0]) if matrix else 0
     if any(len(r) != ncols for r in matrix):
         raise ValueError("ragged matrix")
-    ech = Echelon(lead=min)
-    return ech, [ech.add({i: r[c] for i, r in enumerate(matrix) if r[c]}, c)
+    ech = Echelon()
+    return ech, [ech.add({-i: r[c] for i, r in enumerate(matrix) if r[c]}, c)
                  for c in range(ncols)]
 
 
@@ -522,6 +519,6 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]],
     """One rational solution of M x = b, zero on the free columns of
     `row_reduce`, or None if inconsistent."""
     ech, relations = _column_echelon(matrix)
-    x = ech.solve({i: b for i, b in enumerate(rhs) if b})
+    x = ech.solve({-i: b for i, b in enumerate(rhs) if b})
     return None if x is None else tuple(x.get(j, Fraction(0))
                                         for j in range(len(relations)))

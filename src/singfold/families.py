@@ -953,12 +953,6 @@ def _span(case: CaseDescriptor, gens: Sequence[Polynomial], d: int,
     return echelons[key]
 
 
-def _in_algebra(case: CaseDescriptor, gens: Sequence[Polynomial],
-                target: Polynomial, echelons: Dict) -> bool:
-    """Is target in the generated algebra modulo the fiber ideal?"""
-    return _algebra_certificate(case, gens, target, echelons) is not None
-
-
 def _algebra_certificate(case: CaseDescriptor, gens: Sequence[Polynomial],
                          target: Polynomial,
                          echelons: Dict) -> Optional[Polynomial]:
@@ -1026,14 +1020,14 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     # greedy admission then minimization
     gens: List[Polynomial] = []
     for v in invariants:
-        if not _in_algebra(case, gens, v, echelons):
+        if _algebra_certificate(case, gens, v, echelons) is None:
             gens.append(v)
     changed = True
     while changed:
         changed = False
         for i in range(len(gens) - 1, -1, -1):
             rest = gens[:i] + gens[i + 1:]
-            if _in_algebra(case, rest, gens[i], echelons):
+            if _algebra_certificate(case, rest, gens[i], echelons) is not None:
                 gens.pop(i)
                 changed = True
     report = {"case": case_id, "generators": [repr(g) for g in gens],
@@ -1043,8 +1037,9 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
         report["error"] = f"{len(gens)} generators, expected a triple"
         return report
     # every averaged invariant reduces to the triple
-    report["invariants_generated"] = all(_in_algebra(case, gens, v, echelons)
-                                         for v in invariants)
+    report["invariants_generated"] = all(
+        _algebra_certificate(case, gens, v, echelons) is not None
+        for v in invariants)
     # the unique relation among the generators
     rel = _derive_relation(case, gens)
     report["relation"] = repr(rel) if rel is not None else None

@@ -256,15 +256,33 @@ def test_engine_matches_dense_oracle(system):
 
 def test_zero_divisor_pivot_splits():
     ring = make_extension([-1, 0, 1])       # a^2 - 1 = (a - 1)(a + 1)
-    a = ring.generator()
-    matrix = [[a - 1, ring.one()], [ring.zero(), a + 1]]
-    for query in (row_reduce, nullspace,
-                  lambda m: solve_linear(m, [ring.one(), ring.zero()]),
-                  lambda m: Echelon().add({0: m[0][0]})):
+    a, one, zero = ring.generator(), ring.one(), ring.zero()
+    # The lead of a column is its first nonzero row, whatever that entry is:
+    # column 1 of the second matrix pivots on a - 1 in row 0 and splits,
+    # although a row swap to the unit in row 1 would give rank 2 without it.
+    calls = [lambda: Echelon().add({0: a - 1})]
+    for m in ([[a - 1, one], [zero, a + 1]],
+              [[zero, a - 1], [zero, one], [one, zero]]):
+        rhs = [one] + [zero] * (len(m) - 1)
+        calls += [lambda m=m: row_reduce(m), lambda m=m: nullspace(m),
+                  lambda m=m, rhs=rhs: solve_linear(m, rhs)]
+    for call in calls:
         with pytest.raises(SplitEvent) as exc:
-            query(matrix)
+            call()
         assert exc.value.ring == ring
         assert upoly_mul(exc.value.factor_a, exc.value.factor_b) == ring.modulus
+
+
+def test_echelon_combinations_need_indices():
+    ech = Echelon()
+    ech.add({0: Fraction(1)})                 # a pivot row with no combination
+    assert ech.add({1: Fraction(1)}) is None  # index-less adds are fine
+    assert ech.add({0: Fraction(2)}) == {}
+    for misuse in (lambda: ech.solve({0: Fraction(1)}),
+                   lambda: ech.add({0: Fraction(3)}, 7)):
+        with pytest.raises(ValueError, match="without an index"):
+            misuse()
+    assert ech.solve({2: Fraction(1)}) is None  # meets no pivot row
 
 
 def test_upoly_helpers():
