@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +58,9 @@ class CaseDescriptor:
     fixed_locus: Subst                   # printed fixed locus, free symbol "s"
     fixed_locus_dim: int                 # 0 or 1
     b_fixed: Optional[Tuple[int, int, Polynomial]] = None  # (y sign, square sign, const)
+    # the group closure, filled on the first group_elements() call
+    _elements: Dict[str, Subst] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     def stratum(self, stratum_id: str) -> Stratum:
         for s in self.strata:
@@ -66,28 +69,29 @@ class CaseDescriptor:
         raise ValueError(f"unknown stratum {stratum_id!r} in {self.case_id}")
 
     def group_elements(self) -> Dict[str, Subst]:
-        """All elements of the symmetry group as substitution maps."""
-        idmap = {v: Polynomial.var(v) for v in self.fiber_vars}
-        elems = {"id": idmap}
-        frontier = dict(self.omega_gens)
-        while frontier:
-            new: Dict[str, Subst] = {}
-            for gname, g in frontier.items():
-                for ename, e in list(elems.items()):
-                    comp = compose_subst(g, e, self.fiber_vars)
-                    if not any(subst_equal(comp, have, self.fiber_vars)
-                               for have in elems.values()) and \
-                       not any(subst_equal(comp, have, self.fiber_vars)
-                               for have in new.values()):
-                        name = gname + "*" + ename if ename != "id" else gname
-                        new[name] = comp
-            elems.update(new)
-            frontier = new
-        if len(elems) != self.omega_order:
-            raise AssertionError(
-                f"{self.case_id}: generated group of order {len(elems)}, "
-                f"expected {self.omega_order}")
-        return elems
+        """All elements of the symmetry group as substitution maps, closed
+        under composition on the first call and cached on the descriptor."""
+        if not self._elements:
+            fv = self.fiber_vars
+            elems = {"id": {v: Polynomial.var(v) for v in fv}}
+            frontier = dict(self.omega_gens)
+            while frontier:
+                new: Dict[str, Subst] = {}
+                for gname, g in frontier.items():
+                    for ename, e in elems.items():
+                        comp = compose_subst(g, e, fv)
+                        if not any(subst_equal(comp, have, fv) for have in
+                                   (*elems.values(), *new.values())):
+                            name = gname + "*" + ename if ename != "id" else gname
+                            new[name] = comp
+                elems.update(new)
+                frontier = new
+            if len(elems) != self.omega_order:
+                raise AssertionError(
+                    f"{self.case_id}: generated group of order {len(elems)}, "
+                    f"expected {self.omega_order}")
+            self._elements.update(elems)
+        return dict(self._elements)
 
 
 def compose_subst(g: Subst, h: Subst, variables: Sequence[str]) -> Subst:

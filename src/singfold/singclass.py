@@ -5,22 +5,25 @@ by structured elimination, with coordinates in extension rings produced by
 dynamic evaluation.  Three equation shapes are handled, tried in this order:
 the split form c*u*v + P(w); F quadratic in one variable with constant
 leading coefficient; and F linear in one variable, F = A*w + B.  Each point
-is classified by Milnor number, Hessian corank and the shape of the
-kernel-restricted cubic.
+is classified by Hessian corank, Milnor number and the shape of the
+kernel-restricted cubic.  At Hessian corank 0 the point is A1 (Morse
+lemma) and no Milnor number is computed; otherwise mu comes from one echelon
+of the truncated Jacobian rows in a local degree ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
                     Scalar, SplitEvent, invert, make_extension, map_to_factor,
                     nullspace, upoly, upoly_deg, upoly_gcd,
-                    upoly_squarefree_part)
-from .poly import (Polynomial, align, exponent_tuples, gcd_univariate,
-                   resultant, _sort_vars, univariate_coefficients)
+                    upoly_squarefree_part, upoly_str)
+from .poly import (Polynomial, align, binary_cubic_shape, exponent_tuples,
+                   gcd_univariate, resultant, _sort_vars,
+                   univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -42,8 +45,6 @@ class SingularPointRecord:
     orbit_size: int
 
     def to_json(self) -> dict:
-        from .exact import upoly_str
-
         def ser(c):
             return str(c) if isinstance(c, Fraction) else repr(c)
 
@@ -264,10 +265,8 @@ def singular_points(F: Polynomial) -> List[Branch]:
         g = gcd_univariate(F, F.diff(u))
         if g.total_degree() < 1:
             return []
-        out = []
-        for ring, val in _root_branches_q(univariate_coefficients(g, u)):
-            out.append((ring, (val,)))
-        return out
+        return [(ring, (val,))
+                for ring, val in _root_branches_q(univariate_coefficients(g, u))]
     if len(names) == 2:
         u, v = names
         return [(ring, (a, b)) for ring, a, b in _solve_bivariate(F, u, v)]
@@ -278,20 +277,18 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
     # split form c*u*v + P(w): gradient forces u = v = 0
     split = _detect_split_form(F, names)
     if split is not None:
-        (iu, iv, iw), P = split
-        u, v, w = names[iu], names[iv], names[iw]
-        Pw = P
-        dP = Pw.diff(w) if w in Pw.variables else Polynomial.zero()
-        if Pw.is_zero():
+        iw, P = split
+        w = names[iw]
+        if P.is_zero():
             raise ClassificationError("non-isolated singular locus")
-        g = gcd_univariate(Pw, dP) if not dP.is_zero() else None
+        dP = P.diff(w) if w in P.variables else Polynomial.zero()
+        g = gcd_univariate(P, dP) if not dP.is_zero() else None
         if g is None or g.total_degree() < 1:
             # P and P' share no root: singular points need P(w)=P'(w)=0
             return []
         out = []
         for ring, val in _root_branches_q(univariate_coefficients(g, w)):
-            zero = _as_scalar_in(ring, Fraction(0)) if ring is not RATIONAL_RING else Fraction(0)
-            coords = [zero, zero, zero]
+            coords = [_as_scalar_in(ring, Fraction(0))] * 3
             coords[iw] = val
             out.append((ring, tuple(coords)))
         return out
@@ -319,8 +316,7 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
     for ring, aval, bval in sols:
         # w = -B(u0,v0) / (2A)
         bv = B.evaluate({u: aval, v: bval}) if not B.is_zero() else Fraction(0)
-        wval = -bv * invert(2 * a_const) if bv else (
-            _as_scalar_in(ring, Fraction(0)) if ring is not RATIONAL_RING else Fraction(0))
+        wval = -bv * invert(2 * a_const) if bv else _as_scalar_in(ring, Fraction(0))
         coords = {u: aval, v: bval, w: wval}
         out.append((ring, tuple(coords[n] for n in names)))
     return out
@@ -370,7 +366,7 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
 
 
 def _detect_split_form(F: Polynomial, names):
-    """Match F = c*u*v + P(w) exactly; returns ((iu,iv,iw), P) or None."""
+    """Match F = c*u*v + P(w) exactly; returns (index of w, P) or None."""
     idx = {n: F.variables.index(n) for n in names}
     cross = None
     wvar = None
@@ -394,14 +390,11 @@ def _detect_split_form(F: Polynomial, names):
             return None
     if cross is None or wvar is None or wvar in cross:
         return None
-    iu = names.index(cross[0])
-    iv = names.index(cross[1])
-    iw = names.index(wvar)
     keep = [e for e in F.terms if all(e[idx[n]] == 0 for n in cross)]
     P = Polynomial(F.variables, {e: F.terms[e] for e in keep})
     if not P.is_zero():
         P = align(P.drop_unused(), (wvar,))
-    return (iu, iv, iw), P
+    return names.index(wvar), P
 
 
 def _detect_quadratic_var(F: Polynomial, names):
@@ -439,49 +432,55 @@ def _translate(F: Polynomial, names: Sequence[str], point: Point) -> Polynomial:
     return F.subs(subs)
 
 
-def _monomials_below(n_vars: int, deg: int) -> List[Tuple[int, ...]]:
-    """All exponent tuples of total degree < deg, ordered by degree."""
-    return [e for d in range(deg) for e in exponent_tuples(n_vars, d)]
-
-
 def milnor_number(F: Polynomial, point: Point, cap: int = 16) -> int:
-    """Milnor number at an isolated singular point via degree truncation.
-
-    Builds the space of polynomials of degree < N modulo the span of the
-    truncated Jacobian-ideal generators and all monomials of degree >= N,
-    returning the dimension once it agrees for two consecutive N.
-    """
+    """Milnor number at an isolated singular point: mu_N = dim of the
+    polynomials modulo the Jacobian ideal and the monomials of degree >= N,
+    at the first N >= 5 with mu_N = mu_{N-1}, N <= cap."""
     names = F.used_variables()
     G = _translate(F, names, point)
     return _milnor_translated(G, names, cap)
 
 
 def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
+    """Milnor number of G at the origin from one echelon in a local degree
+    ordering (Greuel-Pfister, sections 1.5-1.7).
+
+    The rows g*m of the partials g, truncated below degree K, are keyed
+    (-degree, exponents), so each pivot's lead is its lowest-degree term.
+    A row g*m with deg m >= N - low(g) has no term below degree N, so for
+    every N <= K, mu_N = #monomials of degree < N - #pivots whose lead has
+    degree < N.  K starts at 5 and grows, up to cap, while mu_N has not
+    stabilized."""
     parts = [G.diff(n).drop_unused() for n in names]
     parts = [align(p, names) for p in parts if not p.is_zero()]
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
     nv = len(names)
-    prev = None
-    for N in range(4, cap + 1):
-        # rows keyed by (degree, exponents): the lead is the graded largest
+    rows = [(g.lowest_degree(), [(sum(e), e, c) for e, c in g.terms.items()])
+            for g in parts]
+    K = 5
+    while K <= cap:
         ech = Echelon()
-        for g in parts:
-            low = g.lowest_degree()
-            for m in _monomials_below(nv, max(N - low, 1)):
-                row: Dict[Tuple[int, Tuple[int, ...]], Scalar] = {}
-                for e, c in g.terms.items():
-                    ee = tuple(a + b for a, b in zip(e, m))
-                    d = sum(ee)
-                    if d < N:
-                        row[d, ee] = c
-                ech.add(row)
-        mu = len(_monomials_below(nv, N)) - len(ech.pivots)
-        if prev is not None and mu == prev:
-            if mu < 1:
-                raise ClassificationError("vanishing local algebra: smooth point?")
-            return mu
-        prev = mu
+        for low, g in rows:
+            for dm in range(K - low):
+                for m in exponent_tuples(nv, dm):
+                    ech.add({(-d - dm, tuple(a + b for a, b in zip(e, m))): c
+                             for d, e, c in g if d + dm < K})
+        pivots_at = [0] * K                 # pivots by degree of their lead
+        for neg_d, _ in ech.pivots:
+            pivots_at[-neg_d] += 1
+        mu, prev = 0, None
+        for N in range(1, K + 1):
+            mu += len(exponent_tuples(nv, N - 1)) - pivots_at[N - 1]
+            if N >= 5 and mu == prev:
+                if mu < 1:
+                    raise ClassificationError(
+                        "vanishing local algebra: smooth point?")
+                return mu
+            prev = mu
+        if K == cap:
+            break
+        K = min(K + 2, cap)
     raise ClassificationError(f"Milnor truncation did not stabilize by N = {cap}")
 
 
@@ -500,7 +499,9 @@ def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
 
 def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_RING,
                    orbit_size: Optional[int] = None) -> SingularPointRecord:
-    """ADE label of an isolated singular point from (mu, corank, cubic shape)."""
+    """ADE label of an isolated singular point from (corank, mu, cubic
+    shape).  The Hessian comes first; at corank 0 its echelon inverted only
+    units, so it is nondegenerate on every factor of the ring and mu = 1."""
     names = F.used_variables()
     if len(names) != 3:
         raise ClassificationError("classification needs a 3-variable equation")
@@ -508,20 +509,17 @@ def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_R
     zero_exp = (0,) * len(G.variables)
     if G.terms.get(zero_exp):
         raise ClassificationError("point is not on the surface")
-    for nvar in names:
-        d = G.diff(nvar)
-        if d.terms.get((0,) * len(d.variables)):
-            raise ClassificationError("point is not singular")
-    mu = _milnor_translated(G, names)
-    if mu > 8:
-        raise ClassificationError(f"mu = {mu} > 8: outside the ADE range")
+    if any(G.diff(n).terms.get(zero_exp) for n in names):
+        raise ClassificationError("point is not singular")
     kern = nullspace(_hessian(G, names))
     corank = len(kern)
+    # Morse lemma: a nondegenerate Hessian makes an ordinary double point
+    mu = 1 if corank == 0 else _milnor_translated(G, names)
+    if mu > 8:
+        raise ClassificationError(f"mu = {mu} > 8: outside the ADE range")
     shape = None
     if corank <= 1:
         ade = f"A{mu}"
-        if corank == 0 and mu != 1:
-            raise ClassificationError("nondegenerate Hessian forces mu = 1")
     elif corank == 2:
         cubic = G.homogeneous_part(3)
         s, t = Polynomial.var("_s"), Polynomial.var("_t")
@@ -529,7 +527,6 @@ def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_R
         for i, nvar in enumerate(names):
             subs[nvar] = s * Polynomial.constant(kern[0][i]) + t * Polynomial.constant(kern[1][i])
         restricted = cubic.subs(subs).drop_unused()
-        from .poly import binary_cubic_shape
         shape = binary_cubic_shape(restricted)
         if shape == "three-distinct":
             if mu != 4:
@@ -580,8 +577,6 @@ def fiber_configuration(F: Polynomial) -> FiberConfiguration:
             queue.extend(split_branch(ring, coords, e))
             continue
         records.append(rec)
-    labels: List[str] = []
-    for rec in records:
-        labels.extend([rec.ade_type] * rec.orbit_size)
+    labels = [rec.ade_type for rec in records for _ in range(rec.orbit_size)]
     records.sort(key=lambda r: (r.ade_type, -r.orbit_size))
     return FiberConfiguration(records, canonical_type(labels))

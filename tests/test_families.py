@@ -12,12 +12,13 @@ from singfold import families
 from singfold.cli import main
 from singfold.exact import Echelon
 from singfold.families import (check_stratum_point,
-                               classify_quotient_fiber,
+                               classify_quotient_fiber, compose_subst,
                                derive_quotient_chart, descriptor, fiber_at,
                                quotient_fiber, sample_stratum,
-                               stratum_membership, theorem_singular_spotcheck,
-                               verify_catalogue, verify_equivariance)
-from singfold.poly import parse
+                               stratum_membership, subst_equal,
+                               theorem_singular_spotcheck, verify_catalogue,
+                               verify_equivariance)
+from singfold.poly import Polynomial, parse
 from singfold.rootsys import CASE_IDS
 from test_exact import dense_kernel, dense_solution
 
@@ -33,6 +34,41 @@ def test_group_orders():
     assert len(descriptor("A3B2D4").group_elements()) == 2
     assert len(descriptor("D4G2E6").group_elements()) == 3
     assert len(descriptor("D4G2E7").group_elements()) == 6
+
+
+def _fresh_closure(case):
+    """The group generated by the case's generators, by breadth-first
+    composition."""
+    fv = case.fiber_vars
+    elems = [{v: Polynomial.var(v) for v in fv}]
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for g in case.omega_gens.values():
+            for e in frontier:
+                comp = compose_subst(g, e, fv)
+                if not any(subst_equal(comp, h, fv) for h in elems + new):
+                    new.append(comp)
+        elems += new
+        frontier = new
+    return elems
+
+
+def test_group_elements_are_cached_lazily(monkeypatch):
+    monkeypatch.setattr(families, "_case_cache", {})
+    assert verify_catalogue()["ok"]
+    cases = [descriptor(cid) for cid in CASE_IDS]
+    assert all(not case._elements for case in cases)
+    cached = [case.group_elements() for case in cases]
+    for case, elems in zip(cases, cached):
+        fresh = _fresh_closure(case)
+        assert len(elems) == len(fresh) == case.omega_order
+        for sub in elems.values():
+            assert any(subst_equal(sub, h, case.fiber_vars) for h in fresh)
+        assert case._elements == elems
+    # later calls read the cache
+    monkeypatch.setattr(families, "compose_subst", None)
+    assert [case.group_elements() for case in cases] == cached
 
 
 def test_catalogue_files_match_constants():

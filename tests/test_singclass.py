@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from singfold import singclass
-from singfold.exact import make_extension
-from singfold.poly import Polynomial, parse
+from singfold import families, singclass
+from singfold.exact import Echelon, make_extension
+from singfold.poly import Polynomial, align, exponent_tuples, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, hessian_corank,
                                 milnor_number, singular_points)
@@ -99,31 +101,41 @@ def test_classify_point_requires_singular_point():
                        (Fraction(1), Fraction(0), Fraction(0)))
 
 
+def _moved(F, matrix, q, shear=(0, 0)):
+    """F after z -> z + s0*x^2 + s1*x*y, which makes the partials
+    inhomogeneous, and then x_i -> sum_j A_ij (x_j - q_j), which moves the
+    origin to q."""
+    names = ("x", "y", "z")
+    x, y, z = (parse(n) for n in names)
+    F = F.subs({"z": z + Fraction(shear[0]) * x ** 2 + Fraction(shear[1]) * x * y})
+    sub = {}
+    for i, n in enumerate(names):
+        expr = Polynomial.zero(names)
+        for j in range(3):
+            expr = expr + Fraction(matrix[i][j]) * (parse(names[j]) - q[j])
+        sub[n] = expr
+    return F.subs(sub)
+
+
+def _det3(A):
+    return (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+            - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+            + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
+
+
 def test_affine_invariance_of_classify_point():
     rng = random.Random(31)
     forms = ["x^3 + y^4 + z^2", "x^2*y + y^4 + z^2", "x^5 + y^2 + z^2"]
-    names = ("x", "y", "z")
     for text in forms:
         F = parse(text)
         base = classify_point(F, (Fraction(0),) * 3)
         for _ in range(4):
             while True:
                 A = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-                det = (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-                       - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-                       + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
-                if det != 0:
+                if _det3(A) != 0:
                     break
             q = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            # substitution sending q to the origin: x_i -> sum A_ij x_j - A q
-            sub = {}
-            for i, n in enumerate(names):
-                expr = Polynomial.zero(names)
-                for j in range(3):
-                    expr = expr + Fraction(A[i][j]) * (parse(names[j]) - q[j])
-                sub[n] = expr
-            moved = F.subs(sub)
-            rec = classify_point(moved, tuple(q))
+            rec = classify_point(_moved(F, A, q), tuple(q))
             assert (rec.ade_type, rec.mu, rec.corank, rec.cubic_shape) == \
                 (base.ade_type, base.mu, base.corank, base.cubic_shape)
 
@@ -246,3 +258,132 @@ def test_merge_extension_reports_exhausted_shears(monkeypatch):
     with pytest.raises(ClassificationError,
                        match="primitive-element merge failed"):
         singclass._merge_extension(ring, g, "u", "v")
+
+
+# ---------------------------------------------------------------------------
+# Milnor number: Morse shortcut, local-ordering echelon against the N-loop
+# ---------------------------------------------------------------------------
+
+def truncated_milnor_oracle(G, names, cap=16):
+    """The Milnor number of G at the origin by one echelon per truncation
+    order N = 4 ... cap, graded lead, each rebuilt from scratch."""
+    parts = [G.diff(n).drop_unused() for n in names]
+    parts = [align(p, names) for p in parts if not p.is_zero()]
+    nv = len(names)
+    prev = None
+    for N in range(4, cap + 1):
+        ech = Echelon()
+        for g in parts:
+            low = g.lowest_degree()
+            for dm in range(max(N - low, 1)):
+                for m in exponent_tuples(nv, dm):
+                    row = {}
+                    for e, c in g.terms.items():
+                        ee = tuple(a + b for a, b in zip(e, m))
+                        d = sum(ee)
+                        if d < N:
+                            row[d, ee] = c
+                    ech.add(row)
+        monomials = sum(len(exponent_tuples(nv, d)) for d in range(N))
+        mu = monomials - len(ech.pivots)
+        if prev is not None and mu == prev:
+            return mu
+        prev = mu
+    raise ClassificationError(f"Milnor truncation did not stabilize by N = {cap}")
+
+
+def _refuse_milnor(G, names, cap=16):
+    raise AssertionError("corank-0 point entered the Milnor engine")
+
+
+def test_corank_zero_points_skip_milnor(monkeypatch):
+    monkeypatch.setattr(singclass, "_milnor_translated", _refuse_milnor)
+    for text, point in (("x*y + z^2 + x^3", ("0", "0", "0")),
+                        ("(x-1)*(y+2) + (z-1/2)^2 + (x-1)^3", ("1", "-2", "1/2"))):
+        rec = classify_point(parse(text), tuple(Fraction(c) for c in point))
+        assert (rec.ade_type, rec.mu, rec.corank) == ("A1", 1, 0)
+    # A3B2D4 at t2 = t4 = 1: a conjugate pair of A1 points over Q[a]/(a^2 - 9/2)
+    F = families.quotient_fiber("A3B2D4", {"t2": 1, "t4": 1})
+    branches = [(r, c) for r, c in singular_points(F) if r.degree == 2]
+    assert branches
+    for ring, coords in branches:
+        rec = classify_point(F, coords, ring)
+        assert (rec.ade_type, rec.mu, rec.corank, rec.orbit_size) == ("A1", 1, 0, 2)
+
+
+NORMAL_FORMS = ([(f"x^{k + 1} + y^2 + z^2", k) for k in range(1, 9)]
+                + [(f"x^2*y + y^{k - 1} + z^2", k) for k in range(4, 9)]
+                + [("x^3 + y^4 + z^2", 6), ("x^3 + x*y^3 + z^2", 7),
+                   ("x^3 + y^5 + z^2", 8)])
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@example(form=("x^7 + y^2 + z^2", 6), matrix=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         q=(Fraction(0),) * 3, shear=(1, 0))  # a graded lead counts mu = 5
+@given(form=st.sampled_from(NORMAL_FORMS),
+       matrix=st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+                       min_size=3, max_size=3),
+       q=st.tuples(_small, _small, _small),
+       shear=st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+def test_milnor_matches_truncation_oracle(form, matrix, q, shear):
+    assume(_det3(matrix) != 0)
+    text, mu = form
+    moved = _moved(parse(text), matrix, q, shear)
+    names = moved.used_variables()
+    G = singclass._translate(moved, names, q)
+    assert milnor_number(moved, q) == truncated_milnor_oracle(G, names) == mu
+
+
+def test_milnor_matches_oracle_over_an_extension():
+    # D5 and A4 points at y = +-sqrt(2), where y^2 - 2 is a local coordinate
+    ring = make_extension((-2, 0, 1))
+    a = ring.generator()
+    for text, label in (("x^2*(y^2 - 2) + (y^2 - 2)^4 + z^2", "D5"),
+                        ("x^2 + (y^2 - 2)^5 + z^2", "A4")):
+        F = parse(text)
+        point = (ring.element(0), a, ring.element(0))
+        names = F.used_variables()
+        G = singclass._translate(F, names, point)
+        mu = int(label[1:])
+        assert milnor_number(F, point) == truncated_milnor_oracle(G, names) == mu
+        assert classify_point(F, point, ring).ade_type == label
+
+
+def _record_orders(monkeypatch):
+    """Truncation order K of each Milnor echelon built (highest degree + 1)."""
+    orders = []
+
+    class Recording(Echelon):
+        def __init__(self):
+            super().__init__()
+            orders.append(0)
+
+        def add(self, vec, index=None):
+            if vec:
+                orders[-1] = max(orders[-1], 1 + max(-k[0] for k in vec))
+            return super().add(vec, index)
+
+    monkeypatch.setattr(singclass, "Echelon", Recording)
+    return orders
+
+
+def test_milnor_rebuilds_a_larger_echelon_until_stable(monkeypatch):
+    orders = _record_orders(monkeypatch)
+    # mu_4 = 7 and mu_5 = 8 at the E8 point: the first echelon does not
+    # stabilize, and a second one is built at a larger order
+    assert milnor_number(parse("x^3 + y^5 + z^2"), (0, 0, 0)) == 8
+    assert len(orders) >= 2 and orders == sorted(set(orders))
+    assert orders[-1] <= 16
+
+
+@pytest.mark.parametrize("cap", [6, 8, 9])
+def test_milnor_rebuilds_stop_at_the_cap(monkeypatch, cap):
+    orders = _record_orders(monkeypatch)
+    with pytest.raises(ClassificationError,
+                       match=f"did not stabilize by N = {cap}"):
+        milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=cap)
+    assert orders == sorted(set(orders))
+    assert orders[-1] == cap and max(orders) <= cap
