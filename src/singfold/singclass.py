@@ -456,16 +456,16 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
     nv = len(names)
-    rows = [(g.lowest_degree(), [(sum(e), e, c) for e, c in g.terms.items()])
-            for g in parts]
+    graded = [(g.lowest_degree(), [(sum(e), e, c) for e, c in g.terms.items()])
+              for g in parts]
     K = 5
     while K <= cap:
         ech = Echelon()
-        for low, g in rows:
+        for low, terms in graded:
             for dm in range(K - low):
                 for m in exponent_tuples(nv, dm):
                     ech.add({(-d - dm, tuple(a + b for a, b in zip(e, m))): c
-                             for d, e, c in g if d + dm < K})
+                             for d, e, c in terms if d + dm < K})
         pivots_at = [0] * K                 # pivots by degree of their lead
         for neg_d, _ in ech.pivots:
             pivots_at[-neg_d] += 1
