@@ -220,7 +220,7 @@ def _cmd_classify(args) -> int:
             print(f"missing parameters: {missing}", file=sys.stderr)
             return 2
         source = case.fiber if args.cover else case.quotient
-        F = source.subs({p: t[p] for p in case.params}).drop_unused()
+        F = source.subs({p: t[p] for p in case.params})
     try:
         conf = fiber_configuration(F)
     except Exception as exc:  # the input parsed: any failure is the program's

@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, Scalar,
                     SplitEvent, upoly, upoly_deg, upoly_gcd)
-from .poly import (Polynomial, align, div_exact, exponent_tuples,
-                   gcd_univariate, parse)
+from .poly import (Polynomial, div_exact, exponent_tuples, gcd_univariate,
+                   parse)
 from .rootsys import CASE_IDS, CaseMeta, case_meta
 from .singclass import (Branch, FiberConfiguration, classify_point,
                         fiber_configuration, singular_points, split_branch)
@@ -661,12 +661,12 @@ def sample_stratum(case_id: str, stratum_id: str, count: int,
 
 def quotient_fiber(case_id: str, t: Dict[str, Fraction]) -> Polynomial:
     case = descriptor(case_id)
-    return case.quotient.subs({p: Fraction(v) for p, v in t.items()}).drop_unused()
+    return case.quotient.subs({p: Fraction(v) for p, v in t.items()})
 
 
 def fiber_at(case_id: str, t: Dict[str, Fraction]) -> Polynomial:
     case = descriptor(case_id)
-    return case.fiber.subs({p: Fraction(v) for p, v in t.items()}).drop_unused()
+    return case.fiber.subs({p: Fraction(v) for p, v in t.items()})
 
 
 def classify_quotient_fiber(case_id: str, t: Dict[str, Fraction]) -> FiberConfiguration:
@@ -778,7 +778,7 @@ def _smooth_fixed_count(case: CaseDescriptor, F: Polynomial,
                         t: Dict[str, Fraction], records) -> int:
     vals = {p: Fraction(v) for p, v in t.items()}
     locus = {v: case.fixed_locus[v].subs(vals) for v in case.fiber_vars}
-    on_locus = F.subs(locus).drop_unused()
+    on_locus = F.subs(locus)
     if case.fixed_locus_dim == 0:
         total = 1 if on_locus.is_zero() else 0
     else:
@@ -877,7 +877,8 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
 def _qdeg(case: CaseDescriptor, p: Polynomial, extra: Dict[str, int] = {}) -> int:
     """Quasi-degree of a quasi-homogeneous polynomial; -1 for the zero one."""
     w = {**case.weights, **extra}
-    degs = {sum(w[v] * k for v, k in zip(p.variables, e)) for e in p.terms}
+    names = p.used_variables()
+    degs = {sum(w[v] * k for v, k in zip(names, e)) for e in p.exponents(names)}
     if not degs:
         return -1
     if len(degs) > 1:
@@ -939,7 +940,7 @@ def _candidates(case: CaseDescriptor, gens: Sequence[Polynomial], d: int):
 
 
 def _vector(case: CaseDescriptor, p: Polynomial) -> Dict[tuple, Fraction]:
-    return align(p, tuple(case.fiber_vars) + tuple(case.params)).terms
+    return p.exponents(tuple(case.fiber_vars) + tuple(case.params))
 
 
 def _span(case: CaseDescriptor, gens: Sequence[Polynomial], d: int,
@@ -1012,7 +1013,7 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
         for mono in sorted(exponent_tuples(len(case.fiber_vars), d)):
             p = Polynomial(case.fiber_vars,
                            {mono: Fraction(1)})
-            avg = reynolds_average(case, p).drop_unused()
+            avg = reynolds_average(case, p)
             if avg.is_zero() or avg.used_variables() == () or \
                     not (set(avg.used_variables()) & set(case.fiber_vars)):
                 continue
@@ -1103,26 +1104,26 @@ def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
     choice telescopes the equation to zero, the squared-generator
     certificate is shifted by the relation itself to expose the scalar.
     """
-    r = rel.drop_unused()
-    if r.is_zero():
+    if rel.is_zero():
         return None
+    names = rel.used_variables()
+    terms = rel.exponents(names)
+    lead = max(terms, key=lambda e: (sum(e), e))
     for shift in (False, True):
         q = _chart_substitute(case.quotient, {
-            k: v + r if shift and k.endswith("^2") else v
+            k: v + rel if shift and k.endswith("^2") else v
             for k, v in certs.items()})
         if q is None:
             return None
-        q = q.drop_unused()
         if q.is_zero():
             continue
-        lead = max(r.terms, key=lambda e: (sum(e), e))
-        if set(q.used_variables()) - set(r.variables):
+        if set(q.used_variables()) - set(names):
             return None
-        q_al = align(q, r.variables)
-        if lead not in q_al.terms:
+        c = q.exponents(names).get(lead)
+        if c is None:
             return None
-        lam = q_al.terms[lead] * (1 / r.terms[lead])
-        return lam if (r * lam) == q_al else None
+        lam = c * (1 / terms[lead])
+        return lam if rel * lam == q else None
     return None
 
 
@@ -1141,7 +1142,7 @@ def _derive_relation(case: CaseDescriptor, gens: List[Polynomial]):
         if kernel is not None:
             rel = _symbolic(symbols, kernel)
             if not rel.is_zero():
-                return rel.drop_unused()
+                return rel
     return None
 
 

@@ -331,7 +331,7 @@ def verify_iso(case_id: str) -> dict:
                 cs = rel.coefficients_in(name)
                 if len(cs) == 2 and cs[1].is_constant() and \
                         cs[1].constant_value() == 1:
-                    rel_sub[name] = (-cs[0]).drop_unused()
+                    rel_sub[name] = -cs[0]
                     break
             else:
                 raise AssertionError("relation not solvable for a psi symbol")

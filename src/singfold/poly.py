@@ -2,17 +2,24 @@
 
 Coefficients are either :class:`fractions.Fraction` or
 :class:`singfold.exact.AlgebraicScalar` (one extension ring per polynomial).
-Terms are a dict from exponent tuples to nonzero coefficients; the variable
-tuple is ordered by a fixed global precedence so the canonical form is
-unique.  Polynomials are immutable by convention.
+A polynomial is one dict from packed monomials to nonzero coefficients: each
+variable owns a fixed 16-bit field of one integer (the ``_VAR_ORDER`` names
+first, any other name on first use), so a monomial product is one integer
+addition (Monagan-Pearce, CASC 2007).  Exponents stay below 2^15; the top
+bit of each field is a guard, and a product that sets it raises
+OverflowError rather than carry into the next field.  Packed keys never
+leave this module: callers use exponent tuples over names of their choice,
+and every observable order is the ``_var_key`` order.  Polynomials are
+immutable by convention.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .exact import AlgebraicScalar, Scalar, invert, upoly_gcd, _frac
 
@@ -30,129 +37,202 @@ def _var_key(name: str):
     return (0, _VAR_RANK[name]) if name in _VAR_RANK else (1, name)
 
 
-def _sort_vars(names: Iterable[str]) -> Tuple[str, ...]:
-    return tuple(sorted(set(names), key=_var_key))
+_BITS = 16                        # bits per variable field
+_LIMIT = 1 << (_BITS - 1)         # exponents stay below the field's guard bit
+_MASK = (1 << _BITS) - 1
+_NAMES: List[str] = []            # field index -> variable name
+_SHIFT: Dict[str, int] = {}       # variable name -> bit offset of its field
+_GUARD = 0                        # the guard bits of every allocated field
 
 
-def _is_zero(c) -> bool:
-    return not c
+def _shift(name: str) -> int:
+    """Bit offset of a variable's field, allocated on first use."""
+    sh = _SHIFT.get(name)
+    if sh is None:
+        global _GUARD
+        sh = _SHIFT[name] = _BITS * len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= _LIMIT << sh
+    return sh
+
+
+for _name in _VAR_ORDER:
+    _shift(_name)
+
+Terms = Dict[int, Scalar]
+
+
+def _fields(e: int):
+    """(field index, exponent) of each nonzero field of a packed monomial."""
+    i = 0
+    while e:
+        if e & _MASK:
+            yield i, e & _MASK
+        e >>= _BITS
+        i += 1
+
+
+def _degree(e: int) -> int:
+    return sum(k for _, k in _fields(e))
+
+
+_TOO_LARGE = f"exponent too large: the limit is {_LIMIT - 1}"
+
+
+def _accumulate(out: Terms, terms: Terms) -> None:
+    """out += terms, in place, dropping the coefficients that cancel."""
+    for e, c in terms.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+
+
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """a * b for operands whose exponents are below the limit: then no field
+    carries, and a guard bit set in a product term means overflow."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    if any(e & _GUARD for e in out):
+        raise OverflowError(_TOO_LARGE)
+    return out
+
+
+def _terms_of(x) -> Terms:
+    """The terms of a polynomial, or of a scalar as a constant."""
+    if isinstance(x, Polynomial):
+        return x._terms
+    return {0: Fraction(x) if isinstance(x, int) else x} if x else {}
 
 
 class Polynomial:
-    """A sparse multivariate polynomial in canonical form."""
+    """A sparse multivariate polynomial in canonical form.
 
-    __slots__ = ("variables", "terms")
+    ``Polynomial(names, {exponent tuple: c})`` builds one from exponent
+    tuples over ``names``; :meth:`exponents` reads it back the same way.
+    """
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Tuple[int, ...], Scalar]):
-        self.variables = tuple(variables)
-        self.terms: Dict[Tuple[int, ...], Scalar] = {
-            e: c for e, c in terms.items() if not _is_zero(c)}
+    __slots__ = ("_terms",)
+
+    def __init__(self, names: Sequence[str],
+                 terms: Mapping[Tuple[int, ...], Scalar]):
+        shifts = [_shift(n) for n in names]
+        self._terms: Terms = {}
+        for exps, c in terms.items():
+            e = 0
+            for sh, k in zip(shifts, exps, strict=True):
+                if not 0 <= k < _LIMIT:
+                    raise OverflowError(f"exponent {k} outside 0..{_LIMIT - 1}")
+                e |= k << sh
+            if c:
+                self._terms[e] = c
+
+    @staticmethod
+    def _of(terms: Terms) -> "Polynomial":
+        p = object.__new__(Polynomial)
+        p._terms = terms
+        return p
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(c, variables: Sequence[str] = ()) -> "Polynomial":
-        if isinstance(c, int):
-            c = Fraction(c)
-        n = len(variables)
-        return Polynomial(variables, {(0,) * n: c} if not _is_zero(c) else {})
+    def constant(c) -> "Polynomial":
+        return Polynomial._of(_terms_of(c))
 
     @staticmethod
     def var(name: str) -> "Polynomial":
-        return Polynomial((name,), {(1,): Fraction(1)})
+        return Polynomial._of({1 << _shift(name): Fraction(1)})
 
     @staticmethod
-    def zero(variables: Sequence[str] = ()) -> "Polynomial":
-        return Polynomial(variables, {})
+    def zero() -> "Polynomial":
+        return Polynomial._of({})
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(self._terms)
 
     def constant_value(self) -> Scalar:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return self.constant_term()
+
+    def constant_term(self) -> Scalar:
+        return self._terms.get(0, Fraction(0))
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((_degree(e) for e in self._terms), default=-1)
+
+    def lowest_degree(self) -> int:
+        return min((_degree(e) for e in self._terms), default=-1)
 
     def degree_in(self, name: str) -> int:
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        sh = _shift(name)
+        return max(((e >> sh) & _MASK for e in self._terms), default=0)
 
     def used_variables(self) -> Tuple[str, ...]:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.variables[i])
-        return _sort_vars(used)
+        used = 0
+        for e in self._terms:
+            used |= e
+        return tuple(sorted((_NAMES[i] for i, _ in _fields(used)), key=_var_key))
 
-    def drop_unused(self) -> "Polynomial":
-        used = self.used_variables()
-        if used == self.variables:
-            return self
-        return align(self, used)
+    def exponents(self, names: Sequence[str]) -> Dict[Tuple[int, ...], Scalar]:
+        """The terms as {exponent tuple over names: coefficient}; raises
+        ValueError if a term uses a variable outside names."""
+        shifts = [_shift(n) for n in names]
+        inside = sum(_MASK << sh for sh in shifts)
+        out = {}
+        for e, c in self._terms.items():
+            if e & ~inside:
+                raise ValueError(f"{self} uses a variable outside {tuple(names)}")
+            out[tuple((e >> sh) & _MASK for sh in shifts)] = c
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        p, q = _pair(self, other)
-        out = dict(p.terms)
-        for e, c in q.terms.items():
-            s = out.get(e, 0) + c
-            if _is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(p.variables, out)
+        out = dict(self._terms)
+        _accumulate(out, _terms_of(other))
+        return Polynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-_lift(other, self.variables))
+        return self + (-Polynomial._of(_terms_of(other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        p, q = _pair(self, other)
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if _is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(p.variables, out)
+        return Polynomial._of(_mul_terms(self._terms, _terms_of(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = Polynomial.constant(1, self.variables)
-        base = self
+        out, base = _terms_of(1), self._terms
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _mul_terms(out, base)
             n >>= 1
-        return out
+            if n:
+                base = _mul_terms(base, base)
+        return Polynomial._of(out)
 
     def __truediv__(self, c):
         if isinstance(c, Polynomial):
@@ -161,15 +241,18 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicScalar)):
-            other = Polynomial.constant(other, self.variables)
+            other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        p, q = _pair(self, other)
-        return p.terms == q.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        p = self.drop_unused()
-        return hash((p.variables, frozenset(p.terms.items())))
+        return hash(frozenset(self._terms.items()))
+
+    def __reduce__(self):
+        # field numbers differ between processes; pickle by names
+        names = self.used_variables()
+        return Polynomial, (names, self.exponents(names))
 
     def __repr__(self):
         return to_text(self)
@@ -177,136 +260,67 @@ class Polynomial:
     # -- calculus & evaluation ---------------------------------------------
 
     def diff(self, name: str) -> "Polynomial":
-        if name not in self.variables:
-            raise ValueError(f"unknown variable {name!r}")
-        i = self.variables.index(name)
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            nc = c * e[i]
-            s = out.get(ne, 0) + nc
-            if _is_zero(s):
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return Polynomial(self.variables, out)
+        sh = _shift(name)
+        out: Terms = {}
+        for e, c in self._terms.items():
+            k = (e >> sh) & _MASK
+            if k:
+                out[e - (1 << sh)] = c * k
+        return Polynomial._of(out)
 
     def subs(self, bindings: Mapping[str, Union["Polynomial", Scalar, int]]) -> "Polynomial":
-        """Simultaneous substitution, fully expanded."""
-        nvars = [v for v in self.variables if v not in bindings]
-        extra = set()
-        bound: Dict[str, Polynomial] = {}
-        for k, v in bindings.items():
-            if not isinstance(v, Polynomial):
-                v = Polynomial.constant(v if not isinstance(v, int) else Fraction(v))
-            bound[k] = v
-            extra.update(v.used_variables())
-        allvars = _sort_vars(set(nvars) | extra)
-        result = Polynomial.zero(allvars)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(c, allvars)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = self.variables[i]
-                base = bound.get(name, None)
-                if base is None:
-                    base = align(Polynomial.var(name), allvars)
-                else:
-                    base = align(base, allvars)
-                term = term * base ** k
-            result = result + term
-        return result
+        """Simultaneous substitution, fully expanded; the powers of each
+        bound value are computed once per call."""
+        bound = []                     # (shift, powers of the value)
+        keep = -1                      # the fields left alone
+        for name, value in bindings.items():
+            sh = _shift(name)
+            keep &= ~(_MASK << sh)
+            bound.append((sh, [_terms_of(1), _terms_of(value)]))
+        out: Terms = {}
+        for e, c in self._terms.items():
+            term = {e & keep: c}
+            for sh, powers in bound:
+                k = (e >> sh) & _MASK
+                if k:
+                    while len(powers) <= k:
+                        powers.append(_mul_terms(powers[-1], powers[1]))
+                    term = _mul_terms(term, powers[k])
+            _accumulate(out, term)
+        return Polynomial._of(out)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
         acc = None
-        for e, c in self.terms.items():
-            t = c
-            for i, k in enumerate(e):
-                if k:
-                    t = t * values[self.variables[i]] ** k
-            acc = t if acc is None else acc + t
+        for e, c in self._terms.items():
+            for i, k in _fields(e):
+                c = c * values[_NAMES[i]] ** k
+            acc = c if acc is None else acc + c
         return acc if acc is not None else Fraction(0)
 
     def coefficients_in(self, name: str) -> List["Polynomial"]:
-        """Coefficients of powers of ``name``, low to high, over the other vars."""
-        if name not in self.variables:
+        """Coefficients of powers of ``name``, low to high, over the other
+        variables; [self] if ``name`` does not occur."""
+        sh = _shift(name)
+        parts: Dict[int, Terms] = {}
+        for e, c in self._terms.items():
+            k = (e >> sh) & _MASK
+            parts.setdefault(k, {})[e - (k << sh)] = c
+        if not parts:
             return [self]
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1:]
-        d = self.degree_in(name)
-        coeffs = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            re = e[:i] + e[i + 1:]
-            coeffs[e[i]][re] = c
-        return [Polynomial(rest, t) for t in coeffs]
+        return [Polynomial._of(parts.get(k, {})) for k in range(max(parts) + 1)]
 
     def homogeneous_part(self, d: int) -> "Polynomial":
-        return Polynomial(self.variables,
-                          {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def lowest_degree(self) -> int:
-        return min((sum(e) for e in self.terms), default=-1)
-
-
-def _lift(x, variables) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, int):
-        x = Fraction(x)
-    return Polynomial.constant(x, variables)
-
-
-def align(p: Polynomial, variables: Sequence[str]) -> Polynomial:
-    """Re-express p on a variable tuple that must contain its used variables."""
-    variables = tuple(variables)
-    if p.variables == variables:
-        return p
-    idx = []
-    for v in p.variables:
-        idx.append(variables.index(v) if v in variables else -1)
-    out: Dict[Tuple[int, ...], Scalar] = {}
-    n = len(variables)
-    for e, c in p.terms.items():
-        ne = [0] * n
-        for i, k in enumerate(e):
-            if k:
-                if idx[i] < 0:
-                    raise ValueError(f"variable {p.variables[i]!r} not in target")
-                ne[idx[i]] = k
-        key = tuple(ne)
-        s = out.get(key, 0) + c
-        if _is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Polynomial(variables, out)
-
-
-def _pair(p: Polynomial, other) -> Tuple[Polynomial, Polynomial]:
-    q = _lift(other, p.variables)
-    if p.variables == q.variables:
-        return p, q
-    union = _sort_vars(set(p.variables) | set(q.variables))
-    return align(p, union), align(q, union)
+        return Polynomial._of({e: c for e, c in self._terms.items()
+                               if _degree(e) == d})
 
 
 def exponent_tuples(n_vars: int, d: int) -> List[Tuple[int, ...]]:
     """All exponent tuples in n_vars >= 1 variables of total degree d, in
     lexicographic order."""
-    out = []
-
-    def rec(prefix, remaining, left):
-        if remaining == 1:
-            out.append(prefix + (left,))
-            return
-        for k in range(left + 1):
-            rec(prefix + (k,), remaining - 1, left - k)
-
-    rec((), n_vars, d)
-    return out
+    if n_vars == 1:
+        return [(d,)]
+    return [(k,) + rest for k in range(d + 1)
+            for rest in exponent_tuples(n_vars - 1, d - k)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +331,18 @@ def to_text(p: Polynomial) -> str:
     """Canonical human syntax, graded-lex term order, e.g. ``-1/64*X^5 + X*Y^2``."""
     if p.is_zero():
         return "0"
-    q = p.drop_unused()
+    names = p.used_variables()
+    terms = p.exponents(names)
 
     def order(e):
         return (-sum(e), tuple(-k for k in e))
 
     parts = []
-    for e in sorted(q.terms, key=order):
-        c = q.terms[e]
+    for e in sorted(terms, key=order):
+        c = terms[e]
         mon = "*".join(
             (v if k == 1 else f"{v}^{k}")
-            for v, k in zip(q.variables, e) if k)
+            for v, k in zip(names, e) if k)
         if isinstance(c, AlgebraicScalar):
             cs = f"({c!r})"
             parts.append(f"{cs}*{mon}" if mon else cs)
@@ -352,7 +367,9 @@ class ParseError(ValueError):
 
 
 def parse(text: str) -> Polynomial:
-    """Parse exact polynomial text: rationals, + - * / ^ ( ), and variables."""
+    """Parse exact polynomial text: rationals, + - * / ^ ( ), and variables.
+    ``^`` and ``**`` are right-associative, as in Python, and exponents stay
+    below 2^15."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -394,7 +411,9 @@ def parse(text: str) -> Polynomial:
                 d = parse_factor()
                 if not d.is_constant():
                     raise ParseError("division only by constants")
-                node = node * Fraction(1) / d.constant_value()
+                if d.is_zero():
+                    raise ParseError("division by zero")
+                node = node / d.constant_value()
             elif t is not None and (t == "(" or _is_name(t) or _is_num(t)):
                 # juxtaposition
                 node = node * parse_factor()
@@ -403,19 +422,30 @@ def parse(text: str) -> Polynomial:
 
     def parse_factor() -> Polynomial:
         node = parse_atom()
-        while peek() in ("^", "**"):
+        if peek() not in ("^", "**"):
+            return node
+        take()
+        return node ** parse_exponent()
+
+    def parse_exponent() -> int:
+        """A natural number, raised to the exponent that follows it."""
+        neg = peek() == "-"
+        if neg:
             take()
-            neg = False
-            if peek() == "-":
-                take()
-                neg = True
-            e = take()
-            if not _is_num(e) or "/" in e:
-                raise ParseError(f"bad exponent {e!r}")
-            if neg:
-                raise ParseError("negative exponents unsupported")
-            node = node ** int(e)
-        return node
+        e = take()
+        if not _is_num(e):
+            raise ParseError(f"bad exponent {e!r}")
+        if neg:
+            raise ParseError("negative exponents unsupported")
+        k = int(e)
+        if k < _LIMIT and peek() in ("^", "**"):
+            take()
+            j = parse_exponent()
+            # k^j < 2^15 needs k < 2 or j < 15, which keeps k ** j small
+            k = k ** j if k < 2 or j < _BITS - 1 else _LIMIT
+        if k >= _LIMIT:
+            raise ParseError(_TOO_LARGE)
+        return k
 
     def parse_atom() -> Polynomial:
         t = peek()
@@ -438,10 +468,13 @@ def parse(text: str) -> Polynomial:
             return Polynomial.var(t)
         raise ParseError(f"unexpected token {t!r}")
 
-    node = parse_expr()
+    try:
+        node = parse_expr()
+    except OverflowError as exc:
+        raise ParseError(str(exc)) from None
     if pos[0] != len(tokens):
         raise ParseError(f"trailing input at token {tokens[pos[0]]!r}")
-    return node.drop_unused()
+    return node
 
 
 def _is_name(t: str) -> bool:
@@ -452,35 +485,15 @@ def _is_num(t: str) -> bool:
     return t[0].isdigit()
 
 
+_TOKEN = re.compile(r"\s*(?:(\*\*|[-+*/^()]|\d+|[^\W\d]\w*)|(\S))")
+
+
 def _tokenize(text: str) -> List[str]:
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            if ch == "*" and i + 1 < n and text[i + 1] == "*":
-                out.append("**")
-                i += 2
-            else:
-                out.append(ch)
-                i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"bad character {ch!r}")
+    for token, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"bad character {bad!r}")
+        out.append(token)
     return out
 
 
@@ -492,27 +505,25 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     """Exact division p / q; raises ValueError if q does not divide p."""
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    union = _sort_vars(set(p.variables) | set(q.variables))
-    p = align(p, union)
-    q = align(q, union)
 
-    def lead(f: Polynomial):
-        e = max(f.terms, key=lambda e: (sum(e), e))
-        return e, f.terms[e]
+    def lead(terms: Terms) -> int:
+        # graded, then by packed value: a monomial order
+        return max(terms, key=lambda e: (_degree(e), e))
 
-    qe, qc = lead(q)
-    qinv = invert(qc)
-    out: Dict[Tuple[int, ...], Scalar] = {}
-    rem = p
-    while not rem.is_zero():
-        re, rc = lead(rem)
-        de = tuple(a - b for a, b in zip(re, qe))
-        if any(k < 0 for k in de):
+    qe = lead(q._terms)
+    qinv = invert(q._terms[qe])
+    out: Terms = {}
+    rem = dict(p._terms)
+    while rem:
+        re = lead(rem)
+        # with every guard bit set, subtracting qe clears the guard of each
+        # field where re's exponent is below qe's
+        if ((re | _GUARD) - qe) & _GUARD != _GUARD:
             raise ValueError("inexact polynomial division")
-        c = rc * qinv
-        out[de] = c
-        rem = rem - Polynomial(union, {de: c}) * q
-    return Polynomial(union, out)
+        c = rem[re] * qinv
+        out[re - qe] = c
+        _accumulate(rem, _mul_terms({re - qe: -c}, q._terms))
+    return Polynomial._of(out)
 
 
 # Sylvester resultants run on dense coefficient lists over Z[t]: Python ints,
@@ -586,18 +597,18 @@ def _zt_det(m: List[List[List[int]]]) -> List[int]:
 def _integer_coefficients(p: Polynomial, name: str, t) -> Tuple[List[List[int]], int]:
     """Coefficients of p in ``name``, low to high, as dense Z[t] lists after
     clearing denominators, and the multiplier d that cleared them."""
-    i = p.variables.index(name) if name in p.variables else None
-    j = p.variables.index(t) if t in p.variables else None
+    i = _shift(name)
+    j = _shift(t) if t is not None else None
     d = 1
-    for c in p.terms.values():
+    for c in p._terms.values():
         if not isinstance(c, (int, Fraction)):
             raise ValueError("resultant needs rational coefficients")
         d = lcm(d, Fraction(c).denominator)
     coeffs: Dict[int, Dict[int, int]] = {}
-    for e, c in p.terms.items():
+    for e, c in p._terms.items():
         c = Fraction(c) * d
-        coeffs.setdefault(e[i] if i is not None else 0, {})[
-            e[j] if j is not None else 0] = c.numerator
+        coeffs.setdefault((e >> i) & _MASK, {})[
+            (e >> j) & _MASK if j is not None else 0] = c.numerator
     out = []
     for k in range(max(coeffs) + 1):
         dense = coeffs.get(k, {})
@@ -614,8 +625,8 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    rest = _sort_vars((set(p.variables) | set(q.variables)) - {name})
-    free = _sort_vars((set(p.used_variables()) | set(q.used_variables())) - {name})
+    free = sorted((set(p.used_variables()) | set(q.used_variables())) - {name},
+                  key=_var_key)
     if len(free) > 1:
         raise ValueError(f"resultant needs at most one variable besides "
                          f"{name!r}, got {', '.join(free)}")
@@ -624,11 +635,11 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     qc, dq = _integer_coefficients(q, name, t)
     m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
-        return Polynomial.constant(1, rest)
+        return Polynomial.constant(1)
     if m == 0:
-        return align(p.drop_unused(), rest) ** n
+        return p ** n
     if n == 0:
-        return align(q.drop_unused(), rest) ** m
+        return q ** m
     rows = [[[]] * i + pc[::-1] + [[]] * (n - 1 - i) for i in range(n)]
     rows += [[[]] * i + qc[::-1] + [[]] * (m - 1 - i) for i in range(m)]
     det = _zt_det(rows)
@@ -637,20 +648,17 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     # sign normalized so that Res_v(p, v) = -p(0) and Res_v(p-v, p+v) = 2p
     if n % 2 == 1:
         scale = -scale
-    variables = (t,) if t is not None else ()
-    terms = {(k,) if t is not None else (): Fraction(c, scale)
-             for k, c in enumerate(det) if c}
-    return Polynomial(variables, terms).drop_unused()
+    names = (t,) if t is not None else ()
+    return Polynomial(names, {(k,)[:len(names)]: Fraction(c, scale)
+                              for k, c in enumerate(det) if c})
 
 
 def univariate_coefficients(p: Polynomial, name: str) -> tuple:
     """Scalar coefficients of a polynomial in ``name`` alone, low to high."""
-    if set(p.used_variables()) - {name}:
-        raise ValueError(f"not univariate in {name!r}: {p}")
-    q = align(p, (name,))
-    out: List[Scalar] = [Fraction(0)] * (q.degree_in(name) + 1)
-    for e, c in q.terms.items():
-        out[e[0]] = c
+    terms = p.exponents((name,))
+    out: List[Scalar] = [Fraction(0)] * (max(terms, default=(-1,))[0] + 1)
+    for (k,), c in terms.items():
+        out[k] = c
     return tuple(out)
 
 
@@ -689,38 +697,22 @@ def binary_cubic_shape(c: Polynomial) -> str:
     used = c.used_variables()
     if len(used) > 2:
         raise ValueError("binary form needed")
-    if not all(sum(e) == 3 for e in c.terms):
+    if any(_degree(e) != 3 for e in c._terms):
         raise ValueError("homogeneous cubic needed")
     u, v = (used + ("_aux1", "_aux2"))[:2]
-    d = _binary_form_gcd_degree(
-        [c, c.diff(u)] + ([c.diff(v)] if v in c.variables else []), u, v)
-    if d == 0:
-        return "three-distinct"
-    if d == 1:
-        return "one-double"
-    if d == 2:
-        return "triple"
-    raise ValueError("impossible gcd degree for a nonzero cubic")
+    d = _binary_form_gcd_degree([c, c.diff(u), c.diff(v)], u, v)
+    if d > 2:
+        raise ValueError("impossible gcd degree for a nonzero cubic")
+    return BINARY_CUBIC_SHAPES[d]
 
 
 def _binary_form_gcd_degree(forms: List[Polynomial], u: str, v: str) -> int:
-    """Degree of the gcd of homogeneous binary forms in (u, v)."""
+    """Degree of the gcd of homogeneous binary forms in (u, v), not all zero."""
+    forms = [f for f in forms if not f.is_zero()]
     # dehomogenize at v = 1; a common factor v^k shows up as degree drop
-    infinity_mult = None
-    dehoms = []
-    for f in forms:
-        if f.is_zero():
-            continue
-        deg = f.total_degree()
-        fe = f.subs({v: Polynomial.constant(Fraction(1))}) if v in f.variables else f
-        fe = fe.drop_unused()
-        dv = fe.total_degree()
-        k = deg - dv  # multiplicity of v in f
-        infinity_mult = k if infinity_mult is None else min(infinity_mult, k)
-        dehoms.append(fe)
-    g = None
-    for fe in dehoms:
-        g = fe if g is None else gcd_univariate(g, fe)
-        if g.total_degree() == 0 and (infinity_mult or 0) == 0:
-            return 0
-    return (g.total_degree() if g is not None else 0) + (infinity_mult or 0)
+    dehoms = [f.subs({v: Fraction(1)}) for f in forms]
+    k = min(f.total_degree() - fe.total_degree() for f, fe in zip(forms, dehoms))
+    g = dehoms[0]
+    for fe in dehoms[1:]:
+        g = gcd_univariate(g, fe)
+    return g.total_degree() + k

@@ -21,9 +21,8 @@ from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
                     Scalar, SplitEvent, invert, make_extension, map_to_factor,
                     nullspace, upoly, upoly_deg, upoly_gcd,
                     upoly_squarefree_part, upoly_str)
-from .poly import (Polynomial, align, binary_cubic_shape, exponent_tuples,
-                   gcd_univariate, resultant, _sort_vars,
-                   univariate_coefficients)
+from .poly import (Polynomial, binary_cubic_shape, exponent_tuples,
+                   gcd_univariate, resultant, univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -114,9 +113,8 @@ def _root_branches_q(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
 
 def _eval_coeffs(p: Polynomial, u: str, v: str, alpha: Scalar) -> List[Scalar]:
     """Coefficients in v of p(u=alpha, v), low to high."""
-    cs = p.coefficients_in(v) if v in p.variables else [p]
     out = []
-    for c in cs:
+    for c in p.coefficients_in(v):
         if c.is_constant():
             out.append(c.constant_value())
         else:
@@ -134,17 +132,17 @@ def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
     m = ring.modulus
     mpoly = Polynomial((u_name,), {(i,): c for i, c in enumerate(m) if c})
     # lift g to a bivariate polynomial over Q
-    gv = Polynomial.zero((u_name, v_name))
+    gv = Polynomial.zero()
     for j, c in enumerate(gpoly):
         if isinstance(c, AlgebraicScalar):
             cu = Polynomial((u_name,), {(i,): cc for i, cc in enumerate(c.value) if cc})
         else:
-            cu = Polynomial.constant(c, (u_name,))
+            cu = Polynomial.constant(c)
         gv = gv + cu * Polynomial.var(v_name) ** j
     for k in range(0, 12):
         # gamma = v + k*u
         shifted = gv.subs({v_name: Polynomial.var("_g") - k * Polynomial.var(u_name)})
-        M = resultant(align(mpoly, _sort_vars({u_name, "_g"})), shifted, u_name)
+        M = resultant(mpoly, shifted, u_name)
         mq = _monic_rational(univariate_coefficients(M, "_g"))
         if not mq or upoly_squarefree_part(mq) != mq:
             continue  # not squarefree for this k; try the next shear
@@ -180,12 +178,7 @@ def _solve_bivariate(G: Polynomial, u: str, v: str) -> List[Tuple[ExtensionRing,
     """Common zeros of (G, G_u, G_v): the singular points of G(u,v) = 0."""
     if G.is_zero():
         raise ClassificationError("zero polynomial")
-    polys = [G]
-    if u in G.variables:
-        polys.append(G.diff(u))
-    if v in G.variables:
-        polys.append(G.diff(v))
-    return _common_zeros(polys, u, v)
+    return _common_zeros([G, G.diff(u), G.diff(v)], u, v)
 
 
 def _common_zeros(polys: List[Polynomial], u: str,
@@ -281,7 +274,7 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
         w = names[iw]
         if P.is_zero():
             raise ClassificationError("non-isolated singular locus")
-        dP = P.diff(w) if w in P.variables else Polynomial.zero()
+        dP = P.diff(w)
         g = gcd_univariate(P, dP) if not dP.is_zero() else None
         if g is None or g.total_degree() < 1:
             # P and P' share no root: singular points need P(w)=P'(w)=0
@@ -303,14 +296,12 @@ def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch
     w, A, B, C = quad
     rest = tuple(n for n in names if n != w)
     D = Polynomial.constant(Fraction(4)) * A * C - B * B
-    D = D.drop_unused()
     if D.is_zero():
         raise ClassificationError("degenerate quadratic: non-isolated singular locus")
     if D.is_constant():
         return []
     u, v = rest
-    Du = align(D, rest)
-    sols = _solve_bivariate(Du, u, v)
+    sols = _solve_bivariate(D, u, v)
     out = []
     a_const = A.constant_value()
     for ring, aval, bval in sols:
@@ -338,7 +329,6 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
     w = -B_u/A_u or -B_v/A_v solves A_u*w + B_u = A_v*w + B_v = 0.
     """
     u, v = (n for n in names if n != w)
-    A, B = align(A, (u, v)), align(B, (u, v))
     Au, Av, Bu, Bv = A.diff(u), A.diff(v), B.diff(u), B.diff(v)
     queue: List[Branch] = [(ring, (a, b)) for ring, a, b in
                            _common_zeros([A, B, Au * Bv - Av * Bu], u, v)]
@@ -367,34 +357,28 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
 
 def _detect_split_form(F: Polynomial, names):
     """Match F = c*u*v + P(w) exactly; returns (index of w, P) or None."""
-    idx = {n: F.variables.index(n) for n in names}
+    terms = F.exponents(names)
     cross = None
-    wvar = None
-    for e, c in F.terms.items():
-        active = [n for n in names if e[idx[n]] > 0]
-        if len(active) == 0:
-            continue
+    iw = None
+    for e in terms:
+        active = [i for i, k in enumerate(e) if k]
         if len(active) == 1:
-            n = active[0]
-            if wvar is None:
-                wvar = n
-            elif wvar != n:
+            if iw is None:
+                iw = active[0]
+            elif iw != active[0]:
                 return None
         elif len(active) == 2:
             a, b = active
-            if e[idx[a]] == 1 and e[idx[b]] == 1 and cross is None:
+            if e[a] == 1 and e[b] == 1 and cross is None:
                 cross = (a, b)
             else:
                 return None
-        else:
+        elif active:
             return None
-    if cross is None or wvar is None or wvar in cross:
+    if cross is None or iw is None or iw in cross:
         return None
-    keep = [e for e in F.terms if all(e[idx[n]] == 0 for n in cross)]
-    P = Polynomial(F.variables, {e: F.terms[e] for e in keep})
-    if not P.is_zero():
-        P = align(P.drop_unused(), (wvar,))
-    return names.index(wvar), P
+    return iw, Polynomial(names, {e: c for e, c in terms.items()
+                                  if not e[cross[0]] and not e[cross[1]]})
 
 
 def _detect_quadratic_var(F: Polynomial, names):
@@ -402,13 +386,9 @@ def _detect_quadratic_var(F: Polynomial, names):
     for w in names:
         if F.degree_in(w) != 2:
             continue
-        cs = F.coefficients_in(w)
-        A = cs[2].drop_unused()
-        if not A.is_constant():
-            continue
-        B = cs[1].drop_unused() if len(cs) > 1 else Polynomial.zero()
-        C = cs[0].drop_unused()
-        return w, A, B, C
+        C, B, A = F.coefficients_in(w)
+        if A.is_constant():
+            return w, A, B, C
     return None
 
 
@@ -417,7 +397,7 @@ def _detect_linear_var(F: Polynomial, names):
     for w in names:
         if F.degree_in(w) == 1:
             B, A = F.coefficients_in(w)
-            return w, A.drop_unused(), B.drop_unused()
+            return w, A, B
     return None
 
 
@@ -451,12 +431,12 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     every N <= K, mu_N = #monomials of degree < N - #pivots whose lead has
     degree < N.  K starts at 5 and grows, up to cap, while mu_N has not
     stabilized."""
-    parts = [G.diff(n).drop_unused() for n in names]
-    parts = [align(p, names) for p in parts if not p.is_zero()]
+    parts = [p for p in (G.diff(n) for n in names) if not p.is_zero()]
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
     nv = len(names)
-    graded = [(g.lowest_degree(), [(sum(e), e, c) for e, c in g.terms.items()])
+    graded = [(g.lowest_degree(),
+               [(sum(e), e, c) for e, c in g.exponents(names).items()])
               for g in parts]
     K = 5
     while K <= cap:
@@ -492,9 +472,7 @@ def hessian_corank(F: Polynomial, point: Point) -> int:
 
 def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
     """The Hessian matrix of G at the origin."""
-    zero_exp = (0,) * len(G.variables)
-    return [[G.diff(a).diff(b).terms.get(zero_exp, Fraction(0))
-             for b in names] for a in names]
+    return [[G.diff(a).diff(b).constant_term() for b in names] for a in names]
 
 
 def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_RING,
@@ -506,10 +484,9 @@ def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_R
     if len(names) != 3:
         raise ClassificationError("classification needs a 3-variable equation")
     G = _translate(F, names, point)
-    zero_exp = (0,) * len(G.variables)
-    if G.terms.get(zero_exp):
+    if G.constant_term():
         raise ClassificationError("point is not on the surface")
-    if any(G.diff(n).terms.get(zero_exp) for n in names):
+    if any(G.diff(n).constant_term() for n in names):
         raise ClassificationError("point is not singular")
     kern = nullspace(_hessian(G, names))
     corank = len(kern)
@@ -526,7 +503,7 @@ def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_R
         subs = {}
         for i, nvar in enumerate(names):
             subs[nvar] = s * Polynomial.constant(kern[0][i]) + t * Polynomial.constant(kern[1][i])
-        restricted = cubic.subs(subs).drop_unused()
+        restricted = cubic.subs(subs)
         shape = binary_cubic_shape(restricted)
         if shape == "three-distinct":
             if mu != 4:

@@ -87,6 +87,10 @@ def test_classify_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, "classify", "--surface", "x +")
     assert code == 2
+    for surface, message in (("x/0 + y^2 + z^2", "division by zero"),
+                             ("x^70000 + y^2 + z^2", "exponent too large")):
+        assert main(["classify", "--surface", surface]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):

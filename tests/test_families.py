@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singfold import families
-from singfold.cli import main
+from singfold.cli import full_report, main
 from singfold.exact import Echelon
 from singfold.families import (check_stratum_point,
                                classify_quotient_fiber, compose_subst,
@@ -249,13 +249,47 @@ def test_derive_quotient_chart_rejects_small_bound():
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _section_digest(bundle: bytes, section: str) -> str:
+    body = json.loads(bundle)["sections"].get(section)
+    return _sha(json.dumps(body, sort_keys=True).encode())
+
+
+@pytest.fixture(scope="module")
+def seed0_report(tmp_path_factory):
+    """The default seed-0 six-case report, written once and serially:
+    file name -> bytes."""
+    out_dir = tmp_path_factory.mktemp("reports")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SINGFOLD_THREADS", raising=False)
+        full_report(seed=0, out_dir=str(out_dir))
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_report_matches_recorded_fingerprint(seed0_report):
+    want = json.loads(EXPECTED.read_text())
+    for cid in CASE_IDS:
+        bundle = seed0_report[f"{cid}.json"]
+        assert sorted(json.loads(bundle)["sections"]) == \
+            sorted(want["sections"][cid]), cid
+        for section, digest in sorted(want["sections"][cid].items()):
+            assert _section_digest(bundle, section) == digest, \
+                f"{cid}/{section} differs from perfbench/expected.json"
+    files = {name: _sha(data) for name, data in seed0_report.items()}
+    assert files == want["files"]
+    assert _sha("".join(f"{files[n]}\n" for n in sorted(files)).encode()) == \
+        want["fingerprint"]
+
+
 @pytest.mark.parametrize("cid", CASE_IDS)
-def test_derive_quotient_chart_matches_recorded_bundle(cid):
+def test_derive_quotient_chart_matches_recorded_bundle(cid, seed0_report):
     # the seed-0 report's quotient-derivation section, digest as recorded
     want = json.loads(EXPECTED.read_text())["sections"][cid]["quotient-derivation"]
-    got = hashlib.sha256(json.dumps(derive_quotient_chart(cid),
-                                    sort_keys=True).encode()).hexdigest()
-    assert got == want
+    assert _section_digest(seed0_report[f"{cid}.json"],
+                           "quotient-derivation") == want
 
 
 def _check_echelon_against_dense(nrows, columns, rhs):

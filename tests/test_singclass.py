@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from singfold import families, singclass
 from singfold.exact import Echelon, make_extension
-from singfold.poly import Polynomial, align, exponent_tuples, parse
+from singfold.poly import Polynomial, exponent_tuples, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, hessian_corank,
                                 milnor_number, singular_points)
@@ -110,7 +110,7 @@ def _moved(F, matrix, q, shear=(0, 0)):
     F = F.subs({"z": z + Fraction(shear[0]) * x ** 2 + Fraction(shear[1]) * x * y})
     sub = {}
     for i, n in enumerate(names):
-        expr = Polynomial.zero(names)
+        expr = Polynomial.zero()
         for j in range(3):
             expr = expr + Fraction(matrix[i][j]) * (parse(names[j]) - q[j])
         sub[n] = expr
@@ -174,7 +174,7 @@ def test_mu_orbit_sum_invariant_under_variable_permutation():
     ]
     totals = []
     for sub in perms:
-        conf = fiber_configuration(base.subs(sub).drop_unused())
+        conf = fiber_configuration(base.subs(sub))
         totals.append(sum(r.mu * r.orbit_size for r in conf.points))
     assert len(set(totals)) == 1
 
@@ -267,8 +267,7 @@ def test_merge_extension_reports_exhausted_shears(monkeypatch):
 def truncated_milnor_oracle(G, names, cap=16):
     """The Milnor number of G at the origin by one echelon per truncation
     order N = 4 ... cap, graded lead, each rebuilt from scratch."""
-    parts = [G.diff(n).drop_unused() for n in names]
-    parts = [align(p, names) for p in parts if not p.is_zero()]
+    parts = [p for p in (G.diff(n) for n in names) if not p.is_zero()]
     nv = len(names)
     prev = None
     for N in range(4, cap + 1):
@@ -278,7 +277,7 @@ def truncated_milnor_oracle(G, names, cap=16):
             for dm in range(max(N - low, 1)):
                 for m in exponent_tuples(nv, dm):
                     row = {}
-                    for e, c in g.terms.items():
+                    for e, c in g.exponents(names).items():
                         ee = tuple(a + b for a, b in zip(e, m))
                         d = sum(ee)
                         if d < N:
