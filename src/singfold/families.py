@@ -13,6 +13,7 @@ import importlib.resources
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, Scalar,
@@ -886,100 +887,115 @@ def _qdeg(case: CaseDescriptor, p: Polynomial, extra: Dict[str, int] = {}) -> in
     return degs.pop()
 
 
-def _monomials(case: CaseDescriptor, names: Sequence[str],
-               d: int) -> List[Polynomial]:
-    """All monomials in `names` of quasi-degree exactly d."""
-    out = []
-
-    def rec(i: int, left: int, acc: Polynomial):
-        if i == len(names):
-            if left == 0:
-                out.append(acc)
-            return
-        w = case.weights[names[i]]
-        k = 0
-        while k * w <= left:
-            rec(i + 1, left - k * w,
-                acc * Polynomial.var(names[i]) ** k if k else acc)
-            k += 1
-
-    rec(0, d, Polynomial.constant(Fraction(1)))
-    return out
+def _monomials(weights: Tuple[int, ...], d: int,
+               memo: Dict) -> List[Tuple[int, ...]]:
+    """The exponent tuples of quasi-degree exactly d for positive `weights`,
+    in ascending lexicographic order; `memo` keeps each list by (weights, d),
+    and the lists of the suffixes of the weights with it."""
+    key = (weights, d)
+    if key not in memo:
+        if not weights:
+            memo[key] = [()] if d == 0 else []
+        else:
+            w, tail = weights[0], weights[1:]
+            memo[key] = [(k,) + e for k in range(d // w + 1)
+                         for e in _monomials(tail, d - k * w, memo)]
+    return memo[key]
 
 
-def _candidates(case: CaseDescriptor, gens: Sequence[Polynomial], d: int):
-    """Spanning set of the quasi-degree-d part of the algebra generated by
-    `gens` over the parameters, plus that of the fiber ideal.
+class _Tables:
+    """The tables of one derivation.  A generator tuple indexes `admitted`;
+    a generator-power product is keyed by its exponents over the admitted
+    generators, as (index, exponent) pairs, so that prefix and one-out
+    tuples share it; a candidate vector by that key (None for the fiber)
+    and a monomial.  Echelons are kept for the last tuple queried only."""
 
-    Yields (polynomial, symbol): a generator monomial times a parameter
-    monomial comes with the same product in the abstract symbols g1, g2, ...;
-    a fiber-ideal element (fiber times a monomial) comes with None.
-    """
-    qdegs = [_qdeg(case, g) for g in gens]
-    sym = [Polynomial.var(f"g{i + 1}") for i in range(len(gens))]
-    one = Polynomial.constant(Fraction(1))
+    def __init__(self, case: CaseDescriptor):
+        self.case = case
+        self.names = tuple(case.fiber_vars) + tuple(case.params)
+        self.weights = tuple(case.weights[v] for v in self.names)
+        self.fdeg = _qdeg(case, case.fiber)
+        self.admitted: List[Polynomial] = []
+        self.monos: Dict = {}
+        self.products: Dict = {(): Polynomial.constant(Fraction(1))}
+        self.vectors: Dict = {}
+        self.live: Tuple = (None, {})   # (generator tuple, degree -> echelon)
 
-    def rec(i: int, left: int, acc_p: Polynomial, acc_s: Polynomial):
-        if i == len(gens):
-            for tm in _monomials(case, case.params, left):
-                yield acc_p * tm, acc_s * tm
-            return
-        k = 0
-        while k * qdegs[i] <= left:
-            yield from rec(i + 1, left - k * qdegs[i], acc_p, acc_s)
-            k += 1
-            if k * qdegs[i] <= left:
-                acc_p, acc_s = acc_p * gens[i], acc_s * sym[i]
+    def product(self, gvec: Tuple) -> Polynomial:
+        if gvec not in self.products:
+            *rest, (i, k) = gvec
+            prev = tuple(rest) + (((i, k - 1),) if k > 1 else ())
+            self.products[gvec] = self.product(prev) * self.admitted[i]
+        return self.products[gvec]
 
-    yield from rec(0, d, one, one)
-    fdeg = _qdeg(case, case.fiber)
-    if d >= fdeg:
-        names = tuple(case.fiber_vars) + tuple(case.params)
-        for m in _monomials(case, names, d - fdeg):
-            yield case.fiber * m, None
+    def vector(self, gvec: Optional[Tuple], mono: Tuple[int, ...]) -> Dict:
+        """Exponent vector of a product (the fiber if gvec is None) times
+        mono, a monomial over the trailing names: the bare vector, shifted."""
+        if (gvec, mono) not in self.vectors:
+            if any(mono):
+                shift = (0,) * (len(self.names) - len(mono)) + mono
+                vec = {tuple(map(add, e, shift)): c for e, c in
+                       self.vector(gvec, (0,) * len(mono)).items()}
+            else:
+                p = self.case.fiber if gvec is None else self.product(gvec)
+                vec = p.exponents(self.names)
+            self.vectors[gvec, mono] = vec
+        return self.vectors[gvec, mono]
+
+    def candidates(self, gens: Tuple[int, ...], d: int):
+        """Spanning set of the quasi-degree-d part of the algebra generated
+        by `gens` over the parameters, plus that of the fiber ideal.
+
+        Yields (vector, symbol): a generator monomial times a parameter
+        monomial comes with its exponent tuple over the abstract symbols
+        g1, g2, ... and the parameters; a fiber-ideal element (fiber times a
+        monomial) comes with None.
+        """
+        n = len(gens)
+        weights = tuple(_qdeg(self.case, self.admitted[g]) for g in gens) \
+            + self.weights[3:]                      # then the parameters
+        for e in _monomials(weights, d, self.monos):
+            gvec = tuple((g, k) for g, k in zip(gens, e) if k)
+            yield self.vector(gvec, e[n:]), e
+        for mono in _monomials(self.weights, d - self.fdeg, self.monos):
+            yield self.vector(None, mono), None
+
+    def span(self, gens: Tuple[int, ...], d: int) -> Tuple[Echelon, List]:
+        """The echelon of the degree-d candidates, each added with its
+        index, and their symbols; dropped with every other echelon of the
+        live tuple when a query names another tuple."""
+        if self.live[0] != gens:
+            self.live = (gens, {})
+        echelons = self.live[1]
+        if d not in echelons:
+            ech, symbols = Echelon(), []
+            for vec, s in self.candidates(gens, d):
+                ech.add(vec, len(symbols))
+                symbols.append(s)
+            echelons[d] = ech, symbols
+        return echelons[d]
 
 
-def _vector(case: CaseDescriptor, p: Polynomial) -> Dict[tuple, Fraction]:
-    return p.exponents(tuple(case.fiber_vars) + tuple(case.params))
-
-
-def _span(case: CaseDescriptor, gens: Sequence[Polynomial], d: int,
-          echelons: Dict) -> Tuple[Echelon, List[Optional[Polynomial]]]:
-    """The echelon of the degree-d candidates, each added with its index,
-    and their symbols; built once per (generator tuple, degree) and kept in
-    `echelons`."""
-    key = (tuple(gens), d)
-    if key not in echelons:
-        ech, symbols = Echelon(), []
-        for p, s in _candidates(case, gens, d):
-            ech.add(_vector(case, p), len(symbols))
-            symbols.append(s)
-        echelons[key] = ech, symbols
-    return echelons[key]
-
-
-def _algebra_certificate(case: CaseDescriptor, gens: Sequence[Polynomial],
-                         target: Polynomial,
-                         echelons: Dict) -> Optional[Polynomial]:
+def _algebra_certificate(tables: _Tables, gens: Tuple[int, ...],
+                         target: Polynomial) -> Optional[Polynomial]:
     """Expression of target in the generators (modulo the fiber ideal), as a
     polynomial in the abstract symbols g1, g2, g3 with parameter
     coefficients; None if target is not in the algebra."""
-    d = _qdeg(case, target)
+    d = _qdeg(tables.case, target)
     if d < 0:
         return Polynomial.zero()
-    ech, symbols = _span(case, gens, d, echelons)
-    sol = ech.solve(_vector(case, target))
-    return None if sol is None else _symbolic(symbols, sol)
+    ech, symbols = tables.span(gens, d)
+    sol = ech.solve(target.exponents(tables.names))
+    return None if sol is None else _symbolic(tables, len(gens), symbols, sol)
 
 
-def _symbolic(symbols: List[Optional[Polynomial]],
+def _symbolic(tables: _Tables, n: int, symbols: List[Optional[tuple]],
               coeffs: Dict[int, Fraction]) -> Polynomial:
-    """The generator-monomial part of a column combination, in symbols."""
-    out = Polynomial.zero()
-    for j in sorted(coeffs):
-        if symbols[j] is not None:
-            out = out + symbols[j] * coeffs[j]
-    return out
+    """The generator-monomial part of a column combination, in the symbols
+    g1..gn and the parameters."""
+    names = [f"g{i + 1}" for i in range(n)] + list(tables.case.params)
+    return Polynomial(names, {symbols[j]: c for j, c in coeffs.items()
+                              if symbols[j] is not None})
 
 
 def reynolds_average(case: CaseDescriptor, p: Polynomial) -> Polynomial:
@@ -999,10 +1015,12 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     checks that the catalogued chart generates the same invariant algebra
     and satisfies the catalogued quotient equation modulo the fiber ideal.
 
-    The linear algebra is exact and sparse: the candidate polynomials of one
-    generator tuple and quasi-degree are brought to echelon form once
-    (`exact.Echelon`), and the admission, minimization and coverage checks
-    and the chart certificates all query that one echelon.
+    The linear algebra is exact and sparse: the candidate vectors of one
+    generator tuple and quasi-degree go into one `exact.Echelon`, built on
+    the derivation's shared tables of monomials, generator-power products
+    and vectors.  Only the echelons of the tuple queried last are kept: a
+    minimization query builds and drops its own, and the coverage checks
+    and chart certificates share those of the final triple.
     """
     if degree_bound < 6:
         raise ValueError("degree bound must be at least 6")
@@ -1021,39 +1039,40 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
             if key not in seen:
                 seen.add(key)
                 invariants.append(avg)
-    echelons: Dict = {}
-    # greedy admission then minimization
-    gens: List[Polynomial] = []
+    tables = _Tables(case)
+    # greedy admission then minimization, on tuples of admitted generators
+    gens: Tuple[int, ...] = ()
     for v in invariants:
-        if _algebra_certificate(case, gens, v, echelons) is None:
-            gens.append(v)
+        if _algebra_certificate(tables, gens, v) is None:
+            gens += (len(tables.admitted),)
+            tables.admitted.append(v)
     changed = True
     while changed:
         changed = False
         for i in range(len(gens) - 1, -1, -1):
             rest = gens[:i] + gens[i + 1:]
-            if _algebra_certificate(case, rest, gens[i], echelons) is not None:
-                gens.pop(i)
+            if _algebra_certificate(tables, rest,
+                                    tables.admitted[gens[i]]) is not None:
+                gens = rest
                 changed = True
-    report = {"case": case_id, "generators": [repr(g) for g in gens],
-              "ok": True}
+    report = {"case": case_id, "ok": True,
+              "generators": [repr(tables.admitted[g]) for g in gens]}
     if len(gens) != 3:
         report["ok"] = False
         report["error"] = f"{len(gens)} generators, expected a triple"
         return report
     # every averaged invariant reduces to the triple
     report["invariants_generated"] = all(
-        _algebra_certificate(case, gens, v, echelons) is not None
-        for v in invariants)
+        _algebra_certificate(tables, gens, v) is not None for v in invariants)
     # the unique relation among the generators
-    rel = _derive_relation(case, gens)
+    rel = _derive_relation(tables, gens)
     report["relation"] = repr(rel) if rel is not None else None
     report["relation_found"] = rel is not None
     # certificates: the catalogued chart inside the derived algebra
     certs: Dict[str, Polynomial] = {}
     emb_ok = True
     for key, p in case.embedding.items():
-        cert = _algebra_certificate(case, gens, p, echelons)
+        cert = _algebra_certificate(tables, gens, p)
         if cert is None:
             emb_ok = False
         else:
@@ -1127,20 +1146,21 @@ def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
     return None
 
 
-def _derive_relation(case: CaseDescriptor, gens: List[Polynomial]):
+def _derive_relation(tables: _Tables, gens: Tuple[int, ...]):
     """The quasi-homogeneous relation among the generator triple, found by
     exact linear algebra at the quasi-degree of the quotient equation: the
     kernel vector of the first free candidate column whose generator part
     is nonzero."""
+    case = tables.case
     qw = {v: case.weights[v] for v in case.quotient_vars}
     target = _qdeg(case, case.quotient, extra=qw)
     ech = Echelon()
-    symbols: List[Optional[Polynomial]] = []
-    for p, s in _candidates(case, gens, target):
-        kernel = ech.add(_vector(case, p), len(symbols))
+    symbols: List[Optional[tuple]] = []
+    for vec, s in tables.candidates(gens, target):
+        kernel = ech.add(vec, len(symbols))
         symbols.append(s)
         if kernel is not None:
-            rel = _symbolic(symbols, kernel)
+            rel = _symbolic(tables, len(gens), symbols, kernel)
             if not rel.is_zero():
                 return rel
     return None

@@ -344,8 +344,7 @@ def to_text(p: Polynomial) -> str:
             (v if k == 1 else f"{v}^{k}")
             for v, k in zip(names, e) if k)
         if isinstance(c, AlgebraicScalar):
-            cs = f"({c!r})"
-            parts.append(f"{cs}*{mon}" if mon else cs)
+            parts.append(f"+ ({c!r})*{mon}" if mon else f"+ ({c!r})")
             continue
         neg = c < 0
         ac = -c if neg else c
@@ -384,15 +383,7 @@ def parse(text: str) -> Polynomial:
         return t
 
     def parse_expr() -> Polynomial:
-        t = peek()
-        sign = 1
-        while t in ("+", "-"):
-            take()
-            if t == "-":
-                sign = -sign
-            t = peek()
         node = parse_term()
-        node = node if sign > 0 else -node
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_term()
@@ -421,11 +412,15 @@ def parse(text: str) -> Polynomial:
                 return node
 
     def parse_factor() -> Polynomial:
+        """A signed power: the signs bind looser than ``^``, as in Python."""
+        sign = 1
+        while peek() in ("+", "-"):
+            sign = -sign if take() == "-" else sign
         node = parse_atom()
-        if peek() not in ("^", "**"):
-            return node
-        take()
-        return node ** parse_exponent()
+        if peek() in ("^", "**"):
+            take()
+            node = node ** parse_exponent()
+        return node if sign > 0 else -node
 
     def parse_exponent() -> int:
         """A natural number, raised to the exponent that follows it."""
@@ -458,9 +453,6 @@ def parse(text: str) -> Polynomial:
                 raise ParseError("missing ')'")
             take()
             return node
-        if t == "-":
-            take()
-            return -parse_atom()
         take()
         if _is_num(t):
             return Polynomial.constant(Fraction(t))

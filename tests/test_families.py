@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import weakref
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from singfold.families import (check_stratum_point,
                                stratum_membership, subst_equal,
                                theorem_singular_spotcheck, verify_catalogue,
                                verify_equivariance)
-from singfold.poly import Polynomial, parse
+from singfold.poly import Polynomial, exponent_tuples, parse
 from singfold.rootsys import CASE_IDS
 from test_exact import dense_kernel, dense_solution
 
@@ -290,6 +292,45 @@ def test_derive_quotient_chart_matches_recorded_bundle(cid, seed0_report):
     want = json.loads(EXPECTED.read_text())["sections"][cid]["quotient-derivation"]
     assert _section_digest(seed0_report[f"{cid}.json"],
                            "quotient-derivation") == want
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_monomials_match_a_filter_of_all_exponent_tuples(cid):
+    # every degree up to 36 on the parameters, the largest quasi-degree a
+    # derivation asks for; up to 24 on the fiber variables and parameters,
+    # the largest it asks for there (E6F4E7: 36 less the fiber's 12), where
+    # the filter would list 5.2 million tuples at 36 for A5B3D5
+    case = descriptor(cid)
+    memo = {}
+    for names, top in ((case.params, 36),
+                       (case.fiber_vars + case.params, 24)):
+        weights = tuple(case.weights[v] for v in names)
+        want = defaultdict(list)
+        for total in range(top // min(weights) + 1):
+            for e in exponent_tuples(len(names), total):
+                d = sum(w * k for w, k in zip(weights, e))
+                if d <= top:
+                    want[d].append(e)
+        for d in range(top + 1):
+            assert families._monomials(weights, d, memo) == sorted(want[d])
+
+
+def test_derivation_keeps_echelons_of_the_live_tuple_only(monkeypatch):
+    live, built, peak = weakref.WeakSet(), [0], [0]
+
+    class Counted(Echelon):
+        def __init__(self):
+            super().__init__()
+            live.add(self)
+            built[0] += 1
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(families, "Echelon", Counted)
+    rep = derive_quotient_chart("E6F4E7")
+    want = json.loads(EXPECTED.read_text())["sections"]["E6F4E7"]
+    assert _sha(json.dumps(rep, sort_keys=True).encode()) == \
+        want["quotient-derivation"]
+    assert built[0] > 0 and 2 * peak[0] <= built[0], (peak, built)
 
 
 def _check_echelon_against_dense(nrows, columns, rhs):

@@ -57,6 +57,15 @@ def test_chained_exponents_are_right_associative(text):
     assert sympy.expand(got - sympy.sympify(text.replace("^", "**"))) == 0
 
 
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@pytest.mark.parametrize("text", ["2*-x^2", "x - -x^2", "2*+x", "x*-y^3*-z",
+                                  "- -x^2", "+-+x**2", "3/-2*x", "-2^2*y",
+                                  "x^2*-2*-z", "x - +y^2^2", "-(x + 1)^2"])
+def test_signs_inside_a_term_bind_looser_than_powers(text):
+    got = sympy.sympify(to_text(parse(text)).replace("^", "**"))
+    assert sympy.expand(got - sympy.sympify(text.replace("^", "**"))) == 0
+
+
 def test_exponent_field_limit():
     top = 2 ** 15 - 1
     x, y, z, a = (Polynomial.var(n) for n in ("x", "y", "z", "a_outside"))
@@ -523,7 +532,8 @@ def _o_evaluate(p, values):
 
 def _o_text(p):
     """The printer on exponent tuples: graded, then by descending exponents
-    in name order; an algebraic coefficient prints in parentheses, unsigned."""
+    in name order; an algebraic coefficient prints in parentheses after a
+    plus sign."""
     if not p:
         return "0"
     parts = []
@@ -531,7 +541,7 @@ def _o_text(p):
         c = p[e]
         mon = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(_NAMES, e) if k)
         if isinstance(c, AlgebraicScalar):
-            parts.append(f"({c!r})*{mon}" if mon else f"({c!r})")
+            parts.append(f"+ ({c!r})*{mon}" if mon else f"+ ({c!r})")
         elif mon:
             parts.append(("- " if c < 0 else "+ ")
                          + (mon if abs(c) == 1 else f"{abs(c)}*{mon}"))
@@ -593,3 +603,24 @@ def test_absent_variables_and_the_zero_polynomial():
     assert zero.degree_in("x") == 0 and zero.coefficients_in("x") == [zero]
     with pytest.raises(ValueError, match="outside"):
         p.exponents(("x",))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_algebraic_text_reads_back(data):
+    # the printed coefficients name the ring generator a; binding it again
+    # gives the polynomial back, so terms are not run together
+    names = ("x", "z", "t2")
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        e = tuple(data.draw(st.integers(0, 3)) for _ in names)
+        terms[e] = _SQRT2.element((data.draw(_small), data.draw(_small)))
+    p = Polynomial(names, terms)
+    assert parse(to_text(p)).subs({"a": _SQRT2.generator()}) == p
+
+
+def test_algebraic_terms_are_joined_by_plus():
+    a = _SQRT2.generator()
+    p = Polynomial(("x", "y"), {(1, 0): a, (0, 1): a + 1})
+    assert to_text(p) == "(a)*x + (a + 1)*y"
+    assert parse(to_text(p)).subs({"a": a}) == p
