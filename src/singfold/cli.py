@@ -72,7 +72,7 @@ def verify_case(case_id: str, seed: int = 0, samples: int = 3,
     if "realizations" in todo:
         sec["realizations"] = match_realizations(case_id).to_json()
     if "correspondence" in todo:
-        sec["correspondence"] = correspondence_check(case_id, samples_per_stratum=1)
+        sec["correspondence"] = correspondence_check(case_id)
     if "theorem2" in todo:
         sec["theorem2"] = theorem_singular_spotcheck(case_id,
                                                      count=theorem2_count,
@@ -87,20 +87,8 @@ def full_report(seed: int = 0, samples: int = 3, theorem2_count: int = 10,
     """Verification bundles for all six cases plus a summary file."""
     if samples < 1:
         raise ValueError("sample count must be >= 1")
-    workers = int(os.environ.get("SINGFOLD_THREADS", "1") or "1")
-    results: Dict[str, dict] = {}
-    if workers > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(verify_case, cid, seed, samples,
-                                theorem2_count, sections): cid
-                    for cid in CASE_IDS}
-            for fut in cf.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for cid in CASE_IDS:
-            results[cid] = verify_case(cid, seed, samples, theorem2_count,
-                                       sections)
+    results = {cid: verify_case(cid, seed, samples, theorem2_count, sections)
+               for cid in CASE_IDS}
     os.makedirs(out_dir, exist_ok=True)
     for cid in CASE_IDS:
         with open(os.path.join(out_dir, f"{cid}.json"), "w") as fh:

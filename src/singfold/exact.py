@@ -3,8 +3,9 @@
 Computations over ``Q[a]/(m)`` with a monic squarefree modulus ``m`` proceed
 as if ``m`` were irreducible.  The moment an inversion meets a zero divisor,
 the gcd that exposed it yields a nontrivial factorization ``m = m1*m2`` and a
-:class:`SplitEvent` is raised; callers restart the computation on each factor
-(dynamic evaluation).  No univariate factorization is ever performed.
+:class:`SplitEvent` is raised, and ``singclass.on_branches`` restarts the
+computation on each factor (dynamic evaluation).  No univariate factorization
+is ever performed.
 
 Univariate polynomials are tuples of coefficients in increasing degree,
 with no trailing zeros, over one scalar ring: :class:`fractions.Fraction`
@@ -219,6 +220,10 @@ class SplitEvent(Exception):
     """
 
     def __init__(self, ring: "ExtensionRing", factor_a: UPoly, factor_b: UPoly):
+        # each split strictly lowers the degree of both branches, so every
+        # restart loop over the factors terminates
+        assert all(upoly_deg(f) >= 1 and f[-1] == 1 for f in (factor_a, factor_b)) \
+            and upoly_mul(factor_a, factor_b) == ring.modulus, "improper split"
         self.ring = ring
         self.factor_a = factor_a
         self.factor_b = factor_b
@@ -236,17 +241,16 @@ class SplitEvent(Exception):
 
 @dataclass(frozen=True)
 class ExtensionRing:
-    """Q[gen]/(modulus) with modulus monic and squarefree."""
+    """Q[a]/(modulus) with modulus monic and squarefree."""
 
     modulus: UPoly
-    gen: str = "a"
 
     @property
     def degree(self) -> int:
         return upoly_deg(self.modulus)
 
     def __repr__(self):
-        return f"ExtensionRing({upoly_str(self.modulus, self.gen)})"
+        return f"ExtensionRing({upoly_str(self.modulus, 'a')})"
 
     def element(self, coeffs) -> "AlgebraicScalar":
         if isinstance(coeffs, (int, Fraction)):
@@ -265,8 +269,8 @@ class ExtensionRing:
         return self.element(1)
 
 
-def make_extension(modulus, gen: str = "a") -> ExtensionRing:
-    """Ring Q[gen]/(squarefree part of modulus).
+def make_extension(modulus) -> ExtensionRing:
+    """Ring Q[a]/(squarefree part of modulus).
 
     The modulus must be monic of degree >= 1; a degree-1 modulus just means
     the ring is Q with the generator pinned to a rational value.
@@ -276,7 +280,7 @@ def make_extension(modulus, gen: str = "a") -> ExtensionRing:
         raise ValueError("modulus must have degree >= 1")
     if m[-1] != 1:
         raise ValueError("modulus must be monic")
-    return ExtensionRing(upoly_squarefree_part(m), gen)
+    return ExtensionRing(upoly_squarefree_part(m))
 
 
 RATIONAL_RING = ExtensionRing(upoly((0, 1)))  # Q itself: generator == 0
@@ -363,7 +367,7 @@ class AlgebraicScalar:
         return hash((self.ring, self.value))
 
     def __repr__(self):
-        return upoly_str(self.value, self.ring.gen) if self.value else "0"
+        return upoly_str(self.value, "a") if self.value else "0"
 
     def as_rational(self) -> Fraction:
         """The value as a plain rational; requires degree < 1 in the generator."""

@@ -16,13 +16,13 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, Scalar,
-                    SplitEvent, upoly, upoly_deg, upoly_gcd)
+from .exact import (AlgebraicScalar, Echelon, Scalar, SplitEvent, upoly,
+                    upoly_deg, upoly_gcd)
 from .poly import (Polynomial, div_exact, exponent_tuples, gcd_univariate,
                    parse)
 from .rootsys import CASE_IDS, CaseMeta, case_meta
-from .singclass import (Branch, FiberConfiguration, classify_point,
-                        fiber_configuration, singular_points, split_branch)
+from .singclass import (FiberConfiguration, classify_point,
+                        fiber_configuration, on_branches, singular_points)
 from .subsys import format_type
 
 Subst = Dict[str, Polynomial]
@@ -691,7 +691,7 @@ def _apply_map(sub: Subst, variables, coords) -> Tuple[Scalar, ...]:
 def _fixed_part_degree(ring, coords, image) -> Tuple[int, "object"]:
     """gcd of the modulus with the coordinate differences: the fixed locus
     inside the branch.  Returns (degree of fixed part, fixed-part modulus)."""
-    if ring is RATIONAL_RING or ring.degree == 1:
+    if ring.degree == 1:
         same = all((a - b) == 0 for a, b in zip(coords, image))
         return (1, None) if same else (0, None)
     g = ring.modulus
@@ -711,54 +711,27 @@ def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
     sizes under the symmetry group, plus the smooth fixed-point count."""
     case = descriptor(case_id)
     F = fiber_at(case_id, t)
-    elems = {name: _instantiate(sub, t, case.fiber_vars)
-             for name, sub in case.group_elements().items()}
-    nontrivial = {n: s for n, s in elems.items() if n != "id"}
+    nontrivial = [_instantiate(sub, t, case.fiber_vars)
+                  for name, sub in case.group_elements().items() if name != "id"]
+    order = case.omega_order
 
-    # refine branches so each has a constant stabilizer
-    queue: List[Branch] = list(singular_points(F))
-    refined: List[Tuple[Branch, int]] = []   # (branch, stabilizer order)
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("orbit refinement did not terminate")
-        ring, coords = queue.pop()
+    def orbit_record(ring, coords):
+        # a partly fixed branch splits into its fixed and its moving part.
+        # gcd(m, differences) is 1 or m on a branch that did not split, so a
+        # factor that classify_point splits off keeps the same stabilizer
         stab = 1
-        split_again = False
-        for name, sub in nontrivial.items():
+        for sub in nontrivial:
             image = _apply_map(sub, case.fiber_vars, coords)
             deg_fixed, gfix = _fixed_part_degree(ring, coords, image)
-            if ring is RATIONAL_RING or ring.degree == 1:
-                stab += 1 if deg_fixed else 0
-                continue
             if deg_fixed == ring.degree:
                 stab += 1
-            elif deg_fixed > 0:
-                # split into the fixed and the moving part
-                ev = SplitEvent.from_factor(ring, gfix)
-                queue.extend(split_branch(ring, coords, ev))
-                split_again = True
-                break
-        if split_again:
-            continue
-        refined.append(((ring, coords), stab))
-
-    order = case.omega_order
-    records = []
-    for (ring, coords), stab in refined:
+            elif deg_fixed:
+                raise SplitEvent.from_factor(ring, gfix)
         if order % stab != 0:
             raise AssertionError("stabilizer order does not divide the group order")
-        orbit = order // stab
-        sub_queue: List[Tuple[Branch, int]] = [((ring, coords), orbit)]
-        while sub_queue:
-            (r2, c2), orb = sub_queue.pop()
-            try:
-                rec = classify_point(F, c2, r2)
-            except SplitEvent as e:
-                sub_queue.extend(((b, orb) for b in split_branch(r2, c2, e)))
-                continue
-            records.append((rec, orb))
+        return [(classify_point(F, coords, ring), order // stab)]
+
+    records = on_branches(singular_points(F), orbit_record)
 
     # group points into orbits: #orbits with a given (type, orbit size)
     counts: Dict[Tuple[str, int], int] = {}
@@ -1006,10 +979,10 @@ def reynolds_average(case: CaseDescriptor, p: Polynomial) -> Polynomial:
     return acc / Fraction(len(elems))
 
 
-def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
+def derive_quotient_chart(case_id: str) -> dict:
     """Re-derive the quotient chart by Reynolds averaging.
 
-    Averages all coordinate monomials up to the degree bound, reduces the
+    Averages all coordinate monomials of degree at most 6, reduces the
     resulting invariants to a generating triple modulo the fiber ideal,
     derives the unique quasi-homogeneous relation among the generators, and
     checks that the catalogued chart generates the same invariant algebra
@@ -1022,12 +995,10 @@ def derive_quotient_chart(case_id: str, degree_bound: int = 6) -> dict:
     minimization query builds and drops its own, and the coverage checks
     and chart certificates share those of the final triple.
     """
-    if degree_bound < 6:
-        raise ValueError("degree bound must be at least 6")
     case = descriptor(case_id)
     invariants: List[Polynomial] = []
     seen = set()
-    for d in range(1, degree_bound + 1):
+    for d in range(1, 7):
         for mono in sorted(exponent_tuples(len(case.fiber_vars), d)):
             p = Polynomial(case.fiber_vars,
                            {mono: Fraction(1)})

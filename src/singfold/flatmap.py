@@ -375,7 +375,7 @@ def chart_point_to_params(case_id: str, psi: Dict[str, Fraction]) -> Dict[str, F
     return {p: bc.inverse[p].evaluate(psi) for p in case.params}
 
 
-def correspondence_check(case_id: str, samples_per_stratum: int = 1) -> dict:
+def correspondence_check(case_id: str) -> dict:
     """Verify that every enumerated subsystem matches the singular
     configuration of the quotient fiber it induces.
 
@@ -423,8 +423,7 @@ def correspondence_check(case_id: str, samples_per_stratum: int = 1) -> dict:
         else:
             entry["route"] = "stratum"
             if expected not in stratum_cache:
-                pts = sample_stratum(case_id, expected,
-                                     max(1, samples_per_stratum))
+                pts = sample_stratum(case_id, expected, 1)
                 match = True
                 for t in pts:
                     conf = classify_quotient_fiber(case_id, t)

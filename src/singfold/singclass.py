@@ -8,14 +8,15 @@ leading coefficient; and F linear in one variable, F = A*w + B.  Each point
 is classified by Hessian corank, Milnor number and the shape of the
 kernel-restricted cubic.  At Hessian corank 0 the point is A1 (Morse
 lemma) and no Milnor number is computed; otherwise mu comes from one echelon
-of the truncated Jacobian rows in a local degree ordering.
+of the truncated Jacobian rows in a local degree ordering.  Every restart
+on the factors of a split modulus goes through one driver, :func:`on_branches`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
                     Scalar, SplitEvent, invert, make_extension, map_to_factor,
@@ -48,7 +49,7 @@ class SingularPointRecord:
             return str(c) if isinstance(c, Fraction) else repr(c)
 
         return {
-            "ring_modulus": (upoly_str(self.ring.modulus, self.ring.gen)
+            "ring_modulus": (upoly_str(self.ring.modulus, "a")
                              if self.ring.degree > 1 else None),
             "coordinates": [ser(c) for c in self.coords],
             "mu": self.mu,
@@ -147,7 +148,7 @@ def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
         if not mq or upoly_squarefree_part(mq) != mq:
             continue  # not squarefree for this k; try the next shear
         out: List[Tuple[ExtensionRing, Scalar, Scalar]] = []
-        queue: List[ExtensionRing] = [ExtensionRing(mq, "a")]
+        queue: List[ExtensionRing] = [ExtensionRing(mq)]
         ok = True
         while queue and ok:
             newring = queue.pop()
@@ -160,8 +161,8 @@ def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
                         else _as_scalar_in(newring, c.constant_value()) for c in cs]
                 common = upoly_gcd(mu_c, gu_c)
             except SplitEvent as e:
-                queue.append(ExtensionRing(e.factor_a, newring.gen))
-                queue.append(ExtensionRing(e.factor_b, newring.gen))
+                queue.append(ExtensionRing(e.factor_a))
+                queue.append(ExtensionRing(e.factor_b))
                 continue
             if len(common) != 2:
                 ok = False  # primitive element failed; try the next shear
@@ -208,33 +209,27 @@ def _common_zeros(polys: List[Polynomial], u: str,
         raise ClassificationError("eliminant vanishes identically: non-isolated locus")
     if cand.total_degree() == 0:
         return []
-    branches = _root_branches_q(univariate_coefficients(cand, u))
-    out: List[Tuple[ExtensionRing, Scalar, Scalar]] = []
-    queue: List[Tuple[ExtensionRing, Scalar]] = list(branches)
-    while queue:
-        ring, alpha = queue.pop()
-        try:
-            g = upoly_gcd(*(_eval_coeffs(p, u, v, alpha) for p in with_v))
-            if not g:
-                raise ClassificationError(
-                    "all polynomials vanish identically: non-isolated locus")
-            g = upoly_squarefree_part(g)
-        except SplitEvent as e:
-            queue.extend((r2, c2[0]) for r2, c2 in split_branch(ring, (alpha,), e))
-            continue
-        deg = len(g) - 1
-        if deg <= 0:
-            continue  # spurious eliminant root: no common v here
-        if deg == 1:
-            out.append((ring, alpha, -g[0]))
-            continue
-        if ring.degree == 1 or ring is RATIONAL_RING:
+
+    def over_root(ring: ExtensionRing, coords: Point):
+        (alpha,) = coords
+        g = upoly_gcd(*(_eval_coeffs(p, u, v, alpha) for p in with_v))
+        if not g:
+            raise ClassificationError(
+                "all polynomials vanish identically: non-isolated locus")
+        g = upoly_squarefree_part(g)
+        if len(g) <= 1:
+            return []  # spurious eliminant root: no common v here
+        if len(g) == 2:
+            return [(ring, alpha, -g[0])]
+        if ring.degree == 1:
             # plain univariate in v over Q
-            for r2, beta in _root_branches_q(g):
-                out.append((r2, _as_scalar_in(r2, _rational(alpha)), beta))
-            continue
-        out.extend(_merge_extension(ring, g, u, v))
-    return out
+            return [(r2, _as_scalar_in(r2, _rational(alpha)), beta)
+                    for r2, beta in _root_branches_q(g)]
+        return _merge_extension(ring, g, u, v)
+
+    return on_branches([(ring, (alpha,)) for ring, alpha in
+                        _root_branches_q(univariate_coefficients(cand, u))],
+                       over_root)
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +325,21 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
     """
     u, v = (n for n in names if n != w)
     Au, Av, Bu, Bv = A.diff(u), A.diff(v), B.diff(u), B.diff(v)
-    queue: List[Branch] = [(ring, (a, b)) for ring, a, b in
-                           _common_zeros([A, B, Au * Bv - Av * Bu], u, v)]
-    out: List[Branch] = []
-    while queue:
-        ring, (a, b) = queue.pop()
-        at = {u: a, v: b}
-        try:
-            for dA, dB in ((Au, Bu), (Av, Bv)):
-                da = dA.evaluate(at)
-                if _is_unit(da):
-                    wval = -dB.evaluate(at) * invert(da)
-                    break
-            else:
-                if _is_unit(Bu.evaluate(at)) or _is_unit(Bv.evaluate(at)):
-                    continue  # no w solves both equations: not singular
-                raise ClassificationError(
-                    "non-isolated singular locus: w is free over a point")
-        except SplitEvent as e:
-            queue.extend(split_branch(ring, (a, b), e))
-            continue
-        coords = {u: a, v: b, w: wval}
-        out.append((ring, tuple(coords[n] for n in names)))
-    return out
+
+    def lift(ring: ExtensionRing, coords: Point) -> List[Branch]:
+        at = {u: coords[0], v: coords[1]}
+        for dA, dB in ((Au, Bu), (Av, Bv)):
+            da = dA.evaluate(at)
+            if _is_unit(da):
+                at[w] = -dB.evaluate(at) * invert(da)
+                return [(ring, tuple(at[n] for n in names))]
+        if _is_unit(Bu.evaluate(at)) or _is_unit(Bv.evaluate(at)):
+            return []  # no w solves both equations: not singular
+        raise ClassificationError(
+            "non-isolated singular locus: w is free over a point")
+
+    return on_branches([(ring, (a, b)) for ring, a, b in
+                        _common_zeros([A, B, Au * Bv - Av * Bu], u, v)], lift)
 
 
 def _detect_split_form(F: Polynomial, names):
@@ -475,8 +462,8 @@ def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
     return [[G.diff(a).diff(b).constant_term() for b in names] for a in names]
 
 
-def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_RING,
-                   orbit_size: Optional[int] = None) -> SingularPointRecord:
+def classify_point(F: Polynomial, point: Point,
+                   ring: ExtensionRing = RATIONAL_RING) -> SingularPointRecord:
     """ADE label of an isolated singular point from (corank, mu, cubic
     shape).  The Hessian comes first; at corank 0 its echelon inverted only
     units, so it is nondegenerate on every factor of the ring and mu = 1."""
@@ -521,16 +508,15 @@ def classify_point(F: Polynomial, point: Point, ring: ExtensionRing = RATIONAL_R
             raise ClassificationError("zero cubic on the kernel plane: not ADE")
     else:
         raise ClassificationError("corank 3: not ADE")
-    if orbit_size is None:
-        orbit_size = ring.degree
-    return SingularPointRecord(ring, tuple(point), mu, corank, shape, ade, orbit_size)
+    return SingularPointRecord(ring, tuple(point), mu, corank, shape, ade,
+                               ring.degree)
 
 
 def split_branch(ring: ExtensionRing, coords: Point, event: SplitEvent) -> List[Branch]:
     """Map a branch into the two factor rings revealed by a SplitEvent."""
     out: List[Branch] = []
     for fac in (event.factor_a, event.factor_b):
-        sub = ExtensionRing(fac, ring.gen)
+        sub = ExtensionRing(fac)
         mapped = tuple(map_to_factor(c, sub) if isinstance(c, AlgebraicScalar) else c
                        for c in coords)
         if upoly_deg(fac) == 1:
@@ -542,18 +528,27 @@ def split_branch(ring: ExtensionRing, coords: Point, event: SplitEvent) -> List[
     return out
 
 
+def on_branches(branches: Sequence[Branch],
+                fn: Callable[[ExtensionRing, Point], list]) -> list:
+    """Dynamic evaluation: the concatenated lists fn(ring, coords) over the
+    branches, taken last in first out.  A call that raises SplitEvent adds
+    nothing; its branch is replaced by the two factor branches, on which fn
+    runs again."""
+    stack = list(branches)
+    out: list = []
+    while stack:
+        ring, coords = stack.pop()
+        try:
+            out.extend(fn(ring, coords))
+        except SplitEvent as e:
+            stack.extend(split_branch(ring, coords, e))
+    return out
+
+
 def fiber_configuration(F: Polynomial) -> FiberConfiguration:
     """Locate and classify every singular point of F = 0."""
-    queue: List[Branch] = list(singular_points(F))
-    records: List[SingularPointRecord] = []
-    while queue:
-        ring, coords = queue.pop()
-        try:
-            rec = classify_point(F, coords, ring)
-        except SplitEvent as e:
-            queue.extend(split_branch(ring, coords, e))
-            continue
-        records.append(rec)
+    records: List[SingularPointRecord] = on_branches(
+        singular_points(F), lambda ring, coords: [classify_point(F, coords, ring)])
     labels = [rec.ade_type for rec in records for _ in range(rec.orbit_size)]
     records.sort(key=lambda r: (r.ade_type, -r.orbit_size))
     return FiberConfiguration(records, canonical_type(labels))

@@ -195,7 +195,6 @@ def test_error_inside_verification_exits_1(tmp_path, capsys, monkeypatch):
         raise ValueError("sampler found too few points")
 
     monkeypatch.setattr(singfold.cli, "verify_case", broken)
-    monkeypatch.delenv("SINGFOLD_THREADS", raising=False)
     assert main(["verify", "--case", "A3B2D4"]) == 1
     assert "error: sampler found too few points" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "reports")]) == 1
@@ -229,20 +228,6 @@ def test_classify_computation_error_exits_1(capsys, monkeypatch):
     assert main(["classify", "--surface", "x^2 +"]) == 2
 
 
-def test_report_process_pool_matches_serial(tmp_path, capsys, monkeypatch):
-    sections = "equivariance,flat-relations,iso"
-    written = {}
-    for threads in ("2", "1"):
-        monkeypatch.setenv("SINGFOLD_THREADS", threads)
-        out_dir = tmp_path / f"threads{threads}"
-        code, _ = run(capsys, "report", "--out", str(out_dir),
-                      "--sections", sections)
-        assert code == 0
-        written[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-    assert len(written["2"]) == 7
-    assert written["2"] == written["1"]
-
-
 def test_tracer_targets_exist():
     # the benchmark's tracer wraps these functions by name
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -258,7 +243,6 @@ def test_tracer_targets_exist():
 def test_report_writes_only_the_listed_cases(tmp_path, capsys, monkeypatch):
     # the benchmark's worker narrows a report by rebinding cli.CASE_IDS
     monkeypatch.setattr(singfold.cli, "CASE_IDS", ("D4G2E6",))
-    monkeypatch.delenv("SINGFOLD_THREADS", raising=False)
     out_dir = tmp_path / "reports"
     code, out = run(capsys, "report", "--out", str(out_dir),
                     "--sections", "equivariance")

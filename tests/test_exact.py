@@ -52,6 +52,15 @@ def test_invert_zero_divisor_splits():
     assert upoly_deg(ev.factor_a) >= 1 and upoly_deg(ev.factor_b) >= 1
 
 
+def test_split_event_refuses_an_improper_split():
+    # a constant factor would hand a restart loop its branch back unchanged
+    ring = make_extension(upoly_mul(upoly((-1, 1)), upoly((2, 1))))
+    with pytest.raises(AssertionError, match="improper split"):
+        SplitEvent(ring, upoly((1,)), ring.modulus)
+    with pytest.raises(AssertionError, match="improper split"):
+        SplitEvent(ring, upoly((-1, 1)), upoly((3, 1)))
+
+
 def test_invert_rational():
     assert invert(Fraction(5)) == Fraction(1, 5)
     with pytest.raises(ZeroDivisionError):

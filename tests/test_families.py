@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from singfold import families
 from singfold.cli import full_report, main
-from singfold.exact import Echelon
+from singfold.exact import Echelon, SplitEvent
 from singfold.families import (check_stratum_point,
                                classify_quotient_fiber, compose_subst,
                                derive_quotient_chart, descriptor, fiber_at,
@@ -243,9 +243,27 @@ def test_derive_quotient_chart_b2():
     assert rep["relation_found"] and rep["quotient_identity"]
 
 
-def test_derive_quotient_chart_rejects_small_bound():
-    with pytest.raises(ValueError):
-        derive_quotient_chart("A3B2D4", degree_bound=4)
+def test_orbit_configuration_classifies_both_factors_of_a_split(monkeypatch):
+    # at this point a branch of stabilizer order 1 splits inside
+    # classify_point; each factor keeps the branch's orbit size
+    t = {"t2": Fraction(1), "t4": Fraction(0), "t6": Fraction(-1, 108)}
+    assert families.stratum_membership("D4C3D6", t) == "L&H"
+    splits = []
+    classify = families.classify_point
+
+    def spy(F, coords, ring):
+        try:
+            return classify(F, coords, ring)
+        except SplitEvent:
+            splits.append(ring.degree)
+            raise
+
+    monkeypatch.setattr(families, "classify_point", spy)
+    orbits, smooth_fixed, _ = families.fiber_orbit_configuration("D4C3D6", t)
+    assert splits == [2]
+    strat = families.descriptor("D4C3D6").stratum("L&H")
+    assert orbits == Counter(strat.fiber_sing)
+    assert smooth_fixed == strat.fiber_fixed_smooth
 
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -262,12 +280,9 @@ def _section_digest(bundle: bytes, section: str) -> str:
 
 @pytest.fixture(scope="module")
 def seed0_report(tmp_path_factory):
-    """The default seed-0 six-case report, written once and serially:
-    file name -> bytes."""
+    """The default seed-0 six-case report, written once: file name -> bytes."""
     out_dir = tmp_path_factory.mktemp("reports")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("SINGFOLD_THREADS", raising=False)
-        full_report(seed=0, out_dir=str(out_dir))
+    full_report(seed=0, out_dir=str(out_dir))
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 

@@ -1,12 +1,15 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singfold import families, singclass
-from singfold.exact import Echelon, make_extension
+from singfold.exact import (RATIONAL_RING, Echelon, SplitEvent, invert,
+                            make_extension)
 from singfold.poly import Polynomial, exponent_tuples, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, hessian_corank,
@@ -386,3 +389,57 @@ def test_milnor_rebuilds_stop_at_the_cap(monkeypatch, cap):
         milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=cap)
     assert orders == sorted(set(orders))
     assert orders[-1] == cap and max(orders) <= cap
+
+
+# ---------------------------------------------------------------------------
+# dynamic evaluation: the one restart driver
+# ---------------------------------------------------------------------------
+
+def test_on_branches_reruns_both_factors_last_in_first_out(monkeypatch):
+    ring = make_extension((2, -2, -1, 1))              # (a - 1)(a^2 - 2)
+    splits = []
+    split = singclass.split_branch
+
+    def counting_split(*args):
+        splits.append(args[0])
+        return split(*args)
+
+    # the driver calls split_branch by its module name, so rebinding it (as
+    # the benchmark's tracer does) sees every split
+    monkeypatch.setattr(singclass, "split_branch", counting_split)
+    calls = []
+
+    def fn(r, coords):
+        calls.append(r.degree)
+        x = coords[0] - 1
+        return [(r.degree, invert(x) if x != 0 else None)]
+
+    out = singclass.on_branches([(RATIONAL_RING, (Fraction(3),)),
+                                 (ring, (ring.generator(),))], fn)
+    assert splits == [ring]
+    # the cubic branch raised and added nothing; factor_b = a^2 - 2 comes
+    # first, then a = 1, then the branch given first
+    assert calls == [3, 2, 1, 1]
+    sqrt2 = make_extension((-2, 0, 1))
+    assert out == [(2, sqrt2.element((1, 1))), (1, None), (1, Fraction(1, 2))]
+
+
+def test_only_the_driver_catches_split_events():
+    # the one-driver rule: a restart loop written out by hand fails here
+    found = set()
+    for path in sorted(Path(singclass.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            caught = {getattr(n, "id", getattr(n, "attr", None))
+                      for n in ast.walk(node.type)}
+            if "SplitEvent" in caught:
+                inner = max((f for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.add((path.name, inner and inner.name))
+    assert found == {("singclass.py", "on_branches"),
+                     ("singclass.py", "_merge_extension")}
