@@ -172,8 +172,8 @@ def _cmd_subsystems(args) -> int:
 
 def _parse_point(text: str, params: Sequence[str]) -> Dict[str, Fraction]:
     """Parameter values from `name=value,...`; an item without `=`, a name
-    that is not in params or a repeated name raises ValueError naming the
-    item (a usage error)."""
+    that is not in params, a repeated name or a value that is not a
+    rational number raises ValueError naming the item (a usage error)."""
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -189,7 +189,13 @@ def _parse_point(text: str, params: Sequence[str]) -> Dict[str, Fraction]:
         if key in out:
             raise ValueError(f"point item {item!r}: parameter {key!r} "
                              f"given twice")
-        out[key] = Fraction(val.strip())
+        try:
+            out[key] = Fraction(val.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"point item {item!r}: division by zero") from None
+        except ValueError:
+            raise ValueError(f"point item {item!r}: value is not a rational "
+                             f"number") from None
     return out
 
 

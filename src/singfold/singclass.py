@@ -1,11 +1,13 @@
 """Exact location and ADE classification of surface singularities.
 
-Given F(u,v,w) = 0 with rational coefficients, the singular points are found
-by structured elimination, with coordinates in extension rings produced by
-dynamic evaluation.  Three equation shapes are handled, tried in this order:
-the split form c*u*v + P(w); F quadratic in one variable with constant
-leading coefficient; and F linear in one variable, F = A*w + B.  Each point
-is classified by Hessian corank, Milnor number and the shape of the
+Given F(u,v,w) = 0 with rational coefficients, the singular points are the
+common zeros of (F, F_u, F_v, F_w), with coordinates in extension rings
+produced by dynamic evaluation.  They are found by one substitution rule:
+an equation linear in a variable with a constant coefficient is solved for
+that variable, the lowest-degree solution first, and substituted into the
+rest.  A system left in one variable takes a gcd, one in two variables
+takes resultants; in three, F must be linear in one variable, F = A*w + B.
+Each point is classified by Hessian corank, Milnor number and the shape of the
 kernel-restricted cubic.  At Hessian corank 0 the point is A1 (Morse
 lemma) and no Milnor number is computed; otherwise mu comes from one echelon
 of the truncated Jacobian rows in a local degree ordering.  Every restart
@@ -175,13 +177,6 @@ def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
     raise ClassificationError("primitive-element merge failed")
 
 
-def _solve_bivariate(G: Polynomial, u: str, v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
-    """Common zeros of (G, G_u, G_v): the singular points of G(u,v) = 0."""
-    if G.is_zero():
-        raise ClassificationError("zero polynomial")
-    return _common_zeros([G, G.diff(u), G.diff(v)], u, v)
-
-
 def _common_zeros(polys: List[Polynomial], u: str,
                   v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
     """Common zeros (u, v) of rational polynomials in u and v, by resultants
@@ -246,66 +241,66 @@ def singular_points(F: Polynomial) -> List[Branch]:
         raise ClassificationError("more than 3 variables")
     if F.is_zero():
         raise ClassificationError("zero polynomial")
-    if len(names) == 0:
+    return _eliminate([F] + [F.diff(n) for n in names], names)
+
+
+def _pivot(polys: Sequence[Polynomial], names: Sequence[str]):
+    """The substitution w = -r/a of a polynomial a*w + r of the system, a a
+    nonzero rational and r free of w, with the lowest total degree; ties go
+    to the first polynomial, then the first name.  Returns (index of the
+    polynomial, w, -r/a) or None."""
+    best = None
+    for i, p in enumerate(polys):
+        for w in names:
+            if p.degree_in(w) != 1:
+                continue
+            r, a = p.coefficients_in(w)
+            if a.is_constant() and (best is None or r.total_degree() < best[0]):
+                best = (r.total_degree(), i, w, r, a.constant_value())
+    if best is None:
+        return None
+    _, i, w, r, a = best
+    return i, w, -r / a
+
+
+def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Branch]:
+    """Common zeros of rational polynomials in ``names``, coordinates in the
+    order of ``names``.
+
+    A polynomial linear in w with a constant coefficient is solved for w and
+    substituted into the rest (Cox-Little-O'Shea, ch. 3); w is lifted on
+    each branch of the smaller system by evaluation, which inverts nothing.
+    Without such a pivot, one name takes a gcd, two take resultants in
+    :func:`_common_zeros`, and three, reached only by the system
+    [F, F_x, F_y, F_z] itself, need F = polys[0] linear in one variable."""
+    polys = [p for p in polys if not p.is_zero()]
+    if any(p.is_constant() for p in polys):
         return []
-    if len(names) == 1:
-        u = names[0]
-        g = gcd_univariate(F, F.diff(u))
-        if g.total_degree() < 1:
-            return []
-        return [(ring, (val,))
-                for ring, val in _root_branches_q(univariate_coefficients(g, u))]
-    if len(names) == 2:
-        u, v = names
-        return [(ring, (a, b)) for ring, a, b in _solve_bivariate(F, u, v)]
-    return _solve_trivariate(F, names)
-
-
-def _solve_trivariate(F: Polynomial, names: Tuple[str, str, str]) -> List[Branch]:
-    # split form c*u*v + P(w): gradient forces u = v = 0
-    split = _detect_split_form(F, names)
-    if split is not None:
-        iw, P = split
-        w = names[iw]
-        if P.is_zero():
+    if not polys:
+        if names:
             raise ClassificationError("non-isolated singular locus")
-        dP = P.diff(w)
-        g = gcd_univariate(P, dP) if not dP.is_zero() else None
-        if g is None or g.total_degree() < 1:
-            # P and P' share no root: singular points need P(w)=P'(w)=0
-            return []
-        out = []
-        for ring, val in _root_branches_q(univariate_coefficients(g, w)):
-            coords = [_as_scalar_in(ring, Fraction(0))] * 3
-            coords[iw] = val
-            out.append((ring, tuple(coords)))
-        return out
-    # quadratic variable with constant leading coefficient
-    quad = _detect_quadratic_var(F, names)
-    if quad is None:
-        linear = _detect_linear_var(F, names)
-        if linear is None:
-            raise ClassificationError(
-                "unsupported equation shape for singular-point elimination")
-        return _solve_linear_var(names, *linear)
-    w, A, B, C = quad
-    rest = tuple(n for n in names if n != w)
-    D = Polynomial.constant(Fraction(4)) * A * C - B * B
-    if D.is_zero():
-        raise ClassificationError("degenerate quadratic: non-isolated singular locus")
-    if D.is_constant():
-        return []
-    u, v = rest
-    sols = _solve_bivariate(D, u, v)
-    out = []
-    a_const = A.constant_value()
-    for ring, aval, bval in sols:
-        # w = -B(u0,v0) / (2A)
-        bv = B.evaluate({u: aval, v: bval}) if not B.is_zero() else Fraction(0)
-        wval = -bv * invert(2 * a_const) if bv else _as_scalar_in(ring, Fraction(0))
-        coords = {u: aval, v: bval, w: wval}
-        out.append((ring, tuple(coords[n] for n in names)))
-    return out
+        return [(RATIONAL_RING, ())]
+    pivot = _pivot(polys, names)
+    if pivot is not None:
+        i, w, expr = pivot
+        k = names.index(w)
+        rest = names[:k] + names[k + 1:]
+        sub = _eliminate([p.subs({w: expr}) for j, p in enumerate(polys)
+                          if j != i], rest)
+        return [(ring, coords[:k]
+                 + (_as_scalar_in(ring, expr.evaluate(dict(zip(rest, coords)))),)
+                 + coords[k:]) for ring, coords in sub]
+    if len(names) == 1:
+        (u,) = names
+        return [(ring, (val,)) for ring, val in _root_branches_q(
+            upoly_gcd(*(univariate_coefficients(p, u) for p in polys)))]
+    if len(names) == 2:
+        return [(ring, (a, b)) for ring, a, b in _common_zeros(polys, *names)]
+    linear = _detect_linear_var(polys[0], names)
+    if linear is None:
+        raise ClassificationError(
+            "unsupported equation shape for singular-point elimination")
+    return _solve_linear_var(names, *linear)
 
 
 def _is_unit(x: Scalar) -> bool:
@@ -340,43 +335,6 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
 
     return on_branches([(ring, (a, b)) for ring, a, b in
                         _common_zeros([A, B, Au * Bv - Av * Bu], u, v)], lift)
-
-
-def _detect_split_form(F: Polynomial, names):
-    """Match F = c*u*v + P(w) exactly; returns (index of w, P) or None."""
-    terms = F.exponents(names)
-    cross = None
-    iw = None
-    for e in terms:
-        active = [i for i, k in enumerate(e) if k]
-        if len(active) == 1:
-            if iw is None:
-                iw = active[0]
-            elif iw != active[0]:
-                return None
-        elif len(active) == 2:
-            a, b = active
-            if e[a] == 1 and e[b] == 1 and cross is None:
-                cross = (a, b)
-            else:
-                return None
-        elif active:
-            return None
-    if cross is None or iw is None or iw in cross:
-        return None
-    return iw, Polynomial(names, {e: c for e, c in terms.items()
-                                  if not e[cross[0]] and not e[cross[1]]})
-
-
-def _detect_quadratic_var(F: Polynomial, names):
-    """First variable w with deg_w F = 2 and constant w^2 coefficient."""
-    for w in names:
-        if F.degree_in(w) != 2:
-            continue
-        C, B, A = F.coefficients_in(w)
-        if A.is_constant():
-            return w, A, B, C
-    return None
 
 
 def _detect_linear_var(F: Polynomial, names):

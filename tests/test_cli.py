@@ -70,6 +70,8 @@ def test_classify_case_point(capsys):
     ("t2=1,t4=1,t9=3", "'t9=3': unknown parameter 't9'"),
     ("t2=1,t4=1,t2=5", "'t2=5': parameter 't2' given twice"),
     ("t2=1,t4", "'t4' is not name=value"),
+    ("t2=1/0,t4=1", "'t2=1/0': division by zero"),
+    ("t2=one,t4=1", "'t2=one': value is not a rational number"),
 ])
 def test_classify_bad_point_item_is_usage_error(capsys, point, item):
     assert main(["classify", "--case", "A3B2D4", "--point", point]) == 2

@@ -24,6 +24,16 @@ def test_chart_relations_vanish(cid):
         assert chart.formulas is not None
 
 
+def test_e6f4e7_relations_vanish_on_the_d4g2e7_chart():
+    # D4G2E7 and E6F4E7 share one E7 coordinate system, so the relations of
+    # the withheld E6F4E7 chart vanish under the D4G2E7 chart formulas
+    formulas = flat_chart("D4G2E7").formulas
+    relations = flat_chart("E6F4E7").relations
+    assert len(relations) == 3
+    for rel in relations:
+        assert rel.subs(formulas).is_zero(), rel
+
+
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_iso_identities(cid):
     rep = verify_iso(cid)

@@ -210,9 +210,20 @@ def test_general_position_forms_linear_in_one_variable(text, label):
     assert fiber_configuration(F).type_string() == label
 
 
-def test_linear_variable_points_over_an_extension():
+def test_linear_variable_points_over_an_extension(monkeypatch):
+    # no equation of the system is linear in a variable with a constant
+    # coefficient, so F = A*z + B goes to the linear-variable fallback
+    calls = []
+    solve = singclass._solve_linear_var
+
+    def spy(names, w, A, B):
+        calls.append((w, A, B))
+        return solve(names, w, A, B)
+
+    monkeypatch.setattr(singclass, "_solve_linear_var", spy)
     # A = x^2 - 2 vanishes at x = +-sqrt(2); there y = 0 and z = -x
     conf = fiber_configuration(parse("(x^2 - 2)*z + y^3 + x^3 - 2*x"))
+    assert calls == [("z", parse("x^2 - 2"), parse("y^3 + x^3 - 2*x"))]
     assert conf.type_string() == "A2+A2"
     (rec,) = conf.points
     assert rec.orbit_size == 2 and rec.ring.degree == 2
@@ -236,6 +247,8 @@ def test_linear_variable_lift_splits_a_composite_branch(monkeypatch):
     for r, (x0, y0, z0) in points:
         assert y0 == 0 and z0 == -x0
     assert any(c == (Fraction(1), Fraction(0), Fraction(-1)) for _, c in points)
+    # the whole surface is solved through pivots, with the real _common_zeros
+    monkeypatch.undo()
     assert fiber_configuration(A * parse("z") + B).type_string() == "A5+A2+A2"
 
 
@@ -389,6 +402,124 @@ def test_milnor_rebuilds_stop_at_the_cap(monkeypatch, cap):
         milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=cap)
     assert orders == sorted(set(orders))
     assert orders[-1] == cap and max(orders) <= cap
+
+
+# ---------------------------------------------------------------------------
+# singular points by substitution, against the shape matchers it replaced
+# ---------------------------------------------------------------------------
+
+def reference_split_form(F, names):
+    """F = c*u*v + P(w) exactly: (index of w, P) or None."""
+    terms = F.exponents(names)
+    cross = None
+    iw = None
+    for e in terms:
+        active = [i for i, k in enumerate(e) if k]
+        if len(active) == 1:
+            if iw is None:
+                iw = active[0]
+            elif iw != active[0]:
+                return None
+        elif len(active) == 2:
+            a, b = active
+            if e[a] == 1 and e[b] == 1 and cross is None:
+                cross = (a, b)
+            else:
+                return None
+        elif active:
+            return None
+    if cross is None or iw is None or iw in cross:
+        return None
+    return iw, Polynomial(names, {e: c for e, c in terms.items()
+                                  if not e[cross[0]] and not e[cross[1]]})
+
+
+def reference_quadratic_var(F, names):
+    """First variable w with deg_w F = 2 and constant w^2 coefficient."""
+    for w in names:
+        if F.degree_in(w) != 2:
+            continue
+        C, B, A = F.coefficients_in(w)
+        if A.is_constant():
+            return w, A, B, C
+    return None
+
+
+def reference_linear_var(F, names):
+    """First variable w with deg_w F = 1: (w, A, B) with F = A*w + B."""
+    for w in names:
+        if F.degree_in(w) == 1:
+            B, A = F.coefficients_in(w)
+            return w, A, B
+    return None
+
+
+ADE_LABELS = ([f"A{k}" for k in range(1, 9)] + [f"D{k}" for k in range(4, 9)]
+              + ["E6", "E7", "E8"])
+
+
+def _placements(rng):
+    """(label, F) for each normal form as written, translated, and after
+    two random invertible integer matrices with a translation."""
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for label, (text, _) in zip(ADE_LABELS, NORMAL_FORMS):
+        F = parse(text)
+        yield label, F
+        shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+        yield label, _moved(F, identity, shift)
+        for _ in range(2):
+            while True:
+                A = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+                if _det3(A) != 0:
+                    break
+            shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(3)]
+            yield label, _moved(F, A, shift)
+
+
+def test_substitution_answers_every_surface_a_shape_matcher_accepted():
+    rng = random.Random(15)
+    accepted = answered = 0
+    for label, F in _placements(rng):
+        names = F.used_variables()
+        old = any(match(F, names) is not None for match in
+                  (reference_split_form, reference_quadratic_var,
+                   reference_linear_var))
+        accepted += old
+        try:
+            conf = fiber_configuration(F)
+        except ClassificationError as exc:
+            assert not old, (label, F, exc)
+            assert "unsupported equation shape" in str(exc)
+            continue
+        answered += 1
+        assert conf.type_string() == label, (label, F)
+    assert accepted >= 40 and answered >= accepted
+
+
+def test_pivot_takes_the_lowest_degree_substitution():
+    names = ("x", "y", "z")
+    # y = -x^3 comes first in system order; y = -2*z has degree 1
+    assert singclass._pivot([parse("y + x^3"), parse("2*z + y")], names) == \
+        (1, "y", parse("-2*z"))
+    # a tie goes to the first polynomial, then to the first name
+    assert singclass._pivot([parse("x*z + y^2"), parse("x + y"),
+                             parse("z - y")], names) == (1, "x", parse("-y"))
+    # a coefficient that is not constant is no pivot
+    assert singclass._pivot([parse("x*y + 1"), parse("z^2")], names) is None
+
+
+def test_pivot_solves_a_surface_no_shape_matcher_accepted():
+    F = parse("x*y + x^3 + y^3 + z^3")
+    assert all(match(F, ("x", "y", "z")) is None for match in
+               (reference_split_form, reference_quadratic_var,
+                reference_linear_var))
+    conf = fiber_configuration(F)
+    assert conf.type_string() == "A2"
+    assert conf.points[0].coords == (0, 0, 0)
+    with pytest.raises(ClassificationError, match="^unsupported equation shape "
+                       "for singular-point elimination$"):
+        fiber_configuration(parse("x^3 + y^3 + z^3"))
 
 
 # ---------------------------------------------------------------------------
