@@ -58,8 +58,7 @@ def verify_case(case_id: str, seed: int = 0, samples: int = 3,
         rows = []
         ok = True
         for strat in case.strata:
-            n = min(samples, strat.max_samples or samples)
-            pts = sample_stratum(case_id, strat.stratum_id, n)
+            pts = sample_stratum(case_id, strat.stratum_id, samples)
             checks = [check_stratum_point(case_id, strat.stratum_id, t)
                       for t in pts]
             row_ok = all(c["ok"] for c in checks)

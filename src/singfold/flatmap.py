@@ -29,7 +29,6 @@ from .subsys import format_type, subsystems_for_case
 @dataclass(frozen=True)
 class FlatChart:
     case_id: str
-    chart_vars: Tuple[str, ...]            # free coordinates on the pinned locus
     psi_names: Tuple[str, ...]
     formulas: Optional[Dict[str, Polynomial]]   # None: withheld (stratum route)
     relations: Tuple[Polynomial, ...]      # vanish identically in psi symbols
@@ -205,15 +204,6 @@ _PSI_NAMES = {
     "E6F4E7": ("p2", "p6", "p8", "p10", "p12", "p14", "p18"),
 }
 
-_CHART_VARS = {
-    "A3B2D4": ("x1", "x2"),
-    "A5B3D5": ("x1", "x2", "x3"),
-    "D4C3D6": ("x1", "x3", "x5"),
-    "D4G2E6": ("x2", "x4"),
-    "D4G2E7": ("x3", "x5"),
-    "E6F4E7": ("x1", "x3", "x5", "x7"),
-}
-
 _FORWARD_TEXT = {
     "A3B2D4": ["t2", "t4 - t2^2/8", "5/432*t2^3 - 1/6*t2*t4", "0"],
     "A5B3D5": ["t2", "t4 - 1/16*t2^2", "t6 - 5/24*t2*t4 + 5/3456*t2^3",
@@ -274,7 +264,6 @@ _INVERSE_TEXT = {
 def flat_chart(case_id: str) -> FlatChart:
     """The restricted flat coordinates and their relations, verified at load."""
     names = _PSI_NAMES[case_id]
-    cvars = _CHART_VARS[case_id]
     if case_id == "D4G2E7":
         formulas: Optional[Dict[str, Polynomial]] = _e7_chart()
     elif _CHART_TEXT[case_id] is None:
@@ -282,7 +271,7 @@ def flat_chart(case_id: str) -> FlatChart:
     else:
         formulas = {k: parse(v) for k, v in _CHART_TEXT[case_id].items()}
     relations = tuple(parse(r) for r in _RELATION_TEXT[case_id])
-    chart = FlatChart(case_id, cvars, names, formulas, relations)
+    chart = FlatChart(case_id, names, formulas, relations)
     if formulas is not None:
         for rel in relations:
             if not rel.subs(formulas).is_zero():
@@ -346,9 +335,11 @@ def verify_iso(case_id: str) -> dict:
 
 
 def witness_to_chart(case_id: str, witness: Vector) -> Dict[str, Fraction]:
-    """Coordinates of a pinned-locus Cartan point in the case chart: chart
-    variable x<i> is the i-th Cartan coordinate."""
-    if flat_chart(case_id).formulas is None:
+    """Coordinates of a pinned-locus Cartan point in the case chart: the
+    chart variables are those of the chart formulas, and x<i> is the i-th
+    Cartan coordinate."""
+    formulas = flat_chart(case_id).formulas
+    if formulas is None:
         raise ValueError(f"no explicit chart for {case_id}")
     meta = case_meta(case_id)
     rs = build_root_system(meta.quotient_type)
@@ -357,7 +348,8 @@ def witness_to_chart(case_id: str, witness: Vector) -> Dict[str, Fraction]:
         alpha = rs.simple_roots[i - 1]
         if sum(a * b for a, b in zip(alpha, h)) != 0:
             raise ValueError("witness violates a pinned hyperplane constraint")
-    return {v: h[int(v[1:]) - 1] for v in _CHART_VARS[case_id]}
+    return {v: h[int(v[1:]) - 1] for f in formulas.values()
+            for v in f.used_variables()}
 
 
 def pi_prime(case_id: str, witness: Vector) -> Dict[str, Fraction]:

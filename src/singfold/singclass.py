@@ -6,7 +6,9 @@ produced by dynamic evaluation.  They are found by one substitution rule:
 an equation linear in a variable with a constant coefficient is solved for
 that variable, the lowest-degree solution first, and substituted into the
 rest.  A system left in one variable takes a gcd, one in two variables
-takes resultants; in three, F must be linear in one variable, F = A*w + B.
+takes resultants, projected on one variable or, where that projection does
+not separate the points, on a sheared coordinate v + k*u; in three, F must
+be linear in one variable, F = A*w + B.
 Each point is classified by Hessian corank, Milnor number and the shape of the
 kernel-restricted cubic.  At Hessian corank 0 the point is A1 (Morse
 lemma) and no Milnor number is computed; otherwise mu comes from one echelon
@@ -25,7 +27,7 @@ from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
                     nullspace, upoly, upoly_deg, upoly_gcd,
                     upoly_squarefree_part, upoly_str)
 from .poly import (Polynomial, binary_cubic_shape, exponent_tuples,
-                   gcd_univariate, resultant, univariate_coefficients)
+                   resultant, univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -91,20 +93,12 @@ def _rational(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else c.as_rational()
 
 
-def _monic_rational(coeffs) -> Tuple[Fraction, ...]:
-    """Rational coefficients made monic; () for a constant."""
-    m = upoly(_rational(c) for c in coeffs)
-    if upoly_deg(m) < 1:
-        return ()
-    return tuple(c / m[-1] for c in m)
-
-
 def _root_branches_q(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
     """Branches of the roots of a univariate polynomial over Q."""
-    m = _monic_rational(coeffs)
-    if not m:
+    m = upoly(_rational(c) for c in coeffs)
+    if upoly_deg(m) < 1:
         return []
-    ring = make_extension(m)
+    ring = make_extension(tuple(c / m[-1] for c in m))
     if ring.degree == 1:
         return [(RATIONAL_RING, -ring.modulus[0])]
     return [(ring, ring.generator())]
@@ -125,62 +119,41 @@ def _eval_coeffs(p: Polynomial, u: str, v: str, alpha: Scalar) -> List[Scalar]:
     return out
 
 
-def _merge_extension(ring: ExtensionRing, gpoly: List[Scalar], u_name: str,
-                     v_name: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
-    """Points (u, v) with m(u) = 0 and g(u, v) = 0, deg_v g >= 2.
-
-    Merges the tower Q[u]/(m) -> [v]/(g) into single extensions by a
-    primitive element v + k*u.
-    """
-    m = ring.modulus
-    mpoly = Polynomial((u_name,), {(i,): c for i, c in enumerate(m) if c})
-    # lift g to a bivariate polynomial over Q
-    gv = Polynomial.zero()
-    for j, c in enumerate(gpoly):
-        if isinstance(c, AlgebraicScalar):
-            cu = Polynomial((u_name,), {(i,): cc for i, cc in enumerate(c.value) if cc})
-        else:
-            cu = Polynomial.constant(c)
-        gv = gv + cu * Polynomial.var(v_name) ** j
-    for k in range(0, 12):
-        # gamma = v + k*u
-        shifted = gv.subs({v_name: Polynomial.var("_g") - k * Polynomial.var(u_name)})
-        M = resultant(mpoly, shifted, u_name)
-        mq = _monic_rational(univariate_coefficients(M, "_g"))
-        if not mq or upoly_squarefree_part(mq) != mq:
-            continue  # not squarefree for this k; try the next shear
-        out: List[Tuple[ExtensionRing, Scalar, Scalar]] = []
-        queue: List[ExtensionRing] = [ExtensionRing(mq)]
-        ok = True
-        while queue and ok:
-            newring = queue.pop()
-            gamma = newring.generator()
-            try:
-                # u is the common root of m(U) and g(U, gamma - k*U)
-                mu_c = [_as_scalar_in(newring, c) for c in m]
-                cs = shifted.coefficients_in(u_name)  # shifted lives in (u, _g)
-                gu_c = [c.evaluate({"_g": gamma}) if not c.is_constant()
-                        else _as_scalar_in(newring, c.constant_value()) for c in cs]
-                common = upoly_gcd(mu_c, gu_c)
-            except SplitEvent as e:
-                queue.append(ExtensionRing(e.factor_a))
-                queue.append(ExtensionRing(e.factor_b))
-                continue
-            if len(common) != 2:
-                ok = False  # primitive element failed; try the next shear
-                break
-            uval = -common[0]  # monic linear: U + c0
-            vval = gamma - k * uval
-            out.append((newring, uval, vval))
-        if ok and out:
-            return out
-    raise ClassificationError("primitive-element merge failed")
+class _NotSeparating(Exception):
+    """A root of the eliminant over a proper extension leaves more than one
+    value of the other name: the projection does not separate the zeros."""
 
 
 def _common_zeros(polys: List[Polynomial], u: str,
                   v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
-    """Common zeros (u, v) of rational polynomials in u and v, by resultants
-    in v, a gcd of the eliminants in u, and a gcd in v over each root."""
+    """Common zeros (u, v) of rational polynomials in u and v.
+
+    They are projected on u first.  If that projection does not separate
+    them, the system is solved again projected on s = v + k*u for
+    k = 0 ... 11 (k = 0 swaps u and v), with v = s - k*u (Cox-Little-O'Shea,
+    *Using Algebraic Geometry*, ch. 2 section 4)."""
+    try:
+        return _projected_zeros(polys, u, v)
+    except _NotSeparating:
+        pass
+    s = Polynomial.var("_s")
+    for k in range(12):
+        sheared = [p.subs({v: s - k * Polynomial.var(u)}) for p in polys]
+        try:
+            zeros = _projected_zeros(sheared, "_s", u)
+        except _NotSeparating:
+            continue
+        return [(ring, uval, _as_scalar_in(ring, sval - k * uval))
+                for ring, sval, uval in zeros]
+    raise ClassificationError(
+        "no separating coordinate v + k*u for k = 0 ... 11")
+
+
+def _projected_zeros(polys: List[Polynomial], u: str,
+                     v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
+    """Common zeros (u, v) by resultants in v, a gcd of the eliminants in u,
+    and a gcd in v over each root; raises _NotSeparating where a root over a
+    proper extension leaves more than one v."""
     pure_u = [p for p in polys if not p.is_zero() and v not in p.used_variables()]
     with_v = [p for p in polys if not p.is_zero() and v in p.used_variables()]
     if not with_v:
@@ -196,14 +169,6 @@ def _common_zeros(polys: List[Polynomial], u: str,
                 elim.append(r)
     if not elim:
         raise ClassificationError("every eliminant vanishes: non-isolated locus")
-    cand: Optional[Polynomial] = None
-    for p in elim:
-        cand = p if cand is None else gcd_univariate(cand, p)
-    assert cand is not None
-    if cand.is_zero():
-        raise ClassificationError("eliminant vanishes identically: non-isolated locus")
-    if cand.total_degree() == 0:
-        return []
 
     def over_root(ring: ExtensionRing, coords: Point):
         (alpha,) = coords
@@ -220,10 +185,10 @@ def _common_zeros(polys: List[Polynomial], u: str,
             # plain univariate in v over Q
             return [(r2, _as_scalar_in(r2, _rational(alpha)), beta)
                     for r2, beta in _root_branches_q(g)]
-        return _merge_extension(ring, g, u, v)
+        raise _NotSeparating
 
-    return on_branches([(ring, (alpha,)) for ring, alpha in
-                        _root_branches_q(univariate_coefficients(cand, u))],
+    return on_branches([(ring, (alpha,)) for ring, alpha in _root_branches_q(
+        upoly_gcd(*(univariate_coefficients(p, u) for p in elim)))],
                        over_root)
 
 

@@ -264,16 +264,88 @@ def test_milnor_cap_reports_no_stabilization():
         milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=8)
 
 
-def test_merge_extension_reports_exhausted_shears(monkeypatch):
-    ring = make_extension([-2, 0, 1])                  # u^2 = 2
-    u = ring.generator()
-    g = [-u, Fraction(0), Fraction(1)]                 # v^2 = u
-    assert singclass._merge_extension(ring, g, "u", "v")
-    # no shear k in 0..11 yields a linear common factor
-    monkeypatch.setattr(singclass, "upoly_gcd", lambda *polys: (Fraction(1),))
+# ---------------------------------------------------------------------------
+# two-name systems whose projection on u does not separate the points
+# ---------------------------------------------------------------------------
+
+def assert_points_are_singular(F, conf):
+    """F and its gradient vanish at every point, evaluated in its ring."""
+    names = F.used_variables()
+    for rec in conf.points:
+        at = dict(zip(names, rec.coords))
+        for G in [F] + [F.diff(n) for n in names]:
+            assert G.evaluate(at) == 0, (G, rec.coords)
+
+
+@pytest.mark.parametrize("text,label,ring,shears", [
+    # over x = +-sqrt(2) two values y^2 = x remain: the points are
+    # (a^2, a, 0) with a^4 = 2, one orbit of four; s = y separates them
+    ("(x^2-2)^2 + (y^2-x)^2 + z^2", "A1+A1+A1+A1", "a^4 - 2", 1),
+    ("(x^2-2)^2 + (y^3-x)^2 + z^2", "A1+A1+A1+A1+A1+A1", "a^6 - 2", 1),
+    # y = +-1 over every x: s = y does not separate either, s = y + x does
+    ("(x^2-2)^2 + (y^2-1)^2 + z^2", "A1+A1+A1+A1", "a^4 - 6*a^2 + 1", 2),
+])
+def test_tower_points_are_solved_in_a_sheared_coordinate(monkeypatch, text,
+                                                         label, ring, shears):
+    calls = []                   # (names, rejected) for every projection
+    project = singclass._projected_zeros
+
+    def spy(polys, u, v):
+        try:
+            out = project(polys, u, v)
+        except singclass._NotSeparating:
+            calls.append(((u, v), True))
+            raise
+        calls.append(((u, v), False))
+        return out
+
+    monkeypatch.setattr(singclass, "_projected_zeros", spy)
+    F = parse(text)
+    conf = fiber_configuration(F)
+    assert conf.type_string() == label
+    assert [rec.to_json()["ring_modulus"] for rec in conf.points] == [ring]
+    assert_points_are_singular(F, conf)
+    # the u-projection is rejected, then the shears k < shears - 1; the
+    # next shear separates the points
+    assert calls == ([(("x", "y"), True)] + [(("_s", "x"), True)] * (shears - 1)
+                     + [(("_s", "x"), False)])
+
+
+def test_exhausted_shears_name_the_bound(monkeypatch):
+    calls = []
+
+    def reject(polys, u, v):
+        calls.append((u, v))
+        raise singclass._NotSeparating
+
+    monkeypatch.setattr(singclass, "_projected_zeros", reject)
     with pytest.raises(ClassificationError,
-                       match="primitive-element merge failed"):
-        singclass._merge_extension(ring, g, "u", "v")
+                       match=r"no separating coordinate v \+ k\*u for k = 0 \.\.\. 11"):
+        fiber_configuration(parse("(x^2-2)^2 + (y^2-x)^2 + z^2"))
+    assert calls == [("x", "y")] + [("_s", "x")] * 12
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@example(a=Fraction(-4))
+@example(a=Fraction(4))
+@example(a=Fraction(3, 2))
+@example(a=Fraction(1, 4))
+@given(a=st.builds(lambda n, d, square: Fraction(n, d) ** (2 if square else 1),
+                   st.integers(-6, 6).filter(bool), st.integers(1, 3),
+                   st.booleans()))
+def test_tower_surfaces_over_any_rational(a):
+    # the points x^2 = a, y^n = x; off y^n = x, F_y = 0 forces y = 0, and
+    # then F = F_x = 0 forces x^2 = a - 1/2 and a = 1/4: two more points,
+    # A1 for n = 2 and A2 for n = 3
+    extra = a == Fraction(1, 4)
+    for text, label in (("(x^2 - a)^2 + (y^2 - x)^2 + z^2",
+                         "+".join(["A1"] * (6 if extra else 4))),
+                        ("(x^2 - a)^2 + (y^3 - x)^2 + z^2",
+                         "A2+A2+" * extra + "+".join(["A1"] * 6))):
+        F = parse(text.replace("a", f"({a})"))
+        conf = fiber_configuration(F)
+        assert conf.type_string() == label
+        assert_points_are_singular(F, conf)
 
 
 # ---------------------------------------------------------------------------
@@ -572,5 +644,4 @@ def test_only_the_driver_catches_split_events():
                              if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 found.add((path.name, inner and inner.name))
-    assert found == {("singclass.py", "on_branches"),
-                     ("singclass.py", "_merge_extension")}
+    assert found == {("singclass.py", "on_branches")}
