@@ -22,7 +22,7 @@ from .families import (all_descriptors, check_stratum_point, descriptor,
                        theorem_singular_spotcheck, verify_equivariance)
 from .flatmap import correspondence_check, flat_chart, verify_iso
 from .poly import ParseError, parse, to_text
-from .rootsys import CASE_IDS, build_root_system, to_json
+from .rootsys import CASE_IDS, ROOT_TYPES, build_root_system, to_json
 from .singclass import ClassificationError, fiber_configuration
 from .subsys import match_realizations, subsystems_for_case
 
@@ -285,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--table", action="store_true")
 
     r = sub.add_parser("roots", help="export a root system as JSON")
-    r.add_argument("--type", required=True,
-                   choices=("D4", "D5", "D6", "E6", "E7"))
+    r.add_argument("--type", required=True, choices=ROOT_TYPES)
 
     s = sub.add_parser("subsystems",
                        help="enumerate vanishing-set subsystems of a case")

@@ -3,7 +3,8 @@
 D-types and E7 live in an orthonormal epsilon-basis (E7 inside the ξ7+ξ8=0
 hyperplane of C^8); E6 is carried in fundamental-coweight pairing: roots are
 stored by their simple-root coordinates and evaluate on a Cartan point by a
-plain dot product.  Numbering follows Bourbaki throughout.
+plain dot product.  Numbering follows Bourbaki throughout.  A root system
+is built once, on first use, together with its integer root tables.
 """
 
 from __future__ import annotations
@@ -17,30 +18,36 @@ Vector = Tuple[Fraction, ...]
 
 CASE_IDS = ("A3B2D4", "A5B3D5", "D4C3D6", "D4G2E6", "D4G2E7", "E6F4E7")
 
+# the quotient types X of the six cases: the types build_root_system builds
+ROOT_TYPES = ("D4", "D5", "D6", "E6", "E7")
+
 
 def _vec(xs) -> Vector:
     return tuple(Fraction(x) for x in xs)
-
-
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vneg(a: Vector) -> Vector:
     return tuple(-x for x in a)
 
 
-def vscale(a: Vector, c: Fraction) -> Vector:
-    return tuple(c * x for x in a)
+def positive_root_count(label: str) -> int:
+    """Number of positive roots of the simply-laced type ``label``."""
+    n = int(label[1:])
+    if label[0] == "A":
+        return n * (n + 1) // 2
+    if label[0] == "D":
+        return n * (n - 1)
+    return {"E6": 36, "E7": 63}[label]
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A simply-laced root system with its case coordinate convention."""
+    """A simply-laced root system with its case coordinate convention.
+
+    Root i < npos is ``positive_roots[i]`` and i + npos its negative, as
+    listed in ``by_index``; ``ambient`` is each root times the common
+    denominator, so a root pairs with a Cartan point in integers.
+    """
 
     label: str
     dim: int
@@ -49,18 +56,20 @@ class RootSystem:
     roots: frozenset
     form: Tuple[Tuple[Fraction, ...], ...]      # bilinear form on root coords
     expansions: Dict[Vector, Tuple[int, ...]]   # root -> simple-root coefficients
-
-    @property
-    def rank(self) -> int:
-        return len(self.simple_roots)
+    hyperplanes: Tuple[Vector, ...]             # equations of Cartan points
+    by_index: Tuple[Vector, ...]
+    index: Dict[Vector, int]
+    npos: int
+    ambient: Tuple[Tuple[int, ...], ...]
+    pair: Tuple[Tuple[int, ...], ...]   # pair[i][j] = (root i, root j)
+    refl: Tuple[Tuple[int, ...], ...]   # refl[i][j] = index of s_j(root i)
 
     def inner(self, a: Vector, b: Vector) -> Fraction:
         return _inner(self.form, a, b)
 
     def cartan_matrix(self) -> List[List[int]]:
-        n = self.rank
-        return [[int(self.inner(self.simple_roots[i], self.simple_roots[j]))
-                 for j in range(n)] for i in range(n)]
+        return [[int(self.inner(a, b)) for b in self.simple_roots]
+                for a in self.simple_roots]
 
 
 def _inner(form, a: Vector, b: Vector) -> Fraction:
@@ -77,9 +86,7 @@ def _bourbaki_edges(label: str) -> List[Tuple[int, int]]:
     """1-based Dynkin diagram edges in Bourbaki numbering."""
     rank = int(label[1:])
     if label.startswith("D"):
-        edges = [(i, i + 1) for i in range(1, rank - 1)]
-        edges.append((rank - 2, rank))
-        return edges
+        return [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
     if label == "E6":
         return [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
     if label == "E7":
@@ -89,29 +96,21 @@ def _bourbaki_edges(label: str) -> List[Tuple[int, int]]:
 
 def expected_cartan(label: str) -> List[List[int]]:
     rank = int(label[1:])
-    edges = set()
+    cartan = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
     for i, j in _bourbaki_edges(label):
-        edges.add((i, j))
-        edges.add((j, i))
-    return [[2 if i == j else (-1 if (i + 1, j + 1) in edges else 0)
-             for j in range(rank)] for i in range(rank)]
+        cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+    return cartan
 
 
-def _simple_roots(label: str) -> Tuple[Tuple[Vector, ...], int, Tuple]:
-    """Simple roots, ambient dimension, and the bilinear form of the rep."""
+def _simple_roots(label: str) -> Tuple[Tuple[Vector, ...], int, Tuple, Tuple]:
+    """Simple roots, ambient dimension, the bilinear form of the rep, and
+    the hyperplanes that hold the Cartan points."""
     if label.startswith("D"):
         r = int(label[1:])
-        if r < 3:
-            raise ValueError("D-type needs rank >= 3")
-        simples = []
-        for i in range(r - 1):
-            v = [0] * r
-            v[i], v[i + 1] = 1, -1
-            simples.append(_vec(v))
-        v = [0] * r
-        v[r - 2], v[r - 1] = 1, 1
-        simples.append(_vec(v))
-        return tuple(simples), r, _identity_form(r)
+        simples = [_vec([(j == i) - (j == i + 1) for j in range(r)])
+                   for i in range(r - 1)]
+        simples.append(_vec([int(j >= r - 2) for j in range(r)]))
+        return tuple(simples), r, _identity_form(r), ()
     if label == "E7":
         half = Fraction(1, 2)
         a1 = (half, -half, -half, -half, -half, -half, -half, half)
@@ -121,7 +120,8 @@ def _simple_roots(label: str) -> Tuple[Tuple[Vector, ...], int, Tuple]:
         a5 = _vec((0, 0, -1, 1, 0, 0, 0, 0))
         a6 = _vec((0, 0, 0, -1, 1, 0, 0, 0))
         a7 = _vec((0, 0, 0, 0, -1, 1, 0, 0))
-        return (a1, a2, a3, a4, a5, a6, a7), 8, _identity_form(8)
+        x7_plus_x8 = _vec((0, 0, 0, 0, 0, 0, 1, 1))
+        return (a1, a2, a3, a4, a5, a6, a7), 8, _identity_form(8), (x7_plus_x8,)
     if label == "E6":
         # fundamental-coweight pairing: a root is its simple-root coefficient
         # vector and the form is the Cartan matrix
@@ -129,120 +129,88 @@ def _simple_roots(label: str) -> Tuple[Tuple[Vector, ...], int, Tuple]:
                         for i in range(6))
         form = tuple(tuple(Fraction(c) for c in row)
                      for row in expected_cartan("E6"))
-        return simples, 6, form
+        return simples, 6, form, ()
     raise ValueError(f"unsupported type {label!r}")
 
-
-_ROOT_COUNTS = {"D4": 24, "D5": 40, "D6": 60, "E6": 72, "E7": 126}
 
 _cache: Dict[str, RootSystem] = {}
 
 
 def build_root_system(label: str) -> RootSystem:
-    """Construct the full root system by closing the simple roots under
-    the simple reflections, carrying each root's simple-root coordinates."""
+    """The root system of type ``label``, built once: the simple-root
+    coordinates closed under s_i(c) = c - <c, a_i> e_i with the Cartan
+    matrix (Bourbaki, Lie Groups and Lie Algebras, VI §1), each root's
+    vector sum c_i a_i, and the integer tables by root index."""
     if label in _cache:
         return _cache[label]
-    if label not in _ROOT_COUNTS:
+    if label not in ROOT_TYPES:
         raise ValueError(f"unsupported type {label!r}")
-    simples, dim, form = _simple_roots(label)
+    simples, dim, form, hyperplanes = _simple_roots(label)
     rank = len(simples)
     cartan = expected_cartan(label)
     if [[_inner(form, a, b) for b in simples] for a in simples] != cartan:
         raise AssertionError(f"{label}: Cartan matrix mismatch")
-    expansions = {a: tuple(int(i == j) for j in range(rank))
-                  for i, a in enumerate(simples)}
-    frontier = list(simples)
+    cols = list(zip(*cartan))
+    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    coeffs = set(frontier)
     while frontier:
         nxt = []
-        for beta in frontier:
-            c = expansions[beta]
-            for i, alpha in enumerate(simples):
-                k = sum(cj * cartan[j][i] for j, cj in enumerate(c))
-                r = vsub(beta, vscale(alpha, k))
-                if r not in expansions:
-                    expansions[r] = c[:i] + (c[i] - k,) + c[i + 1:]
+        for c in frontier:
+            for i, col in enumerate(cols):
+                k = sum(x * y for x, y in zip(c, col))
+                r = c[:i] + (c[i] - k,) + c[i + 1:]
+                if r not in coeffs:
+                    coeffs.add(r)
                     nxt.append(r)
         frontier = nxt
-    if len(expansions) != _ROOT_COUNTS[label]:
+    count = 2 * positive_root_count(label)
+    if len(coeffs) != count:
         raise AssertionError(
-            f"{label}: generated {len(expansions)} roots, expected {_ROOT_COUNTS[label]}")
+            f"{label}: generated {len(coeffs)} roots, expected {count}")
 
-    positive = tuple(sorted(
-        (rt for rt, c in expansions.items() if min(c) >= 0),
-        key=lambda v: (sum(expansions[v]), v)))
-    if 2 * len(positive) != len(expansions):
+    den = math.lcm(*(x.denominator for a in simples for x in a))
+    scaled = list(zip(*([int(x * den) for x in a] for a in simples)))
+    amb = {c: tuple(sum(x * y for x, y in zip(c, row)) for row in scaled)
+           for c in coeffs}
+    # integer ambient vectors sort as the roots do
+    positive = sorted((c for c in coeffs if min(c) >= 0),
+                      key=lambda c: (sum(c), amb[c]))
+    if 2 * len(positive) != len(coeffs):
         raise AssertionError("positive roots are not half of all roots")
 
-    rs = RootSystem(label, dim, simples, positive, frozenset(expansions), form,
-                    expansions)
+    order = positive + [vneg(c) for c in positive]
+    rows = [[sum(x * y for x, y in zip(c, col)) for col in cols] for c in order]
+    pair = [[sum(x * y for x, y in zip(row, c)) for c in order] for row in rows]
+    at = {c: i for i, c in enumerate(order)}
+    refl = [[at[tuple(x - p * y for x, y in zip(ci, cj))]
+             for cj, p in zip(order, prow)]
+            for ci, prow in zip(order, pair)]
+    ambient = tuple(amb[c] for c in order)
+    by_index = tuple(tuple(Fraction(x, den) for x in a) for a in ambient)
+    npos = len(positive)
+    rs = RootSystem(label, dim, simples, by_index[:npos], frozenset(by_index),
+                    form, dict(zip(by_index, order)), hyperplanes, by_index,
+                    {r: i for i, r in enumerate(by_index)}, npos, ambient,
+                    tuple(map(tuple, pair)), tuple(map(tuple, refl)))
     _cache[label] = rs
     return rs
 
 
-@dataclass(frozen=True)
-class RootKernel:
-    """Integer tables of a root system, by root index.
-
-    Index i < npos is ``positive_roots[i]`` and i + npos is its negative.
-    ``ambient`` holds each root times ``den``, the least common denominator
-    of the coordinates, so a root pairs with a Cartan point in integers.
-    """
-
-    roots: Tuple[Vector, ...]
-    index: Dict[Vector, int]
-    npos: int
-    ambient: Tuple[Tuple[int, ...], ...]
-    pair: Tuple[Tuple[int, ...], ...]   # pair[i][j] = (root i, root j)
-    refl: Tuple[Tuple[int, ...], ...]   # refl[i][j] = index of s_j(root i)
-
-
-_kernels: Dict[str, RootKernel] = {}
-
-
-def root_kernel(rs: RootSystem) -> RootKernel:
-    """The integer tables of ``rs``, built on first use."""
-    if rs.label not in _kernels:
-        roots = rs.positive_roots + tuple(vneg(r) for r in rs.positive_roots)
-        coeffs = [rs.expansions[r] for r in roots]
-        cartan = expected_cartan(rs.label)
-        rows = [[sum(ci * ca for ci, ca in zip(c, col)) for col in zip(*cartan)]
-                for c in coeffs]
-        pair = [[sum(x * y for x, y in zip(row, c)) for c in coeffs]
-                for row in rows]
-        at = {c: i for i, c in enumerate(coeffs)}
-        refl = [[at[tuple(x - p * y for x, y in zip(ci, cj))]
-                 for cj, p in zip(coeffs, prow)]
-                for ci, prow in zip(coeffs, pair)]
-        den = math.lcm(*(x.denominator for r in roots for x in r))
-        _kernels[rs.label] = RootKernel(
-            roots, {r: i for i, r in enumerate(roots)}, len(rs.positive_roots),
-            tuple(tuple(int(x * den) for x in r) for r in roots),
-            tuple(map(tuple, pair)), tuple(map(tuple, refl)))
-    return _kernels[rs.label]
-
-
 def reflect(rs: RootSystem, beta: Vector, alpha: Vector) -> Vector:
     """Reflection of beta in the hyperplane of alpha; both must be roots."""
-    if beta not in rs.roots or alpha not in rs.roots:
+    if beta not in rs.index or alpha not in rs.index:
         raise ValueError("reflect needs members of the root system")
-    out = vsub(beta, vscale(alpha, rs.inner(beta, alpha)))
-    if out not in rs.roots:
-        raise AssertionError("reflection left the root system")
-    return out
+    return rs.by_index[rs.refl[rs.index[beta]][rs.index[alpha]]]
 
 
 def cartan_point(rs: RootSystem, coords: Sequence) -> Vector:
     """Validate and normalize a Cartan point for the case convention."""
     h = _vec(coords)
-    if rs.label == "E7":
-        if len(h) == 7:
-            h = h + (-h[6],)
-        if len(h) != 8 or h[6] + h[7] != 0:
-            raise ValueError("E7 Cartan points satisfy x7 + x8 = 0")
-        return h
     if len(h) != rs.dim:
         raise ValueError(f"expected {rs.dim} coordinates")
+    if any(sum(a * b for a, b in zip(row, h)) for row in rs.hyperplanes):
+        raise ValueError(f"Cartan point off a hyperplane of the {rs.label} "
+                         "convention")
     return h
 
 
@@ -251,8 +219,7 @@ def vanishing_set(rs: RootSystem, h: Sequence) -> frozenset:
     hv = cartan_point(rs, h)
     den = math.lcm(*(x.denominator for x in hv))
     hi = [int(x * den) for x in hv]
-    k = root_kernel(rs)
-    return frozenset(r for r, a in zip(k.roots, k.ambient)
+    return frozenset(r for r, a in zip(rs.by_index, rs.ambient)
                      if not sum(x * y for x, y in zip(a, hi)))
 
 

@@ -40,6 +40,13 @@ class ClassificationError(ValueError):
 
 @dataclass
 class SingularPointRecord:
+    """Singular points over one ring Q[a]/(m), one per root of m.
+
+    m is squarefree but never factored, so ``orbit_size`` (deg m) is a
+    Galois orbit only when m is irreducible: ``(x^2-2)^2 + (y^2-1)^2 + z^2``
+    gives one A1 record on ``a^4 - 6*a^2 + 1``, two conjugate pairs over Q.
+    """
+
     ring: ExtensionRing
     coords: Point
     mu: int

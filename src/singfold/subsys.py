@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .exact import nullspace
 from .rootsys import (RootSystem, Vector, build_root_system, case_meta,
-                      root_from_coefficients, root_kernel, theta_roots,
+                      positive_root_count, root_from_coefficients, theta_roots,
                       vanishing_set)
 
 TypeMultiset = Tuple[str, ...]
@@ -63,11 +63,10 @@ def simple_system_of(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[Vector, 
     In a simply-laced system a - b is a root exactly when (a, b) = 1, and
     then it is s_b(a).
     """
-    k = root_kernel(rs)
-    pos = [i for i in {k.index[r] for r in roots} if i < k.npos]
+    pos = [i for i in {rs.index[r] for r in roots} if i < rs.npos]
     inside = set(pos)
-    return tuple(sorted(k.roots[a] for a in pos if not any(
-        k.pair[a][b] == 1 and k.refl[a][b] in inside for b in pos)))
+    return tuple(sorted(rs.by_index[a] for a in pos if not any(
+        rs.pair[a][b] == 1 and rs.refl[a][b] in inside for b in pos)))
 
 
 def _component_label(adj: Dict[int, List[int]], comp: List[int]) -> str:
@@ -104,9 +103,8 @@ def classify_subsystem(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[TypeMu
     """ADE type multiset of a reflection-closed root set, plus its simple system."""
     if not roots:
         return (), ()
-    k = root_kernel(rs)
-    simple = [k.index[r] for r in simple_system_of(rs, roots)]
-    adj = {a: [b for b in simple if b != a and k.pair[a][b]] for a in simple}
+    simple = [rs.index[r] for r in simple_system_of(rs, roots)]
+    adj = {a: [b for b in simple if b != a and rs.pair[a][b]] for a in simple}
     # connected components of the Dynkin graph
     labels, left = [], simple
     while left:
@@ -115,18 +113,9 @@ def classify_subsystem(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[TypeMu
             comp.extend(b for b in adj[c] if b not in comp)
         left = [a for a in left if a not in comp]
         labels.append(_component_label(adj, comp))
-    if 2 * sum(_root_count(lab) for lab in labels) != len(roots):
+    if 2 * sum(positive_root_count(lab) for lab in labels) != len(roots):
         raise ValueError("root count disagrees with the identified type")
-    return canonical_type(labels), tuple(k.roots[a] for a in simple)
-
-
-def _root_count(label: str) -> int:
-    n = int(label[1:])
-    if label[0] == "A":
-        return n * (n + 1) // 2
-    if label[0] == "D":
-        return n * (n - 1)
-    return {"E6": 36, "E7": 63}[label]
+    return canonical_type(labels), tuple(rs.by_index[a] for a in simple)
 
 
 def reflection_closure(rs: RootSystem, gens: Sequence[Vector]) -> FrozenSet[Vector]:
@@ -136,15 +125,14 @@ def reflection_closure(rs: RootSystem, gens: Sequence[Vector]) -> FrozenSet[Vect
     for g in gens:
         if g not in rs.roots:
             raise ValueError(f"{g} is not a root")
-    k = root_kernel(rs)
-    gi = [k.index[g] for g in gens]
+    gi = [rs.index[g] for g in gens]
     orbit = set(gi)
     frontier = gi
     while frontier:
-        new = {k.refl[i][j] for i in frontier for j in gi} - orbit
+        new = {rs.refl[i][j] for i in frontier for j in gi} - orbit
         orbit |= new
         frontier = list(new)
-    return frozenset(k.roots[i] for i in orbit)
+    return frozenset(rs.by_index[i] for i in orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +169,11 @@ def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRoo
     for t in theta:
         if t not in rs.roots:
             raise ValueError("theta must consist of roots")
-    k = root_kernel(rs)
-    npos = k.npos
+    npos = rs.npos
     # the simple-root coordinates cut out the zero subspace
     vals = [list(c) for c in zip(*(rs.expansions[r] for r in rs.positive_roots))]
     mask, gens = 0, []  # gens: positive roots that span the flat
-    for i in (k.index[t] % npos for t in theta):
+    for i in (rs.index[t] % npos for t in theta):
         if not mask >> i & 1:
             (vals, mask), gens = _extend(vals, i), gens + [i]
     flats = {mask: gens}
@@ -206,13 +193,13 @@ def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRoo
     out = []
     for mask, gens in flats.items():
         members = [i + s for s in (0, npos) for i in range(npos) if mask >> i & 1]
-        roots = frozenset(k.roots[i] for i in members)
-        witness = _find_witness(rs, [k.roots[i] for i in gens])
+        roots = frozenset(rs.by_index[i] for i in members)
+        witness = _find_witness(rs, [rs.by_index[i] for i in gens])
         if vanishing_set(rs, witness) != roots:
             raise AssertionError("witness does not realize its subsystem maximally")
         label, simple = classify_subsystem(rs, roots)
         # integer ambient vectors sort as the roots do: as sorted(roots)
-        key = (len(simple), label, sorted(k.ambient[i] for i in members))
+        key = (len(simple), label, sorted(rs.ambient[i] for i in members))
         out.append((key, SubRootSystem(rs.label, roots, witness, label, simple)))
     out.sort(key=lambda e: e[0])
     return [s for _, s in out]
@@ -225,16 +212,13 @@ def _witness_problem(rs: RootSystem, span: Sequence[Vector]):
     The basis is the canonical ``nullspace`` one with each vector cleared of
     denominators, so it depends only on the subspace that ``span`` spans.
     """
-    eqs = [list(r) for r in span]
-    if rs.label == "E7":  # Cartan points satisfy x7 + x8 = 0
-        eqs.append([Fraction(int(i >= 6)) for i in range(8)])
+    eqs = [list(r) for r in (*span, *rs.hyperplanes)]
     basis = []
     for b in nullspace(eqs or [[Fraction(0)] * rs.dim]):
         den = math.lcm(*(c.denominator for c in b))
         basis.append(tuple(int(c * den) for c in b))
-    k = root_kernel(rs)
-    pairs = [[sum(x * y for x, y in zip(k.ambient[i], b)) for b in basis]
-             for i in range(k.npos)]
+    pairs = [[sum(x * y for x, y in zip(a, b)) for b in basis]
+             for a in rs.ambient[:rs.npos]]
     return basis, [row for row in pairs if any(row)]
 
 

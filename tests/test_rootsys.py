@@ -1,13 +1,18 @@
 import itertools
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import singfold
 from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
                               expected_cartan, reflect, root_from_coefficients,
-                              theta_roots, to_json, vadd, vanishing_set, vneg)
+                              theta_roots, to_json, vanishing_set, vneg)
 
 ROOT_COUNTS = {"D4": 24, "D5": 40, "D6": 60, "E6": 72, "E7": 126}
 
@@ -20,8 +25,9 @@ def test_root_counts(label, count):
 
 
 def test_unsupported_type():
-    with pytest.raises(ValueError):
-        build_root_system("B3")
+    for label in ("B3", "D3"):
+        with pytest.raises(ValueError):
+            build_root_system(label)
 
 
 def test_e7_roots_match_direct_construction():
@@ -67,6 +73,38 @@ def test_cartan_matrices(label):
     assert rs.cartan_matrix() == expected_cartan(label)
 
 
+@pytest.mark.parametrize("label", sorted(ROOT_COUNTS))
+def test_integer_tables_match_fraction_oracle(label):
+    # every pairing, reflection and scaled vector against the bilinear form
+    rs = build_root_system(label)
+    roots = rs.by_index
+    assert roots[:rs.npos] == rs.positive_roots
+    assert frozenset(roots) == rs.roots
+    den = math.lcm(*(x.denominator for r in roots for x in r))
+    for i, a in enumerate(roots):
+        assert rs.index[a] == i
+        assert rs.ambient[i] == tuple(den * x for x in a)
+        for j, b in enumerate(roots):
+            p = rs.inner(a, b)
+            assert rs.pair[i][j] == p
+            assert roots[rs.refl[i][j]] == tuple(x - p * y for x, y in zip(a, b))
+
+
+def test_case_setup_builds_no_root_system():
+    # importing the CLI and loading every case descriptor needs no root
+    # system; the tables are built by the first call that reads them
+    code = ("import singfold.cli\n"
+            "from singfold import families, rootsys\n"
+            "assert families.verify_catalogue()['ok']\n"
+            "families.all_descriptors()\n"
+            "print(sorted(rootsys._cache))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(singfold.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("label", ["D4", "E6", "E7"])
 def test_reflection_closure(label):
     rs = build_root_system(label)
@@ -84,7 +122,7 @@ def test_reflect_examples():
     rs = build_root_system("D4")
     a1, a2 = rs.simple_roots[0], rs.simple_roots[1]
     assert reflect(rs, a1, a1) == vneg(a1)
-    assert reflect(rs, a2, a1) == vadd(a1, a2)
+    assert reflect(rs, a2, a1) == tuple(x + y for x, y in zip(a1, a2))
     with pytest.raises(ValueError):
         reflect(rs, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)), a1)
 
