@@ -17,16 +17,19 @@ divisor surfaces as a SplitEvent; the rest, which carries the arithmetic of
 :class:`AlgebraicScalar` itself, works on Fraction tuples.
 
 Linear algebra has one elimination loop, :class:`Echelon`: sparse vectors
-are top-reduced against pivot rows whose leads are inverted with
-:func:`invert`, so a zero divisor again raises SplitEvent, and a vector
-added with an index carries its combination of the added vectors.  The
-Milnor numbers and the Reynolds re-derivation use it directly;
+are top-reduced against pivot rows, fraction-free.  Over Q a pivot row is a
+primitive row of Python ints; only a lead in an extension ring is inverted
+with :func:`invert`, so a zero divisor again raises SplitEvent.  A vector
+added with an index carries its combination of the added vectors, and the
+relations and solutions come out as Fractions.  The Milnor numbers and the
+Reynolds re-derivation use it directly;
 :func:`row_reduce`, :func:`nullspace` and :func:`solve_linear` are queries
 on the echelon of a matrix's columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
@@ -410,14 +413,25 @@ def map_to_factor(x: Scalar, new_ring: ExtensionRing) -> Scalar:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _subtract(target: Dict, f: Scalar, row: Dict) -> None:
-    """target -= f * row for sparse vectors, dropping the zeros."""
-    for k, a in row.items():
-        s = target.get(k, 0) - f * a
+_TARGET = object()  # the combination key of the vector that `solve` reduces
+
+
+def _combine(target: Dict, b: int, a, row: Dict) -> None:
+    """target <- b * target - a * row for sparse vectors, dropping the zeros."""
+    if b != 1:
+        for k in target:
+            target[k] *= b
+    for k, c in row.items():
+        s = target.get(k, 0) - a * c
         if s:
             target[k] = s
         else:
             target.pop(k, None)
+
+
+def _divided(combo: Dict, m: int) -> Dict:
+    return {j: Fraction(c, m) if type(c) is int else c * Fraction(1, m)
+            for j, c in combo.items()}
 
 
 class Echelon:
@@ -426,60 +440,81 @@ class Echelon:
 
     A vector is a dict from keys to nonzero scalars; its lead is its largest
     key, so callers choose the pivot order through their keys.  An added
-    vector is top-reduced: while its lead is the lead of a pivot row, that
-    row is subtracted.  A remainder becomes a pivot row, scaled to 1 at its
-    lead by :func:`invert`, so a zero divisor raises SplitEvent.
+    vector, cleared of denominators if it is rational, is top-reduced: while
+    its lead a is the lead of a pivot row with lead b, it becomes
+    b * vec - a * row, with a and b divided by their gcd if both are ints
+    (fraction-free elimination: Bareiss, Math. Comp. 1968; Cohen, GTM 138,
+    section 2.2).  A remainder of Python ints becomes a primitive integer
+    pivot row.  Any other remainder is scaled to 1 at its lead by
+    :func:`invert`, so a zero divisor raises SplitEvent, and then b = 1.
 
     A vector added with an ``index`` carries its combination of the added
-    vectors (index -> coefficient) through the reduction; the relations and
-    solutions read from these combinations depend on the order of addition
-    only, not on the keys.  ``solve`` and an indexed ``add`` need every
-    pivot row they meet to carry its combination, and raise ValueError on
-    a row added without an index.
+    vectors (index -> coefficient) through the same steps; the relations and
+    solutions read from these combinations, as Fractions, depend on the
+    order of addition only, not on the keys.  ``solve`` and an indexed
+    ``add`` need every pivot row they meet to carry its combination, and
+    raise ValueError on a row added without an index.
     """
 
     def __init__(self) -> None:
         self.pivots: Dict[Hashable, Tuple[Dict, Optional[Dict]]] = {}
 
-    def _reduce(self, vec: Dict, combo: Optional[Dict]) -> Optional[Hashable]:
-        """Top-reduce vec in place, with combo in step; return the lead left
-        over, or None if vec vanishes."""
+    def _reduce(self, vec: Dict, index) -> Tuple[Optional[Hashable], Dict,
+                                                  Optional[Dict]]:
+        """Top-reduce a copy of vec, with its combination (None without an
+        index) in step: the lead left over (None if vec vanishes), the
+        remainder and the combination."""
+        d, vec = 1, dict(vec)
+        if all(isinstance(c, (int, Fraction)) for c in vec.values()):
+            d = math.lcm(*(c.denominator for c in vec.values()))
+            vec = {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+        combo = None if index is None else {index: d}
         while vec:
             lead = max(vec)
             piv = self.pivots.get(lead)
             if piv is None:
-                return lead
-            f = vec[lead]
-            _subtract(vec, f, piv[0])
+                return lead, vec, combo
+            row, rcombo = piv
+            a, b = vec[lead], row[lead]
+            if type(a) is int:
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+            _combine(vec, b, a, row)
             if combo is not None:
-                if piv[1] is None:
+                if rcombo is None:
                     raise ValueError("echelon row added without an index "
                                      "has no combination")
-                _subtract(combo, f, piv[1])
-        return None
+                _combine(combo, b, a, rcombo)
+        return None, vec, combo
 
     def add(self, vec: Dict, index: Optional[int] = None) -> Optional[Dict]:
         """Add a copy of vec.  Returns None if it is independent of the
         vectors added before and became a pivot row; otherwise the vanishing
         combination of added vectors it completes, 1 at ``index`` ({}
         without an index)."""
-        vec = dict(vec)
-        combo = None if index is None else {index: Fraction(1)}
-        lead = self._reduce(vec, combo)
+        lead, vec, combo = self._reduce(vec, index)
         if lead is None:
-            return {} if combo is None else combo
-        inv = invert(vec[lead])
-        self.pivots[lead] = ({k: c * inv for k, c in vec.items()},
-                             combo and {j: c * inv for j, c in combo.items()})
+            return {} if combo is None else _divided(combo, combo[index])
+        entries = [*vec.values(), *(combo.values() if combo else ())]
+        if all(type(c) is int for c in entries):
+            g = math.gcd(*entries)
+            vec = {k: c // g for k, c in vec.items()}
+            combo = combo and {j: c // g for j, c in combo.items()}
+        else:
+            inv = invert(vec[lead])
+            vec = {k: c * inv for k, c in vec.items()}
+            vec[lead] = 1
+            combo = combo and {j: c * inv for j, c in combo.items()}
+        self.pivots[lead] = (vec, combo)
         return None
 
     def solve(self, target: Dict) -> Optional[Dict]:
         """Coefficients of the added vectors that sum to target, zero on each
         dependent one, or None if target is not in their span."""
-        combo: Dict = {}
-        if self._reduce(dict(target), combo) is not None:
+        lead, _, combo = self._reduce(target, _TARGET)
+        if lead is not None:
             return None
-        return {j: -c for j, c in combo.items()}
+        return _divided(combo, -combo.pop(_TARGET))
 
 
 def _column_echelon(matrix: Sequence[Sequence[Scalar]]):

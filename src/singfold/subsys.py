@@ -12,12 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .exact import nullspace
 from .rootsys import (RootSystem, Vector, build_root_system, case_meta,
-                      positive_root_count, root_from_coefficients, theta_roots,
-                      vanishing_set)
+                      positive_root_count, root_from_coefficients, theta_roots)
 
 TypeMultiset = Tuple[str, ...]
 
@@ -57,18 +57,6 @@ class SubRootSystem:
 # classification of a reflection-closed root set, on root indices
 # ---------------------------------------------------------------------------
 
-def simple_system_of(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[Vector, ...]:
-    """Indecomposable positive roots of the subsystem, in ambient positivity.
-
-    In a simply-laced system a - b is a root exactly when (a, b) = 1, and
-    then it is s_b(a).
-    """
-    pos = [i for i in {rs.index[r] for r in roots} if i < rs.npos]
-    inside = set(pos)
-    return tuple(sorted(rs.by_index[a] for a in pos if not any(
-        rs.pair[a][b] == 1 and rs.refl[a][b] in inside for b in pos)))
-
-
 def _component_label(adj: Dict[int, List[int]], comp: List[int]) -> str:
     n = len(comp)
     if sum(len(adj[a]) for a in comp) != 2 * (n - 1):
@@ -101,9 +89,19 @@ def _component_label(adj: Dict[int, List[int]], comp: List[int]) -> str:
 
 def classify_subsystem(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[TypeMultiset, Tuple[Vector, ...]]:
     """ADE type multiset of a reflection-closed root set, plus its simple system."""
-    if not roots:
-        return (), ()
-    simple = [rs.index[r] for r in simple_system_of(rs, roots)]
+    return _classify(rs, {rs.index[r] for r in roots})
+
+
+def _classify(rs: RootSystem, members) -> Tuple[TypeMultiset, Tuple[Vector, ...]]:
+    """`classify_subsystem` of the roots with the given indices.  The simple
+    system is the indecomposable positive roots, sorted: in a simply-laced
+    system a - b is a root exactly when (a, b) = 1, and then it is s_b(a)."""
+    pos = [i for i in members if i < rs.npos]
+    inside = set(pos)
+    # integer ambient vectors sort as the roots do
+    simple = sorted((a for a in pos if not any(
+        rs.pair[a][b] == 1 and rs.refl[a][b] in inside for b in pos)),
+        key=rs.ambient.__getitem__)
     adj = {a: [b for b in simple if b != a and rs.pair[a][b]] for a in simple}
     # connected components of the Dynkin graph
     labels, left = [], simple
@@ -113,7 +111,7 @@ def classify_subsystem(rs: RootSystem, roots: FrozenSet[Vector]) -> Tuple[TypeMu
             comp.extend(b for b in adj[c] if b not in comp)
         left = [a for a in left if a not in comp]
         labels.append(_component_label(adj, comp))
-    if 2 * sum(positive_root_count(lab) for lab in labels) != len(roots):
+    if 2 * sum(positive_root_count(lab) for lab in labels) != len(members):
         raise ValueError("root count disagrees with the identified type")
     return canonical_type(labels), tuple(rs.by_index[a] for a in simple)
 
@@ -192,29 +190,36 @@ def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRoo
 
     out = []
     for mask, gens in flats.items():
-        members = [i + s for s in (0, npos) for i in range(npos) if mask >> i & 1]
-        roots = frozenset(rs.by_index[i] for i in members)
-        witness = _find_witness(rs, [rs.by_index[i] for i in gens])
-        if vanishing_set(rs, witness) != roots:
+        w = _find_witness(rs, gens)
+        if len(w) != rs.dim or any(
+                sum(map(mul, row, w)) for row in rs.hyperplanes):
+            raise AssertionError(f"witness is not a Cartan point of {rs.label}")
+        if sum(1 << i for i, a in enumerate(rs.ambient[:npos])
+               if not sum(map(mul, a, w))) != mask:
             raise AssertionError("witness does not realize its subsystem maximally")
-        label, simple = classify_subsystem(rs, roots)
+        members = [i + s for s in (0, npos) for i in range(npos) if mask >> i & 1]
+        label, simple = _classify(rs, members)
         # integer ambient vectors sort as the roots do: as sorted(roots)
         key = (len(simple), label, sorted(rs.ambient[i] for i in members))
-        out.append((key, SubRootSystem(rs.label, roots, witness, label, simple)))
+        roots = frozenset(rs.by_index[i] for i in members)
+        out.append((key, SubRootSystem(rs.label, roots, tuple(map(Fraction, w)),
+                                       label, simple)))
     out.sort(key=lambda e: e[0])
     return [s for _, s in out]
 
 
-def _witness_problem(rs: RootSystem, span: Sequence[Vector]):
-    """Integer basis of the Cartan points on which ``span`` vanishes, and
-    the integer pairings with it of each positive root not in its span.
+def _witness_problem(rs: RootSystem, gens: Sequence[int]):
+    """Integer basis of the Cartan points on which the roots with indices
+    ``gens`` vanish, and the integer pairings with it of each positive root
+    not in their span.
 
-    The basis is the canonical ``nullspace`` one with each vector cleared of
-    denominators, so it depends only on the subspace that ``span`` spans.
+    The basis is the canonical ``nullspace`` one of their integer ambient
+    rows, each vector cleared of denominators, so it depends only on the
+    subspace that the roots span.
     """
-    eqs = [list(r) for r in (*span, *rs.hyperplanes)]
+    eqs = [rs.ambient[i] for i in gens] + list(rs.hyperplanes)
     basis = []
-    for b in nullspace(eqs or [[Fraction(0)] * rs.dim]):
+    for b in nullspace(eqs or [[0] * rs.dim]):
         den = math.lcm(*(c.denominator for c in b))
         basis.append(tuple(int(c * den) for c in b))
     pairs = [[sum(x * y for x, y in zip(a, b)) for b in basis]
@@ -222,38 +227,65 @@ def _witness_problem(rs: RootSystem, span: Sequence[Vector]):
     return basis, [row for row in pairs if any(row)]
 
 
-def _avoids(combo: Sequence[int], pairs: List[List[int]]) -> bool:
-    return all(sum(c * p for c, p in zip(combo, row)) for row in pairs)
-
-
-def _point(rs: RootSystem, basis, combo: Sequence[int]) -> Vector:
-    return tuple(Fraction(sum(c * b[i] for c, b in zip(combo, basis)))
+def _point(rs: RootSystem, basis, combo: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(sum(c * b[i] for c, b in zip(combo, basis))
                  for i in range(rs.dim))
 
 
-def _find_witness(rs: RootSystem, span: Sequence[Vector]) -> Vector:
-    """A rational Cartan point on which exactly the roots in the span of
-    ``span`` vanish: the first integer combination of the basis, by growing
-    box radius, else a point of the moment curve."""
-    basis, pairs = _witness_problem(rs, span)
+def _find_witness(rs: RootSystem, gens: Sequence[int]) -> Tuple[int, ...]:
+    """An integer Cartan point on which exactly the roots in the span of
+    the roots with indices ``gens`` vanish: the first integer combination
+    of the basis that `_first_avoiding` finds, else a point of the moment
+    curve."""
+    basis, pairs = _witness_problem(rs, gens)
+    combo = _first_avoiding(pairs, len(basis))
+    if combo is None:
+        return _moment_witness(rs, basis, pairs)
+    return _point(rs, basis, combo)
+
+
+def _first_avoiding(pairs: List[List[int]], k: int):
+    """The first c in Z^k on which no row of ``pairs`` vanishes, or None:
+    radius r = 1 .. 39 in turn, and within a radius the vectors of max-norm
+    r in ``itertools.product`` order.
+
+    A prefix c_1 .. c_(k-1) fixes, for each row, the one last coordinate on
+    which it vanishes (none, or all of them, if the row ends in 0); the
+    prefix takes the first last coordinate, in order, that no row bans:
+    any in -r .. r once the prefix reaches radius r, else -r or r.
+    """
+    if not k:
+        return None
+    rows = [(row[:-1], row[-1]) for row in pairs]
     for radius in range(1, 40):
-        for combo in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
-            if max((abs(c) for c in combo), default=0) != radius:
-                continue
-            if _avoids(combo, pairs):
-                return _point(rs, basis, combo)
-    return _moment_witness(rs, span)
+        span = range(-radius, radius + 1)
+        for prefix in itertools.product(span, repeat=k - 1):
+            banned = set()
+            for head, last in rows:
+                s = sum(c * p for c, p in zip(prefix, head))
+                if last:
+                    q, rem = divmod(-s, last)
+                    if not rem:
+                        banned.add(q)
+                elif not s:
+                    break
+            else:
+                edge = max(map(abs, prefix), default=0) == radius
+                for c in span if edge else (-radius, radius):
+                    if c not in banned:
+                        return prefix + (c,)
+    return None
 
 
-def _moment_witness(rs: RootSystem, span: Sequence[Vector]) -> Vector:
+def _moment_witness(rs: RootSystem, basis, pairs: List[List[int]]) -> Tuple[int, ...]:
     """The first point sum s^i b_i, s = 1, 2, ..., that avoids each of the N
     roots outside the span.  Each restricts to a nonzero polynomial in s of
     degree below k = len(basis), so one of s = 1 .. N(k-1)+1 avoids them all.
     """
-    basis, pairs = _witness_problem(rs, span)
     powers = ([s ** i for i in range(len(basis))]
               for s in range(1, len(pairs) * (len(basis) - 1) + 2))
-    return _point(rs, basis, next(p for p in powers if _avoids(p, pairs)))
+    return _point(rs, basis, next(p for p in powers if all(
+        sum(map(mul, p, row)) for row in pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -222,20 +222,34 @@ def dense_solution(matrix, rhs, ncols):
 
 SQRT2 = make_extension([-2, 0, 1])
 _small = st.fractions(-3, 3, max_denominator=3)
+# rationals with large coprime denominators, so that the integer rows of the
+# engine carry big contents and their gcd reduction runs
+_big = st.builds(lambda n, p, k: Fraction(n, p * k),
+                 st.integers(1, 10**6) | st.integers(-10**6, -1),
+                 st.sampled_from((999983, 1000003, 2147483647)),
+                 st.integers(1, 6))
+_nonzero = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                     st.integers(1, 3))
+_ring = st.tuples(_small, _nonzero).map(SQRT2.element)
 
 
 @st.composite
 def _systems(draw):
-    """A matrix over Q or Q(sqrt 2), sparse, with dependent rows and columns
+    """A matrix over Q, with small entries or with large coprime
+    denominators, or over Q(sqrt 2) with some all-rational columns and now
+    and then an empty first column; sparse, with dependent rows and columns
     now and then, and a right-hand side in or out of its column span."""
-    if draw(st.booleans()):
-        entry = st.one_of(st.just(Fraction(0)), _small)
-    else:
-        entry = st.one_of(st.just(SQRT2.zero()),
-                          st.tuples(_small, _small).map(SQRT2.element))
+    kind = draw(st.sampled_from(("small", "big", "sqrt2")))
+    rational = st.one_of(st.just(Fraction(0)), _big if kind == "big" else _small)
+    ring = st.one_of(st.just(SQRT2.zero()), _ring)
+    entry = ring if kind == "sqrt2" else rational
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    matrix = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
-              for _ in range(nrows)]
+    columns = [rational if kind != "sqrt2" or draw(st.booleans()) else ring
+               for _ in range(ncols)]
+    matrix = [[draw(col) for col in columns] for _ in range(nrows)]
+    if kind == "sqrt2" and draw(st.booleans()):  # an empty first column
+        for row in matrix:
+            row[0] = Fraction(0)
     if nrows > 1 and draw(st.booleans()):       # a row combination
         c = draw(entry)
         matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1])]
@@ -261,6 +275,95 @@ def test_engine_matches_dense_oracle(system):
     assert row_reduce(matrix) == (len(pivots), rows, pivots)
     assert nullspace(matrix) == dense_kernel(matrix, ncols)
     assert solve_linear(matrix, rhs) == dense_solution(matrix, rhs, ncols)
+
+
+class _NormalizedEchelon:
+    """The echelon loop with each pivot row scaled to 1 at its lead by
+    `invert` and every entry a field element, kept as the oracle for the
+    fraction-free integer rows of `Echelon`."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    @staticmethod
+    def _subtract(target, f, row):
+        for k, a in row.items():
+            s = target.get(k, 0) - f * a
+            if s:
+                target[k] = s
+            else:
+                target.pop(k, None)
+
+    def _reduce(self, vec, combo):
+        while vec:
+            lead = max(vec)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return lead
+            f = vec[lead]
+            self._subtract(vec, f, piv[0])
+            if combo is not None:
+                self._subtract(combo, f, piv[1])
+        return None
+
+    def add(self, vec, index=None):
+        vec = dict(vec)
+        combo = None if index is None else {index: Fraction(1)}
+        lead = self._reduce(vec, combo)
+        if lead is None:
+            return {} if combo is None else combo
+        inv = invert(vec[lead])
+        self.pivots[lead] = ({k: c * inv for k, c in vec.items()},
+                             combo and {j: c * inv for j, c in combo.items()})
+        return None
+
+    def solve(self, target):
+        combo = {}
+        if self._reduce(dict(target), combo) is not None:
+            return None
+        return {j: -c for j, c in combo.items()}
+
+
+@st.composite
+def _vector_runs(draw):
+    """Sparse vectors over Q (small or large-denominator entries) or over
+    Q(sqrt 2) mixed with all-rational vectors, a dependent one now and then,
+    and targets in or out of their span."""
+    kind = draw(st.sampled_from(("small", "big", "sqrt2")))
+    scalar = _big if kind == "big" else _nonzero
+    if kind == "sqrt2":
+        scalar = st.one_of(scalar, _ring)
+    vec = st.dictionaries(st.integers(0, 5), scalar, max_size=5)
+    vectors = draw(st.lists(vec, min_size=1, max_size=8))
+
+    def combination(cs, vs):
+        out = {}
+        for c, v in zip(cs, vs):
+            for k, x in v.items():
+                out[k] = out.get(k, 0) + c * x
+        return {k: x for k, x in out.items() if x}
+
+    if len(vectors) > 1 and draw(st.booleans()):
+        cs = draw(st.lists(scalar, min_size=2, max_size=2))
+        vectors.append(combination(cs, [vectors[0], vectors[-1]]))
+    targets = draw(st.lists(vec, max_size=2))
+    cs = draw(st.lists(scalar, min_size=len(vectors), max_size=len(vectors)))
+    targets.append(combination(cs, vectors))
+    return vectors, targets, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_runs())
+def test_echelon_matches_normalized_fraction_loop(run):
+    vectors, targets, indexed = run
+    ech, oracle = Echelon(), _NormalizedEchelon()
+    for i, vec in enumerate(vectors):
+        index = i if indexed else None
+        assert ech.add(vec, index) == oracle.add(vec, index)
+    assert set(ech.pivots) == set(oracle.pivots)
+    if indexed:
+        for target in targets:
+            assert ech.solve(target) == oracle.solve(target)
 
 
 def test_zero_divisor_pivot_splits():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
                               theta_roots, vanishing_set, vneg)
+from singfold import subsys
 from singfold.subsys import (EXPECTED_SUBSYSTEM_COUNTS, REALIZATIONS,
-                             _moment_witness, canonical_type,
-                             classify_subsystem, format_type,
-                             match_realizations, parse_type,
+                             _find_witness, _first_avoiding, _moment_witness,
+                             _point, _witness_problem, canonical_type,
+                             classify_subsystem, enumerate_subsystems,
+                             format_type, match_realizations, parse_type,
                              reflection_closure, subsystems_for_case)
 
 EXPECTED_COUNTS_BY_TYPE = {
@@ -168,7 +171,8 @@ def test_moment_curve_witness_is_maximal(cid):
     # the fallback behind the box search, called on every enumerated flat
     rs = build_root_system(case_meta(cid).quotient_type)
     for s in subsystems_for_case(cid):
-        h = _moment_witness(rs, s.simple_system)
+        basis, pairs = _witness_problem(rs, [rs.index[r] for r in s.simple_system])
+        h = _moment_witness(rs, basis, pairs)
         assert vanishing_set(rs, h) == s.roots
 
 
@@ -191,3 +195,86 @@ def test_enumeration_matches_recorded_digest(cid):
             [ser(v) for v in sorted(s.roots)]] for s in subsystems_for_case(cid)]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == ENUMERATION_DIGESTS[cid]
+
+
+def _box_first(pairs, k):
+    """The box-and-filter search that `_first_avoiding` replaced, kept as
+    its reference: every vector of the box of each radius in product order,
+    filtered to max-norm r, then tested against every row."""
+    for radius in range(1, 40):
+        for combo in itertools.product(range(-radius, radius + 1), repeat=k):
+            if max((abs(c) for c in combo), default=0) != radius:
+                continue
+            if all(sum(c * p for c, p in zip(combo, row)) for row in pairs):
+                return combo
+    return None
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_witness_walk_matches_box_search(cid):
+    rs = build_root_system(case_meta(cid).quotient_type)
+    for s in subsystems_for_case(cid):
+        gens = [rs.index[r] for r in s.simple_system]
+        basis, pairs = _witness_problem(rs, gens)
+        first = _box_first(pairs, len(basis))
+        assert _first_avoiding(pairs, len(basis)) == first
+        expected = (_moment_witness(rs, basis, pairs) if first is None
+                    else _point(rs, basis, first))
+        assert _find_witness(rs, gens) == s.witness == expected
+
+
+@st.composite
+def _pairings(draw):
+    """An integer pairing matrix with k <= 4 columns: rows that vanish on a
+    prefix, now and then an all-zero last column, and for k <= 1 now and
+    then an all-zero row, which nothing avoids."""
+    k = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        zeros = draw(st.integers(0, max(k - 1, 0)))
+        rows.append([0] * zeros + draw(st.lists(
+            st.integers(-4, 4), min_size=k - zeros, max_size=k - zeros)))
+    if k and draw(st.booleans()):
+        for row in rows:
+            row[-1] = 0
+    rows = [row for row in rows if any(row)]
+    if k <= 1 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * k)
+    return rows, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairings())
+def test_witness_walk_matches_box_search_on_random_pairings(problem):
+    pairs, k = problem
+    assert _first_avoiding(pairs, k) == _box_first(pairs, k)
+
+
+def test_witness_walk_falls_through_as_the_box_search_does():
+    # a zero row bans every vector: both searches run out at radius 39
+    pairs = [[1, -1], [0, 0]]
+    assert _first_avoiding(pairs, 2) is None is _box_first(pairs, 2)
+
+
+def test_witness_check_refuses_a_larger_vanishing_set(monkeypatch):
+    rs = build_root_system("D4")
+    monkeypatch.setattr(subsys, "_find_witness",
+                        lambda rs, gens: (Fraction(0),) * rs.dim)
+    with pytest.raises(AssertionError, match="witness does not realize"):
+        enumerate_subsystems(rs, theta_roots("A3B2D4"))
+
+
+def test_witness_check_refuses_a_point_off_the_e7_hyperplane(monkeypatch):
+    # x7 + x8 pairs to zero with every E7 root, so the shifted witnesses
+    # keep their vanishing sets and only the hyperplane check can refuse them
+    rs = build_root_system("E7")
+    assert all(a[6] + a[7] == 0 for a in rs.ambient)
+    find = subsys._find_witness
+
+    def shifted(rs, gens):
+        w = find(rs, gens)
+        return w[:6] + (w[6] + 1, w[7] + 1)
+
+    monkeypatch.setattr(subsys, "_find_witness", shifted)
+    with pytest.raises(AssertionError, match="not a Cartan point"):
+        enumerate_subsystems(rs, theta_roots("E6F4E7"))
