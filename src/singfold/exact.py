@@ -13,8 +13,13 @@ or the :class:`AlgebraicScalar` elements of one extension ring.  The
 ``upoly_*`` functions below are the package's only univariate polynomial
 code.  Trimming, division, the monic gcd, the derivative and the squarefree
 part work over either ring and invert leads with :func:`invert`, so a zero
-divisor surfaces as a SplitEvent; the rest, which carries the arithmetic of
-:class:`AlgebraicScalar` itself, works on Fraction tuples.
+divisor surfaces as a SplitEvent; the product and the inverse modulo a
+modulus work on Fraction tuples.
+
+An :class:`AlgebraicScalar` is held on Python ints: a numerator tuple over
+one positive denominator, in lowest terms.  Its ring keeps the modulus as
+an integer tuple over one denominator, and products are reduced modulo it
+without a Fraction; only :func:`invert` runs Euclid on Fraction tuples.
 
 Linear algebra has one elimination loop, :class:`Echelon`: sparse vectors
 are top-reduced against pivot rows, fraction-free.  Over Q a pivot row is a
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -61,20 +67,6 @@ def upoly(coeffs: Iterable) -> UPoly:
 def upoly_deg(p: UPoly) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(p) - 1
-
-
-def upoly_add(p: UPoly, q: UPoly) -> UPoly:
-    n = max(len(p), len(q))
-    return upoly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n))
-
-
-def upoly_neg(p: UPoly) -> UPoly:
-    return tuple(-c for c in p)
-
-
-def upoly_sub(p: UPoly, q: UPoly) -> UPoly:
-    return upoly_add(p, upoly_neg(q))
 
 
 def upoly_mul(p: UPoly, q: UPoly) -> UPoly:
@@ -157,20 +149,18 @@ def upoly_gcd(*polys: Sequence) -> tuple:
     return upoly_monic(g)
 
 
-def upoly_xgcd(p: UPoly, q: UPoly) -> Tuple[UPoly, UPoly, UPoly]:
-    """Extended gcd over Q: returns monic g and u, v with u*p + v*q = g."""
-    r0, r1 = p, q
-    s0, s1 = upoly((1,)), ()
-    t0, t1 = (), upoly((1,))
+def upoly_inverse(p: UPoly, m: UPoly) -> Tuple[UPoly, UPoly]:
+    """Half-extended Euclid over Q: the monic g = gcd(p, m) and u with
+    u * p = g modulo m, so u inverts p modulo m when g = 1."""
+    r0, r1 = m, p
+    s0, s1 = (), (Fraction(1),)
     while r1:
-        qt, rr = upoly_divmod(r0, r1)
-        r0, r1 = r1, rr
-        s0, s1 = s1, upoly_sub(s0, upoly_mul(qt, s1))
-        t0, t1 = t1, upoly_sub(t0, upoly_mul(qt, t1))
-    if not r0:
-        return (), s0, t0
+        q, r = upoly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, upoly(a - b for a, b in
+                           zip_longest(s0, upoly_mul(q, s1), fillvalue=0))
     inv = 1 / r0[-1]
-    return tuple(tuple(c * inv for c in p) for p in (r0, s0, t0))
+    return tuple(c * inv for c in r0), tuple(c * inv for c in s0)
 
 
 def upoly_deriv(p: Sequence) -> tuple:
@@ -185,13 +175,6 @@ def upoly_squarefree_part(p: Sequence) -> tuple:
             p, r = upoly_divmod(p, g)
             assert not r
     return upoly_monic(p)
-
-
-def upoly_eval(p: UPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def upoly_str(p: UPoly, var: str = "x") -> str:
@@ -244,9 +227,20 @@ class SplitEvent(Exception):
 
 @dataclass(frozen=True)
 class ExtensionRing:
-    """Q[a]/(modulus) with modulus monic and squarefree."""
+    """Q[a]/(modulus) with modulus monic and squarefree.
+
+    The modulus is also held once over the integers as M/D: D > 0 is the
+    lcm of its denominators and M = D * modulus, so the lead of M is D.
+    ``_lead`` is D and ``_low`` the coefficients of M below its lead.
+    """
 
     modulus: UPoly
+
+    def __post_init__(self):
+        d = math.lcm(*(c.denominator for c in self.modulus))
+        object.__setattr__(self, "_lead", d)
+        object.__setattr__(self, "_low", tuple(
+            c.numerator * (d // c.denominator) for c in self.modulus[:-1]))
 
     @property
     def degree(self) -> int:
@@ -255,21 +249,41 @@ class ExtensionRing:
     def __repr__(self):
         return f"ExtensionRing({upoly_str(self.modulus, 'a')})"
 
+    def _reduced(self, num: List[int], den: int) -> "AlgebraicScalar":
+        """The element num/den of Q[a] (num a list of ints, consumed) modulo
+        M/D.  Each top coefficient c, at degree k >= deg M, is cleared by
+        num <- D * num - c * a^(k - deg M) * M, which multiplies the
+        denominator by D; with D = 1 this is division by a monic M."""
+        low, d = self._low, self._lead
+        n = len(low)
+        for k in range(len(num) - 1, n - 1, -1):
+            c = num[k]
+            if c:
+                if d != 1:
+                    for i in range(k):
+                        num[i] *= d
+                    den *= d
+                for i, m in enumerate(low, k - n):
+                    num[i] -= c * m
+        del num[n:]
+        return _lowest(self, num, den)
+
     def element(self, coeffs) -> "AlgebraicScalar":
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        v = upoly(coeffs)
-        _, v = upoly_divmod(v, self.modulus)
-        return AlgebraicScalar(self, v)
+        cs = [_frac(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return self._reduced([c.numerator * (den // c.denominator) for c in cs],
+                             den)
 
     def generator(self) -> "AlgebraicScalar":
         return self.element((0, 1))
 
     def zero(self) -> "AlgebraicScalar":
-        return AlgebraicScalar(self, ())
+        return AlgebraicScalar(self, (), 1)
 
     def one(self) -> "AlgebraicScalar":
-        return self.element(1)
+        return AlgebraicScalar(self, (1,), 1)
 
 
 def make_extension(modulus) -> ExtensionRing:
@@ -289,60 +303,103 @@ def make_extension(modulus) -> ExtensionRing:
 RATIONAL_RING = ExtensionRing(upoly((0, 1)))  # Q itself: generator == 0
 
 
-@dataclass(frozen=True)
+def _lowest(ring: ExtensionRing, num: List[int], den: int) -> "AlgebraicScalar":
+    """num/den, num of degree below that of the modulus, in lowest terms."""
+    num = upoly_trim(num)
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+    return AlgebraicScalar(ring, num, den)
+
+
 class AlgebraicScalar:
-    """An element of an ExtensionRing, reduced modulo the modulus."""
+    """An element num/den of an ExtensionRing, reduced modulo the modulus.
 
-    ring: ExtensionRing
-    value: UPoly
+    num is a tuple of Python ints, low to high with no trailing zeros, and
+    den > 0 with gcd(den, *num) = 1 (Cohen, GTM 138, section 4.2), so each
+    element has one representation and == and hash compare (modulus, num,
+    den).  Products reduce modulo the integer modulus M/D of the ring.  Build
+    elements through the ring, not with this constructor.
+    """
 
-    def _coerce(self, other) -> "AlgebraicScalar":
-        if isinstance(other, AlgebraicScalar):
-            if other.ring != self.ring:
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring: ExtensionRing, num: Tuple[int, ...], den: int):
+        self.ring = ring
+        self.num = num
+        self.den = den
+
+    @property
+    def value(self) -> UPoly:
+        """The coefficients as Fractions, low to high."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _parts(self, other) -> Optional[Tuple[tuple, int]]:
+        """(num, den) of an operand in this ring; None for another type."""
+        if type(other) is AlgebraicScalar:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("arithmetic on mismatched rings")
-            return other
+            return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return AlgebraicScalar(self.ring, upoly((other,)))
-        return NotImplemented  # type: ignore[return-value]
+            return (other.numerator,) if other else (), other.denominator
+        return None
 
     def __bool__(self):
-        return bool(self.value)
+        return bool(self.num)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return AlgebraicScalar(self.ring, upoly_add(self.value, o.value))
+        (b, db), a, da = o, self.num, self.den
+        if not b:
+            return self
+        if da != db:
+            g = math.gcd(da, db)
+            a, b = [x * (db // g) for x in a], [y * (da // g) for y in b]
+            da *= db // g
+        return _lowest(self.ring, [x + y for x, y in
+                                   zip_longest(a, b, fillvalue=0)], da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicScalar(self.ring, upoly_neg(self.value))
+        return AlgebraicScalar(self.ring, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if self._parts(other) is None:
             return NotImplemented
-        return AlgebraicScalar(self.ring, upoly_sub(self.value, o.value))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        prod = upoly_mul(self.value, o.value)
-        _, r = upoly_divmod(prod, self.ring.modulus)
-        return AlgebraicScalar(self.ring, r)
+        (b, db), a = o, self.num
+        if not a or not b:
+            return AlgebraicScalar(self.ring, (), 1)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return _lowest(self.ring, [x * c for x in a], self.den * db)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        return self.ring._reduced(prod, self.den * db)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if self._parts(other) is None:
             return NotImplemented
-        return self * invert(o)
+        return self * invert(other)
 
     def __rtruediv__(self, other):
         return invert(self) * other
@@ -350,37 +407,35 @@ class AlgebraicScalar:
     def __pow__(self, n: int):
         if n < 0:
             return invert(self) ** (-n)
-        out = self.ring.one()
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self.ring.one() if out is None else out
 
     def __eq__(self, other):
+        if type(other) is AlgebraicScalar:
+            return (self.num == other.num and self.den == other.den
+                    and (self.ring is other.ring or self.ring == other.ring))
         if isinstance(other, (int, Fraction)):
-            other = AlgebraicScalar(self.ring, upoly((other,)))
-        if not isinstance(other, AlgebraicScalar):
-            return NotImplemented
-        return self.ring == other.ring and self.value == other.value
+            return (self.den == other.denominator
+                    and self.num == ((other.numerator,) if other else ()))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.value))
+        return hash((self.ring.modulus, self.num, self.den))
 
     def __repr__(self):
-        return upoly_str(self.value, "a") if self.value else "0"
+        return upoly_str(self.value, "a") if self.num else "0"
 
     def as_rational(self) -> Fraction:
         """The value as a plain rational; requires degree < 1 in the generator."""
-        if len(self.value) > 1:
-            # degree-1 ring: generator is rational, substitute it
-            if self.ring.degree == 1:
-                root = -self.ring.modulus[0]
-                return upoly_eval(self.value, root)
+        if len(self.num) > 1:
             raise ValueError(f"{self!r} is not rational")
-        return self.value[0] if self.value else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
 
 Scalar = Union[Fraction, AlgebraicScalar]
@@ -392,12 +447,14 @@ def invert(a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / _frac(a)
-    if not a.value:
+    if not a.num:
         raise ZeroDivisionError("inverse of zero")
-    g, u, _ = upoly_xgcd(a.value, a.ring.modulus)
+    if len(a.num) == 1:
+        c = a.num[0]
+        return AlgebraicScalar(a.ring, (a.den if c > 0 else -a.den,), abs(c))
+    g, u = upoly_inverse(a.value, a.ring.modulus)
     if upoly_deg(g) == 0:
-        _, r = upoly_divmod(u, a.ring.modulus)
-        return AlgebraicScalar(a.ring, r)
+        return a.ring.element(u)
     raise SplitEvent.from_factor(a.ring, g)
 
 
@@ -405,8 +462,7 @@ def map_to_factor(x: Scalar, new_ring: ExtensionRing) -> Scalar:
     """Reduce a scalar into the quotient by a factor of its modulus."""
     if isinstance(x, (int, Fraction)):
         return new_ring.element(_frac(x)) if new_ring is not RATIONAL_RING else _frac(x)
-    _, r = upoly_divmod(x.value, new_ring.modulus)
-    return AlgebraicScalar(new_ring, r)
+    return new_ring._reduced(list(x.num), x.den)
 
 
 # ---------------------------------------------------------------------------

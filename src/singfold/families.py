@@ -670,8 +670,17 @@ def fiber_at(case_id: str, t: Dict[str, Fraction]) -> Polynomial:
     return case.fiber.subs({p: Fraction(v) for p, v in t.items()})
 
 
+_fiber_cache: Dict[Tuple, FiberConfiguration] = {}
+
+
 def classify_quotient_fiber(case_id: str, t: Dict[str, Fraction]) -> FiberConfiguration:
-    return fiber_configuration(quotient_fiber(case_id, t))
+    """The classified quotient fiber at t, computed once per process for each
+    case and point; the configuration returned is shared, so it is read-only."""
+    key = (case_id, tuple(sorted((p, Fraction(v)) for p, v in t.items())))
+    conf = _fiber_cache.get(key)
+    if conf is None:
+        conf = _fiber_cache[key] = fiber_configuration(quotient_fiber(case_id, t))
+    return conf
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,12 @@ def hessian_corank(F: Polynomial, point: Point) -> int:
 
 
 def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
-    """The Hessian matrix of G at the origin."""
-    return [[G.diff(a).diff(b).constant_term() for b in names] for a in names]
+    """The Hessian matrix of G at the origin, read off its quadratic part."""
+    H: List[List[Scalar]] = [[Fraction(0)] * len(names) for _ in names]
+    for e, c in G.homogeneous_part(2).exponents(names).items():
+        i, j = (k for k, d in enumerate(e) for _ in range(d))
+        H[i][j] = H[j][i] = c if i != j else 2 * c
+    return H
 
 
 def classify_point(F: Polynomial, point: Point,

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singfold.exact import (Echelon, SplitEvent, invert, make_extension,
@@ -402,3 +403,134 @@ def test_upoly_helpers():
     sq = upoly_mul(p, p)
     assert upoly_squarefree_part(sq) == p
     assert upoly_gcd(upoly_mul(p, upoly((1, 1))), p) == p
+
+
+# -- extension-ring arithmetic against the Fraction-tuple ring -------------
+
+def _old_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _old_mul(p, q):
+    """The Fraction-tuple product the ring elements were once built on."""
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _old_trim(out)
+
+
+def _old_mod(p, m):
+    """Remainder of a Fraction tuple by a monic Fraction tuple."""
+    r, dm = list(p), len(m) - 1
+    for k in range(len(r) - 1, dm - 1, -1):
+        c = r[k]
+        for i in range(dm + 1):
+            r[k - dm + i] -= c * m[i]
+    return _old_trim(r[:dm])
+
+
+def _old_add(p, q, sign=1):
+    n = max(len(p), len(q))
+    return _old_trim((p[i] if i < len(p) else 0)
+                     + sign * (q[i] if i < len(q) else 0) for i in range(n))
+
+
+_ring_fracs = st.builds(Fraction, st.integers(-9, 9),
+                        st.sampled_from((1, 1, 2, 3, 4, 7, 12)))
+
+
+@st.composite
+def _ring_cases(draw):
+    """A ring of degree 1-6 (its modulus often with non-integral
+    coefficients), two elements and an int and a Fraction operand."""
+    deg = draw(st.integers(1, 6))
+    ring = make_extension(draw(st.lists(_ring_fracs, min_size=deg,
+                                        max_size=deg)) + [Fraction(1)])
+    elems = [ring.element(draw(st.lists(_ring_fracs, max_size=ring.degree + 3)))
+             for _ in range(2)]
+    return (ring, *elems, draw(st.integers(-20, 20)), draw(_ring_fracs))
+
+
+def _oracle(x):
+    """The Fraction tuple of a ring element or of a rational operand."""
+    if isinstance(x, (int, Fraction)):
+        return _old_trim((Fraction(x),))
+    return x.value
+
+
+def _canonical(x):
+    assert x.den > 0 and (not x.num or x.num[-1] != 0)
+    assert len(x.num) <= x.ring.degree
+    assert math.gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_cases())
+def test_ring_arithmetic_matches_fraction_tuples(case):
+    ring, x, y, k, q = case
+    m = ring.modulus
+    assert x.value == _old_mod(x.value, m)
+    for u in (y, k, q):
+        ov = _oracle(u)
+        results = [(x + u, _old_add(x.value, ov)),
+                   (u + x, _old_add(x.value, ov)),
+                   (x - u, _old_add(x.value, ov, -1)),
+                   (u - x, _old_add(ov, x.value, -1)),
+                   (x * u, _old_mod(_old_mul(x.value, ov), m)),
+                   (u * x, _old_mod(_old_mul(x.value, ov), m))]
+        for got, want in results:
+            _canonical(got)
+            assert got.value == want
+            # one element, one representation: the hash follows ==
+            again = ring.element(want)
+            assert got == again and hash(got) == hash(again)
+            assert (got == 0) == (not want)
+    power = ring.one()
+    for n in range(5):
+        got = x ** n
+        _canonical(got)
+        assert got == power and hash(got) == hash(power)
+        power = ring.element(_old_mod(_old_mul(power.value, x.value), m))
+    for num, den in ((x, y), (x, k), (x, q), (k, x), (q, x)):
+        try:
+            got = num / den
+        except ZeroDivisionError:
+            assert not den
+            continue
+        except SplitEvent as exc:
+            assert upoly_mul(exc.factor_a, exc.factor_b) == m
+            continue
+        _canonical(got)
+        assert _old_mod(_old_mul(got.value, _oracle(den)), m) == _oracle(num)
+
+
+@st.composite
+def _zero_divisors(draw):
+    """A squarefree modulus f*g with coprime factors and a nonzero
+    multiple of f modulo it."""
+    f, g = [upoly(draw(st.lists(_ring_fracs, min_size=d, max_size=d))
+                  + [Fraction(1)]) for d in draw(st.lists(
+                      st.integers(1, 3), min_size=2, max_size=2))]
+    m = upoly_mul(f, g)
+    assume(upoly_squarefree_part(m) == m and upoly_gcd(f, g) == (1,))
+    h = upoly(draw(st.lists(_ring_fracs, min_size=1, max_size=4)))
+    ring = make_extension(m)
+    x = ring.element(upoly_mul(f, h))
+    assume(x)
+    return ring, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zero_divisors())
+def test_invert_zero_divisor_raises_split(case):
+    ring, x = case
+    with pytest.raises(SplitEvent) as exc:
+        invert(x)
+    assert exc.value.ring == ring
+    assert upoly_mul(exc.value.factor_a, exc.value.factor_b) == ring.modulus

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singfold import families
-from singfold.cli import full_report, main
+from singfold import families, flatmap
+from singfold.cli import full_report, main, verify_case
 from singfold.exact import Echelon, SplitEvent
 from singfold.families import (check_stratum_point,
                                classify_quotient_fiber, compose_subst,
@@ -415,3 +415,29 @@ def test_echelon_degenerate_matrices():
     _check_echelon_against_dense(3, [zero, zero], [Fraction(1)] + zero[1:])
     _check_echelon_against_dense(3, [], zero)                           # no columns
     _check_echelon_against_dense(3, [], [Fraction(0), Fraction(2), Fraction(0)])
+
+
+def test_quotient_fiber_memo_classifies_each_point_once(monkeypatch):
+    # the tables and correspondence sections meet some points twice; each
+    # (case, t) is classified once and the bundle is the recorded one
+    monkeypatch.setattr(families, "_fiber_cache", {})
+    seen = []
+    memo = families.classify_quotient_fiber
+
+    def spy(case_id, t):
+        seen.append((case_id, tuple(sorted((k, Fraction(v))
+                                           for k, v in t.items()))))
+        return memo(case_id, t)
+
+    monkeypatch.setattr(families, "classify_quotient_fiber", spy)
+    monkeypatch.setattr(flatmap, "classify_quotient_fiber", spy)
+    calls = []
+    classify = families.fiber_configuration
+    monkeypatch.setattr(families, "fiber_configuration",
+                        lambda F: calls.append(F) or classify(F))
+    bundle = verify_case("D4G2E6")
+    assert len(set(seen)) < len(seen)
+    assert len(calls) == len(set(seen)) == len(families._fiber_cache)
+    want = json.loads(EXPECTED.read_text())["sections"]["D4G2E6"]
+    got = json.dumps(bundle).encode()
+    assert {s: _section_digest(got, s) for s in want} == want

@@ -645,3 +645,28 @@ def test_only_the_driver_catches_split_events():
                             key=lambda f: f.lineno, default=None)
                 found.add((path.name, inner and inner.name))
     assert found == {("singclass.py", "on_branches")}
+
+
+def _hessian_by_diffs(G, names):
+    """The Hessian as it was once taken: two derivatives per entry."""
+    return [[G.diff(a).diff(b).constant_term() for b in names] for a in names]
+
+
+_hess_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=_hess_terms, over_sqrt2=st.booleans(),
+       shift=st.lists(st.tuples(_small, _small), min_size=3, max_size=3))
+def test_hessian_matches_second_derivatives(terms, over_sqrt2, shift):
+    names = ("x", "y", "z")
+    F = Polynomial(names, terms)
+    if over_sqrt2:
+        ring = make_extension((-2, 0, 1))
+        point = tuple(ring.element(c) for c in shift)
+    else:
+        point = tuple(c for c, _ in shift)
+    G = singclass._translate(F, names, point)
+    assert singclass._hessian(G, names) == _hessian_by_diffs(G, names)
