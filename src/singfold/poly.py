@@ -518,9 +518,10 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._of(out)
 
 
-# Sylvester resultants run on dense coefficient lists over Z[t]: Python ints,
-# low to high, trimmed, [] for zero.  Bareiss elimination keeps every entry
-# integral, so each division below is exact.
+# Resultants run on polynomials in x over Z[t]: lists of x-coefficients, low
+# to high, each a dense list of Python ints in t, low to high, trimmed, [] for
+# zero.  The subresultant PRS divides only by factors that Collins' theorem
+# shows divide, so each division below is exact.
 
 def _zt_mul(a: List[int], b: List[int]) -> List[int]:
     if not a or not b:
@@ -542,8 +543,8 @@ def _zt_sub(a: List[int], b: List[int]) -> List[int]:
 
 def _zt_div_exact(a: List[int], b: List[int]) -> List[int]:
     """a / b in Z[t] for a nonzero b that divides a."""
-    if not a:
-        return []
+    if not a or b == [1]:
+        return a
     db, lead = len(b) - 1, b[-1]
     rem = a[:]
     quo = [0] * max(len(a) - db, 0)
@@ -560,30 +561,55 @@ def _zt_div_exact(a: List[int], b: List[int]) -> List[int]:
     return quo
 
 
-def _zt_det(m: List[List[List[int]]]) -> List[int]:
-    """Determinant over Z[t] by fraction-free Bareiss elimination."""
-    n = len(m)
+def _zt_pow(a: List[int], e: int) -> List[int]:
+    out = [1]
+    for _ in range(e):
+        out = _zt_mul(out, a)
+    return out
+
+
+def _zt_prem(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in Z[t][x]."""
+    lead, db = b[-1], len(b) - 1
+    r = a[:]
+    e = len(a) - db
+    while len(r) > db:
+        c, k = r.pop(), len(r) - db
+        r = [_zt_mul(lead, x) for x in r]
+        for i, y in enumerate(b[:-1]):
+            r[k + i] = _zt_sub(r[k + i], _zt_mul(c, y))
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    pad = _zt_pow(lead, e)
+    return [_zt_mul(pad, x) for x in r]
+
+
+def _zt_resultant(a: List[List[int]], b: List[List[int]]) -> List[int]:
+    """The Sylvester determinant of a and b, both of positive degree in x,
+    by the subresultant PRS (Collins 1967; Cohen, GTM 138, Alg. 3.3.7)."""
+    # Res(a, b) = (-1)^(deg a deg b) Res(b, a), at the swap and at each step
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot, row_k = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            a = row_i[k]
-            for j in range(k + 1, n):
-                num = _zt_sub(_zt_mul(pivot, row_i[j]), _zt_mul(a, row_k[j]))
-                row_i[j] = num if prev == [1] else _zt_div_exact(num, prev)
-        prev = pivot
-    d = m[n - 1][n - 1]
-    return [-c for c in d] if sign < 0 else d
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _zt_prem(a, b)
+        if not r:
+            return []
+        div = _zt_mul(g, _zt_pow(h, delta))
+        a, b = b, [_zt_div_exact(c, div) for c in r]
+        g = a[-1]
+        if delta:
+            h = _zt_div_exact(_zt_pow(g, delta), _zt_pow(h, delta - 1))
+    da = len(a) - 1
+    res = _zt_div_exact(_zt_pow(b[0], da), _zt_pow(h, da - 1))
+    return [-c for c in res] if sign < 0 else res
 
 
 def _integer_coefficients(p: Polynomial, name: str, t) -> Tuple[List[List[int]], int]:
@@ -613,7 +639,8 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
 
     Vanishes exactly on parameter values where p and q share a root.  The
     coefficients must be rational, in at most one variable t besides
-    ``name``; the determinant runs fraction-free over Z[t].
+    ``name``; after clearing denominators the determinant comes from the
+    subresultant PRS over Z[t].
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -632,10 +659,8 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
         return p ** n
     if n == 0:
         return q ** m
-    rows = [[[]] * i + pc[::-1] + [[]] * (n - 1 - i) for i in range(n)]
-    rows += [[[]] * i + qc[::-1] + [[]] * (m - 1 - i) for i in range(m)]
-    det = _zt_det(rows)
-    # the rows of p were scaled by dp, those of q by dq
+    det = _zt_resultant(pc, qc)
+    # p was scaled by dp and q by dq; the determinant has n rows of p, m of q
     scale = dp ** n * dq ** m
     # sign normalized so that Res_v(p, v) = -p(0) and Res_v(p-v, p+v) = 2p
     if n % 2 == 1:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,9 +13,10 @@ except ImportError:  # the differential test against sympy is optional
 
 from singfold.exact import (AlgebraicScalar, make_extension, upoly,
                             upoly_deriv, upoly_mul, upoly_squarefree_part)
-from singfold.poly import (ParseError, Polynomial, binary_cubic_shape,
-                           div_exact, gcd_univariate, parse, resultant,
-                           to_text, univariate_coefficients)
+from singfold.poly import (ParseError, Polynomial, _integer_coefficients,
+                           _zt_div_exact, _zt_mul, _zt_resultant, _zt_sub,
+                           binary_cubic_shape, div_exact, gcd_univariate,
+                           parse, resultant, to_text, univariate_coefficients)
 
 
 def _rand_poly(rng, names, deg=2, terms=4):
@@ -379,9 +381,14 @@ def _t_coefficient(draw, with_t):
 
 
 @st.composite
-def _operand(draw, with_t, max_deg=3):
-    coeffs = [draw(_t_coefficient(with_t))
-              for _ in range(draw(st.integers(0, max_deg)) + 1)]
+def _operand(draw, with_t, max_deg):
+    """A polynomial in x of degree <= max_deg; the coefficients at a drawn
+    set of middle degrees are zero, so that remainders can drop in degree
+    by two or more."""
+    deg = draw(st.integers(0, max_deg))
+    gaps = draw(st.sets(st.integers(1, deg - 1))) if deg > 1 else set()
+    coeffs = [Polynomial.zero() if i in gaps else draw(_t_coefficient(with_t))
+              for i in range(deg + 1)]
     p = sum((c * _X ** i for i, c in enumerate(coeffs)), Polynomial.zero())
     assume(not p.is_zero())
     return p
@@ -389,11 +396,13 @@ def _operand(draw, with_t, max_deg=3):
 
 @st.composite
 def _resultant_pairs(draw):
-    """(p, q, shared) over Q[x] or Q[t][x]; shared says that p and q were
-    given a common factor of positive degree in x, so the resultant is 0."""
-    with_t = draw(st.booleans())
-    p, q = draw(_operand(with_t)), draw(_operand(with_t))
-    if not draw(st.booleans()):
+    """(p, q, shared) over Q[x] of x-degree <= 7 or over Q[t][x] of
+    x-degree <= 5; shared says that p and q were given a common factor of
+    positive degree in x, so the resultant is 0."""
+    with_t, shared = draw(st.booleans()), draw(st.booleans())
+    top = (5 if with_t else 7) - shared
+    p, q = draw(_operand(with_t, top)), draw(_operand(with_t, top))
+    if not shared:
         return p, q, False
     common = draw(_operand(with_t, max_deg=1))
     return p * common, q * common, common.degree_in("x") > 0
@@ -407,6 +416,11 @@ _RESULTANT_EXAMPLES = [
     (parse("t*x^2 + 1/5"), parse("7"), False),
     (parse("(x - t)*(x + 2)"), parse("(x - t)*(3*x - 1/2)"), True),
     (parse("x^3 - 2"), parse("x^2/3 + x - 5/7"), False),
+    # the second remainder step drops two degrees, with h = t before it
+    (parse("t*x^5 + x^2 + x + 1"), parse("t*x^4 + 1"), False),
+    # a power of x, and m < n with m*n odd
+    (parse("x^3"), parse("t*x^5 + x^2/2 - t"), False),
+    (parse("x*t^2 + t^2"), parse("x^3*t^2"), False),
 ]
 
 
@@ -416,6 +430,9 @@ _RESULTANT_EXAMPLES = [
 @example(_RESULTANT_EXAMPLES[1])
 @example(_RESULTANT_EXAMPLES[2])
 @example(_RESULTANT_EXAMPLES[3])
+@example(_RESULTANT_EXAMPLES[5])
+@example(_RESULTANT_EXAMPLES[6])
+@example(_RESULTANT_EXAMPLES[7])
 def test_resultant_matches_dict_bareiss(pqs):
     p, q, shared = pqs
     res = resultant(p, q, "x")
@@ -429,7 +446,9 @@ def test_resultant_matches_dict_bareiss(pqs):
 @given(_resultant_pairs())
 @example(_RESULTANT_EXAMPLES[0])
 @example(_RESULTANT_EXAMPLES[4])
-@example((parse("x*t^2 + t^2"), parse("x^3*t^2"), False))  # m < n, m*n odd
+@example(_RESULTANT_EXAMPLES[5])
+@example(_RESULTANT_EXAMPLES[6])
+@example(_RESULTANT_EXAMPLES[7])  # m < n, m*n odd
 def test_resultant_matches_sympy_up_to_sign(pqs):
     p, q, _ = pqs
     x = sympy.Symbol("x")
@@ -447,6 +466,77 @@ def test_resultant_matches_sympy_up_to_sign(pqs):
     want = sign * sympy.resultant(to_sympy(p), to_sympy(q), x)
     got = to_sympy(resultant(p, q, "x"))
     assert sympy.expand(got - want) == 0
+
+
+# A Z[t] oracle: the Sylvester determinant by fraction-free Bareiss
+# elimination on the kernel's own coefficient lists.
+def _zt_det(m: List[List[List[int]]]) -> List[int]:
+    """Determinant over Z[t] by fraction-free Bareiss elimination."""
+    n = len(m)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            a = row_i[k]
+            for j in range(k + 1, n):
+                num = _zt_sub(_zt_mul(pivot, row_i[j]), _zt_mul(a, row_k[j]))
+                row_i[j] = num if prev == [1] else _zt_div_exact(num, prev)
+        prev = pivot
+    d = m[n - 1][n - 1]
+    return [-c for c in d] if sign < 0 else d
+
+
+# The largest pair the `surfaces` benchmark workload eliminates at seed 0
+# (17 Sylvester rows): A8 in general position, eliminated in z over Q[y].
+_A8_P = parse(
+    "8/3*y^9 - 48*y^8*z + 384*y^7*z^2 - 1792*y^6*z^3 + 5376*y^5*z^4 - "
+    "10752*y^4*z^5 + 14336*y^3*z^6 - 12288*y^2*z^7 + 6144*y*z^8 - "
+    "4096/3*z^9 + 72*y^8 - 1152*y^7*z + 8064*y^6*z^2 - 32256*y^5*z^3 + "
+    "80640*y^4*z^4 - 129024*y^3*z^5 + 129024*y^2*z^6 - 73728*y*z^7 + "
+    "18432*z^8 + 864*y^7 - 12096*y^6*z + 72576*y^5*z^2 - 241920*y^4*z^3 + "
+    "483840*y^3*z^4 - 580608*y^2*z^5 + 387072*y*z^6 - 110592*z^7 + "
+    "6048*y^6 - 72576*y^5*z + 362880*y^4*z^2 - 967680*y^3*z^3 + "
+    "1451520*y^2*z^4 - 1161216*y*z^5 + 387072*z^6 + 27216*y^5 - "
+    "272160*y^4*z + 1088640*y^3*z^2 - 2177280*y^2*z^3 + 2177280*y*z^4 - "
+    "870912*z^5 + 81648*y^4 - 653184*y^3*z + 1959552*y^2*z^2 - "
+    "2612736*y*z^3 + 1306368*z^4 + 163296*y^3 - 979776*y^2*z + "
+    "1959552*y*z^2 - 1306368*z^3 + 2309476/11*y^2 - 9237896/11*y*z + "
+    "9237892/11*z^2 + 1732048/11*y - 3464152/11*z + 577564/11")
+_A8_Q = parse(
+    "24*y^8 - 384*y^7*z + 2688*y^6*z^2 - 10752*y^5*z^3 + 26880*y^4*z^4 - "
+    "43008*y^3*z^5 + 43008*y^2*z^6 - 24576*y*z^7 + 6144*z^8 + 576*y^7 - "
+    "8064*y^6*z + 48384*y^5*z^2 - 161280*y^4*z^3 + 322560*y^3*z^4 - "
+    "387072*y^2*z^5 + 258048*y*z^6 - 73728*z^7 + 6048*y^6 - 72576*y^5*z + "
+    "362880*y^4*z^2 - 967680*y^3*z^3 + 1451520*y^2*z^4 - 1161216*y*z^5 + "
+    "387072*z^6 + 36288*y^5 - 362880*y^4*z + 1451520*y^3*z^2 - "
+    "2903040*y^2*z^3 + 2903040*y*z^4 - 1161216*z^5 + 136080*y^4 - "
+    "1088640*y^3*z + 3265920*y^2*z^2 - 4354560*y*z^3 + 2177280*z^4 + "
+    "326592*y^3 - 1959552*y^2*z + 3919104*y*z^2 - 2612736*z^3 + 489888*y^2 "
+    "- 1959552*y*z + 1959552*z^2 + 4618952/11*y - 9237896/11*z + 1732048/11")
+
+
+def test_resultant_matches_sylvester_determinant_on_a8():
+    pc, dp = _integer_coefficients(_A8_P, "z", "y")
+    qc, dq = _integer_coefficients(_A8_Q, "z", "y")
+    m, n = len(pc) - 1, len(qc) - 1
+    assert (m, n) == (9, 8)
+    rows = [[[]] * i + pc[::-1] + [[]] * (n - 1 - i) for i in range(n)]
+    rows += [[[]] * i + qc[::-1] + [[]] * (m - 1 - i) for i in range(m)]
+    det = _zt_det(rows)
+    assert _zt_resultant(pc, qc) == det
+    scale = (-1) ** n * dp ** n * dq ** m
+    assert resultant(_A8_P, _A8_Q, "z") == Polynomial(
+        ("y",), {(k,): Fraction(c, scale) for k, c in enumerate(det) if c})
 
 
 def test_resultant_domain_is_checked():
