@@ -1,20 +1,19 @@
-"""Exact scalars: big rationals, algebraic extension rings, exact linear algebra.
+"""Exact scalars: big rationals, algebraic number fields, exact linear algebra.
 
-Computations over ``Q[a]/(m)`` with a monic squarefree modulus ``m`` proceed
-as if ``m`` were irreducible.  The moment an inversion meets a zero divisor,
-the gcd that exposed it yields a nontrivial factorization ``m = m1*m2`` and a
-:class:`SplitEvent` is raised, and ``singclass.on_branches`` restarts the
-computation on each factor (dynamic evaluation).  No univariate factorization
-is ever performed.
+:func:`upoly_factor` factors a rational univariate polynomial into monic
+irreducibles over Q (Zassenhaus: factors modulo a small prime, Hensel
+lifting, exhaustive recombination), so every ring ``Q[a]/(m)`` that the
+singular-point solver builds has an irreducible modulus and is a field.
+An :class:`ExtensionRing` built by hand on a reducible modulus still
+works; there :func:`invert` of a zero divisor raises ZeroDivisionError.
 
 Univariate polynomials are tuples of coefficients in increasing degree,
 with no trailing zeros, over one scalar ring: :class:`fractions.Fraction`
 or the :class:`AlgebraicScalar` elements of one extension ring.  The
 ``upoly_*`` functions below are the package's only univariate polynomial
-code.  Trimming, division, the monic gcd, the derivative and the squarefree
-part work over either ring and invert leads with :func:`invert`, so a zero
-divisor surfaces as a SplitEvent; the product and the inverse modulo a
-modulus work on Fraction tuples.
+code over a field.  Trimming, division, the monic gcd, the derivative and
+the squarefree part work over either ring and invert leads with
+:func:`invert`; the product and the factorization work on Fraction tuples.
 
 An :class:`AlgebraicScalar` is held on Python ints: a numerator tuple over
 one positive denominator, in lowest terms.  Its ring keeps the modulus as
@@ -24,16 +23,18 @@ without a Fraction; only :func:`invert` runs Euclid on Fraction tuples.
 Linear algebra has one elimination loop, :class:`Echelon`: sparse vectors
 are top-reduced against pivot rows, fraction-free.  Over Q a pivot row is a
 primitive row of Python ints; only a lead in an extension ring is inverted
-with :func:`invert`, so a zero divisor again raises SplitEvent.  A vector
-added with an index carries its combination of the added vectors, and the
-relations and solutions come out as Fractions.  The Milnor numbers and the
-Reynolds re-derivation use it directly;
+with :func:`invert`.  A vector added with an index carries its combination
+of the added vectors, and the relations and solutions come out as
+Fractions.  The Milnor numbers and the Reynolds re-derivation use it
+directly;
 :func:`row_reduce`, :func:`nullspace` and :func:`solve_linear` are queries
 on the echelon of a matrix's columns.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,16 +70,28 @@ def upoly_deg(p: UPoly) -> int:
     return len(p) - 1
 
 
+def _zt_mul(a: Sequence, b: Sequence) -> list:
+    """The product of dense polynomials over Z or Q, low to high."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zt_sub(a: Sequence, b: Sequence) -> list:
+    """a - b for dense polynomials over Z or Q, trimmed."""
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def upoly_mul(p: UPoly, q: UPoly) -> UPoly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return upoly(out)
+    return upoly(_zt_mul(p, q))
 
 
 def upoly_trim(p: Sequence) -> tuple:
@@ -92,8 +105,7 @@ def upoly_trim(p: Sequence) -> tuple:
 def upoly_divmod(p: Sequence, q: Sequence) -> Tuple[tuple, tuple]:
     """Quotient and remainder of p by a trimmed q over one scalar ring.
 
-    A lead of q other than 1 is inverted with :func:`invert`, so over an
-    extension ring a zero-divisor lead raises SplitEvent.
+    A lead of q other than 1 is inverted with :func:`invert`.
     """
     if not q:
         raise ZeroDivisionError("division by zero polynomial")
@@ -116,8 +128,7 @@ def upoly_divmod(p: Sequence, q: Sequence) -> Tuple[tuple, tuple]:
 
 
 def upoly_monic(p: Sequence) -> tuple:
-    """p divided by its lead, which is inverted unless it is 1; may raise
-    SplitEvent."""
+    """p divided by its lead, which is inverted unless it is 1."""
     if not p or p[-1] == 1:
         return tuple(p)
     inv = invert(p[-1])
@@ -127,8 +138,7 @@ def upoly_monic(p: Sequence) -> tuple:
 def upoly_gcd(*polys: Sequence) -> tuple:
     """Monic gcd of polynomials over one scalar ring; () if all vanish.
 
-    Each Euclid step makes its divisor monic before dividing by it, so over
-    an extension ring the first zero-divisor lead raises SplitEvent.  The
+    Each Euclid step makes its divisor monic before dividing by it.  The
     fold stops once the gcd is 1.
     """
     g: tuple = ()
@@ -149,26 +159,12 @@ def upoly_gcd(*polys: Sequence) -> tuple:
     return upoly_monic(g)
 
 
-def upoly_inverse(p: UPoly, m: UPoly) -> Tuple[UPoly, UPoly]:
-    """Half-extended Euclid over Q: the monic g = gcd(p, m) and u with
-    u * p = g modulo m, so u inverts p modulo m when g = 1."""
-    r0, r1 = m, p
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        q, r = upoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, upoly(a - b for a, b in
-                           zip_longest(s0, upoly_mul(q, s1), fillvalue=0))
-    inv = 1 / r0[-1]
-    return tuple(c * inv for c in r0), tuple(c * inv for c in s0)
-
-
 def upoly_deriv(p: Sequence) -> tuple:
     return upoly_trim([i * c for i, c in enumerate(p) if i])
 
 
 def upoly_squarefree_part(p: Sequence) -> tuple:
-    """Monic squarefree part p / gcd(p, p'); may raise SplitEvent."""
+    """Monic squarefree part p / gcd(p, p')."""
     if len(p) > 2:
         g = upoly_gcd(p, upoly_deriv(p))
         if len(g) > 1:
@@ -195,35 +191,152 @@ def upoly_str(p: UPoly, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# extension rings and dynamic evaluation
+# factoring over Q: Zassenhaus (Cohen, GTM 138, section 3.5; von zur
+# Gathen-Gerhard, Modern Computer Algebra, chapters 14 and 15).  A
+# polynomial mod m is a trimmed list of ints in [0, m), low to high.
 # ---------------------------------------------------------------------------
 
-class SplitEvent(Exception):
-    """A zero divisor revealed a factorization of the active modulus.
+def _zm(f, m: int) -> list:
+    f = [c % m for c in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
 
-    ``factor_a * factor_b`` equals the modulus of the ring that raised the
-    event; both factors are monic of degree >= 1.
-    """
 
-    def __init__(self, ring: "ExtensionRing", factor_a: UPoly, factor_b: UPoly):
-        # each split strictly lowers the degree of both branches, so every
-        # restart loop over the factors terminates
-        assert all(upoly_deg(f) >= 1 and f[-1] == 1 for f in (factor_a, factor_b)) \
-            and upoly_mul(factor_a, factor_b) == ring.modulus, "improper split"
-        self.ring = ring
-        self.factor_a = factor_a
-        self.factor_b = factor_b
-        super().__init__(
-            f"modulus split: ({upoly_str(factor_a)}) * ({upoly_str(factor_b)})")
+def _zm_add(f, g, m: int, k: int = 1) -> list:
+    """f + k*g mod m."""
+    return _zm([a + k * b for a, b in zip_longest(f, g, fillvalue=0)], m)
 
-    @classmethod
-    def from_factor(cls, ring: "ExtensionRing", factor: UPoly) -> "SplitEvent":
-        """The split of the modulus of ``ring`` into a monic proper factor
-        and its cofactor."""
-        cof, rem = upoly_divmod(ring.modulus, factor)
-        assert not rem
-        return cls(ring, factor, upoly_monic(cof))
 
+def _zm_mul(f, g, m: int) -> list:
+    return _zm(_zt_mul(f, g), m)
+
+
+def _zm_divmod(f, g, m: int) -> Tuple[list, list]:
+    """Quotient and remainder mod m by g, whose lead is a unit mod m."""
+    r, dg, inv = list(f), len(g) - 1, pow(g[-1], -1, m)
+    q = [0] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = r[k + dg] * inv % m
+        for i, b in enumerate(g[:dg], k):
+            r[i] -= c * b
+    return _zm(q, m), _zm(r[:dg], m)
+
+
+def _zp_xgcd(f, g, p: int) -> List[list]:
+    """[d, s, t]: d the monic gcd of f and g mod a prime p, s*f + t*g = d."""
+    r0, r1 = (f, [1], []), (g, [], [1])
+    while r1[0]:
+        q = _zm_divmod(r0[0], r1[0], p)[0]
+        r0, r1 = r1, [_zm_add(x, _zm_mul(q, y, p), p, -1) for x, y in zip(r0, r1)]
+    return [_zm_mul(x, [pow(r0[0][-1], -1, p)], p) for x in r0]
+
+
+def _zp_powmod(a, e: int, f, p: int) -> list:
+    """a^e modulo f and p, e >= 1, by left-to-right binary powering."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _zm_divmod(_zm_mul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _zm_mul(out, a, p)
+    return _zm_divmod(out, f, p)[1]
+
+
+def _zp_factor(f, p: int) -> List[list]:
+    """The monic irreducible factors of a monic squarefree f mod an odd
+    prime p.  Distinct-degree factorization gives the product of the
+    factors of each degree d; Cantor-Zassenhaus splits each part u of it
+    by gcd(a^((p^d - 1)/2) - 1, u), a = k read in base p, k = p, p + 1, ..."""
+    out, h, d = [], [0, 1], 0
+    while len(f) > 2 * d + 2:
+        d, h, k = d + 1, _zp_powmod(h, p, f, p), p
+        parts = [_zp_xgcd(f, _zm_add(h, [0, 1], p, -1), p)[0]]
+        f = _zm_divmod(f, parts[0], p)[0]
+        h = _zm_divmod(h, f, p)[1]
+        while any(len(u) > d + 1 for u in parts):
+            split = []
+            for u in parts:
+                a = _zm([k // p ** i for i in range(len(u) - 1)], p)
+                w = _zp_xgcd(u, _zm_add(_zp_powmod(a, (p ** d - 1) // 2, u, p),
+                                        [1], p, -1), p)[0]
+                split += [w, _zm_divmod(u, w, p)[0]] if 1 < len(w) < len(u) \
+                    else [u]
+            parts, k = split, k + 1
+        out += [u for u in parts if len(u) > 1]
+    return out + [f] * (len(f) > 1)
+
+
+def _factor_z(f: list) -> List[list]:
+    """The irreducible factors, up to integer multiples, of a primitive
+    squarefree f in Z[x] of degree n and lead b.  A root 0 and a quadratic
+    split at once.  Otherwise the monic factors g_i of f mod the first prime
+    p > 100 dividing neither b nor the discriminant are lifted one power m
+    of p at a time, g_i += m * (e * a_i mod g_i), e = (f/b - prod g_j)/m and
+    sum a_i * prod_(j != i) g_j = 1 mod p, up to M > 2B, B = (n+1)^(1/2) 2^n
+    |f|_inf |b| bounding the factors of b*f.  A set S of them gives a factor
+    g when g = b * prod(S) and h = b * prod(rest), symmetric mod M, have
+    |g|_1 |h|_1 <= B; then f = h / content(h) (exhaustive recombination)."""
+    n, b = len(f) - 1, f[-1]
+    if n < 2:
+        return [f]
+    if not f[0]:
+        return [[0, 1]] + _factor_z(f[1:])
+    if n == 2:
+        disc = f[1] ** 2 - 4 * f[0] * b
+        r = math.isqrt(max(disc, 0))
+        return [[f[1] - r, 2 * b], [f[1] + r, 2 * b]] if r * r == disc else [f]
+    p = next(p for p in itertools.count(101, 2)
+             if all(p % q for q in range(3, math.isqrt(p) + 1, 2)) and b % p
+             and len(_zp_xgcd(_zm(f, p), _zm(upoly_deriv(f), p), p)[0]) == 1)
+    fp = _zm_mul(f, [pow(b, -1, p)], p)
+    mods = lifted = _zp_factor(fp, p)
+    if len(mods) == 1:
+        return [f]
+    B = (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f)) * abs(b)
+    M, m = p ** (1 + (2 * B).bit_length() // (p.bit_length() - 1)), p
+
+    def product(fs, lead=1):
+        g = functools.reduce(lambda x, y: _zm_mul(x, y, M), fs, [lead % M])
+        return [c - M if 2 * c > M else c for c in g]
+
+    a = [_zp_xgcd(g, _zm_divmod(fp, g, p)[0], p)[2] for g in mods]
+    fM = _zm_mul(f, [pow(b, -1, M)], M)
+    while m < M:
+        e = [c // m for c in _zm_add(fM, product(lifted), M, -1)]
+        lifted = [_zm_add(g, _zm_divmod(_zm_mul(e, ai, p), gp, p)[1], M, m)
+                  for g, ai, gp in zip(lifted, a, mods)]
+        m *= p
+    out, s = [], 1
+    while 2 * s <= len(lifted):
+        for S in itertools.combinations(range(len(lifted)), s):
+            rest = [x for i, x in enumerate(lifted) if i not in S]
+            g, h = product((lifted[i] for i in S), b), product(rest, b)
+            if sum(map(abs, g)) * sum(map(abs, h)) <= B:
+                out.append(g)
+                lifted, content = rest, math.gcd(*h)
+                f = [c // content for c in h]
+                b = f[-1]
+                break
+        else:
+            s += 1
+    return out + [f]
+
+
+def upoly_factor(p: Iterable) -> List[UPoly]:
+    """The distinct monic irreducible factors over Q of a rational p,
+    sorted by degree, then by coefficients; [] if p is constant."""
+    f = upoly_squarefree_part(upoly(p))
+    if len(f) < 3:
+        return [f] if len(f) == 2 else []
+    d = math.lcm(*(c.denominator for c in f))
+    return sorted((tuple(Fraction(c, g[-1]) for c in g) for g in _factor_z(
+        [c.numerator * (d // c.denominator) for c in f])),
+                  key=lambda g: (len(g), g))
+
+
+# ---------------------------------------------------------------------------
+# extension rings
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExtensionRing:
@@ -287,11 +400,8 @@ class ExtensionRing:
 
 
 def make_extension(modulus) -> ExtensionRing:
-    """Ring Q[a]/(squarefree part of modulus).
-
-    The modulus must be monic of degree >= 1; a degree-1 modulus just means
-    the ring is Q with the generator pinned to a rational value.
-    """
+    """Ring Q[a]/(squarefree part of a monic modulus of degree >= 1); at
+    degree 1 it is Q, with the generator pinned to a rational value."""
     m = upoly(modulus)
     if upoly_deg(m) < 1:
         raise ValueError("modulus must have degree >= 1")
@@ -442,7 +552,8 @@ Scalar = Union[Fraction, AlgebraicScalar]
 
 
 def invert(a: Scalar) -> Scalar:
-    """Multiplicative inverse; raises SplitEvent on a zero divisor."""
+    """Multiplicative inverse; raises ZeroDivisionError on zero and, in a
+    ring whose modulus is reducible, on a zero divisor."""
     if isinstance(a, (int, Fraction)):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -452,17 +563,15 @@ def invert(a: Scalar) -> Scalar:
     if len(a.num) == 1:
         c = a.num[0]
         return AlgebraicScalar(a.ring, (a.den if c > 0 else -a.den,), abs(c))
-    g, u = upoly_inverse(a.value, a.ring.modulus)
-    if upoly_deg(g) == 0:
-        return a.ring.element(u)
-    raise SplitEvent.from_factor(a.ring, g)
-
-
-def map_to_factor(x: Scalar, new_ring: ExtensionRing) -> Scalar:
-    """Reduce a scalar into the quotient by a factor of its modulus."""
-    if isinstance(x, (int, Fraction)):
-        return new_ring.element(_frac(x)) if new_ring is not RATIONAL_RING else _frac(x)
-    return new_ring._reduced(list(x.num), x.den)
+    # half-extended Euclid over Q: s1 * a = r1 modulo the ring's modulus
+    r0, r1, s0, s1 = a.ring.modulus, a.value, (), (Fraction(1),)
+    while r1:
+        q, r = upoly_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, tuple(_zt_sub(s0, upoly_mul(q, s1)))
+    if len(r0) == 1:
+        return a.ring.element(tuple(c / r0[0] for c in s0))
+    raise ZeroDivisionError(f"{a!r} is a zero divisor modulo "
+                            f"{upoly_str(a.ring.modulus, 'a')}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +611,7 @@ class Echelon:
     (fraction-free elimination: Bareiss, Math. Comp. 1968; Cohen, GTM 138,
     section 2.2).  A remainder of Python ints becomes a primitive integer
     pivot row.  Any other remainder is scaled to 1 at its lead by
-    :func:`invert`, so a zero divisor raises SplitEvent, and then b = 1.
+    :func:`invert`, and then b = 1.
 
     A vector added with an ``index`` carries its combination of the added
     vectors (index -> coefficient) through the same steps; the relations and
@@ -589,8 +698,7 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]]):
     """Reduced row echelon form over one scalar ring.
 
     Returns (rank, rows, pivot_columns); the rows below the rank are zero.
-    Raises SplitEvent if a pivot inversion meets a zero divisor, and
-    ValueError on a ragged matrix.
+    Raises ValueError on a ragged matrix.
     """
     _, relations = _column_echelon(matrix)
     pivots = [c for c, rel in enumerate(relations) if rel is None]
@@ -603,7 +711,7 @@ def row_reduce(matrix: Sequence[Sequence[Scalar]]):
 
 def nullspace(matrix: Sequence[Sequence[Scalar]]) -> List[Tuple[Scalar, ...]]:
     """Kernel basis of a matrix over one scalar ring, one vector per free
-    column of `row_reduce`; may raise SplitEvent."""
+    column of `row_reduce`."""
     _, relations = _column_echelon(matrix)
     return [tuple(rel.get(j, Fraction(0)) for j in range(len(relations)))
             for rel in relations if rel is not None]

@@ -16,13 +16,12 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import (AlgebraicScalar, Echelon, Scalar, SplitEvent, upoly,
-                    upoly_deg, upoly_gcd)
+from .exact import Echelon, Scalar
 from .poly import (Polynomial, div_exact, exponent_tuples, gcd_univariate,
                    parse)
 from .rootsys import CASE_IDS, CaseMeta, case_meta
 from .singclass import (FiberConfiguration, classify_point,
-                        fiber_configuration, on_branches, singular_points)
+                        fiber_configuration, singular_points)
 from .subsys import format_type
 
 Subst = Dict[str, Polynomial]
@@ -697,24 +696,6 @@ def _apply_map(sub: Subst, variables, coords) -> Tuple[Scalar, ...]:
     return tuple(sub[v].evaluate(binding) for v in variables)
 
 
-def _fixed_part_degree(ring, coords, image) -> Tuple[int, "object"]:
-    """gcd of the modulus with the coordinate differences: the fixed locus
-    inside the branch.  Returns (degree of fixed part, fixed-part modulus)."""
-    if ring.degree == 1:
-        same = all((a - b) == 0 for a, b in zip(coords, image))
-        return (1, None) if same else (0, None)
-    g = ring.modulus
-    for a, b in zip(coords, image):
-        d = a - b
-        dv = d.value if isinstance(d, AlgebraicScalar) else upoly((d,))
-        if not dv:
-            continue
-        g = upoly_gcd(g, dv)
-        if upoly_deg(g) == 0:
-            return 0, None
-    return upoly_deg(g), g
-
-
 def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
     """Classified singular points of the covering fiber with their orbit
     sizes under the symmetry group, plus the smooth fixed-point count."""
@@ -724,23 +705,15 @@ def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
                   for name, sub in case.group_elements().items() if name != "id"]
     order = case.omega_order
 
-    def orbit_record(ring, coords):
-        # a partly fixed branch splits into its fixed and its moving part.
-        # gcd(m, differences) is 1 or m on a branch that did not split, so a
-        # factor that classify_point splits off keeps the same stabilizer
-        stab = 1
-        for sub in nontrivial:
-            image = _apply_map(sub, case.fiber_vars, coords)
-            deg_fixed, gfix = _fixed_part_degree(ring, coords, image)
-            if deg_fixed == ring.degree:
-                stab += 1
-            elif deg_fixed:
-                raise SplitEvent.from_factor(ring, gfix)
+    records = []
+    for ring, coords in singular_points(F):
+        # the ring is a field, so a group element fixes all the conjugate
+        # points of a record or none of them
+        stab = 1 + sum(_apply_map(sub, case.fiber_vars, coords) == coords
+                       for sub in nontrivial)
         if order % stab != 0:
             raise AssertionError("stabilizer order does not divide the group order")
-        return [(classify_point(F, coords, ring), order // stab)]
-
-    records = on_branches(singular_points(F), orbit_record)
+        records.append((classify_point(F, coords, ring), order // stab))
 
     # group points into orbits: #orbits with a given (type, orbit size)
     counts: Dict[Tuple[str, int], int] = {}
@@ -772,14 +745,8 @@ def _smooth_fixed_count(case: CaseDescriptor, F: Polynomial,
         else:
             g = gcd_univariate(on_locus, on_locus.diff(on_locus.used_variables()[0]))
             total = on_locus.total_degree() - g.total_degree()
-    # subtract singular points fixed by the symmetry the locus tracks
-    fixed_sing = 0
-    full = case.omega_order
-    for rec, orb in records:
-        stab = full // orb
-        if stab == full:
-            fixed_sing += rec.orbit_size
-    return total - fixed_sing
+    # subtract the singular points fixed by the whole group
+    return total - sum(rec.orbit_size for rec, orb in records if orb == 1)
 
 
 def check_stratum_point(case_id: str, stratum_id: str,

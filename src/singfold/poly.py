@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
 from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .exact import AlgebraicScalar, Scalar, invert, upoly_gcd, _frac
+from .exact import (AlgebraicScalar, Scalar, _frac, _zt_mul, _zt_sub, invert,
+                    upoly_gcd)
 
 # fixed precedence for the variable universe; unknown names sort after, alphabetically
 _VAR_ORDER = [
@@ -523,24 +523,6 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
 # zero.  The subresultant PRS divides only by factors that Collins' theorem
 # shows divide, so each division below is exact.
 
-def _zt_mul(a: List[int], b: List[int]) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _zt_sub(a: List[int], b: List[int]) -> List[int]:
-    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _zt_div_exact(a: List[int], b: List[int]) -> List[int]:
     """a / b in Z[t] for a nonzero b that divides a."""
     if not a or b == [1]:
@@ -682,8 +664,7 @@ def univariate_coefficients(p: Polynomial, name: str) -> tuple:
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd of univariate polynomials over one scalar ring.
 
-    The coefficients go through :func:`singfold.exact.upoly_gcd`; over an
-    extension ring it may raise SplitEvent.
+    The coefficients go through :func:`singfold.exact.upoly_gcd`.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")

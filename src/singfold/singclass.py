@@ -1,8 +1,10 @@
 """Exact location and ADE classification of surface singularities.
 
 Given F(u,v,w) = 0 with rational coefficients, the singular points are the
-common zeros of (F, F_u, F_v, F_w), with coordinates in extension rings
-produced by dynamic evaluation.  They are found by one substitution rule:
+common zeros of (F, F_u, F_v, F_w), with coordinates in Q or in number
+fields Q[a]/(m), one per irreducible factor m of an eliminant
+(:func:`split_branch`), so each record is one Galois orbit.  They are found
+by one substitution rule:
 an equation linear in a variable with a constant coefficient is solved for
 that variable, the lowest-degree solution first, and substituted into the
 rest.  A system left in one variable takes a gcd, one in two variables
@@ -12,19 +14,17 @@ be linear in one variable, F = A*w + B.
 Each point is classified by Hessian corank, Milnor number and the shape of the
 kernel-restricted cubic.  At Hessian corank 0 the point is A1 (Morse
 lemma) and no Milnor number is computed; otherwise mu comes from one echelon
-of the truncated Jacobian rows in a local degree ordering.  Every restart
-on the factors of a split modulus goes through one driver, :func:`on_branches`.
+of the truncated Jacobian rows in a local degree ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
-                    Scalar, SplitEvent, invert, make_extension, map_to_factor,
-                    nullspace, upoly, upoly_deg, upoly_gcd,
+                    Scalar, invert, nullspace, upoly_factor, upoly_gcd,
                     upoly_squarefree_part, upoly_str)
 from .poly import (Polynomial, binary_cubic_shape, exponent_tuples,
                    resultant, univariate_coefficients)
@@ -40,11 +40,11 @@ class ClassificationError(ValueError):
 
 @dataclass
 class SingularPointRecord:
-    """Singular points over one ring Q[a]/(m), one per root of m.
+    """Singular points over one field Q[a]/(m), one per root of m.
 
-    m is squarefree but never factored, so ``orbit_size`` (deg m) is a
-    Galois orbit only when m is irreducible: ``(x^2-2)^2 + (y^2-1)^2 + z^2``
-    gives one A1 record on ``a^4 - 6*a^2 + 1``, two conjugate pairs over Q.
+    m is irreducible over Q, so the points are one Galois orbit of size
+    ``orbit_size`` = deg m: ``(x^2-2)^2 + (y^2-1)^2 + z^2`` gives two A1
+    records on ``a^2 - 2``, the pairs (+-sqrt 2, 1, 0) and (+-sqrt 2, -1, 0).
     """
 
     ring: ExtensionRing
@@ -85,9 +85,7 @@ class FiberConfiguration:
 
 
 def _as_scalar_in(ring: ExtensionRing, x: Scalar) -> Scalar:
-    if ring is RATIONAL_RING or ring.degree == 1 and isinstance(x, Fraction):
-        return x
-    if isinstance(x, AlgebraicScalar):
+    if ring.degree == 1 or isinstance(x, AlgebraicScalar):
         return x
     return ring.element(x)
 
@@ -96,19 +94,13 @@ def _as_scalar_in(ring: ExtensionRing, x: Scalar) -> Scalar:
 # univariate root branches over Q
 # ---------------------------------------------------------------------------
 
-def _rational(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else c.as_rational()
-
-
-def _root_branches_q(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
-    """Branches of the roots of a univariate polynomial over Q."""
-    m = upoly(_rational(c) for c in coeffs)
-    if upoly_deg(m) < 1:
-        return []
-    ring = make_extension(tuple(c / m[-1] for c in m))
-    if ring.degree == 1:
-        return [(RATIONAL_RING, -ring.modulus[0])]
-    return [(ring, ring.generator())]
+def split_branch(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
+    """The roots of a univariate polynomial over Q, one branch per
+    irreducible factor: a rational root over Q, else the generator of
+    the field Q[a]/(factor)."""
+    return [(RATIONAL_RING, -f[0]) if len(f) == 2 else
+            ((ring := ExtensionRing(f)), ring.generator())
+            for f in upoly_factor(coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +109,8 @@ def _root_branches_q(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
 
 def _eval_coeffs(p: Polynomial, u: str, v: str, alpha: Scalar) -> List[Scalar]:
     """Coefficients in v of p(u=alpha, v), low to high."""
-    out = []
-    for c in p.coefficients_in(v):
-        if c.is_constant():
-            out.append(c.constant_value())
-        else:
-            out.append(c.evaluate({u: alpha}))
-    return out
+    return [c.constant_value() if c.is_constant() else c.evaluate({u: alpha})
+            for c in p.coefficients_in(v)]
 
 
 class _NotSeparating(Exception):
@@ -177,26 +164,23 @@ def _projected_zeros(polys: List[Polynomial], u: str,
     if not elim:
         raise ClassificationError("every eliminant vanishes: non-isolated locus")
 
-    def over_root(ring: ExtensionRing, coords: Point):
-        (alpha,) = coords
+    def over_root(ring: ExtensionRing, alpha: Scalar):
         g = upoly_gcd(*(_eval_coeffs(p, u, v, alpha) for p in with_v))
         if not g:
             raise ClassificationError(
                 "all polynomials vanish identically: non-isolated locus")
+        if ring.degree == 1:  # over Q, one branch per factor of g
+            return [(r2, _as_scalar_in(r2, alpha), beta)
+                    for r2, beta in split_branch(g)]
         g = upoly_squarefree_part(g)
-        if len(g) <= 1:
-            return []  # spurious eliminant root: no common v here
-        if len(g) == 2:
-            return [(ring, alpha, -g[0])]
-        if ring.degree == 1:
-            # plain univariate in v over Q
-            return [(r2, _as_scalar_in(r2, _rational(alpha)), beta)
-                    for r2, beta in _root_branches_q(g)]
-        raise _NotSeparating
+        if len(g) > 2:
+            raise _NotSeparating
+        # a constant g is a spurious eliminant root: no common v here
+        return [(ring, alpha, -g[0])] if len(g) == 2 else []
 
-    return on_branches([(ring, (alpha,)) for ring, alpha in _root_branches_q(
-        upoly_gcd(*(univariate_coefficients(p, u) for p in elim)))],
-                       over_root)
+    return [z for ring, alpha in split_branch(
+        upoly_gcd(*(univariate_coefficients(p, u) for p in elim)))
+            for z in over_root(ring, alpha)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +248,7 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Bran
                  + coords[k:]) for ring, coords in sub]
     if len(names) == 1:
         (u,) = names
-        return [(ring, (val,)) for ring, val in _root_branches_q(
+        return [(ring, (val,)) for ring, val in split_branch(
             upoly_gcd(*(univariate_coefficients(p, u) for p in polys)))]
     if len(names) == 2:
         return [(ring, (a, b)) for ring, a, b in _common_zeros(polys, *names)]
@@ -273,15 +257,6 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Bran
         raise ClassificationError(
             "unsupported equation shape for singular-point elimination")
     return _solve_linear_var(names, *linear)
-
-
-def _is_unit(x: Scalar) -> bool:
-    """Whether x is invertible; a zero divisor raises SplitEvent."""
-    try:
-        invert(x)
-    except ZeroDivisionError:
-        return False
-    return True
 
 
 def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branch]:
@@ -293,20 +268,20 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
     u, v = (n for n in names if n != w)
     Au, Av, Bu, Bv = A.diff(u), A.diff(v), B.diff(u), B.diff(v)
 
-    def lift(ring: ExtensionRing, coords: Point) -> List[Branch]:
-        at = {u: coords[0], v: coords[1]}
+    def lift(ring: ExtensionRing, a: Scalar, b: Scalar) -> List[Branch]:
+        at = {u: a, v: b}
         for dA, dB in ((Au, Bu), (Av, Bv)):
             da = dA.evaluate(at)
-            if _is_unit(da):
+            if da:
                 at[w] = -dB.evaluate(at) * invert(da)
                 return [(ring, tuple(at[n] for n in names))]
-        if _is_unit(Bu.evaluate(at)) or _is_unit(Bv.evaluate(at)):
+        if Bu.evaluate(at) or Bv.evaluate(at):
             return []  # no w solves both equations: not singular
         raise ClassificationError(
             "non-isolated singular locus: w is free over a point")
 
-    return on_branches([(ring, (a, b)) for ring, a, b in
-                        _common_zeros([A, B, Au * Bv - Av * Bu], u, v)], lift)
+    return [pt for zero in _common_zeros([A, B, Au * Bv - Av * Bu], u, v)
+            for pt in lift(*zero)]
 
 
 def _detect_linear_var(F: Polynomial, names):
@@ -399,8 +374,8 @@ def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
 def classify_point(F: Polynomial, point: Point,
                    ring: ExtensionRing = RATIONAL_RING) -> SingularPointRecord:
     """ADE label of an isolated singular point from (corank, mu, cubic
-    shape).  The Hessian comes first; at corank 0 its echelon inverted only
-    units, so it is nondegenerate on every factor of the ring and mu = 1."""
+    shape).  The Hessian comes first; at corank 0 it is nondegenerate and
+    mu = 1."""
     names = F.used_variables()
     if len(names) != 3:
         raise ClassificationError("classification needs a 3-variable equation")
@@ -446,43 +421,10 @@ def classify_point(F: Polynomial, point: Point,
                                ring.degree)
 
 
-def split_branch(ring: ExtensionRing, coords: Point, event: SplitEvent) -> List[Branch]:
-    """Map a branch into the two factor rings revealed by a SplitEvent."""
-    out: List[Branch] = []
-    for fac in (event.factor_a, event.factor_b):
-        sub = ExtensionRing(fac)
-        mapped = tuple(map_to_factor(c, sub) if isinstance(c, AlgebraicScalar) else c
-                       for c in coords)
-        if upoly_deg(fac) == 1:
-            mapped = tuple(c.as_rational() if isinstance(c, AlgebraicScalar) else c
-                           for c in mapped)
-            out.append((RATIONAL_RING, mapped))
-        else:
-            out.append((sub, mapped))
-    return out
-
-
-def on_branches(branches: Sequence[Branch],
-                fn: Callable[[ExtensionRing, Point], list]) -> list:
-    """Dynamic evaluation: the concatenated lists fn(ring, coords) over the
-    branches, taken last in first out.  A call that raises SplitEvent adds
-    nothing; its branch is replaced by the two factor branches, on which fn
-    runs again."""
-    stack = list(branches)
-    out: list = []
-    while stack:
-        ring, coords = stack.pop()
-        try:
-            out.extend(fn(ring, coords))
-        except SplitEvent as e:
-            stack.extend(split_branch(ring, coords, e))
-    return out
-
-
 def fiber_configuration(F: Polynomial) -> FiberConfiguration:
     """Locate and classify every singular point of F = 0."""
-    records: List[SingularPointRecord] = on_branches(
-        singular_points(F), lambda ring, coords: [classify_point(F, coords, ring)])
+    records = [classify_point(F, coords, ring)
+               for ring, coords in singular_points(F)]
     labels = [rec.ade_type for rec in records for _ in range(rec.orbit_size)]
     records.sort(key=lambda r: (r.ade_type, -r.orbit_size))
     return FiberConfiguration(records, canonical_type(labels))

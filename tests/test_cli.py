@@ -218,6 +218,15 @@ def test_classify_surface_linear_in_one_variable(capsys):
     assert doc["points"][0]["coordinates"] == ["0", "0", "0"]
 
 
+def test_classify_surface_over_a_reducible_eliminant(capsys):
+    # the points (+-sqrt 2, +-1, 0) are two Galois orbits of two
+    code, out = run(capsys, "classify", "--surface",
+                    "(x^2-2)^2 + (y^2-1)^2 + z^2")
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert [(p["type"], p["orbit_size"]) for p in points] == [("A1", 2)] * 2
+
+
 def test_classify_computation_error_exits_1(capsys, monkeypatch):
     def broken(F):
         raise ValueError("inexact division in Z[t]")

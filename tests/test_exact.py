@@ -3,13 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from singfold.exact import (Echelon, SplitEvent, invert, make_extension,
+try:
+    import sympy
+except ImportError:  # the factorizer's oracle test is optional
+    sympy = None
+
+from singfold.exact import (Echelon, invert, make_extension,
                             nullspace, row_reduce, solve_linear, upoly,
-                            upoly_deg, upoly_gcd, upoly_mul,
-                            upoly_squarefree_part)
+                            upoly_deg, upoly_factor, upoly_gcd, upoly_mul,
+                            upoly_squarefree_part, upoly_str)
 
 
 def test_make_extension_linear_is_rational():
@@ -45,21 +50,14 @@ def test_invert_sqrt2():
 
 
 def test_invert_zero_divisor_splits():
+    # a hand-built ring on (a - 1)(a + 2): a - 1 is a zero divisor, and the
+    # factorizer splits the modulus into the two fields Q
     ring = make_extension(upoly_mul(upoly((-1, 1)), upoly((2, 1))))
-    with pytest.raises(SplitEvent) as exc:
+    with pytest.raises(ZeroDivisionError,
+                       match=r"a - 1 is a zero divisor modulo a\^2 \+ a - 2"):
         invert(ring.generator() - 1)
-    ev = exc.value
-    assert upoly_mul(ev.factor_a, ev.factor_b) == ring.modulus
-    assert upoly_deg(ev.factor_a) >= 1 and upoly_deg(ev.factor_b) >= 1
-
-
-def test_split_event_refuses_an_improper_split():
-    # a constant factor would hand a restart loop its branch back unchanged
-    ring = make_extension(upoly_mul(upoly((-1, 1)), upoly((2, 1))))
-    with pytest.raises(AssertionError, match="improper split"):
-        SplitEvent(ring, upoly((1,)), ring.modulus)
-    with pytest.raises(AssertionError, match="improper split"):
-        SplitEvent(ring, upoly((-1, 1)), upoly((3, 1)))
+    assert upoly_factor(ring.modulus) == [upoly((-1, 1)), upoly((2, 1))]
+    assert invert(ring.generator() + 3) * (ring.generator() + 3) == 1
 
 
 def test_invert_rational():
@@ -368,22 +366,30 @@ def test_echelon_matches_normalized_fraction_loop(run):
 
 
 def test_zero_divisor_pivot_splits():
-    ring = make_extension([-1, 0, 1])       # a^2 - 1 = (a - 1)(a + 1)
-    a, one, zero = ring.generator(), ring.one(), ring.zero()
     # The lead of a column is its first nonzero row, whatever that entry is:
-    # column 1 of the second matrix pivots on a - 1 in row 0 and splits,
-    # although a row swap to the unit in row 1 would give rank 2 without it.
-    calls = [lambda: Echelon().add({0: a - 1})]
-    for m in ([[a - 1, one], [zero, a + 1]],
-              [[zero, a - 1], [zero, one], [one, zero]]):
-        rhs = [one] + [zero] * (len(m) - 1)
-        calls += [lambda m=m: row_reduce(m), lambda m=m: nullspace(m),
-                  lambda m=m, rhs=rhs: solve_linear(m, rhs)]
-    for call in calls:
-        with pytest.raises(SplitEvent) as exc:
+    # column 1 of the second matrix pivots on a - 1 in row 0, which a
+    # hand-built ring on a^2 - 1 cannot invert, although a row swap to the
+    # unit in row 1 would give rank 2.  On the factors of a^2 - 1, the
+    # fields Q with a = 1 and a = -1, every call answers.
+    def calls(a, one, zero):
+        out = []
+        for m in ([[a - 1, one], [zero, a + 1]],
+                  [[zero, a - 1], [zero, one], [one, zero]]):
+            rhs = [one] + [zero] * (len(m) - 1)
+            out += [lambda m=m: row_reduce(m), lambda m=m: nullspace(m),
+                    lambda m=m, rhs=rhs: solve_linear(m, rhs)]
+        return out
+
+    ring = make_extension([-1, 0, 1])
+    a = ring.generator()
+    for call in [lambda: Echelon().add({0: a - 1})] + calls(a, ring.one(),
+                                                            ring.zero()):
+        with pytest.raises(ZeroDivisionError, match=r"modulo a\^2 - 1"):
             call()
-        assert exc.value.ring == ring
-        assert upoly_mul(exc.value.factor_a, exc.value.factor_b) == ring.modulus
+    assert upoly_factor(ring.modulus) == [upoly((-1, 1)), upoly((1, 1))]
+    for root in (Fraction(1), Fraction(-1)):
+        answers = [call() for call in calls(root, Fraction(1), Fraction(0))]
+        assert [answers[0][0], answers[3][0]] == [1, 2]
 
 
 def test_echelon_combinations_need_indices():
@@ -403,6 +409,55 @@ def test_upoly_helpers():
     sq = upoly_mul(p, p)
     assert upoly_squarefree_part(sq) == p
     assert upoly_gcd(upoly_mul(p, upoly((1, 1))), p) == p
+
+
+# -- the factorizer against sympy ------------------------------------------
+
+def _sympy_factors(p):
+    """sympy's monic irreducible factors of p over Q, sorted as
+    upoly_factor sorts them."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p)], x, domain="QQ")
+    return sorted((tuple(Fraction(int(c.p), int(c.q))
+                         for c in reversed(f.monic().all_coeffs()))
+                   for f, _ in poly.factor_list()[1]),
+                  key=lambda f: (len(f), f))
+
+
+_factor_coeffs = st.builds(Fraction, st.integers(-12, 12),
+                           st.sampled_from((1, 1, 1, 2, 3, 5)))
+
+
+@st.composite
+def _factor_products(draw):
+    """A product of one to four factors of total degree <= 12, each with a
+    nonzero, often non-unit lead and integer or rational coefficients."""
+    p = upoly((draw(_factor_coeffs.filter(bool)),))
+    for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        if upoly_deg(p) + d <= 12:
+            p = upoly_mul(p, upoly(draw(st.lists(_factor_coeffs, min_size=d,
+                                                 max_size=d))
+                                   + [draw(_factor_coeffs.filter(bool))]))
+    return p
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=100, deadline=None)
+@example(upoly((1, 0, -10, 0, 1)))        # irreducible, splits mod every p
+@example(upoly((-8, -16, -4, 4, 1)))      # the same, at x + 1
+@example(upoly((-2,) + (0,) * 11 + (1,)))  # x^12 - 2
+@example(upoly((1, 0, -6, 0, 1)))         # (x^2 - 2x - 1)(x^2 + 2x - 1)
+@given(_factor_products())
+def test_factor_matches_sympy(p):
+    factors = upoly_factor(p)
+    assert factors == _sympy_factors(p)
+    # the factors are the distinct monic irreducible factors of p
+    assert all(f[-1] == 1 and upoly_deg(f) >= 1 for f in factors)
+    prod = upoly((1,))
+    for f in factors:
+        prod = upoly_mul(prod, f)
+    assert prod == upoly_squarefree_part(p)
 
 
 # -- extension-ring arithmetic against the Fraction-tuple ring -------------
@@ -501,10 +556,8 @@ def test_ring_arithmetic_matches_fraction_tuples(case):
         try:
             got = num / den
         except ZeroDivisionError:
-            assert not den
-            continue
-        except SplitEvent as exc:
-            assert upoly_mul(exc.factor_a, exc.factor_b) == m
+            # zero, or a zero divisor of a reducible modulus
+            assert upoly_deg(upoly_gcd(_oracle(den), m)) >= 1
             continue
         _canonical(got)
         assert _old_mod(_old_mul(got.value, _oracle(den)), m) == _oracle(num)
@@ -530,7 +583,7 @@ def _zero_divisors(draw):
 @given(_zero_divisors())
 def test_invert_zero_divisor_raises_split(case):
     ring, x = case
-    with pytest.raises(SplitEvent) as exc:
+    with pytest.raises(ZeroDivisionError) as exc:
         invert(x)
-    assert exc.value.ring == ring
-    assert upoly_mul(exc.value.factor_a, exc.value.factor_b) == ring.modulus
+    assert str(exc.value) == (f"{x!r} is a zero divisor modulo "
+                              f"{upoly_str(ring.modulus, 'a')}")

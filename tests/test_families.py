@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from singfold import families, flatmap
 from singfold.cli import full_report, main, verify_case
-from singfold.exact import Echelon, SplitEvent
+from singfold.exact import RATIONAL_RING, Echelon
 from singfold.families import (check_stratum_point,
                                classify_quotient_fiber, compose_subst,
                                derive_quotient_chart, descriptor, fiber_at,
@@ -243,24 +243,19 @@ def test_derive_quotient_chart_b2():
     assert rep["relation_found"] and rep["quotient_identity"]
 
 
-def test_orbit_configuration_classifies_both_factors_of_a_split(monkeypatch):
-    # at this point a branch of stabilizer order 1 splits inside
-    # classify_point; each factor keeps the branch's orbit size
+def test_orbit_configuration_classifies_both_factors_of_a_split():
+    # at this point an eliminant has a quadratic factor with two rational
+    # roots, one of them a fixed point.  It is factored before any point is
+    # built, so each root is a rational record with its own stabilizer
     t = {"t2": Fraction(1), "t4": Fraction(0), "t6": Fraction(-1, 108)}
     assert families.stratum_membership("D4C3D6", t) == "L&H"
-    splits = []
-    classify = families.classify_point
-
-    def spy(F, coords, ring):
-        try:
-            return classify(F, coords, ring)
-        except SplitEvent:
-            splits.append(ring.degree)
-            raise
-
-    monkeypatch.setattr(families, "classify_point", spy)
-    orbits, smooth_fixed, _ = families.fiber_orbit_configuration("D4C3D6", t)
-    assert splits == [2]
+    orbits, smooth_fixed, records = families.fiber_orbit_configuration(
+        "D4C3D6", t)
+    half = Fraction(1, 2)
+    assert [(rec.ring, rec.coords, rec.ade_type, orb) for rec, orb in records] \
+        == [(RATIONAL_RING, (half, 0, 0), "A1", 1),
+            (RATIONAL_RING, (0, half, 0), "A1", 2),
+            (RATIONAL_RING, (0, 0, 0), "A1", 2)]
     strat = families.descriptor("D4C3D6").stratum("L&H")
     assert orbits == Counter(strat.fiber_sing)
     assert smooth_fixed == strat.fiber_fixed_smooth

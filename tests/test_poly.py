@@ -11,8 +11,9 @@ try:
 except ImportError:  # the differential test against sympy is optional
     sympy = None
 
-from singfold.exact import (AlgebraicScalar, make_extension, upoly,
-                            upoly_deriv, upoly_mul, upoly_squarefree_part)
+from singfold.exact import (AlgebraicScalar, ExtensionRing, make_extension,
+                            upoly, upoly_deriv, upoly_factor, upoly_mul,
+                            upoly_squarefree_part)
 from singfold.poly import (ParseError, Polynomial, _integer_coefficients,
                            _zt_div_exact, _zt_mul, _zt_resultant, _zt_sub,
                            binary_cubic_shape, div_exact, gcd_univariate,
@@ -151,14 +152,14 @@ def test_gcd_univariate_examples():
 
 
 def test_gcd_over_extension_ring_splits():
-    ring = make_extension([2, 1, -2, 1])  # (x-1)(x^2-2) -> squarefree
-    a = ring.generator()
-    # p = (y - a): gcd with (y - a)(y + a) over the composite ring
+    # the modulus (a - 1)(a^2 - 2) factors into the fields Q, with a = 1, and
+    # Q(sqrt 2); over each, gcd((y - a)(y + a), y - a) = y - a
     y = Polynomial.var("y")
-    p = y - Polynomial.constant(a)
-    q = (y - Polynomial.constant(a)) * (y + Polynomial.constant(a))
-    g = gcd_univariate(q, p)
-    assert g == p
+    factors = upoly_factor((2, -2, -1, 1))
+    assert factors == [upoly((-1, 1)), upoly((-2, 0, 1))]
+    for f in factors:
+        a = Polynomial.constant(ExtensionRing(f).generator())
+        assert gcd_univariate((y - a) * (y + a), y - a) == y - a
 
 
 def test_resultant_vanishes_iff_common_root():
@@ -223,7 +224,7 @@ def test_homogeneous_part():
 # ---------------------------------------------------------------------------
 
 # Q itself, Q(sqrt 2) and the cubic field Q(a)/(a^3 - 3a + 1); both moduli
-# are irreducible, so a rational gcd computed over them never splits.
+# are irreducible, so a gcd computed over them never meets a zero divisor.
 _RINGS = (None, make_extension((-2, 0, 1)), make_extension((1, -3, 0, 1)))
 
 _small = st.fractions(-4, 4, max_denominator=3)

@@ -1,15 +1,17 @@
-import ast
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+try:
+    import sympy
+except ImportError:  # the irreducibility check against sympy is optional
+    sympy = None
+
 from singfold import families, singclass
-from singfold.exact import (RATIONAL_RING, Echelon, SplitEvent, invert,
-                            make_extension)
+from singfold.exact import RATIONAL_RING, Echelon, make_extension, upoly
 from singfold.poly import Polynomial, exponent_tuples, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, hessian_corank,
@@ -232,21 +234,20 @@ def test_linear_variable_points_over_an_extension(monkeypatch):
 
 
 def test_linear_variable_lift_splits_a_composite_branch(monkeypatch):
-    # over Q[a]/((a - 1)(a^2 - 2)) the lift's divisor A_x is a zero divisor:
-    # A_x vanishes at a = 1, where w = -B_y/A_y instead
+    # the roots of (x - 1)(x^2 - 2) come as one branch per factor.  The
+    # lift's divisor A_x vanishes on the rational one, x = 1, where
+    # w = -B_y/A_y instead, and is a unit of the field Q(sqrt 2)
     A = parse("y + (x - 1)^2*(x^2 - 2)")
     B = parse("y^3") + parse("x") * A
-    ring = make_extension((2, -2, -1, 1))
+    branches = singclass.split_branch(upoly((2, -2, -1, 1)))
+    assert [r.degree for r, _ in branches] == [1, 2]
     monkeypatch.setattr(singclass, "_common_zeros",
-                        lambda polys, u, v: [(ring, ring.generator(),
-                                              ring.element(0))])
+                        lambda polys, u, v: [(r, a, Fraction(0))
+                                             for r, a in branches])
     points = singclass._solve_linear_var(("x", "y", "z"), "z", A, B)
-    assert len(points) == 2
-    degrees = sorted(r.degree for r, _ in points)
-    assert degrees == [1, 2]
-    for r, (x0, y0, z0) in points:
-        assert y0 == 0 and z0 == -x0
-    assert any(c == (Fraction(1), Fraction(0), Fraction(-1)) for _, c in points)
+    assert points[0] == (RATIONAL_RING, (1, 0, -1))
+    ring, (x0, y0, z0) = points[1]
+    assert ring.modulus == (-2, 0, 1) and y0 == 0 and z0 == -x0
     # the whole surface is solved through pivots, with the real _common_zeros
     monkeypatch.undo()
     assert fiber_configuration(A * parse("z") + B).type_string() == "A5+A2+A2"
@@ -282,8 +283,9 @@ def assert_points_are_singular(F, conf):
     # (a^2, a, 0) with a^4 = 2, one orbit of four; s = y separates them
     ("(x^2-2)^2 + (y^2-x)^2 + z^2", "A1+A1+A1+A1", "a^4 - 2", 1),
     ("(x^2-2)^2 + (y^3-x)^2 + z^2", "A1+A1+A1+A1+A1+A1", "a^6 - 2", 1),
-    # y = +-1 over every x: s = y does not separate either, s = y + x does
-    ("(x^2-2)^2 + (y^2-1)^2 + z^2", "A1+A1+A1+A1", "a^4 - 6*a^2 + 1", 2),
+    # y = +-1 over every x: s = y gives the rational roots y = 1 and
+    # y = -1, each with the conjugate pair x = +-sqrt(2)
+    ("(x^2-2)^2 + (y^2-1)^2 + z^2", "A1+A1+A1+A1", "a^2 - 2, a^2 - 2", 1),
 ])
 def test_tower_points_are_solved_in_a_sheared_coordinate(monkeypatch, text,
                                                          label, ring, shears):
@@ -303,12 +305,38 @@ def test_tower_points_are_solved_in_a_sheared_coordinate(monkeypatch, text,
     F = parse(text)
     conf = fiber_configuration(F)
     assert conf.type_string() == label
-    assert [rec.to_json()["ring_modulus"] for rec in conf.points] == [ring]
+    assert ", ".join(rec.to_json()["ring_modulus"] for rec in conf.points) == ring
     assert_points_are_singular(F, conf)
     # the u-projection is rejected, then the shears k < shears - 1; the
     # next shear separates the points
     assert calls == ([(("x", "y"), True)] + [(("_s", "x"), True)] * (shears - 1)
                      + [(("_s", "x"), False)])
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+def test_every_ring_modulus_is_irreducible(monkeypatch):
+    built = []                   # every ring that split_branch builds
+    split = singclass.split_branch
+
+    def spy(coeffs):
+        out = split(coeffs)
+        built.extend(ring for ring, _ in out)
+        return out
+
+    monkeypatch.setattr(singclass, "split_branch", spy)
+    surfaces = ["(x^2-2)^2 + (y^2-x)^2 + z^2", "(x^2-2)^2 + (y^3-x)^2 + z^2",
+                "(x^2-2)^2 + (y^2-1)^2 + z^2", "(x^2 - 2)*z + y^3 + x^3 - 2*x"]
+    records = [rec for text in surfaces
+               for rec in fiber_configuration(parse(text)).points]
+    t = {"t2": Fraction(1), "t4": Fraction(0), "t6": Fraction(-1, 108)}
+    records += [rec for rec, _ in
+                families.fiber_orbit_configuration("D4C3D6", t)[2]]
+    moduli = {r.modulus for r in built} | {rec.ring.modulus for rec in records}
+    assert len(moduli) >= 4
+    x = sympy.Symbol("x")
+    for m in moduli:
+        assert sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(m)], x, domain="QQ").is_irreducible
 
 
 def test_exhausted_shears_name_the_bound(monkeypatch):
@@ -592,59 +620,6 @@ def test_pivot_solves_a_surface_no_shape_matcher_accepted():
     with pytest.raises(ClassificationError, match="^unsupported equation shape "
                        "for singular-point elimination$"):
         fiber_configuration(parse("x^3 + y^3 + z^3"))
-
-
-# ---------------------------------------------------------------------------
-# dynamic evaluation: the one restart driver
-# ---------------------------------------------------------------------------
-
-def test_on_branches_reruns_both_factors_last_in_first_out(monkeypatch):
-    ring = make_extension((2, -2, -1, 1))              # (a - 1)(a^2 - 2)
-    splits = []
-    split = singclass.split_branch
-
-    def counting_split(*args):
-        splits.append(args[0])
-        return split(*args)
-
-    # the driver calls split_branch by its module name, so rebinding it (as
-    # the benchmark's tracer does) sees every split
-    monkeypatch.setattr(singclass, "split_branch", counting_split)
-    calls = []
-
-    def fn(r, coords):
-        calls.append(r.degree)
-        x = coords[0] - 1
-        return [(r.degree, invert(x) if x != 0 else None)]
-
-    out = singclass.on_branches([(RATIONAL_RING, (Fraction(3),)),
-                                 (ring, (ring.generator(),))], fn)
-    assert splits == [ring]
-    # the cubic branch raised and added nothing; factor_b = a^2 - 2 comes
-    # first, then a = 1, then the branch given first
-    assert calls == [3, 2, 1, 1]
-    sqrt2 = make_extension((-2, 0, 1))
-    assert out == [(2, sqrt2.element((1, 1))), (1, None), (1, Fraction(1, 2))]
-
-
-def test_only_the_driver_catches_split_events():
-    # the one-driver rule: a restart loop written out by hand fails here
-    found = set()
-    for path in sorted(Path(singclass.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        funcs = [f for f in ast.walk(tree)
-                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ExceptHandler) or node.type is None:
-                continue
-            caught = {getattr(n, "id", getattr(n, "attr", None))
-                      for n in ast.walk(node.type)}
-            if "SplitEvent" in caught:
-                inner = max((f for f in funcs
-                             if f.lineno <= node.lineno <= f.end_lineno),
-                            key=lambda f: f.lineno, default=None)
-                found.add((path.name, inner and inner.name))
-    assert found == {("singclass.py", "on_branches")}
 
 
 def _hessian_by_diffs(G, names):
