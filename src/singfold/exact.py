@@ -497,12 +497,7 @@ class AlgebraicScalar:
         if len(b) == 1:
             c = b[0]
             return _lowest(self.ring, [x * c for x in a], self.den * db)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-        return self.ring._reduced(prod, self.den * db)
+        return self.ring._reduced(_zt_mul(a, b), self.den * db)
 
     __rmul__ = __mul__
 

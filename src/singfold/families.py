@@ -9,6 +9,7 @@ do not.  Samplers emit exact rational points on each stratum.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import random
 from dataclasses import dataclass, field
@@ -548,15 +549,11 @@ def _build_case(case_id: str) -> CaseDescriptor:
         fixed_locus=floc, fixed_locus_dim=fdim, b_fixed=b_fixed)
 
 
-_case_cache: Dict[str, CaseDescriptor] = {}
-
-
+@functools.cache
 def descriptor(case_id: str) -> CaseDescriptor:
-    if case_id not in _case_cache:
-        if case_id not in CASE_IDS:
-            raise ValueError(f"unknown case {case_id!r}")
-        _case_cache[case_id] = _build_case(case_id)
-    return _case_cache[case_id]
+    if case_id not in CASE_IDS:
+        raise ValueError(f"unknown case {case_id!r}")
+    return _build_case(case_id)
 
 
 def all_descriptors() -> List[CaseDescriptor]:
@@ -706,14 +703,14 @@ def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
     order = case.omega_order
 
     records = []
-    for ring, coords in singular_points(F):
+    for coords in singular_points(F):
         # the ring is a field, so a group element fixes all the conjugate
         # points of a record or none of them
         stab = 1 + sum(_apply_map(sub, case.fiber_vars, coords) == coords
                        for sub in nontrivial)
         if order % stab != 0:
             raise AssertionError("stabilizer order does not divide the group order")
-        records.append((classify_point(F, coords, ring), order // stab))
+        records.append((classify_point(F, coords), order // stab))
 
     # group points into orbits: #orbits with a given (type, orbit size)
     counts: Dict[Tuple[str, int], int] = {}

@@ -249,11 +249,6 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __reduce__(self):
-        # field numbers differ between processes; pickle by names
-        names = self.used_variables()
-        return Polynomial, (names, self.exponents(names))
-
     def __repr__(self):
         return to_text(self)
 
@@ -681,14 +676,13 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
 # binary cubic shapes
 # ---------------------------------------------------------------------------
 
-BINARY_CUBIC_SHAPES = ("three-distinct", "one-double", "triple", "zero")
-
-
 def binary_cubic_shape(c: Polynomial) -> str:
     """Root-multiplicity shape of a homogeneous binary cubic (or zero).
 
-    Distinguishes three distinct roots, one double root, a triple root,
-    and the zero form, from the degree of gcd(c, c_u, c_v).
+    c = a*u^3 + b*u^2*v + e*u*v^2 + d*v^3 has three distinct roots iff its
+    discriminant is nonzero, and a triple root iff its Hessian covariant
+    (3ae - b^2) u^2 + (9ad - be) uv + (3bd - e^2) v^2 vanishes (Olver,
+    *Classical Invariant Theory*, chapter 2).
     """
     if c.is_zero():
         return "zero"
@@ -697,20 +691,11 @@ def binary_cubic_shape(c: Polynomial) -> str:
         raise ValueError("binary form needed")
     if any(_degree(e) != 3 for e in c._terms):
         raise ValueError("homogeneous cubic needed")
-    u, v = (used + ("_aux1", "_aux2"))[:2]
-    d = _binary_form_gcd_degree([c, c.diff(u), c.diff(v)], u, v)
-    if d > 2:
-        raise ValueError("impossible gcd degree for a nonzero cubic")
-    return BINARY_CUBIC_SHAPES[d]
-
-
-def _binary_form_gcd_degree(forms: List[Polynomial], u: str, v: str) -> int:
-    """Degree of the gcd of homogeneous binary forms in (u, v), not all zero."""
-    forms = [f for f in forms if not f.is_zero()]
-    # dehomogenize at v = 1; a common factor v^k shows up as degree drop
-    dehoms = [f.subs({v: Fraction(1)}) for f in forms]
-    k = min(f.total_degree() - fe.total_degree() for f, fe in zip(forms, dehoms))
-    g = dehoms[0]
-    for fe in dehoms[1:]:
-        g = gcd_univariate(g, fe)
-    return g.total_degree() + k
+    terms = c.exponents((used + ("_aux1",))[:2])
+    a, b, e, d = (terms.get((3 - i, i), 0) for i in range(4))
+    if (b * b * e * e - 4 * a * e ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d
+            + 18 * a * b * e * d):
+        return "three-distinct"
+    if 3 * a * e - b * b or 9 * a * d - b * e or 3 * b * d - e * e:
+        return "one-double"
+    return "triple"

@@ -9,6 +9,7 @@ is built once, on first use, together with its integer root tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,16 +134,12 @@ def _simple_roots(label: str) -> Tuple[Tuple[Vector, ...], int, Tuple, Tuple]:
     raise ValueError(f"unsupported type {label!r}")
 
 
-_cache: Dict[str, RootSystem] = {}
-
-
+@functools.cache
 def build_root_system(label: str) -> RootSystem:
     """The root system of type ``label``, built once: the simple-root
     coordinates closed under s_i(c) = c - <c, a_i> e_i with the Cartan
     matrix (Bourbaki, Lie Groups and Lie Algebras, VI §1), each root's
     vector sum c_i a_i, and the integer tables by root index."""
-    if label in _cache:
-        return _cache[label]
     if label not in ROOT_TYPES:
         raise ValueError(f"unsupported type {label!r}")
     simples, dim, form, hyperplanes = _simple_roots(label)
@@ -188,12 +185,10 @@ def build_root_system(label: str) -> RootSystem:
     ambient = tuple(amb[c] for c in order)
     by_index = tuple(tuple(Fraction(x, den) for x in a) for a in ambient)
     npos = len(positive)
-    rs = RootSystem(label, dim, simples, by_index[:npos], frozenset(by_index),
-                    form, dict(zip(by_index, order)), hyperplanes, by_index,
-                    {r: i for i, r in enumerate(by_index)}, npos, ambient,
-                    tuple(map(tuple, pair)), tuple(map(tuple, refl)))
-    _cache[label] = rs
-    return rs
+    return RootSystem(label, dim, simples, by_index[:npos], frozenset(by_index),
+                      form, dict(zip(by_index, order)), hyperplanes, by_index,
+                      {r: i for i, r in enumerate(by_index)}, npos, ambient,
+                      tuple(map(tuple, pair)), tuple(map(tuple, refl)))
 
 
 def reflect(rs: RootSystem, beta: Vector, alpha: Vector) -> Vector:

@@ -31,7 +31,6 @@ from .poly import (Polynomial, binary_cubic_shape, exponent_tuples,
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
-Branch = Tuple[ExtensionRing, Point]
 
 
 class ClassificationError(ValueError):
@@ -42,9 +41,11 @@ class ClassificationError(ValueError):
 class SingularPointRecord:
     """Singular points over one field Q[a]/(m), one per root of m.
 
-    m is irreducible over Q, so the points are one Galois orbit of size
-    ``orbit_size`` = deg m: ``(x^2-2)^2 + (y^2-1)^2 + z^2`` gives two A1
-    records on ``a^2 - 2``, the pairs (+-sqrt 2, 1, 0) and (+-sqrt 2, -1, 0).
+    ``coords`` is one point; ``ring`` is the field of its algebraic
+    coordinates, Q if it has none.  m is irreducible over Q, so the points
+    are one Galois orbit of size ``orbit_size`` = deg m:
+    ``(x^2-2)^2 + (y^2-1)^2 + z^2`` gives two A1 records on ``a^2 - 2``,
+    the pairs (+-sqrt 2, 1, 0) and (+-sqrt 2, -1, 0).
     """
 
     ring: ExtensionRing
@@ -84,22 +85,14 @@ class FiberConfiguration:
                 "points": [p.to_json() for p in self.points]}
 
 
-def _as_scalar_in(ring: ExtensionRing, x: Scalar) -> Scalar:
-    if ring.degree == 1 or isinstance(x, AlgebraicScalar):
-        return x
-    return ring.element(x)
-
-
 # ---------------------------------------------------------------------------
-# univariate root branches over Q
+# univariate roots over Q
 # ---------------------------------------------------------------------------
 
-def split_branch(coeffs) -> List[Tuple[ExtensionRing, Scalar]]:
-    """The roots of a univariate polynomial over Q, one branch per
-    irreducible factor: a rational root over Q, else the generator of
-    the field Q[a]/(factor)."""
-    return [(RATIONAL_RING, -f[0]) if len(f) == 2 else
-            ((ring := ExtensionRing(f)), ring.generator())
+def split_branch(coeffs) -> List[Scalar]:
+    """The roots of a univariate polynomial over Q, one per irreducible
+    factor: a rational root, else the generator of the field Q[a]/(factor)."""
+    return [-f[0] if len(f) == 2 else ExtensionRing(f).generator()
             for f in upoly_factor(coeffs)]
 
 
@@ -119,7 +112,7 @@ class _NotSeparating(Exception):
 
 
 def _common_zeros(polys: List[Polynomial], u: str,
-                  v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
+                  v: str) -> List[Tuple[Scalar, Scalar]]:
     """Common zeros (u, v) of rational polynomials in u and v.
 
     They are projected on u first.  If that projection does not separate
@@ -137,14 +130,13 @@ def _common_zeros(polys: List[Polynomial], u: str,
             zeros = _projected_zeros(sheared, "_s", u)
         except _NotSeparating:
             continue
-        return [(ring, uval, _as_scalar_in(ring, sval - k * uval))
-                for ring, sval, uval in zeros]
+        return [(uval, sval - k * uval) for sval, uval in zeros]
     raise ClassificationError(
         "no separating coordinate v + k*u for k = 0 ... 11")
 
 
 def _projected_zeros(polys: List[Polynomial], u: str,
-                     v: str) -> List[Tuple[ExtensionRing, Scalar, Scalar]]:
+                     v: str) -> List[Tuple[Scalar, Scalar]]:
     """Common zeros (u, v) by resultants in v, a gcd of the eliminants in u,
     and a gcd in v over each root; raises _NotSeparating where a root over a
     proper extension leaves more than one v."""
@@ -164,34 +156,32 @@ def _projected_zeros(polys: List[Polynomial], u: str,
     if not elim:
         raise ClassificationError("every eliminant vanishes: non-isolated locus")
 
-    def over_root(ring: ExtensionRing, alpha: Scalar):
+    def over_root(alpha: Scalar):
         g = upoly_gcd(*(_eval_coeffs(p, u, v, alpha) for p in with_v))
         if not g:
             raise ClassificationError(
                 "all polynomials vanish identically: non-isolated locus")
-        if ring.degree == 1:  # over Q, one branch per factor of g
-            return [(r2, _as_scalar_in(r2, alpha), beta)
-                    for r2, beta in split_branch(g)]
+        if isinstance(alpha, Fraction):  # over Q, one root per factor of g
+            return [(alpha, beta) for beta in split_branch(g)]
         g = upoly_squarefree_part(g)
         if len(g) > 2:
             raise _NotSeparating
         # a constant g is a spurious eliminant root: no common v here
-        return [(ring, alpha, -g[0])] if len(g) == 2 else []
+        return [(alpha, -g[0])] if len(g) == 2 else []
 
-    return [z for ring, alpha in split_branch(
+    return [z for alpha in split_branch(
         upoly_gcd(*(univariate_coefficients(p, u) for p in elim)))
-            for z in over_root(ring, alpha)]
+            for z in over_root(alpha)]
 
 
 # ---------------------------------------------------------------------------
 # top-level singular point location
 # ---------------------------------------------------------------------------
 
-def singular_points(F: Polynomial) -> List[Branch]:
-    """All common zeros of (F, dF), grouped into extension-ring branches.
-
-    Coordinates are returned in the order of ``F.used_variables()``.
-    """
+def singular_points(F: Polynomial) -> List[Point]:
+    """All common zeros of (F, dF), one point per Galois orbit, with
+    coordinates in Q or in one field Q[a]/(m), in the order of
+    ``F.used_variables()``."""
     names = F.used_variables()
     if len(names) > 3:
         raise ClassificationError("more than 3 variables")
@@ -219,13 +209,13 @@ def _pivot(polys: Sequence[Polynomial], names: Sequence[str]):
     return i, w, -r / a
 
 
-def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Branch]:
+def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Point]:
     """Common zeros of rational polynomials in ``names``, coordinates in the
     order of ``names``.
 
     A polynomial linear in w with a constant coefficient is solved for w and
     substituted into the rest (Cox-Little-O'Shea, ch. 3); w is lifted on
-    each branch of the smaller system by evaluation, which inverts nothing.
+    each point of the smaller system by evaluation, which inverts nothing.
     Without such a pivot, one name takes a gcd, two take resultants in
     :func:`_common_zeros`, and three, reached only by the system
     [F, F_x, F_y, F_z] itself, need F = polys[0] linear in one variable."""
@@ -235,7 +225,7 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Bran
     if not polys:
         if names:
             raise ClassificationError("non-isolated singular locus")
-        return [(RATIONAL_RING, ())]
+        return [()]
     pivot = _pivot(polys, names)
     if pivot is not None:
         i, w, expr = pivot
@@ -243,15 +233,14 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Bran
         rest = names[:k] + names[k + 1:]
         sub = _eliminate([p.subs({w: expr}) for j, p in enumerate(polys)
                           if j != i], rest)
-        return [(ring, coords[:k]
-                 + (_as_scalar_in(ring, expr.evaluate(dict(zip(rest, coords)))),)
-                 + coords[k:]) for ring, coords in sub]
+        return [coords[:k] + (expr.evaluate(dict(zip(rest, coords))),)
+                + coords[k:] for coords in sub]
     if len(names) == 1:
         (u,) = names
-        return [(ring, (val,)) for ring, val in split_branch(
+        return [(val,) for val in split_branch(
             upoly_gcd(*(univariate_coefficients(p, u) for p in polys)))]
     if len(names) == 2:
-        return [(ring, (a, b)) for ring, a, b in _common_zeros(polys, *names)]
+        return _common_zeros(polys, *names)
     linear = _detect_linear_var(polys[0], names)
     if linear is None:
         raise ClassificationError(
@@ -259,7 +248,7 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Bran
     return _solve_linear_var(names, *linear)
 
 
-def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branch]:
+def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Point]:
     """Singular points of F = A*w + B with A and B free of w.
 
     They lie over the common zeros of A, B and A_u*B_v - A_v*B_u, where
@@ -268,13 +257,13 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Branc
     u, v = (n for n in names if n != w)
     Au, Av, Bu, Bv = A.diff(u), A.diff(v), B.diff(u), B.diff(v)
 
-    def lift(ring: ExtensionRing, a: Scalar, b: Scalar) -> List[Branch]:
+    def lift(a: Scalar, b: Scalar) -> List[Point]:
         at = {u: a, v: b}
         for dA, dB in ((Au, Bu), (Av, Bv)):
             da = dA.evaluate(at)
             if da:
                 at[w] = -dB.evaluate(at) * invert(da)
-                return [(ring, tuple(at[n] for n in names))]
+                return [tuple(at[n] for n in names)]
         if Bu.evaluate(at) or Bv.evaluate(at):
             return []  # no w solves both equations: not singular
         raise ClassificationError(
@@ -302,15 +291,6 @@ def _translate(F: Polynomial, names: Sequence[str], point: Point) -> Polynomial:
     for n, p in zip(names, point):
         subs[n] = Polynomial.var(n) + Polynomial.constant(p)
     return F.subs(subs)
-
-
-def milnor_number(F: Polynomial, point: Point, cap: int = 16) -> int:
-    """Milnor number at an isolated singular point: mu_N = dim of the
-    polynomials modulo the Jacobian ideal and the monomials of degree >= N,
-    at the first N >= 5 with mu_N = mu_{N-1}, N <= cap."""
-    names = F.used_variables()
-    G = _translate(F, names, point)
-    return _milnor_translated(G, names, cap)
 
 
 def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
@@ -356,12 +336,6 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     raise ClassificationError(f"Milnor truncation did not stabilize by N = {cap}")
 
 
-def hessian_corank(F: Polynomial, point: Point) -> int:
-    """3 - rank of the Hessian at the point (or n - rank in n variables)."""
-    names = F.used_variables()
-    return len(nullspace(_hessian(_translate(F, names, point), names)))
-
-
 def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
     """The Hessian matrix of G at the origin, read off its quadratic part."""
     H: List[List[Scalar]] = [[Fraction(0)] * len(names) for _ in names]
@@ -371,11 +345,10 @@ def _hessian(G: Polynomial, names) -> List[List[Scalar]]:
     return H
 
 
-def classify_point(F: Polynomial, point: Point,
-                   ring: ExtensionRing = RATIONAL_RING) -> SingularPointRecord:
+def classify_point(F: Polynomial, point: Point) -> SingularPointRecord:
     """ADE label of an isolated singular point from (corank, mu, cubic
-    shape).  The Hessian comes first; at corank 0 it is nondegenerate and
-    mu = 1."""
+    shape), over the field of its algebraic coordinates, or Q.  The Hessian
+    comes first; at corank 0 it is nondegenerate and mu = 1."""
     names = F.used_variables()
     if len(names) != 3:
         raise ClassificationError("classification needs a 3-variable equation")
@@ -417,14 +390,15 @@ def classify_point(F: Polynomial, point: Point,
             raise ClassificationError("zero cubic on the kernel plane: not ADE")
     else:
         raise ClassificationError("corank 3: not ADE")
+    ring = next((c.ring for c in point if isinstance(c, AlgebraicScalar)),
+                RATIONAL_RING)
     return SingularPointRecord(ring, tuple(point), mu, corank, shape, ade,
                                ring.degree)
 
 
 def fiber_configuration(F: Polynomial) -> FiberConfiguration:
     """Locate and classify every singular point of F = 0."""
-    records = [classify_point(F, coords, ring)
-               for ring, coords in singular_points(F)]
+    records = [classify_point(F, coords) for coords in singular_points(F)]
     labels = [rec.ade_type for rec in records for _ in range(rec.orbit_size)]
     records.sort(key=lambda r: (r.ade_type, -r.orbit_size))
     return FiberConfiguration(records, canonical_type(labels))

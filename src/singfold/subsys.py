@@ -3,11 +3,14 @@
 A subsystem here is the full set of roots vanishing on some Cartan point
 whose vanishing set contains the pinned roots; enumeration walks the lattice
 of subspaces spanned by roots, and every subsystem carries an explicit
-rational witness point that realizes it maximally (no other root vanishes).
+rational witness point that realizes it maximally (no other root vanishes):
+the first integer point of a growing box that avoids every other root, which
+a counting bound guarantees by radius N//2 + 1 for N such roots.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,10 +47,6 @@ class SubRootSystem:
     witness: Vector
     type_label: TypeMultiset
     simple_system: Tuple[Vector, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.simple_system)
 
     def type_string(self) -> str:
         return format_type(self.type_label)
@@ -235,19 +234,19 @@ def _point(rs: RootSystem, basis, combo: Sequence[int]) -> Tuple[int, ...]:
 def _find_witness(rs: RootSystem, gens: Sequence[int]) -> Tuple[int, ...]:
     """An integer Cartan point on which exactly the roots in the span of
     the roots with indices ``gens`` vanish: the first integer combination
-    of the basis that `_first_avoiding` finds, else a point of the moment
-    curve."""
+    of the basis that `_first_avoiding` finds."""
     basis, pairs = _witness_problem(rs, gens)
-    combo = _first_avoiding(pairs, len(basis))
-    if combo is None:
-        return _moment_witness(rs, basis, pairs)
-    return _point(rs, basis, combo)
+    return _point(rs, basis, _first_avoiding(pairs, len(basis)))
 
 
-def _first_avoiding(pairs: List[List[int]], k: int):
-    """The first c in Z^k on which no row of ``pairs`` vanishes, or None:
-    radius r = 1 .. 39 in turn, and within a radius the vectors of max-norm
-    r in ``itertools.product`` order.
+def _first_avoiding(pairs: List[List[int]], k: int) -> Tuple[int, ...]:
+    """The first c in Z^k on which no row of ``pairs`` vanishes: () if
+    k = 0, else radius r = 1, 2, ... in turn, and within a radius the
+    vectors of max-norm r in ``itertools.product`` order.
+
+    A nonzero row vanishes on at most (2r+1)^(k-1) points of the box of
+    radius r, so the N rows leave a point of it once 2r + 1 > N: the
+    search ends by r = N//2 + 1.  A zero row raises ValueError.
 
     A prefix c_1 .. c_(k-1) fixes, for each row, the one last coordinate on
     which it vanishes (none, or all of them, if the row ends in 0); the
@@ -255,9 +254,11 @@ def _first_avoiding(pairs: List[List[int]], k: int):
     any in -r .. r once the prefix reaches radius r, else -r or r.
     """
     if not k:
-        return None
+        return ()
+    if not all(map(any, pairs)):
+        raise ValueError("a zero row vanishes on every point")
     rows = [(row[:-1], row[-1]) for row in pairs]
-    for radius in range(1, 40):
+    for radius in range(1, len(pairs) // 2 + 2):
         span = range(-radius, radius + 1)
         for prefix in itertools.product(span, repeat=k - 1):
             banned = set()
@@ -274,18 +275,7 @@ def _first_avoiding(pairs: List[List[int]], k: int):
                 for c in span if edge else (-radius, radius):
                     if c not in banned:
                         return prefix + (c,)
-    return None
-
-
-def _moment_witness(rs: RootSystem, basis, pairs: List[List[int]]) -> Tuple[int, ...]:
-    """The first point sum s^i b_i, s = 1, 2, ..., that avoids each of the N
-    roots outside the span.  Each restricts to a nonzero polynomial in s of
-    degree below k = len(basis), so one of s = 1 .. N(k-1)+1 avoids them all.
-    """
-    powers = ([s ** i for i in range(len(basis))]
-              for s in range(1, len(pairs) * (len(basis) - 1) + 2))
-    return _point(rs, basis, next(p for p in powers if all(
-        sum(map(mul, p, row)) for row in pairs)))
+    raise AssertionError("the counting bound left no point")
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +435,10 @@ class MatchReport:
         }
 
 
-_subsystem_cache: Dict[str, List[SubRootSystem]] = {}
-
-
+@functools.cache
 def subsystems_for_case(case_id: str) -> List[SubRootSystem]:
-    if case_id not in _subsystem_cache:
-        meta = case_meta(case_id)
-        rs = build_root_system(meta.quotient_type)
-        _subsystem_cache[case_id] = enumerate_subsystems(
-            rs, theta_roots(case_id))
-    return _subsystem_cache[case_id]
+    rs = build_root_system(case_meta(case_id).quotient_type)
+    return enumerate_subsystems(rs, theta_roots(case_id))
 
 
 def match_realizations(case_id: str) -> MatchReport:

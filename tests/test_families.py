@@ -56,8 +56,15 @@ def _fresh_closure(case):
     return elems
 
 
-def test_group_elements_are_cached_lazily(monkeypatch):
-    monkeypatch.setattr(families, "_case_cache", {})
+@pytest.fixture
+def cold_descriptors():
+    """An empty descriptor cache, emptied again when the test finishes."""
+    descriptor.cache_clear()
+    yield
+    descriptor.cache_clear()
+
+
+def test_group_elements_are_cached_lazily(monkeypatch, cold_descriptors):
     assert verify_catalogue()["ok"]
     cases = [descriptor(cid) for cid in CASE_IDS]
     assert all(not case._elements for case in cases)
@@ -97,6 +104,7 @@ BROKEN_CATALOGUES = [
                          ids=[f"{b[0]}-{b[3].split(':')[0]}"
                               for b in BROKEN_CATALOGUES])
 def test_malformed_catalogue_file_is_reported(tmp_path, monkeypatch, capsys,
+                                              cold_descriptors,
                                               cid, old, new, problem):
     for case_id in CASE_IDS:
         text = (families.CATALOGUE / f"{case_id}.txt").read_text()
@@ -105,7 +113,6 @@ def test_malformed_catalogue_file_is_reported(tmp_path, monkeypatch, capsys,
             text = text.replace(old, new, 1)
         (tmp_path / f"{case_id}.txt").write_text(text)
     monkeypatch.setattr(families, "CATALOGUE", tmp_path)
-    monkeypatch.setattr(families, "_case_cache", {})
     rep = verify_catalogue()
     assert not rep["ok"]
     assert [p for p in rep["cases"][cid] if p.startswith(problem)], rep

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from typing import List
@@ -194,12 +195,56 @@ def test_binary_cubic_shapes():
         binary_cubic_shape(parse("x^2 + y^2"))
 
 
+def _gcd_cubic_shape(c: Polynomial) -> str:
+    """The shape of a binary cubic from the degree of gcd(c, c_u, c_v), as
+    it was once taken (reference): dehomogenized at v = 1, where a common
+    factor v^k shows as a drop in degree."""
+    if c.is_zero():
+        return "zero"
+    u, v = (c.used_variables() + ("_aux1", "_aux2"))[:2]
+    forms = [f for f in (c, c.diff(u), c.diff(v)) if not f.is_zero()]
+    dehoms = [f.subs({v: Fraction(1)}) for f in forms]
+    k = min(f.total_degree() - fe.total_degree() for f, fe in zip(forms, dehoms))
+    g = dehoms[0]
+    for fe in dehoms[1:]:
+        g = gcd_univariate(g, fe)
+    return ("three-distinct", "one-double", "triple")[g.total_degree() + k]
+
+
+def _random_linear_form(rng, ring):
+    """(p, q), not both zero, for p*x + q*y over Q, or over Q(sqrt 2)."""
+    def scalar():
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return c if ring is None else c + rng.randint(-2, 2) * ring.generator()
+    while True:
+        p, q = scalar(), scalar()
+        if p or q:
+            return p, q
+
+
 def test_cubic_shape_invariant_under_unimodular_change():
     rng = random.Random(3)
     cubics = [parse("x^2*y + y^3"), parse("x^2*y"), parse("x^3"),
               parse("x^3 - x*y^2"), parse("x^2*y + x*y^2")]
+    # products of three random linear forms, with repeated factors, over Q
+    # and Q(sqrt 2); the shape counts the forms up to proportionality
+    x, y = parse("x"), parse("y")
+    for ring in (None, make_extension((-2, 0, 1))):
+        for pattern in ((0, 1, 2), (0, 0, 1), (0, 0, 0)) * 4:
+            forms = [_random_linear_form(rng, ring) for _ in range(3)]
+            factors = [forms[i] for i in pattern]
+            c = Polynomial.constant(1)
+            for p, q in factors:
+                c = c * (Polynomial.constant(p) * x + Polynomial.constant(q) * y)
+            classes = []
+            for p, q in factors:
+                if not any(p * q2 - p2 * q == 0 for p2, q2 in classes):
+                    classes.append((p, q))
+            expected = ("triple", "one-double", "three-distinct")[len(classes) - 1]
+            assert binary_cubic_shape(c) == _gcd_cubic_shape(c) == expected
     for c in cubics:
         base = binary_cubic_shape(c)
+        assert _gcd_cubic_shape(c) == base
         for _ in range(6):
             while True:
                 a, b = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -209,7 +254,7 @@ def test_cubic_shape_invariant_under_unimodular_change():
             nx = Polynomial.constant(Fraction(a)) * parse("x") + b * parse("y")
             ny = Polynomial.constant(Fraction(cc)) * parse("x") + d * parse("y")
             moved = c.subs({"x": nx, "y": ny})
-            assert binary_cubic_shape(moved) == base
+            assert binary_cubic_shape(moved) == _gcd_cubic_shape(moved) == base
 
 
 def test_homogeneous_part():
@@ -320,48 +365,27 @@ def test_binary_cubic_shape_over_extension_rings():
 # resultants over Q[x] and Q[t][x]
 # ---------------------------------------------------------------------------
 
-def _det_bareiss(m):
-    """Fraction-free determinant over the dict polynomial ring (oracle)."""
-    n = len(m)
-    if n == 0:
-        return Polynomial.constant(1)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = Polynomial.constant(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = div_exact(num, prev)
-            m[i][k] = Polynomial.zero()
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
 def _oracle_resultant(p, q, name):
-    """The Sylvester determinant over dict polynomials, same sign rule."""
-    pc, qc = p.coefficients_in(name), q.coefficients_in(name)
+    """The Sylvester determinant over Z[t] by `_zt_det`, same sign rule;
+    the rows are cleared of denominators here."""
+    def integer_coefficients(f):
+        cs = [univariate_coefficients(c, "t") for c in f.coefficients_in(name)]
+        d = math.lcm(*(c.denominator for cc in cs for c in cc))
+        return [[int(c * d) for c in cc] for cc in cs], d
+
+    (pc, dp), (qc, dq) = integer_coefficients(p), integer_coefficients(q)
     m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
         return Polynomial.constant(1)
     if m == 0:
-        return pc[0] ** n
+        return p ** n
     if n == 0:
-        return qc[0] ** m
-    zero = Polynomial.zero()
-    rows = [[zero] * i + pc[::-1] + [zero] * (n - 1 - i) for i in range(n)]
-    rows += [[zero] * i + qc[::-1] + [zero] * (m - 1 - i) for i in range(m)]
-    det = _det_bareiss(rows)
-    return -det if n % 2 == 1 else det
+        return q ** m
+    rows = [[[]] * i + pc[::-1] + [[]] * (n - 1 - i) for i in range(n)]
+    rows += [[[]] * i + qc[::-1] + [[]] * (m - 1 - i) for i in range(m)]
+    scale = (-1) ** n * dp ** n * dq ** m
+    return Polynomial(("t",), {(k,): Fraction(c, scale)
+                               for k, c in enumerate(_zt_det(rows)) if c})
 
 
 _T = parse("t")

@@ -97,12 +97,12 @@ def test_case_setup_builds_no_root_system():
             "from singfold import families, rootsys\n"
             "assert families.verify_catalogue()['ok']\n"
             "families.all_descriptors()\n"
-            "print(sorted(rootsys._cache))\n")
+            "print(rootsys.build_root_system.cache_info().currsize)\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(singfold.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert out == "0\n"
 
 
 @pytest.mark.parametrize("label", ["D4", "E6", "E7"])

@@ -11,11 +11,10 @@ except ImportError:  # the irreducibility check against sympy is optional
     sympy = None
 
 from singfold import families, singclass
-from singfold.exact import RATIONAL_RING, Echelon, make_extension, upoly
+from singfold.exact import AlgebraicScalar, Echelon, make_extension, upoly
 from singfold.poly import Polynomial, exponent_tuples, parse
 from singfold.singclass import (ClassificationError, classify_point,
-                                fiber_configuration, hessian_corank,
-                                milnor_number, singular_points)
+                                fiber_configuration, singular_points)
 
 KLEIN_FORMS = [
     ("X^4 + Y*Z", "A3"),
@@ -51,6 +50,13 @@ def test_arnold_d_family(k):
     assert rec.cubic_shape == ("three-distinct" if k == 4 else "one-double")
 
 
+def milnor_number(F, point, cap=16):
+    """The Milnor number of F at a point, by the classifier's engine."""
+    names = F.used_variables()
+    return singclass._milnor_translated(singclass._translate(F, names, point),
+                                        names, cap)
+
+
 def test_milnor_examples():
     assert milnor_number(parse("x^2 + y^2 + z^2"), (0, 0, 0)) == 1
     assert milnor_number(parse("X^3 + X*Y^3 + Z^2"), (0, 0, 0)) == 7
@@ -64,16 +70,14 @@ def test_milnor_stabilization_is_cap_independent():
 
 
 def test_hessian_corank_examples():
-    assert hessian_corank(parse("x^2 + y^2 + z^2"), (0, 0, 0)) == 0
-    assert hessian_corank(parse("z^4 - x*y"), (0, 0, 0)) == 1
-    assert hessian_corank(parse("X^4 + Y^3 + Z^2"), (0, 0, 0)) == 2
+    for text, corank in (("x^2 + y^2 + z^2", 0), ("z^4 - x*y", 1),
+                         ("X^4 + Y^3 + Z^2", 2)):
+        assert classify_point(parse(text), (0, 0, 0)).corank == corank
 
 
 def test_singular_points_examples():
-    pts = singular_points(parse("z^4 - x*y"))
-    assert len(pts) == 1
-    ring, coords = pts[0]
-    assert ring.degree == 1 and all(c == 0 for c in coords)
+    (coords,) = singular_points(parse("z^4 - x*y"))
+    assert all(isinstance(c, Fraction) and c == 0 for c in coords)
     assert singular_points(parse("x^2 + y^2 + z^2 - 1")) == []
 
 
@@ -147,13 +151,11 @@ def test_affine_invariance_of_classify_point():
 
 def test_conjugate_points_share_type_on_quadratic_branches():
     # singular pair at z^2 = 2, x = y = 0 on a deformed covering fiber
-    from singfold.exact import AlgebraicScalar
     F = parse("z^4 - 4*z^2 - x*y + 4")  # (z^2 - 2)^2 = x*y
-    pts = singular_points(F)
-    assert len(pts) == 1
-    ring, coords = pts[0]
+    (coords,) = singular_points(F)
+    rec = classify_point(F, coords)
+    ring = rec.ring
     assert ring.degree == 2
-    rec = classify_point(F, coords, ring)
     # conjugation sends the generator a to -b - a for x^2 + b x + c
     gen_conj = ring.element((-ring.modulus[1], -1))
 
@@ -165,7 +167,7 @@ def test_conjugate_points_share_type_on_quadratic_branches():
             out = out + coef * gen_conj ** i
         return out
 
-    rec2 = classify_point(F, tuple(conj(c) for c in coords), ring)
+    rec2 = classify_point(F, tuple(conj(c) for c in coords))
     assert (rec.ade_type, rec.mu, rec.corank) == \
         (rec2.ade_type, rec2.mu, rec2.corank)
 
@@ -239,15 +241,14 @@ def test_linear_variable_lift_splits_a_composite_branch(monkeypatch):
     # w = -B_y/A_y instead, and is a unit of the field Q(sqrt 2)
     A = parse("y + (x - 1)^2*(x^2 - 2)")
     B = parse("y^3") + parse("x") * A
-    branches = singclass.split_branch(upoly((2, -2, -1, 1)))
-    assert [r.degree for r, _ in branches] == [1, 2]
+    roots = singclass.split_branch(upoly((2, -2, -1, 1)))
+    assert roots[0] == 1 and roots[1].ring.modulus == (-2, 0, 1)
     monkeypatch.setattr(singclass, "_common_zeros",
-                        lambda polys, u, v: [(r, a, Fraction(0))
-                                             for r, a in branches])
+                        lambda polys, u, v: [(a, Fraction(0)) for a in roots])
     points = singclass._solve_linear_var(("x", "y", "z"), "z", A, B)
-    assert points[0] == (RATIONAL_RING, (1, 0, -1))
-    ring, (x0, y0, z0) = points[1]
-    assert ring.modulus == (-2, 0, 1) and y0 == 0 and z0 == -x0
+    assert points[0] == (1, 0, -1)
+    x0, y0, z0 = points[1]
+    assert x0 == roots[1] and y0 == 0 and z0 == -x0
     # the whole surface is solved through pivots, with the real _common_zeros
     monkeypatch.undo()
     assert fiber_configuration(A * parse("z") + B).type_string() == "A5+A2+A2"
@@ -320,7 +321,7 @@ def test_every_ring_modulus_is_irreducible(monkeypatch):
 
     def spy(coeffs):
         out = split(coeffs)
-        built.extend(ring for ring, _ in out)
+        built.extend(a.ring for a in out if isinstance(a, AlgebraicScalar))
         return out
 
     monkeypatch.setattr(singclass, "split_branch", spy)
@@ -419,10 +420,10 @@ def test_corank_zero_points_skip_milnor(monkeypatch):
         assert (rec.ade_type, rec.mu, rec.corank) == ("A1", 1, 0)
     # A3B2D4 at t2 = t4 = 1: a conjugate pair of A1 points over Q[a]/(a^2 - 9/2)
     F = families.quotient_fiber("A3B2D4", {"t2": 1, "t4": 1})
-    branches = [(r, c) for r, c in singular_points(F) if r.degree == 2]
-    assert branches
-    for ring, coords in branches:
-        rec = classify_point(F, coords, ring)
+    records = [classify_point(F, c) for c in singular_points(F)]
+    pairs = [rec for rec in records if rec.ring.degree == 2]
+    assert pairs
+    for rec in pairs:
         assert (rec.ade_type, rec.mu, rec.corank, rec.orbit_size) == ("A1", 1, 0, 2)
 
 
@@ -464,7 +465,7 @@ def test_milnor_matches_oracle_over_an_extension():
         G = singclass._translate(F, names, point)
         mu = int(label[1:])
         assert milnor_number(F, point) == truncated_milnor_oracle(G, names) == mu
-        assert classify_point(F, point, ring).ade_type == label
+        assert classify_point(F, point).ade_type == label
 
 
 def _record_orders(monkeypatch):

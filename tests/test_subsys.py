@@ -11,8 +11,8 @@ from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
                               theta_roots, vanishing_set, vneg)
 from singfold import subsys
 from singfold.subsys import (EXPECTED_SUBSYSTEM_COUNTS, REALIZATIONS,
-                             _find_witness, _first_avoiding, _moment_witness,
-                             _point, _witness_problem, canonical_type,
+                             _find_witness, _first_avoiding, _point,
+                             _witness_problem, canonical_type,
                              classify_subsystem, enumerate_subsystems,
                              format_type, match_realizations, parse_type,
                              reflection_closure, subsystems_for_case)
@@ -166,16 +166,6 @@ def test_reflection_closure_matches_pairwise_closure(label, picks):
     assert reflection_closure(rs, gens) == _pairwise_closure(rs, gens)
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
-def test_moment_curve_witness_is_maximal(cid):
-    # the fallback behind the box search, called on every enumerated flat
-    rs = build_root_system(case_meta(cid).quotient_type)
-    for s in subsystems_for_case(cid):
-        basis, pairs = _witness_problem(rs, [rs.index[r] for r in s.simple_system])
-        h = _moment_witness(rs, basis, pairs)
-        assert vanishing_set(rs, h) == s.roots
-
-
 # sha256 of each case's enumeration: type, simple system, witness and roots
 ENUMERATION_DIGESTS = {
     "A3B2D4": "d2579556de200e805d3a90d8d696dc033797fed2f145887c01162f00976445da",
@@ -216,11 +206,10 @@ def test_witness_walk_matches_box_search(cid):
     for s in subsystems_for_case(cid):
         gens = [rs.index[r] for r in s.simple_system]
         basis, pairs = _witness_problem(rs, gens)
-        first = _box_first(pairs, len(basis))
+        first = _box_first(pairs, len(basis)) if basis else ()
+        assert first is not None
         assert _first_avoiding(pairs, len(basis)) == first
-        expected = (_moment_witness(rs, basis, pairs) if first is None
-                    else _point(rs, basis, first))
-        assert _find_witness(rs, gens) == s.witness == expected
+        assert _find_witness(rs, gens) == s.witness == _point(rs, basis, first)
 
 
 @st.composite
@@ -246,14 +235,25 @@ def _pairings(draw):
 @settings(max_examples=150, deadline=None)
 @given(_pairings())
 def test_witness_walk_matches_box_search_on_random_pairings(problem):
+    # the walk stops by radius N//2 + 1 for N rows; the reference searches
+    # on to radius 39, so the two agree only if the bound holds
     pairs, k = problem
-    assert _first_avoiding(pairs, k) == _box_first(pairs, k)
+    if not k:
+        assert _first_avoiding(pairs, k) == ()
+    elif not all(map(any, pairs)):
+        with pytest.raises(ValueError, match="zero row"):
+            _first_avoiding(pairs, k)
+    else:
+        assert _first_avoiding(pairs, k) == _box_first(pairs, k)
 
 
 def test_witness_walk_falls_through_as_the_box_search_does():
-    # a zero row bans every vector: both searches run out at radius 39
+    # a zero row bans every vector: the box search runs out at radius 39,
+    # and the walk refuses the row before it searches
     pairs = [[1, -1], [0, 0]]
-    assert _first_avoiding(pairs, 2) is None is _box_first(pairs, 2)
+    assert _box_first(pairs, 2) is None
+    with pytest.raises(ValueError, match="zero row"):
+        _first_avoiding(pairs, 2)
 
 
 def test_witness_check_refuses_a_larger_vanishing_set(monkeypatch):
