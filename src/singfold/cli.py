@@ -1,10 +1,11 @@
 """Command-line surface: case catalogue, root systems, subsystem
 enumeration, fiber classification, verification bundles, and batch reports.
 
-Exit codes: 0 = success / all checks passed, 1 = a verification failed or
-stopped with an error, or `classify` refused or failed on a well-formed
-surface, 2 = usage error.  Reports are deterministic for a fixed seed and are
-written as sorted JSON.
+Exit codes: 0 = success / all checks passed, 1 = a verification failed, or
+any command stopped with an error on a well-formed command line (`classify`
+refusing a surface, too), 2 = usage error: a bad command line or a
+polynomial that does not parse.  Reports are deterministic for a fixed seed
+and are written as sorted JSON.
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ from .families import (all_descriptors, check_stratum_point, descriptor,
 from .flatmap import correspondence_check, flat_chart, verify_iso
 from .poly import ParseError, parse, to_text
 from .rootsys import CASE_IDS, ROOT_TYPES, build_root_system, to_json
-from .singclass import ClassificationError, fiber_configuration
+from .singclass import fiber_configuration
 from .subsys import match_realizations, subsystems_for_case
 
 SCHEMA_VERSION = "1"
 
 SECTIONS = ("equivariance", "quotient-derivation", "flat-relations", "iso",
             "tables", "realizations", "correspondence", "theorem2")
+
+
+class UsageError(ValueError):
+    """A bad command line: exit 2."""
 
 
 def verify_case(case_id: str, seed: int = 0, samples: int = 3,
@@ -172,7 +177,7 @@ def _cmd_subsystems(args) -> int:
 def _parse_point(text: str, params: Sequence[str]) -> Dict[str, Fraction]:
     """Parameter values from `name=value,...`; an item without `=`, a name
     that is not in params, a repeated name or a value that is not a
-    rational number raises ValueError naming the item (a usage error)."""
+    rational number raises UsageError naming the item."""
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -181,19 +186,19 @@ def _parse_point(text: str, params: Sequence[str]) -> Dict[str, Fraction]:
         key, eq, val = item.partition("=")
         key = key.strip()
         if not eq:
-            raise ValueError(f"point item {item!r} is not name=value")
+            raise UsageError(f"point item {item!r} is not name=value")
         if key not in params:
-            raise ValueError(f"point item {item!r}: unknown parameter "
+            raise UsageError(f"point item {item!r}: unknown parameter "
                              f"{key!r}; the case has {list(params)}")
         if key in out:
-            raise ValueError(f"point item {item!r}: parameter {key!r} "
+            raise UsageError(f"point item {item!r}: parameter {key!r} "
                              f"given twice")
         try:
             out[key] = Fraction(val.strip())
         except ZeroDivisionError:
-            raise ValueError(f"point item {item!r}: division by zero") from None
+            raise UsageError(f"point item {item!r}: division by zero") from None
         except ValueError:
-            raise ValueError(f"point item {item!r}: value is not a rational "
+            raise UsageError(f"point item {item!r}: value is not a rational "
                              f"number") from None
     return out
 
@@ -203,37 +208,29 @@ def _cmd_classify(args) -> int:
         F = parse(args.surface)
     else:
         if not args.case or not args.point:
-            print("classify needs --surface or --case with --point",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("classify needs --surface or --case with --point")
         case = descriptor(args.case)
         t = _parse_point(args.point, case.params)
         missing = [p for p in case.params if p not in t]
         if missing:
-            print(f"missing parameters: {missing}", file=sys.stderr)
-            return 2
+            raise UsageError(f"missing parameters: {missing}")
         source = case.fiber if args.cover else case.quotient
         F = source.subs({p: t[p] for p in case.params})
-    try:
-        conf = fiber_configuration(F)
-    except Exception as exc:  # the input parsed: any failure is the program's
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(conf.to_json(), args)
+    _emit(fiber_configuration(F).to_json(), args)
     return 0
 
 
 def _check_args(args) -> Optional[List[str]]:
     """Validate the arguments of `verify` and `report`; returns the section
-    list (None for all) or raises ValueError, a usage error."""
+    list (None for all) or raises UsageError."""
     if args.samples < 1:
-        raise ValueError("sample count must be >= 1")
+        raise UsageError("sample count must be >= 1")
     if args.theorem2_count < 1:
-        raise ValueError("theorem2 count must be >= 1")
+        raise UsageError("theorem2 count must be >= 1")
     sections = args.sections.split(",") if args.sections else None
     bad = [s for s in sections or () if s not in SECTIONS]
     if bad:
-        raise ValueError(f"unknown sections: {bad}; choose from {SECTIONS}")
+        raise UsageError(f"unknown sections: {bad}; choose from {SECTIONS}")
     return sections
 
 
@@ -241,28 +238,20 @@ def _cmd_verify(args) -> int:
     cases = CASE_IDS if args.all or not args.case else (args.case,)
     sections = _check_args(args)
     ok = True
-    try:
-        for cid in cases:
-            rep = verify_case(cid, seed=args.seed, samples=args.samples,
-                              theorem2_count=args.theorem2_count,
-                              sections=sections)
-            ok = ok and rep["ok"]
-            _emit(rep, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for cid in cases:
+        rep = verify_case(cid, seed=args.seed, samples=args.samples,
+                          theorem2_count=args.theorem2_count,
+                          sections=sections)
+        ok = ok and rep["ok"]
+        _emit(rep, args)
     return 0 if ok else 1
 
 
 def _cmd_report(args) -> int:
     sections = _check_args(args)
-    try:
-        summary = full_report(seed=args.seed, samples=args.samples,
-                              theorem2_count=args.theorem2_count,
-                              out_dir=args.out, sections=sections)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    summary = full_report(seed=args.seed, samples=args.samples,
+                          theorem2_count=args.theorem2_count,
+                          out_dir=args.out, sections=sections)
     _emit(summary, args)
     return 0 if summary["ok"] else 1
 
@@ -330,8 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         if args.command == "cases":
             if args.action == "show" and not args.case:
-                print("cases show needs a case id", file=sys.stderr)
-                return 2
+                raise UsageError("cases show needs a case id")
             return _cmd_cases(args)
         if args.command == "roots":
             return _cmd_roots(args)
@@ -343,9 +331,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_verify(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (ParseError, ClassificationError, ValueError) as exc:
+    except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the command line was sound: the program failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

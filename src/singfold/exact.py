@@ -181,12 +181,10 @@ def upoly_str(p: UPoly, var: str = "x") -> str:
         c = p[i]
         if c == 0:
             continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != 1 else var)
-        else:
-            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
+        # a coefficient of +-1 prints as its sign, as in poly.to_text
+        mon = var if i == 1 else f"{var}^{i}"
+        parts.append(str(c) if i == 0 else mon if c == 1
+                     else f"-{mon}" if c == -1 else f"{c}*{mon}")
     return " + ".join(parts).replace("+ -", "- ")
 
 

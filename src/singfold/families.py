@@ -57,7 +57,6 @@ class CaseDescriptor:
     embedding: Dict[str, Polynomial]     # quotient var (or var+"^2") -> invariant
     strata: Tuple[Stratum, ...]          # finest first; last is "generic"
     fixed_locus: Subst                   # printed fixed locus, free symbol "s"
-    fixed_locus_dim: int                 # 0 or 1
     b_fixed: Optional[Tuple[int, int, Polynomial]] = None  # (y sign, square sign, const)
     # the group closure, filled on the first group_elements() call
     _elements: Dict[str, Subst] = field(default_factory=dict, init=False,
@@ -176,145 +175,135 @@ QUOT_VARS = {
 }
 
 # fixed locus of the symmetry whose smooth points the configuration rows
-# track: the full fixed locus for Z/2 and S3, the rho-fixed locus for Z/3
+# track: the full fixed locus for Z/2 and S3, the rho-fixed locus for Z/3;
+# a curve in the free symbol s, or a point where s does not occur
 _FIXED_LOCUS = {
-    "A3B2D4": ({"x": "s", "y": "s", "z": "0"}, 1),
-    "A5B3D5": ({"x": "s", "y": "-s", "z": "0"}, 1),
-    "D4C3D6": ({"x": "s", "y": "t2/4 - s/2", "z": "0"}, 1),
-    "D4G2E6": ({"x": "t2/6", "y": "t2/6", "z": "s"}, 1),
-    "D4G2E7": ({"x": "t2/6", "y": "t2/6", "z": "0"}, 0),
-    "E6F4E7": ({"x": "0", "y": "s", "z": "0"}, 1),
+    "A3B2D4": {"x": "s", "y": "s", "z": "0"},
+    "A5B3D5": {"x": "s", "y": "-s", "z": "0"},
+    "D4C3D6": {"x": "s", "y": "t2/4 - s/2", "z": "0"},
+    "D4G2E6": {"x": "t2/6", "y": "t2/6", "z": "s"},
+    "D4G2E7": {"x": "t2/6", "y": "t2/6", "z": "0"},
+    "E6F4E7": {"x": "0", "y": "s", "z": "0"},
+}
+
+_SWEEPS = {2: _pair, 3: _triple, 4: _quad}
+
+
+def _origin(params: Tuple[str, ...], config: str, fiber_orbits, fixed,
+            description: Optional[str] = None) -> Stratum:
+    return Stratum("origin", description or " = ".join(params) + " = 0",
+                   tuple(map(Polynomial.var, params)), (), config,
+                   fiber_orbits, fixed,
+                   lambda k: dict.fromkeys(params, Fraction(0)),
+                   max_samples=1)
+
+
+def _generic(params: Tuple[str, ...], inequations, config: str,
+             fixed: Optional[int]) -> Stratum:
+    """Off the discriminant; where the covering fiber is catalogued (fixed
+    is not None) it has no singular orbits."""
+    sweep = _SWEEPS[len(params)]
+    return Stratum("generic", "off the discriminant", (), tuple(inequations),
+                   config, None if fixed is None else (), fixed,
+                   lambda k: dict(zip(params, sweep(k))))
+
+
+# B3 and C3 share a Weyl group, so A5B3D5 and D4C3D6 share their
+# discriminant: the zeros of c3 (H1, or L) and of h (H2, or H)
+_C3 = "t6 + t2*t4/6 + t2^3/108"
+_H = ("-t2^6/432 + t2^4*t4/12 - t2^2*t4^2/4 - 9*t2*t4*t6 + 4*t4^3"
+      " + 27*t6^2")
+
+# per case: the origin's (configuration, fiber orbits, fixed count), the
+# generic stratum's (configuration, fixed count), then the rows finest first
+# as (row, id, description, configuration, fiber orbits, fixed count)
+_RANK3 = {
+    "A5B3D5": (("D5", (("A5", 1),), 0), ("A1+A1", 2), (
+        ("c3,t4=-t2^2/4", "H1,t4=-t2^2/4", "H1 with t4 = -t2^2/4 != 0", "D4",
+         (("A3", 1),), 0),
+        ("c3,t4=0", "H1,t4=0", "H1 with t4 = 0, t2 != 0", "A3+A1",
+         (("A1", 1), ("A1", 2)), 0),
+        ("h,t4=t2^2/12", "H2,t4=t2^2/12", "H2 with t4 = t2^2/12 != 0",
+         "A2+A1+A1", (("A2", 2),), 2),
+        ("c3", "H1", "H1, generic", "A3", (("A1", 1),), 0),
+        ("h", "H2", "H2 away from H1, generic", "A1+A1+A1", (("A1", 2),), 2),
+    )),
+    "D4C3D6": (("D6", (("D4", 1),), 0), ("A1+A1+A1", 3), (
+        ("c3,t4=-t2^2/4", "L,t4=-t2^2/4", "L with t4 = -t2^2/4 != 0", "D4+A1",
+         (("A3", 1),), 1),
+        ("h,t4=t2^2/12", "H,t4=t2^2/12", "H with t4 = t2^2/12 != 0", "A5",
+         (("A2", 1),), 0),
+        ("c3,t4=0", "L&H", "L and H, t4 = 0, t2 != 0", "A3+A1+A1",
+         (("A1", 2), ("A1", 1)), 1),
+        ("c3", "L", "L, generic", "A1+A1+A1+A1", (("A1", 2),), 3),
+        ("h", "H", "H away from L, generic", "A3+A1", (("A1", 1),), 1),
+    )),
 }
 
 
-def _fr(x) -> Fraction:
-    return Fraction(x)
-
-
-def _build_strata(case_id: str) -> Tuple[Stratum, ...]:
+def _build_strata(case_id: str, params: Tuple[str, ...],
+                  fiber: Polynomial) -> Tuple[Stratum, ...]:
     P = parse
     if case_id == "A3B2D4":
+        minus, plus = P("t4 + t2^2/8"), P("t4 - t2^2/8")
         return (
-            Stratum("origin", "t2 = t4 = 0",
-                    (P("t2"), P("t4")), (), "D4", (("A3", 1),), 0,
-                    lambda k: {"t2": _fr(0), "t4": _fr(0)}, max_samples=1),
+            _origin(params, "D4", (("A3", 1),), 0),
             Stratum("t4=-t2^2/8", "t4 = -t2^2/8, t2 != 0",
-                    (P("t4 + t2^2/8"),), (P("t2"),), "A3", (("A1", 1),), 0,
+                    (minus,), (P("t2"),), "A3", (("A1", 1),), 0,
                     lambda k: {"t2": _sval(k), "t4": -_sval(k) ** 2 / 8}),
             Stratum("t4=t2^2/8", "t4 = t2^2/8, t2 != 0",
-                    (P("t4 - t2^2/8"),), (P("t2"),), "A1+A1+A1",
-                    (("A1", 2),), 2,
+                    (plus,), (P("t2"),), "A1+A1+A1", (("A1", 2),), 2,
                     lambda k: {"t2": _sval(k), "t4": _sval(k) ** 2 / 8}),
-            Stratum("generic", "off the discriminant",
-                    (), (P("t4 + t2^2/8"), P("t4 - t2^2/8")), "A1+A1", (), 2,
-                    lambda k: dict(zip(("t2", "t4"), _pair(k)))),
+            _generic(params, (minus, plus), "A1+A1", 2),
         )
-    if case_id == "A5B3D5":
-        c3 = "t6 + t2*t4/6 + t2^3/108"
-        h2 = ("-t2^6/432 + t2^4*t4/12 - t2^2*t4^2/4 - 9*t2*t4*t6 + 4*t4^3"
-              " + 27*t6^2")
+    if case_id in _RANK3:
+        c3, h, t2 = P(_C3), P(_H), P("t2")
 
-        def on_h1(t2, t4):
+        def on_c3(t2, t4):
             return {"t2": t2, "t4": t4, "t6": -t2 * t4 / 6 - t2 ** 3 / 108}
 
+        # the five B3/C3 rows by name: (equations, inequations, sampler)
+        rows = {
+            "c3,t4=-t2^2/4": ((c3, P("t4 + t2^2/4")), (t2,),
+                              lambda k: on_c3(_sval(k), -_sval(k) ** 2 / 4)),
+            "c3,t4=0": ((c3, P("t4")), (t2,),
+                        lambda k: on_c3(_sval(k), Fraction(0))),
+            "h,t4=t2^2/12": ((h, P("t4 - t2^2/12"), P("t6 - t2^3/72")), (t2,),
+                             lambda k: {"t2": _sval(k),
+                                        "t4": _sval(k) ** 2 / 12,
+                                        "t6": _sval(k) ** 3 / 72}),
+            "c3": ((c3,), (P("t4"), P("t4 + t2^2/4")),
+                   lambda k: on_c3(*_pair(k))),
+            "h": ((h,), (c3, P("t4 - t2^2/12")),
+                  lambda k: {"t2": _sval(k), "t4": Fraction(0),
+                             "t6": _sval(k) ** 3 / 108}),
+        }
+        origin, generic, table = _RANK3[case_id]
         return (
-            Stratum("origin", "t2 = t4 = t6 = 0",
-                    (P("t2"), P("t4"), P("t6")), (), "D5", (("A5", 1),), 0,
-                    lambda k: {"t2": _fr(0), "t4": _fr(0), "t6": _fr(0)},
-                    max_samples=1),
-            Stratum("H1,t4=-t2^2/4", "H1 with t4 = -t2^2/4 != 0",
-                    (P(c3), P("t4 + t2^2/4")), (P("t2"),), "D4",
-                    (("A3", 1),), 0,
-                    lambda k: on_h1(_sval(k), -_sval(k) ** 2 / 4)),
-            Stratum("H1,t4=0", "H1 with t4 = 0, t2 != 0",
-                    (P(c3), P("t4")), (P("t2"),), "A3+A1",
-                    (("A1", 1), ("A1", 2)), 0,
-                    lambda k: on_h1(_sval(k), _fr(0))),
-            Stratum("H2,t4=t2^2/12", "H2 with t4 = t2^2/12 != 0",
-                    (P(h2), P("t4 - t2^2/12"), P("t6 - t2^3/72")),
-                    (P("t2"),), "A2+A1+A1", (("A2", 2),), 2,
-                    lambda k: {"t2": _sval(k), "t4": _sval(k) ** 2 / 12,
-                               "t6": _sval(k) ** 3 / 72}),
-            Stratum("H1", "H1, generic",
-                    (P(c3),), (P("t4"), P("t4 + t2^2/4")), "A3",
-                    (("A1", 1),), 0,
-                    lambda k: on_h1(*_pair(k))),
-            Stratum("H2", "H2 away from H1, generic",
-                    (P(h2),), (P(c3), P("t4 - t2^2/12")), "A1+A1+A1",
-                    (("A1", 2),), 2,
-                    lambda k: {"t2": _sval(k), "t4": _fr(0),
-                               "t6": _sval(k) ** 3 / 108}),
-            Stratum("generic", "off the discriminant",
-                    (), (P(c3), P(h2)), "A1+A1", (), 2,
-                    lambda k: dict(zip(("t2", "t4", "t6"), _triple(k)))),
-        )
-    if case_id == "D4C3D6":
-        c3 = "t6 + t2*t4/6 + t2^3/108"
-        h = ("t2^6/6912 - t2^4*t4/192 + t2^2*t4^2/64 + 9/16*t2*t4*t6"
-             " - t4^3/4 - 27/16*t6^2")
-
-        def on_l(t2, t4):
-            return {"t2": t2, "t4": t4, "t6": -t2 * t4 / 6 - t2 ** 3 / 108}
-
-        return (
-            Stratum("origin", "t2 = t4 = t6 = 0",
-                    (P("t2"), P("t4"), P("t6")), (), "D6", (("D4", 1),), 0,
-                    lambda k: {"t2": _fr(0), "t4": _fr(0), "t6": _fr(0)},
-                    max_samples=1),
-            Stratum("L,t4=-t2^2/4", "L with t4 = -t2^2/4 != 0",
-                    (P(c3), P("t4 + t2^2/4")), (P("t2"),), "D4+A1",
-                    (("A3", 1),), 1,
-                    lambda k: on_l(_sval(k), -_sval(k) ** 2 / 4)),
-            Stratum("H,t4=t2^2/12", "H with t4 = t2^2/12 != 0",
-                    (P(h), P("t4 - t2^2/12"), P("t6 - t2^3/72")),
-                    (P("t2"),), "A5", (("A2", 1),), 0,
-                    lambda k: {"t2": _sval(k), "t4": _sval(k) ** 2 / 12,
-                               "t6": _sval(k) ** 3 / 72}),
-            Stratum("L&H", "L and H, t4 = 0, t2 != 0",
-                    (P(c3), P("t4")), (P("t2"),), "A3+A1+A1",
-                    (("A1", 2), ("A1", 1)), 1,
-                    lambda k: on_l(_sval(k), _fr(0))),
-            Stratum("L", "L, generic",
-                    (P(c3),), (P("t4"), P("t4 + t2^2/4")), "A1+A1+A1+A1",
-                    (("A1", 2),), 3,
-                    lambda k: on_l(*_pair(k))),
-            Stratum("H", "H away from L, generic",
-                    (P(h),), (P(c3), P("t4 - t2^2/12")), "A3+A1",
-                    (("A1", 1),), 1,
-                    lambda k: {"t2": _sval(k), "t4": _fr(0),
-                               "t6": _sval(k) ** 3 / 108}),
-            Stratum("generic", "off the discriminant",
-                    (), (P(c3), P(h)), "A1+A1+A1", (), 3,
-                    lambda k: dict(zip(("t2", "t4", "t6"), _triple(k)))),
+            _origin(params, *origin),
+            *(Stratum(sid, text, *rows[row][:2], conf, orbits, fixed,
+                      rows[row][2])
+              for row, sid, text, conf, orbits, fixed in table),
+            _generic(params, (c3, h), *generic),
         )
     if case_id in ("D4G2E6", "D4G2E7"):
         e7 = case_id == "D4G2E7"
-        confs = {"origin": "E7" if e7 else "E6",
-                 "plus": "D5+A1" if e7 else "A5",
-                 "minus": "A3+A2+A1" if e7 else "A2+A2+A1",
-                 "generic": "A2+A1+A1+A1" if e7 else "A2+A2"}
-        fixed = {"origin": 0, "plus": 0, "minus": 0 if e7 else 2,
-                 "generic": 0 if e7 else 2}
+        plus, minus = P("108*t6 - t2^3"), P("108*t6 + t2^3")
         return (
-            Stratum("origin", "t2 = t6 = 0",
-                    (P("t2"), P("t6")), (), confs["origin"], (("D4", 1),),
-                    fixed["origin"],
-                    lambda k: {"t2": _fr(0), "t6": _fr(0)}, max_samples=1),
+            _origin(params, "E7" if e7 else "E6", (("D4", 1),), 0),
             Stratum("t6=t2^3/108", "t6 = t2^3/108 != 0",
-                    (P("108*t6 - t2^3"),), (P("t2"),), confs["plus"],
-                    (("A1", 1),), fixed["plus"],
+                    (plus,), (P("t2"),), "D5+A1" if e7 else "A5",
+                    (("A1", 1),), 0,
                     lambda k: {"t2": _sval(k), "t6": _sval(k) ** 3 / 108}),
             Stratum("t6=-t2^3/108", "t6 = -t2^3/108 != 0",
-                    (P("108*t6 + t2^3"),), (P("t2"),), confs["minus"],
-                    (("A1", 3),), fixed["minus"],
+                    (minus,), (P("t2"),), "A3+A2+A1" if e7 else "A2+A2+A1",
+                    (("A1", 3),), 0 if e7 else 2,
                     lambda k: {"t2": _sval(k), "t6": -_sval(k) ** 3 / 108}),
-            Stratum("generic", "off the discriminant",
-                    (), (P("108*t6 - t2^3"), P("108*t6 + t2^3")),
-                    confs["generic"], (), fixed["generic"],
-                    lambda k: dict(zip(("t2", "t6"), _pair(k)))),
+            _generic(params, (plus, minus), "A2+A1+A1+A1" if e7 else "A2+A2",
+                     0 if e7 else 2),
         )
     if case_id == "E6F4E7":
-        return _build_f4_strata()
+        return _build_f4_strata(params, fiber)
     raise ValueError(case_id)
 
 
@@ -323,66 +312,65 @@ _F4_H1_TEXT = ("t2^12 - 144*t2^9*t6 + 576*t2^8*t8 + 5184*t2^6*t6^2"
                " - 331776*t12*t2^3*t6 + 829440*t2^2*t6^2*t8"
                " + 3981312*t12*t2^2*t8 - 5308416*t2*t6*t8^2 - 248832*t6^4"
                " + 3981312*t12*t6^2 + 7077888*t8^3 - 15925248*t12^2")
-_F4_H2_TEXT = ("t2^12 + 144*t2^9*t6 + 576*t2^8*t8 + 5184*t2^6*t6^2"
-               " + 13824*t2^5*t6*t8 - 138240*t2^4*t8^2 + 69120*t2^3*t6^3"
-               " - 331776*t12*t2^3*t6 + 829440*t2^2*t6^2*t8"
-               " - 3981312*t12*t2^2*t8 + 5308416*t2*t6*t8^2 - 248832*t6^4"
-               " - 3981312*t12*t6^2 + 7077888*t8^3 - 15925248*t12^2")
 
 
-def _f4_fiber_no_t12(x0: Fraction, y0: Fraction, t2: Fraction, t6: Fraction,
-                     t8: Fraction) -> Fraction:
-    return (-x0 ** 4 / 4 + y0 ** 3 - t2 / 4 * x0 ** 2 * y0
-            + (t6 - t2 ** 3 / 8) / 48 * x0 ** 2
-            + (-t8 + t6 * t2 / 4 - t2 ** 4 / 192) / 48 * y0
-            + (-t8 * t2 ** 2 / 8 - t6 ** 2 / 8 + t6 * t2 ** 3 / 96) / 576)
+def _root_in(p: Polynomial, name: str, values) -> Fraction:
+    """The value of `name` at which p, linear in it, vanishes at `values`."""
+    c0, c1 = p.coefficients_in(name)
+    return -c0.evaluate(values) / c1.evaluate(values)
 
 
-def _f4_point(x0, y0, t2, t6, t8) -> Dict[str, Fraction]:
-    t12 = -576 * _f4_fiber_no_t12(x0, y0, t2, t6, t8)
-    return {"t2": t2, "t6": t6, "t8": t8, "t12": t12}
+def _f4_point(fiber: Polynomial):
+    """point(x0, y0, t2, t6, t8): the parameter point whose catalogued
+    fiber passes through (x0, y0, 0), solved for t12."""
+    on_z0 = fiber.subs({"z": Fraction(0)})
+
+    def point(x0, y0, t2, t6, t8) -> Dict[str, Fraction]:
+        t = {"t2": t2, "t6": t6, "t8": t8}
+        return {**t, "t12": _root_in(on_z0, "t12", {"x": x0, "y": y0, **t})}
+    return point
 
 
-def _f4_h1_sample(k: int) -> Optional[Dict[str, Fraction]]:
+def _f4_h1_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
     y1, t2, t6 = _triple(k)
     t8 = 144 * y1 ** 2 + t6 * t2 / 4 - t2 ** 4 / 192
-    return _f4_point(_fr(0), y1, t2, t6, t8)
+    return point(Fraction(0), y1, t2, t6, t8)
 
 
-def _f4_h2_sample(k: int) -> Optional[Dict[str, Fraction]]:
+def _f4_h2_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
     x0, t2, t6 = _triple(k)
     if t2 == 0 or x0 == 0:
         return None
     y0 = 2 * (-x0 ** 2 + (t6 - t2 ** 3 / 8) / 24) / t2
     t8 = 48 * (3 * y0 ** 2 - t2 * x0 ** 2 / 4) + t6 * t2 / 4 - t2 ** 4 / 192
-    return _f4_point(x0, y0, t2, t6, t8)
+    return point(x0, y0, t2, t6, t8)
 
 
-def _f4_d4a1_sample(k: int) -> Optional[Dict[str, Fraction]]:
+def _f4_d4a1_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
     t2, t6 = _pair(k)
     if t2 == 0:
         return None
     y0 = (t6 - t2 ** 3 / 8) / (12 * t2)
     t8 = 144 * y0 ** 2 + t6 * t2 / 4 - t2 ** 4 / 192
-    return _f4_point(_fr(0), y0, t2, t6, t8)
+    return point(Fraction(0), y0, t2, t6, t8)
 
 
-def _f4_a5row_sample(k: int) -> Optional[Dict[str, Fraction]]:
+def _f4_a5row_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
     t2, t6 = _pair(k)
     t8 = -t2 ** 4 / 192 + t2 * t6 / 4
-    return _f4_point(_fr(0), _fr(0), t2, t6, t8)
+    return point(Fraction(0), Fraction(0), t2, t6, t8)
 
 
-def _f4_a2a1_sample(k: int) -> Optional[Dict[str, Fraction]]:
+def _f4_a2a1_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
     x0, t2 = _pair(k)
     if t2 == 0 or x0 == 0:
         return None
     t6 = 24 * x0 ** 2 - t2 ** 3 / 8
     t8 = -t2 ** 4 / 192 - t2 * t6 / 4
-    return _f4_point(x0, -t2 ** 2 / 48, t2, t6, t8)
+    return point(x0, -t2 ** 2 / 48, t2, t6, t8)
 
 
-def _f4_h1h2_sample(k: int) -> Optional[Dict[str, Fraction]]:
+def _f4_h1h2_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
     x0, d = _pair(k)
     if x0 == 0 or d == 0:
         return None
@@ -395,22 +383,21 @@ def _f4_h1h2_sample(k: int) -> Optional[Dict[str, Fraction]]:
         return None
     t6 = t2 ** 3 / 8 + 24 * (x0 ** 2 + t2 * y0 / 2)
     t8 = 144 * y1 ** 2 + t6 * t2 / 4 - t2 ** 4 / 192
-    return _f4_point(_fr(0), y1, t2, t6, t8)
+    return point(Fraction(0), y1, t2, t6, t8)
 
 
-def _build_f4_strata() -> Tuple[Stratum, ...]:
+def _build_f4_strata(params: Tuple[str, ...],
+                     fiber: Polynomial) -> Tuple[Stratum, ...]:
     P = parse
+    point = _f4_point(fiber)
     H1 = P(_F4_H1_TEXT)
-    H2 = P(_F4_H2_TEXT)
+    H2 = H1.subs({"t6": -P("t6"), "t12": -P("t12")})
     d4cond = P("96*t2^2*t8 - t2^6 - 96*t6^2")
     t8plus = P("192*t8 + t2^4 - 48*t2*t6")    # t8 = -t2^4/192 + t2*t6/4
     t8minus = P("192*t8 + t2^4 + 48*t2*t6")   # t8 = -t2^4/192 - t2*t6/4
     t2v = P("t2")
     return (
-        Stratum("origin", "t = 0",
-                (P("t2"), P("t6"), P("t8"), P("t12")), (), "E7", None, None,
-                lambda k: {"t2": _fr(0), "t6": _fr(0), "t8": _fr(0),
-                           "t12": _fr(0)}, max_samples=1),
+        _origin(params, "E7", None, None, description="t = 0"),
         Stratum("D6", "H1, t8-pinch, t2^3 = 8 t6",
                 (H1, d4cond, P("t2^3 - 8*t6")), (t2v,), "D6", None, None,
                 lambda k: {"t2": (t2 := _sval(k)), "t6": t2 ** 3 / 8,
@@ -434,23 +421,23 @@ def _build_f4_strata() -> Tuple[Stratum, ...]:
         # must precede the transverse H1 & H2 row
         Stratum("D4+A1", "H1, t8 = (t2^6 + 96 t6^2)/(96 t2^2)",
                 (H1, d4cond), (t2v, P("t2^3 - 8*t6"), P("t2^3 + 8*t6")),
-                "D4+A1", None, None, _f4_d4a1_sample),
+                "D4+A1", None, None, functools.partial(_f4_d4a1_sample, point)),
         Stratum("H1&H2", "H1 & H2, generic",
                 (H1, H2), (t2v, t8plus, t8minus, d4cond), "A3+A1+A1", None,
-                None, _f4_h1h2_sample),
+                None, functools.partial(_f4_h1h2_sample, point)),
         Stratum("A5", "H1, t8 = -t2^4/192 + t2 t6/4",
                 (H1, t8plus), (P("t2^3 - 8*t6"), H2), "A5", None, None,
-                _f4_a5row_sample),
+                functools.partial(_f4_a5row_sample, point)),
         Stratum("H1", "H1, generic",
-                (H1,), (), "A3+A1", None, None, _f4_h1_sample),
+                (H1,), (), "A3+A1", None, None,
+                functools.partial(_f4_h1_sample, point)),
         Stratum("A2+A1+A1+A1", "H2, t8 = -t2^4/192 - t2 t6/4",
                 (H2, t8minus), (t2v, P("t2^3 + 8*t6")), "A2+A1+A1+A1", None,
-                None, _f4_a2a1_sample),
+                None, functools.partial(_f4_a2a1_sample, point)),
         Stratum("H2", "H2, generic (t2 != 0)",
-                (H2,), (t2v,), "A1+A1+A1+A1", None, None, _f4_h2_sample),
-        Stratum("generic", "off the discriminant",
-                (), (H1, H2), "A1+A1+A1", None, None,
-                lambda k: dict(zip(("t2", "t6", "t8", "t12"), _quad(k)))),
+                (H2,), (t2v,), "A1+A1+A1+A1", None, None,
+                functools.partial(_f4_h2_sample, point)),
+        _generic(params, (H1, H2), "A1+A1+A1", None),
     )
 
 
@@ -533,20 +520,23 @@ def _build_case(case_id: str) -> CaseDescriptor:
             for g in generators}
     emb = {k[len("chart."):]: p for k, p in entries.items()
            if k.startswith("chart.")}
-    floc_raw, fdim = _FIXED_LOCUS[case_id]
-    floc = {v: parse(expr) for v, expr in floc_raw.items()}
+    floc = {v: parse(expr) for v, expr in _FIXED_LOCUS[case_id].items()}
     b_fixed = None
     if case_id == "A3B2D4":
         b_fixed = (1, 1, parse("t4 + t2^2/8"))
     elif case_id == "A5B3D5":
-        b_fixed = (-1, -1, parse("t6 + t2*t4/6 + t2^3/108"))
+        b_fixed = (-1, -1, parse(_C3))
+    strata = _build_strata(case_id, params, entries["fiber"])
+    for s in strata:
+        if format_type(s.quotient_config.split("+")) != s.quotient_config:
+            raise ValueError(f"{case_id}/{s.stratum_id}: configuration "
+                             f"{s.quotient_config!r} is not a canonical type")
     return CaseDescriptor(
         case_id=case_id, meta=meta, params=params, param_slots=slots,
         weights=_WEIGHTS[case_id], fiber_vars=_FIBER_VARS,
         fiber=entries["fiber"], quotient_vars=QUOT_VARS[case_id],
         quotient=entries["quotient"], omega_gens=gens, omega_order=order,
-        embedding=emb, strata=_build_strata(case_id),
-        fixed_locus=floc, fixed_locus_dim=fdim, b_fixed=b_fixed)
+        embedding=emb, strata=strata, fixed_locus=floc, b_fixed=b_fixed)
 
 
 @functools.cache
@@ -732,16 +722,14 @@ def _smooth_fixed_count(case: CaseDescriptor, F: Polynomial,
     vals = {p: Fraction(v) for p, v in t.items()}
     locus = {v: case.fixed_locus[v].subs(vals) for v in case.fiber_vars}
     on_locus = F.subs(locus)
-    if case.fixed_locus_dim == 0:
+    curve = any("s" in p.used_variables() for p in locus.values())
+    if curve and on_locus.is_zero():
+        raise AssertionError("fixed locus lies inside the fiber")
+    if on_locus.is_constant():     # a fixed point on the fiber, or none
         total = 1 if on_locus.is_zero() else 0
     else:
-        if on_locus.is_zero():
-            raise AssertionError("fixed locus lies inside the fiber")
-        if on_locus.is_constant():
-            total = 0
-        else:
-            g = gcd_univariate(on_locus, on_locus.diff(on_locus.used_variables()[0]))
-            total = on_locus.total_degree() - g.total_degree()
+        g = gcd_univariate(on_locus, on_locus.diff(on_locus.used_variables()[0]))
+        total = on_locus.total_degree() - g.total_degree()
     # subtract the singular points fixed by the whole group
     return total - sum(rec.orbit_size for rec, orb in records if orb == 1)
 
@@ -757,7 +745,7 @@ def check_stratum_point(case_id: str, stratum_id: str,
     conf = classify_quotient_fiber(case_id, t)
     result["quotient_config"] = conf.type_string()
     result["quotient_expected"] = strat.quotient_config
-    if conf.type_string() != format_type(strat.quotient_config.split("+")):
+    if conf.type_string() != strat.quotient_config:
         result["ok"] = False
     if strat.fiber_sing is not None:
         orbits, smooth_fixed, _ = fiber_orbit_configuration(case_id, t)
@@ -799,14 +787,7 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
             # adjust the last parameter so that the fixed point is rational:
             # sqsign * s^2 = const(t)
             last = case.params[-1]
-            c0 = const.subs({last: Fraction(0)}).evaluate(
-                {p: v for p, v in t.items() if p != last})
-            c0 = c0 if isinstance(c0, Fraction) else Fraction(c0)
-            clin = const.coefficients_in(last)
-            lin = clin[1].constant_value() if len(clin) > 1 else Fraction(0)
-            if lin == 0:
-                raise AssertionError("fixed-point constant not linear in the last parameter")
-            t[last] = (sqsign * s ** 2 - c0) / lin
+            t[last] = _root_in(const - sqsign * s ** 2, last, t)
             point = {"x": s, "y": ysign * s, "z": Fraction(0)}
             val = fiber_at(case_id, t).evaluate(point)
             if val != 0:

@@ -20,7 +20,7 @@ from .families import (classify_quotient_fiber, descriptor, sample_stratum,
                        stratum_membership)
 from .poly import Polynomial, parse
 from .rootsys import Vector, build_root_system, case_meta, cartan_point
-from .subsys import format_type, subsystems_for_case
+from .subsys import subsystems_for_case
 
 # psi symbols: p<degree>, plus "pf" for the degree-r Pfaffian-type coordinate
 # of the D-series
@@ -47,6 +47,8 @@ _D6_SYM2R = ("x1^8*x3^2 + x1^8*x5^2 + x1^2*x3^8 + x1^2*x5^8 + x3^8*x5^2"
              " + x3^2*x5^8")
 _D6_SYM3 = ("x1^6*x3^4 + x1^6*x5^4 + x1^4*x3^6 + x1^4*x5^6 + x3^6*x5^4"
             " + x3^4*x5^6")
+
+_E7_Q = "(x3^2 + x3*x5 + x5^2)"
 
 _CHART_TEXT: Dict[str, Optional[Dict[str, str]]] = {
     "A3B2D4": {
@@ -99,37 +101,15 @@ _CHART_TEXT: Dict[str, Optional[Dict[str, str]]] = {
                " - 165*x2^9*x4^3 - 1089/2*x2^4*x4^8 - 5225/4*x2^6*x4^6"
                " + 63/4*x4^12 - 1/4*x2^12 - 979/2*x2^8*x4^4",
     },
-    "D4G2E7": None,   # built programmatically below
-    "E6F4E7": None,   # withheld: only the relations are available
-}
-
-# G2-E7 chart: symmetric in the two chart variables; the degree-18
-# coordinate is given by its coefficient list c[k] of x3^(18-k)*x5^k
-_E7_P18_HALF = [
-    Fraction(-49900582548245699977888, 128185297421220703125),
-    Fraction(-49900582548245699977888, 14242810824580078125),
-    Fraction(-43351951625476282697248, 2848562164916015625),
-    Fraction(-1808994581776446325173376, 42728432473740234375),
-    Fraction(-1224969840491929611874048, 14242810824580078125),
-    Fraction(-283014291225008940645632, 2034687260654296875),
-    Fraction(-8202907266598286263520384, 42728432473740234375),
-    Fraction(-3383893531113795266600128, 14242810824580078125),
-    Fraction(-349873020975151098628384, 1294800984052734375),
-    Fraction(-3288297534494448854110112, 11653208856474609375),
-]
-
-
-def _e7_chart() -> Dict[str, Polynomial]:
-    q = "(x3^2 + x3*x5 + x5^2)"
-    text = {
-        "p2": f"2/5*{q}",
+    "D4G2E7": {
+        "p2": f"2/5*{_E7_Q}",
         "p6": "32176/225*x3^6 + 32176/75*x3^5*x5 + 53552/75*x3^4*x5^2"
               " + 160432/225*x3^3*x5^3 + 53552/75*x3^2*x5^4"
               " + 32176/75*x3*x5^5 + 32176/225*x5^6",
-        "p8": f"16/30375*{q}*(550819*x3^6 + 1652457*x3^5*x5"
+        "p8": f"16/30375*{_E7_Q}*(550819*x3^6 + 1652457*x3^5*x5"
               " + 1389264*x3^4*x5^2 + 24433*x3^3*x5^3 + 1389264*x3^2*x5^4"
               " + 1652457*x3*x5^5 + 550819*x5^6)",
-        "p10": f"96/109375*{q}^2*(20743*x3^6 + 62229*x3^5*x5"
+        "p10": f"96/109375*{_E7_Q}^2*(20743*x3^6 + 62229*x3^5*x5"
                " + 41208*x3^4*x5^2 - 21299*x3^3*x5^3 + 41208*x3^2*x5^4"
                " + 62229*x3*x5^5 + 20743*x5^6)",
         "p12": "-3081278138/17940234375*x3^12 - 6162556276/5980078125*x3^11*x5"
@@ -144,22 +124,35 @@ def _e7_chart() -> Dict[str, Polynomial]:
                " - 62899959716/5980078125*x3^2*x5^10"
                " - 6162556276/5980078125*x3*x5^11"
                " - 3081278138/17940234375*x5^12",
-        "p14": f"-4/30903847734375*{q}*(1511960253367*x3^12"
+        "p14": f"-4/30903847734375*{_E7_Q}*(1511960253367*x3^12"
                " + 9071761520202*x3^11*x5 + 67786465629432*x3^10*x5^2"
                " + 255774514211975*x3^9*x5^3 + 617323843488330*x3^8*x5^4"
                " + 1034437665403692*x3^7*x5^5 + 1226835303782847*x3^6*x5^6"
                " + 1034437665403692*x3^5*x5^7 + 617323843488330*x3^4*x5^8"
                " + 255774514211975*x3^3*x5^9 + 67786465629432*x3^2*x5^10"
                " + 9071761520202*x3*x5^11 + 1511960253367*x5^12)",
-    }
-    out = {k: parse(v) for k, v in text.items()}
-    terms = {}
-    for k in range(19):
-        c = _E7_P18_HALF[k] if k <= 9 else _E7_P18_HALF[18 - k]
-        terms[(18 - k, k)] = c
-    out["p18"] = Polynomial(("x3", "x5"), terms)
-    return out
-
+        "p18": "-32/128185297421220703125*(1559393204632678124309*x3^18"
+               " + 14034538841694103118781*x3^17*x5"
+               " + 60963681973326022543005*x3^16*x5^2"
+               " + 169593242041541842985004*x3^15*x5^3"
+               " + 344522767638355203339576*x3^14*x5^4"
+               " + 557184385849236351896088*x3^13*x5^5"
+               " + 769022556243589337205036*x3^12*x5^6"
+               " + 951720055625754918731286*x3^11*x5^7"
+               " + 1082419658641873711381563*x3^10*x5^8"
+               " + 1130352277482466793600351*x3^9*x5^9"
+               " + 1082419658641873711381563*x3^8*x5^10"
+               " + 951720055625754918731286*x3^7*x5^11"
+               " + 769022556243589337205036*x3^6*x5^12"
+               " + 557184385849236351896088*x3^5*x5^13"
+               " + 344522767638355203339576*x3^4*x5^14"
+               " + 169593242041541842985004*x3^3*x5^15"
+               " + 60963681973326022543005*x3^2*x5^16"
+               " + 14034538841694103118781*x3*x5^17"
+               " + 1559393204632678124309*x5^18)",
+    },
+    "E6F4E7": None,   # withheld: only the relations are available
+}
 
 _RELATION_TEXT = {
     "A3B2D4": ["p6 + 1/108*p2^3 + 1/6*p2*p4"],
@@ -264,12 +257,8 @@ _INVERSE_TEXT = {
 def flat_chart(case_id: str) -> FlatChart:
     """The restricted flat coordinates and their relations, verified at load."""
     names = _PSI_NAMES[case_id]
-    if case_id == "D4G2E7":
-        formulas: Optional[Dict[str, Polynomial]] = _e7_chart()
-    elif _CHART_TEXT[case_id] is None:
-        formulas = None
-    else:
-        formulas = {k: parse(v) for k, v in _CHART_TEXT[case_id].items()}
+    text = _CHART_TEXT[case_id]
+    formulas = None if text is None else {k: parse(v) for k, v in text.items()}
     relations = tuple(parse(r) for r in _RELATION_TEXT[case_id])
     chart = FlatChart(case_id, names, formulas, relations)
     if formulas is not None:
@@ -380,8 +369,7 @@ def correspondence_check(case_id: str) -> dict:
     bc = base_change(case_id)
     subs = subsystems_for_case(case_id)
     # the stratum realizing each subsystem type
-    type_map = {format_type(st.quotient_config.split("+")): st.stratum_id
-                for st in case.strata}
+    type_map = {st.quotient_config: st.stratum_id for st in case.strata}
     entries = []
     ok = True
     stratum_cache: Dict[str, bool] = {}

@@ -34,8 +34,8 @@ def test_cases_show(capsys):
 
 
 def test_cases_show_needs_id(capsys):
-    code, _ = run(capsys, "cases", "show")
-    assert code == 2
+    assert main(["cases", "show"]) == 2
+    assert "error: cases show needs a case id" in capsys.readouterr().err
 
 
 def test_roots(capsys):
@@ -201,6 +201,31 @@ def test_error_inside_verification_exits_1(tmp_path, capsys, monkeypatch):
     assert "error: sampler found too few points" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "reports")]) == 1
     assert "error: sampler found too few points" in capsys.readouterr().err
+
+
+def test_program_error_inside_verify_exits_1(capsys, monkeypatch):
+    # any exception after a sound command line is the program's, not usage
+    def broken(case_id):
+        raise ArithmeticError("derivation overflowed")
+
+    monkeypatch.setattr(singfold.cli, "derive_quotient_chart", broken)
+    assert main(["verify", "--case", "A3B2D4",
+                 "--sections", "quotient-derivation"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: derivation overflowed" in captured.err
+
+
+def test_failed_assertion_inside_report_exits_1(tmp_path, capsys,
+                                                monkeypatch):
+    def broken(case_id):
+        raise AssertionError("generated group of the wrong order")
+
+    monkeypatch.setattr(singfold.cli, "verify_equivariance", broken)
+    assert main(["report", "--out", str(tmp_path / "reports"),
+                 "--sections", "equivariance"]) == 1
+    assert "error: generated group of the wrong order" in \
+        capsys.readouterr().err
 
 
 def test_classify_refused_surface_exits_1(capsys):

@@ -15,6 +15,7 @@ from singfold.exact import (Echelon, invert, make_extension,
                             nullspace, row_reduce, solve_linear, upoly,
                             upoly_deg, upoly_factor, upoly_gcd, upoly_mul,
                             upoly_squarefree_part, upoly_str)
+from singfold.poly import Polynomial, parse
 
 
 def test_make_extension_linear_is_rational():
@@ -587,3 +588,20 @@ def test_invert_zero_divisor_raises_split(case):
         invert(x)
     assert str(exc.value) == (f"{x!r} is a zero divisor modulo "
                               f"{upoly_str(ring.modulus, 'a')}")
+
+
+def test_upoly_str_prints_unit_coefficients_as_signs():
+    assert upoly_str([0, -1], "a") == "-a"
+    assert repr(-make_extension([-2, 0, 1]).generator()) == "-a"
+    assert upoly_str([-1, -1, 1], "a") == "a^2 - a - 1"
+    assert upoly_str([Fraction(1, 2), 0, -1, 3], "a") == "3*a^3 - a^2 + 1/2"
+    assert repr(make_extension([-1, -1, 1])) == "ExtensionRing(a^2 - a - 1)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+                max_size=6))
+def test_upoly_str_round_trips_through_parse(coeffs):
+    p = upoly(coeffs)
+    want = Polynomial(("a",), {(i,): c for i, c in enumerate(p)})
+    assert parse(upoly_str(p, "a")) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -20,7 +21,7 @@ from singfold.families import (check_stratum_point,
                                stratum_membership, subst_equal,
                                theorem_singular_spotcheck, verify_catalogue,
                                verify_equivariance)
-from singfold.poly import Polynomial, exponent_tuples, parse
+from singfold.poly import Polynomial, exponent_tuples, parse, to_text
 from singfold.rootsys import CASE_IDS
 from test_exact import dense_kernel, dense_solution
 
@@ -122,6 +123,52 @@ def test_malformed_catalogue_file_is_reported(tmp_path, monkeypatch, capsys,
     assert main(["cases", "list"]) == 1
     err = capsys.readouterr().err
     assert f"error: case catalogue {cid}: {problem}" in err
+
+
+# sha256 of every stratum's facts: id, description, configuration, fiber
+# orbits, fixed count, sample cap, each equation and inequation divided by
+# its leading coefficient, and the first 200 sampler outputs; recorded when
+# each case still wrote its strata out in full
+CATALOGUE_FACTS_SHA256 = \
+    "2118b3337b1b32339d3b0d1689fefb627177863805db28b0a5c3747051f0daab"
+
+
+def _monic_text(p):
+    names = p.used_variables()
+    terms = p.exponents(names)
+    lead = min(terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+    return to_text(p / terms[lead])
+
+
+def test_catalogue_facts_are_pinned():
+    digest = hashlib.sha256()
+
+    def put(line):
+        digest.update(repr(line).encode() + b"\n")
+
+    for cid in CASE_IDS:
+        for s in descriptor(cid).strata:
+            put((cid, s.stratum_id, s.description, s.quotient_config,
+                 s.fiber_sing, s.fiber_fixed_smooth, s.max_samples))
+            put([_monic_text(p) for p in s.equations])
+            put([_monic_text(p) for p in s.inequations])
+            for k in range(200):
+                t = s.sampler(k)
+                put(None if t is None else
+                    sorted((p, str(v)) for p, v in t.items()))
+    assert digest.hexdigest() == CATALOGUE_FACTS_SHA256
+
+
+def test_noncanonical_configuration_is_refused(monkeypatch):
+    build = families._build_strata
+
+    def misspelt(*args):
+        first, *rest = build(*args)
+        return (dataclasses.replace(first, quotient_config="A1+A3"), *rest)
+
+    monkeypatch.setattr(families, "_build_strata", misspelt)
+    with pytest.raises(ValueError, match="'A1\\+A3' is not a canonical"):
+        families._build_case("A3B2D4")
 
 
 def test_descriptor_errors():

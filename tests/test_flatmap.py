@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from singfold.flatmap import (base_change, chart_point_to_params, correspondence
                               flat_chart, pi_prime, verify_iso,
                               witness_to_chart)
 from singfold.rootsys import CASE_IDS
-from singfold.subsys import format_type, subsystems_for_case
+from singfold.poly import to_text
+from singfold.subsys import subsystems_for_case
 
 RELATION_COUNTS = {"A3B2D4": 1, "A5B3D5": 1, "D4C3D6": 3, "D4G2E6": 2,
                    "D4G2E7": 5, "E6F4E7": 3}
@@ -128,16 +130,14 @@ def test_type_to_stratum_covers_all_types():
     for cid in CASE_IDS:
         subs = subsystems_for_case(cid)
         types = {s.type_string() for s in subs}
-        strata = {format_type(st.quotient_config.split("+"))
-                  for st in descriptor(cid).strata}
+        strata = {st.quotient_config for st in descriptor(cid).strata}
         assert types == strata
 
 
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_strata_configurations_are_distinct(cid):
     # so the derived type -> stratum map is a function
-    configs = [format_type(st.quotient_config.split("+"))
-               for st in descriptor(cid).strata]
+    configs = [st.quotient_config for st in descriptor(cid).strata]
     assert len(configs) == len(set(configs))
 
 
@@ -157,3 +157,19 @@ def test_chart_point_roundtrip():
         for name, f in zip(chart.psi_names, bc.forward):
             val = f.evaluate(t) if not f.is_constant() else f.constant_value()
             assert val == psi[name]
+
+
+# sha256 of the sorted to_text of every chart formula of the six cases,
+# recorded when the D4G2E7 chart was still built coefficient by coefficient
+CHART_FORMULAS_SHA256 = \
+    "591fb777fa5f7cab7cd5c59099a75d0278772269df90a553b090491dbdc77f94"
+
+
+def test_chart_formulas_are_pinned():
+    digest = hashlib.sha256()
+    for cid in CASE_IDS:
+        formulas = flat_chart(cid).formulas
+        line = (cid, None if formulas is None else
+                sorted((k, to_text(p)) for k, p in formulas.items()))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == CHART_FORMULAS_SHA256

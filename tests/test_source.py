@@ -1,0 +1,64 @@
+"""Leftover names in the package source: every import is used by its module,
+and every module-level private name is used somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "singfold"
+MODULES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def _reads(tree) -> set:
+    """Names read in a module: loaded names and attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def _imported_from_siblings(tree) -> set:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def _imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    unused = sorted(set(_imports(tree)) - _reads(tree))
+    assert not unused, f"{module}.py imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_private_name_is_used(module):
+    everywhere = set().union(*(_reads(t) | _imported_from_siblings(t)
+                               for t in MODULES.values()))
+    unused = sorted(set(_private_definitions(MODULES[module])) - everywhere)
+    assert not unused, f"{module}.py defines {unused} and nothing uses them"
