@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .families import (all_descriptors, check_stratum_point, descriptor,
                        derive_quotient_chart, sample_stratum,
-                       theorem_singular_spotcheck, verify_equivariance)
+                       theorem_singular_spotcheck, verify_catalogue,
+                       verify_equivariance)
 from .flatmap import correspondence_check, flat_chart, verify_iso
 from .poly import ParseError, parse, to_text
 from .rootsys import CASE_IDS, ROOT_TYPES, build_root_system, to_json
@@ -112,7 +113,7 @@ def full_report(seed: int = 0, samples: int = 3, theorem2_count: int = 10,
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _emit(obj, args) -> None:
+def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
@@ -132,8 +133,10 @@ def _cmd_cases(args) -> int:
                       f"{r['quotient_type']:3s} rank {r['rank']} "
                       f"omega {r['omega']:4s} theta {r['theta']}")
         else:
-            _emit(rows, args)
+            _emit(rows)
         return 0
+    if not args.case:
+        raise UsageError("cases show needs a case id")
     case = descriptor(args.case)
     obj = {
         "case": case.case_id,
@@ -149,13 +152,13 @@ def _cmd_cases(args) -> int:
                     "configuration": s.quotient_config}
                    for s in case.strata],
     }
-    _emit(obj, args)
+    _emit(obj)
     return 0
 
 
 def _cmd_roots(args) -> int:
     rs = build_root_system(args.type)
-    _emit(to_json(rs), args)
+    _emit(to_json(rs))
     return 0
 
 
@@ -170,7 +173,7 @@ def _cmd_subsystems(args) -> int:
     obj = [{"index": i, "type": s.type_string(),
             "simple_system": [[str(c) for c in g] for g in s.simple_system],
             "witness": [str(c) for c in s.witness]} for i, s in enumerate(subs)]
-    _emit(obj, args)
+    _emit(obj)
     return 0
 
 
@@ -216,7 +219,7 @@ def _cmd_classify(args) -> int:
             raise UsageError(f"missing parameters: {missing}")
         source = case.fiber if args.cover else case.quotient
         F = source.subs({p: t[p] for p in case.params})
-    _emit(fiber_configuration(F).to_json(), args)
+    _emit(fiber_configuration(F).to_json())
     return 0
 
 
@@ -243,7 +246,7 @@ def _cmd_verify(args) -> int:
                           theorem2_count=args.theorem2_count,
                           sections=sections)
         ok = ok and rep["ok"]
-        _emit(rep, args)
+        _emit(rep)
     return 0 if ok else 1
 
 
@@ -252,7 +255,7 @@ def _cmd_report(args) -> int:
     summary = full_report(seed=args.seed, samples=args.samples,
                           theorem2_count=args.theorem2_count,
                           out_dir=args.out, sections=sections)
-    _emit(summary, args)
+    _emit(summary)
     return 0 if summary["ok"] else 1
 
 
@@ -272,14 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("action", choices=("list", "show"))
     c.add_argument("case", nargs="?", choices=CASE_IDS)
     c.add_argument("--table", action="store_true")
+    c.set_defaults(run=_cmd_cases)
 
     r = sub.add_parser("roots", help="export a root system as JSON")
     r.add_argument("--type", required=True, choices=ROOT_TYPES)
+    r.set_defaults(run=_cmd_roots)
 
     s = sub.add_parser("subsystems",
                        help="enumerate vanishing-set subsystems of a case")
     s.add_argument("--case", required=True, choices=CASE_IDS)
     s.add_argument("--table", action="store_true")
+    s.set_defaults(run=_cmd_subsystems)
 
     k = sub.add_parser("classify", help="classify the singular points of a "
                                         "surface or of a case fiber")
@@ -288,17 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--point", help="parameter values, e.g. t2=8,t4=8")
     k.add_argument("--cover", action="store_true",
                    help="classify the covering fiber instead of the quotient")
+    k.set_defaults(run=_cmd_classify)
 
     v = sub.add_parser("verify", help="run the verification sections")
     v.add_argument("--case", choices=CASE_IDS)
     v.add_argument("--all", action="store_true")
     v.add_argument("--sections", help=f"comma list from {','.join(SECTIONS)}")
     v.add_argument("--theorem2-count", type=int, default=10)
+    v.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("report", help="write verification bundles for all cases")
     p.add_argument("--out", default="reports")
     p.add_argument("--theorem2-count", type=int, default=10)
     p.add_argument("--sections", help=f"comma list from {','.join(SECTIONS)}")
+    p.set_defaults(run=_cmd_report)
     return ap
 
 
@@ -309,7 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        from .families import verify_catalogue
         cat = verify_catalogue()
         if not cat["ok"]:
             for cid, problems in cat["cases"].items():
@@ -317,27 +325,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"error: case catalogue {cid}: {problem}",
                           file=sys.stderr)
             return 1
-        if args.command == "cases":
-            if args.action == "show" and not args.case:
-                raise UsageError("cases show needs a case id")
-            return _cmd_cases(args)
-        if args.command == "roots":
-            return _cmd_roots(args)
-        if args.command == "subsystems":
-            return _cmd_subsystems(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return args.run(args)
     except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # the command line was sound: the program failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -18,9 +18,8 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import Echelon, Scalar
-from .poly import (Polynomial, div_exact, exponent_tuples, gcd_univariate,
-                   parse)
-from .rootsys import CASE_IDS, CaseMeta, case_meta
+from .poly import Polynomial, div_exact, gcd_univariate, monomials, parse
+from .rootsys import CASE_IDS, CaseMeta, case_meta, closure
 from .singclass import (FiberConfiguration, classify_point,
                         fiber_configuration, singular_points)
 from .subsys import format_type
@@ -59,8 +58,8 @@ class CaseDescriptor:
     fixed_locus: Subst                   # printed fixed locus, free symbol "s"
     b_fixed: Optional[Tuple[int, int, Polynomial]] = None  # (y sign, square sign, const)
     # the group closure, filled on the first group_elements() call
-    _elements: Dict[str, Subst] = field(default_factory=dict, init=False,
-                                        repr=False, compare=False)
+    _elements: List[Subst] = field(default_factory=list, init=False,
+                                   repr=False, compare=False)
 
     def stratum(self, stratum_id: str) -> Stratum:
         for s in self.strata:
@@ -68,39 +67,30 @@ class CaseDescriptor:
                 return s
         raise ValueError(f"unknown stratum {stratum_id!r} in {self.case_id}")
 
-    def group_elements(self) -> Dict[str, Subst]:
-        """All elements of the symmetry group as substitution maps, closed
-        under composition on the first call and cached on the descriptor."""
+    def group_elements(self) -> List[Subst]:
+        """The symmetry group as substitution maps, identity first: its orbit
+        under the generators, keyed by the images of the fiber variables,
+        found on the first call and cached on the descriptor."""
         if not self._elements:
             fv = self.fiber_vars
-            elems = {"id": {v: Polynomial.var(v) for v in fv}}
-            frontier = dict(self.omega_gens)
-            while frontier:
-                new: Dict[str, Subst] = {}
-                for gname, g in frontier.items():
-                    for ename, e in elems.items():
-                        comp = compose_subst(g, e, fv)
-                        if not any(subst_equal(comp, have, fv) for have in
-                                   (*elems.values(), *new.values())):
-                            name = gname + "*" + ename if ename != "id" else gname
-                            new[name] = comp
-                elems.update(new)
-                frontier = new
+
+            def products(images):
+                e = dict(zip(fv, images))
+                return [tuple(compose_subst(g, e, fv).values())
+                        for g in self.omega_gens.values()]
+
+            elems = closure([tuple(map(Polynomial.var, fv))], products)
             if len(elems) != self.omega_order:
                 raise AssertionError(
                     f"{self.case_id}: generated group of order {len(elems)}, "
                     f"expected {self.omega_order}")
-            self._elements.update(elems)
-        return dict(self._elements)
+            self._elements.extend(dict(zip(fv, e)) for e in elems)
+        return list(self._elements)
 
 
 def compose_subst(g: Subst, h: Subst, variables: Sequence[str]) -> Subst:
     """(g*h)(p) = g(h(p)): substitute h's expressions into g's."""
     return {v: g[v].subs(h) for v in variables}
-
-
-def subst_equal(a: Subst, b: Subst, variables: Sequence[str]) -> bool:
-    return all(a[v] == b[v] for v in variables)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +579,12 @@ def verify_equivariance(case_id: str) -> dict:
         power = idmap
         for _ in range(n):
             power = compose_subst(g, power, fv)
-        relations[f"{name}^{n}"] = subst_equal(power, idmap, fv)
+        relations[f"{name}^{n}"] = power == idmap
     if len(case.omega_gens) == 2:
         r, s = case.omega_gens["rho"], case.omega_gens["sigma"]
-        relations["sigma*rho*sigma=rho^2"] = subst_equal(
-            compose_subst(s, compose_subst(r, s, fv), fv),
-            compose_subst(r, r, fv), fv)
+        relations["sigma*rho*sigma=rho^2"] = (
+            compose_subst(s, compose_subst(r, s, fv), fv)
+            == compose_subst(r, r, fv))
         # the full group must close with the right order
         case.group_elements()
     if not all(report["relations"].values()):
@@ -606,15 +596,16 @@ def verify_equivariance(case_id: str) -> dict:
 # strata: membership and sampling
 # ---------------------------------------------------------------------------
 
-def stratum_membership(case_id: str, t: Dict[str, Fraction]) -> str:
-    """Finest stratum containing the parameter point (total function)."""
+def stratum_membership(case_id: str, t: Dict[str, Fraction]) -> Optional[str]:
+    """Finest stratum containing the parameter point; None for a point that
+    no row takes, the generic row included."""
     case = descriptor(case_id)
     vals = {p: Fraction(t[p]) for p in case.params}
     for s in case.strata:
         if all(eq.evaluate(vals) == 0 for eq in s.equations) and \
            all(iq.evaluate(vals) != 0 for iq in s.inequations):
             return s.stratum_id
-    return "generic"
+    return None
 
 
 def sample_stratum(case_id: str, stratum_id: str, count: int,
@@ -689,7 +680,7 @@ def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
     case = descriptor(case_id)
     F = fiber_at(case_id, t)
     nontrivial = [_instantiate(sub, t, case.fiber_vars)
-                  for name, sub in case.group_elements().items() if name != "id"]
+                  for sub in case.group_elements()[1:]]
     order = case.omega_order
 
     records = []
@@ -814,22 +805,6 @@ def _qdeg(case: CaseDescriptor, p: Polynomial, extra: Dict[str, int] = {}) -> in
     return degs.pop()
 
 
-def _monomials(weights: Tuple[int, ...], d: int,
-               memo: Dict) -> List[Tuple[int, ...]]:
-    """The exponent tuples of quasi-degree exactly d for positive `weights`,
-    in ascending lexicographic order; `memo` keeps each list by (weights, d),
-    and the lists of the suffixes of the weights with it."""
-    key = (weights, d)
-    if key not in memo:
-        if not weights:
-            memo[key] = [()] if d == 0 else []
-        else:
-            w, tail = weights[0], weights[1:]
-            memo[key] = [(k,) + e for k in range(d // w + 1)
-                         for e in _monomials(tail, d - k * w, memo)]
-    return memo[key]
-
-
 class _Tables:
     """The tables of one derivation.  A generator tuple indexes `admitted`;
     a generator-power product is keyed by its exponents over the admitted
@@ -843,7 +818,6 @@ class _Tables:
         self.weights = tuple(case.weights[v] for v in self.names)
         self.fdeg = _qdeg(case, case.fiber)
         self.admitted: List[Polynomial] = []
-        self.monos: Dict = {}
         self.products: Dict = {(): Polynomial.constant(Fraction(1))}
         self.vectors: Dict = {}
         self.live: Tuple = (None, {})   # (generator tuple, degree -> echelon)
@@ -881,10 +855,10 @@ class _Tables:
         n = len(gens)
         weights = tuple(_qdeg(self.case, self.admitted[g]) for g in gens) \
             + self.weights[3:]                      # then the parameters
-        for e in _monomials(weights, d, self.monos):
+        for e in monomials(weights, d):
             gvec = tuple((g, k) for g, k in zip(gens, e) if k)
             yield self.vector(gvec, e[n:]), e
-        for mono in _monomials(self.weights, d - self.fdeg, self.monos):
+        for mono in monomials(self.weights, d - self.fdeg):
             yield self.vector(None, mono), None
 
     def span(self, gens: Tuple[int, ...], d: int) -> Tuple[Echelon, List]:
@@ -928,7 +902,7 @@ def _symbolic(tables: _Tables, n: int, symbols: List[Optional[tuple]],
 def reynolds_average(case: CaseDescriptor, p: Polynomial) -> Polynomial:
     elems = case.group_elements()
     acc = Polynomial.zero()
-    for sub in elems.values():
+    for sub in elems:
         acc = acc + p.subs(sub)
     return acc / Fraction(len(elems))
 
@@ -944,16 +918,16 @@ def derive_quotient_chart(case_id: str) -> dict:
 
     The linear algebra is exact and sparse: the candidate vectors of one
     generator tuple and quasi-degree go into one `exact.Echelon`, built on
-    the derivation's shared tables of monomials, generator-power products
-    and vectors.  Only the echelons of the tuple queried last are kept: a
-    minimization query builds and drops its own, and the coverage checks
-    and chart certificates share those of the final triple.
+    the shared tables of monomials (`poly.monomials`), and the derivation's
+    generator-power products and vectors.  Only the echelons of the tuple
+    queried last are kept: a minimization query builds and drops its own,
+    and the coverage checks and chart certificates share the final triple's.
     """
     case = descriptor(case_id)
     invariants: List[Polynomial] = []
     seen = set()
     for d in range(1, 7):
-        for mono in sorted(exponent_tuples(len(case.fiber_vars), d)):
+        for mono in monomials((1,) * len(case.fiber_vars), d):
             p = Polynomial(case.fiber_vars,
                            {mono: Fraction(1)})
             avg = reynolds_average(case, p)

@@ -15,6 +15,7 @@ immutable by convention.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import lcm
@@ -309,13 +310,15 @@ class Polynomial:
                                if _degree(e) == d})
 
 
-def exponent_tuples(n_vars: int, d: int) -> List[Tuple[int, ...]]:
-    """All exponent tuples in n_vars >= 1 variables of total degree d, in
-    lexicographic order."""
-    if n_vars == 1:
-        return [(d,)]
-    return [(k,) + rest for k in range(d + 1)
-            for rest in exponent_tuples(n_vars - 1, d - k)]
+@functools.cache
+def monomials(weights: Tuple[int, ...], d: int) -> Tuple[Tuple[int, ...], ...]:
+    """Exponent tuples of weighted degree d for positive ``weights``, in
+    ascending lex order; ``(1,) * n`` gives total degree d.  Cached."""
+    if not weights:
+        return ((),) if d == 0 else ()
+    w, tail = weights[0], weights[1:]
+    return tuple((k,) + e for k in range(d // w + 1)
+                 for e in monomials(tail, d - k * w))
 
 
 # ---------------------------------------------------------------------------

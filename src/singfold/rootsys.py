@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 
@@ -29,6 +29,19 @@ def _vec(xs) -> Vector:
 
 def vneg(a: Vector) -> Vector:
     return tuple(-x for x in a)
+
+
+def closure(seeds: Iterable, step: Callable[..., Iterable]) -> list:
+    """Everything reachable from ``seeds``, where ``step`` gives the images
+    of one element, in order of discovery: the seeds, then layer by layer."""
+    found = dict.fromkeys(seeds)
+    frontier = list(found)
+    while frontier:
+        new = dict.fromkeys(y for x in frontier for y in step(x)
+                            if y not in found)
+        found.update(new)
+        frontier = list(new)
+    return list(found)
 
 
 def positive_root_count(label: str) -> int:
@@ -148,18 +161,13 @@ def build_root_system(label: str) -> RootSystem:
     if [[_inner(form, a, b) for b in simples] for a in simples] != cartan:
         raise AssertionError(f"{label}: Cartan matrix mismatch")
     cols = list(zip(*cartan))
-    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    coeffs = set(frontier)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i, col in enumerate(cols):
-                k = sum(x * y for x, y in zip(c, col))
-                r = c[:i] + (c[i] - k,) + c[i + 1:]
-                if r not in coeffs:
-                    coeffs.add(r)
-                    nxt.append(r)
-        frontier = nxt
+
+    def reflections(c):
+        pairings = (sum(x * y for x, y in zip(c, col)) for col in cols)
+        return [c[:i] + (c[i] - k,) + c[i + 1:] for i, k in enumerate(pairings)]
+
+    coeffs = closure((tuple(int(i == j) for j in range(rank))
+                      for i in range(rank)), reflections)
     count = 2 * positive_root_count(label)
     if len(coeffs) != count:
         raise AssertionError(

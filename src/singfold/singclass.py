@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
                     Scalar, invert, nullspace, upoly_factor, upoly_gcd,
                     upoly_squarefree_part, upoly_str)
-from .poly import (Polynomial, binary_cubic_shape, exponent_tuples,
-                   resultant, univariate_coefficients)
+from .poly import (Polynomial, binary_cubic_shape, monomials, resultant,
+                   univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -241,11 +241,12 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Poin
             upoly_gcd(*(univariate_coefficients(p, u) for p in polys)))]
     if len(names) == 2:
         return _common_zeros(polys, *names)
-    linear = _detect_linear_var(polys[0], names)
-    if linear is None:
+    w = next((w for w in names if polys[0].degree_in(w) == 1), None)
+    if w is None:
         raise ClassificationError(
             "unsupported equation shape for singular-point elimination")
-    return _solve_linear_var(names, *linear)
+    B, A = polys[0].coefficients_in(w)
+    return _solve_linear_var(names, w, A, B)
 
 
 def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Point]:
@@ -273,15 +274,6 @@ def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Point
             for pt in lift(*zero)]
 
 
-def _detect_linear_var(F: Polynomial, names):
-    """First variable w with deg_w F = 1; returns (w, A, B), F = A*w + B."""
-    for w in names:
-        if F.degree_in(w) == 1:
-            B, A = F.coefficients_in(w)
-            return w, A, B
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Milnor number, Hessian corank, classification
 # ---------------------------------------------------------------------------
@@ -306,7 +298,7 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     parts = [p for p in (G.diff(n) for n in names) if not p.is_zero()]
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
-    nv = len(names)
+    ones = (1,) * len(names)
     graded = [(g.lowest_degree(),
                [(sum(e), e, c) for e, c in g.exponents(names).items()])
               for g in parts]
@@ -315,7 +307,7 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
         ech = Echelon()
         for low, terms in graded:
             for dm in range(K - low):
-                for m in exponent_tuples(nv, dm):
+                for m in monomials(ones, dm):
                     ech.add({(-d - dm, tuple(a + b for a, b in zip(e, m))): c
                              for d, e, c in terms if d + dm < K})
         pivots_at = [0] * K                 # pivots by degree of their lead
@@ -323,7 +315,7 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
             pivots_at[-neg_d] += 1
         mu, prev = 0, None
         for N in range(1, K + 1):
-            mu += len(exponent_tuples(nv, N - 1)) - pivots_at[N - 1]
+            mu += len(monomials(ones, N - 1)) - pivots_at[N - 1]
             if N >= 5 and mu == prev:
                 if mu < 1:
                     raise ClassificationError(

@@ -19,7 +19,7 @@ from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .exact import nullspace
-from .rootsys import (RootSystem, Vector, build_root_system, case_meta,
+from .rootsys import (RootSystem, Vector, build_root_system, case_meta, closure,
                       positive_root_count, root_from_coefficients, theta_roots)
 
 TypeMultiset = Tuple[str, ...]
@@ -123,12 +123,7 @@ def reflection_closure(rs: RootSystem, gens: Sequence[Vector]) -> FrozenSet[Vect
         if g not in rs.roots:
             raise ValueError(f"{g} is not a root")
     gi = [rs.index[g] for g in gens]
-    orbit = set(gi)
-    frontier = gi
-    while frontier:
-        new = {rs.refl[i][j] for i in frontier for j in gi} - orbit
-        orbit |= new
-        frontier = list(new)
+    orbit = closure(gi, lambda i: [rs.refl[i][j] for j in gi])
     return frozenset(rs.by_index[i] for i in orbit)
 
 

@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -262,18 +260,6 @@ def test_classify_computation_error_exits_1(capsys, monkeypatch):
     assert captured.out == ""
     assert "error: inexact division in Z[t]" in captured.err
     assert main(["classify", "--surface", "x^2 +"]) == 2
-
-
-def test_tracer_targets_exist():
-    # the benchmark's tracer wraps these functions by name
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for mod_name, funcs in tracer.TARGETS.items():
-        mod = importlib.import_module(f"singfold.{mod_name}")
-        for fname in funcs:
-            assert callable(getattr(mod, fname, None)), f"{mod_name}.{fname}"
 
 
 def test_report_writes_only_the_listed_cases(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import weakref
 from collections import Counter, defaultdict
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,10 @@ from singfold.families import (check_stratum_point,
                                classify_quotient_fiber, compose_subst,
                                derive_quotient_chart, descriptor, fiber_at,
                                quotient_fiber, sample_stratum,
-                               stratum_membership, subst_equal,
+                               stratum_membership,
                                theorem_singular_spotcheck, verify_catalogue,
                                verify_equivariance)
-from singfold.poly import Polynomial, exponent_tuples, parse, to_text
+from singfold.poly import Polynomial, monomials, parse, to_text
 from singfold.rootsys import CASE_IDS
 from test_exact import dense_kernel, dense_solution
 
@@ -50,7 +52,7 @@ def _fresh_closure(case):
         for g in case.omega_gens.values():
             for e in frontier:
                 comp = compose_subst(g, e, fv)
-                if not any(subst_equal(comp, h, fv) for h in elems + new):
+                if comp not in elems + new:
                     new.append(comp)
         elems += new
         frontier = new
@@ -73,8 +75,8 @@ def test_group_elements_are_cached_lazily(monkeypatch, cold_descriptors):
     for case, elems in zip(cases, cached):
         fresh = _fresh_closure(case)
         assert len(elems) == len(fresh) == case.omega_order
-        for sub in elems.values():
-            assert any(subst_equal(sub, h, case.fiber_vars) for h in fresh)
+        assert all(sub in fresh for sub in elems)
+        assert elems[0] == {v: Polynomial.var(v) for v in case.fiber_vars}
         assert case._elements == elems
     # later calls read the cache
     monkeypatch.setattr(families, "compose_subst", None)
@@ -193,6 +195,18 @@ def test_stratum_membership_examples():
     assert stratum_membership("D4G2E6",
                               {"t2": Fraction(6), "t6": Fraction(2)}) \
         == "t6=t2^3/108"
+
+
+def test_point_no_row_takes_has_no_stratum():
+    # E6F4E7 on H2 with t2 = 0 and off H1: the H2 row needs t2 != 0 and the
+    # generic row needs H2 != 0, and the fiber has the H2 configuration,
+    # not the generic one
+    t = {"t2": Fraction(0), "t6": Fraction(1), "t8": Fraction(9),
+         "t12": Fraction(143, 8)}
+    generic = descriptor("E6F4E7").stratum("generic")
+    assert not all(iq.evaluate(t) for iq in generic.inequations)
+    assert stratum_membership("E6F4E7", t) is None
+    assert classify_quotient_fiber("E6F4E7", t).type_string() == "A1+A1+A1+A1"
 
 
 def test_membership_unique_and_total_on_random_points():
@@ -362,21 +376,26 @@ def test_derive_quotient_chart_matches_recorded_bundle(cid, seed0_report):
 def test_monomials_match_a_filter_of_all_exponent_tuples(cid):
     # every degree up to 36 on the parameters, the largest quasi-degree a
     # derivation asks for; up to 24 on the fiber variables and parameters,
-    # the largest it asks for there (E6F4E7: 36 less the fiber's 12), where
-    # the filter would list 5.2 million tuples at 36 for A5B3D5
+    # the largest it asks for there (E6F4E7: 36 less the fiber's 12).  The
+    # oracle filters the box of exponents at most top // weight, which
+    # itertools.product lists in ascending lexicographic order
     case = descriptor(cid)
-    memo = {}
     for names, top in ((case.params, 36),
                        (case.fiber_vars + case.params, 24)):
         weights = tuple(case.weights[v] for v in names)
         want = defaultdict(list)
-        for total in range(top // min(weights) + 1):
-            for e in exponent_tuples(len(names), total):
-                d = sum(w * k for w, k in zip(weights, e))
-                if d <= top:
-                    want[d].append(e)
+        for e in itertools.product(*(range(top // w + 1) for w in weights)):
+            d = sum(map(mul, weights, e))
+            if d <= top:
+                want[d].append(e)
         for d in range(top + 1):
-            assert families._monomials(weights, d, memo) == sorted(want[d])
+            assert list(monomials(weights, d)) == want[d]
+
+
+def test_monomials_of_negative_degree_are_empty():
+    assert monomials((1,), -1) == ()
+    assert monomials((2, 3), -1) == monomials((1, 1, 1), -4) == ()
+    assert monomials((), 0) == ((),)
 
 
 def test_derivation_keeps_echelons_of_the_live_tuple_only(monkeypatch):

@@ -11,8 +11,9 @@ import pytest
 
 import singfold
 from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
-                              expected_cartan, reflect, root_from_coefficients,
-                              theta_roots, to_json, vanishing_set, vneg)
+                              closure, expected_cartan, reflect,
+                              root_from_coefficients, theta_roots, to_json,
+                              vanishing_set, vneg)
 
 ROOT_COUNTS = {"D4": 24, "D5": 40, "D6": 60, "E6": 72, "E7": 126}
 
@@ -22,6 +23,20 @@ def test_root_counts(label, count):
     rs = build_root_system(label)
     assert len(rs.roots) == count
     assert len(rs.positive_roots) * 2 == count
+
+
+def test_closure_lists_seeds_then_layers_in_discovery_order():
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return [2 * x % 10, (x + 5) % 10]
+
+    # layers: 1, 2 | 6, 4, 7 | 8, 9 | 3, each element stepped once
+    assert closure([1, 1, 2], step) == [1, 2, 6, 4, 7, 8, 9, 3]
+    assert calls == [1, 2, 6, 4, 7, 8, 9, 3]
+    assert closure([], step) == []
+    assert closure([0], step) == [0, 5]
 
 
 def test_unsupported_type():

@@ -12,7 +12,7 @@ except ImportError:  # the irreducibility check against sympy is optional
 
 from singfold import families, singclass
 from singfold.exact import AlgebraicScalar, Echelon, make_extension, upoly
-from singfold.poly import Polynomial, exponent_tuples, parse
+from singfold.poly import Polynomial, monomials, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, singular_points)
 
@@ -392,7 +392,7 @@ def truncated_milnor_oracle(G, names, cap=16):
         for g in parts:
             low = g.lowest_degree()
             for dm in range(max(N - low, 1)):
-                for m in exponent_tuples(nv, dm):
+                for m in monomials((1,) * nv, dm):
                     row = {}
                     for e, c in g.exponents(names).items():
                         ee = tuple(a + b for a, b in zip(e, m))
@@ -400,8 +400,8 @@ def truncated_milnor_oracle(G, names, cap=16):
                         if d < N:
                             row[d, ee] = c
                     ech.add(row)
-        monomials = sum(len(exponent_tuples(nv, d)) for d in range(N))
-        mu = monomials - len(ech.pivots)
+        count = sum(len(monomials((1,) * nv, d)) for d in range(N))
+        mu = count - len(ech.pivots)
         if prev is not None and mu == prev:
             return mu
         prev = mu

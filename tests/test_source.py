@@ -1,12 +1,15 @@
 """Leftover names in the package source: every import is used by its module,
-and every module-level private name is used somewhere in the package."""
+every module-level private name is used somewhere in the package, and every
+function the benchmark's tracer wraps by name still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "singfold"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "singfold"
 MODULES = {path.stem: ast.parse(path.read_text())
            for path in sorted(SRC.glob("*.py"))}
 
@@ -62,3 +65,15 @@ def test_every_private_name_is_used(module):
                                for t in MODULES.values()))
     unused = sorted(set(_private_definitions(MODULES[module])) - everywhere)
     assert not unused, f"{module}.py defines {unused} and nothing uses them"
+
+
+def test_tracer_targets_exist():
+    # the tracer wraps each TARGETS name with getattr on its module
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TARGETS"]]
+    for mod_name, funcs in targets.items():
+        mod = importlib.import_module(f"singfold.{mod_name}")
+        for fname in funcs:
+            assert callable(getattr(mod, fname, None)), f"{mod_name}.{fname}"
