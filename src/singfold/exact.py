@@ -1,11 +1,18 @@
 """Exact scalars: big rationals, algebraic number fields, exact linear algebra.
 
+:func:`clear_denominators` turns rationals into Python ints over the lcm
+of their denominators; the elimination loop, the factorizer, the ring
+moduli and the integer-numerator products of :mod:`singfold.poly` all
+start from it.
+
 :func:`upoly_factor` factors a rational univariate polynomial into monic
 irreducibles over Q (Zassenhaus: factors modulo a small prime, Hensel
 lifting, exhaustive recombination), so every ring ``Q[a]/(m)`` that the
 singular-point solver builds has an irreducible modulus and is a field.
-An :class:`ExtensionRing` built by hand on a reducible modulus still
-works; there :func:`invert` of a zero divisor raises ZeroDivisionError.
+The factors of each squarefree part are cached per process, keyed by its
+primitive integer form.  An :class:`ExtensionRing` built by hand on a
+reducible modulus still works; there :func:`invert` of a zero divisor
+raises ZeroDivisionError.
 
 Univariate polynomials are tuples of coefficients in increasing degree,
 with no trailing zeros, over one scalar ring: :class:`fractions.Fraction`
@@ -22,13 +29,13 @@ without a Fraction; only :func:`invert` runs Euclid on Fraction tuples.
 
 Linear algebra has one elimination loop, :class:`Echelon`: sparse vectors
 are top-reduced against pivot rows, fraction-free.  Over Q a pivot row is a
-primitive row of Python ints; only a lead in an extension ring is inverted
-with :func:`invert`.  A vector added with an index carries its combination
-of the added vectors, and the relations and solutions come out as
-Fractions.  The Milnor numbers and the Reynolds re-derivation use it
-directly;
-:func:`row_reduce`, :func:`nullspace` and :func:`solve_linear` are queries
-on the echelon of a matrix's columns.
+primitive row of Python ints, and a vector of ints goes in as it is; only a
+lead in an extension ring is inverted with :func:`invert`.  A vector added
+with an index carries its combination of the added vectors, and the
+relations and solutions come out as Fractions.  The Milnor numbers and the
+Reynolds re-derivation use it directly; :func:`row_reduce`,
+:func:`nullspace` and :func:`solve_linear` are queries on the echelon of a
+matrix's columns.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Collection, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 UPoly = Tuple[Fraction, ...]  # univariate over Q, low -> high, trimmed
 
@@ -51,6 +58,20 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
+
+
+def clear_denominators(values: Collection) -> Tuple[list, int]:
+    """(nums, d) with nums[i] = d * values[i]: for rationals, Python ints
+    over the lcm d of their denominators (primitive if some value is 1);
+    with an extension-ring element among them, the values as they are,
+    over d = 1."""
+    kinds = set(map(type, values))
+    if AlgebraicScalar in kinds or Fraction not in kinds:
+        return list(values), 1
+    d = math.lcm(*{c.denominator for c in values})
+    if d == 1:
+        return [c.numerator for c in values], 1
+    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +341,22 @@ def _factor_z(f: list) -> List[list]:
     return out + [f]
 
 
-def upoly_factor(p: Iterable) -> List[UPoly]:
+def upoly_factor(p: Iterable) -> Tuple[UPoly, ...]:
     """The distinct monic irreducible factors over Q of a rational p,
-    sorted by degree, then by coefficients; [] if p is constant."""
+    sorted by degree, then by coefficients; () if p is constant."""
     f = upoly_squarefree_part(upoly(p))
     if len(f) < 3:
-        return [f] if len(f) == 2 else []
-    d = math.lcm(*(c.denominator for c in f))
-    return sorted((tuple(Fraction(c, g[-1]) for c in g) for g in _factor_z(
-        [c.numerator * (d // c.denominator) for c in f])),
-                  key=lambda g: (len(g), g))
+        return (f,) if len(f) == 2 else ()
+    return _factor_q(tuple(clear_denominators(f)[0]))
+
+
+@functools.cache
+def _factor_q(f: Tuple[int, ...]) -> Tuple[UPoly, ...]:
+    """upoly_factor of a squarefree f of degree >= 2 in its primitive
+    integer form, cached per process."""
+    return tuple(sorted((tuple(Fraction(c, g[-1]) for c in g)
+                         for g in _factor_z(list(f))),
+                        key=lambda g: (len(g), g)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +375,9 @@ class ExtensionRing:
     modulus: UPoly
 
     def __post_init__(self):
-        d = math.lcm(*(c.denominator for c in self.modulus))
+        nums, d = clear_denominators(self.modulus)
         object.__setattr__(self, "_lead", d)
-        object.__setattr__(self, "_low", tuple(
-            c.numerator * (d // c.denominator) for c in self.modulus[:-1]))
+        object.__setattr__(self, "_low", tuple(nums[:-1]))
 
     @property
     def degree(self) -> int:
@@ -382,10 +408,7 @@ class ExtensionRing:
     def element(self, coeffs) -> "AlgebraicScalar":
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = [_frac(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        return self._reduced([c.numerator * (den // c.denominator) for c in cs],
-                             den)
+        return self._reduced(*clear_denominators([_frac(c) for c in coeffs]))
 
     def generator(self) -> "AlgebraicScalar":
         return self.element((0, 1))
@@ -395,20 +418,6 @@ class ExtensionRing:
 
     def one(self) -> "AlgebraicScalar":
         return AlgebraicScalar(self, (1,), 1)
-
-
-def make_extension(modulus) -> ExtensionRing:
-    """Ring Q[a]/(squarefree part of a monic modulus of degree >= 1); at
-    degree 1 it is Q, with the generator pinned to a rational value."""
-    m = upoly(modulus)
-    if upoly_deg(m) < 1:
-        raise ValueError("modulus must have degree >= 1")
-    if m[-1] != 1:
-        raise ValueError("modulus must be monic")
-    return ExtensionRing(upoly_squarefree_part(m))
-
-
-RATIONAL_RING = ExtensionRing(upoly((0, 1)))  # Q itself: generator == 0
 
 
 def _lowest(ring: ExtensionRing, num: List[int], den: int) -> "AlgebraicScalar":
@@ -534,14 +543,9 @@ class AlgebraicScalar:
     def __repr__(self):
         return upoly_str(self.value, "a") if self.num else "0"
 
-    def as_rational(self) -> Fraction:
-        """The value as a plain rational; requires degree < 1 in the generator."""
-        if len(self.num) > 1:
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
-
 
 Scalar = Union[Fraction, AlgebraicScalar]
+RATIONAL_RING = ExtensionRing(upoly((0, 1)))  # Q itself: generator == 0
 
 
 def invert(a: Scalar) -> Scalar:
@@ -622,10 +626,8 @@ class Echelon:
         """Top-reduce a copy of vec, with its combination (None without an
         index) in step: the lead left over (None if vec vanishes), the
         remainder and the combination."""
-        d, vec = 1, dict(vec)
-        if all(isinstance(c, (int, Fraction)) for c in vec.values()):
-            d = math.lcm(*(c.denominator for c in vec.values()))
-            vec = {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+        nums, d = clear_denominators(vec.values())
+        vec = dict(zip(vec, nums))
         combo = None if index is None else {index: d}
         while vec:
             lead = max(vec)

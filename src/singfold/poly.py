@@ -11,6 +11,13 @@ OverflowError rather than carry into the next field.  Packed keys never
 leave this module: callers use exponent tuples over names of their choice,
 and every observable order is the ``_var_key`` order.  Polynomials are
 immutable by convention.
+
+Products, powers and substitutions run on integer numerators, fraction-free
+as in :class:`singfold.exact.Echelon`: each operand is split once into
+numerators over one denominator (Python ints over the lcm of its
+denominators; ring coefficients as they are, over 1), one loop multiplies
+and adds numerators only, and each coefficient of the result is divided
+once by the product of the denominators.
 """
 
 from __future__ import annotations
@@ -18,11 +25,10 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .exact import (AlgebraicScalar, Scalar, _frac, _zt_mul, _zt_sub, invert,
-                    upoly_gcd)
+from .exact import (AlgebraicScalar, Scalar, _frac, _zt_mul, _zt_sub,
+                    clear_denominators, invert, upoly_gcd)
 
 # fixed precedence for the variable universe; unknown names sort after, alphabetically
 _VAR_ORDER = [
@@ -90,10 +96,32 @@ def _accumulate(out: Terms, terms: Terms) -> None:
             out.pop(e, None)
 
 
-def _mul_terms(a: Terms, b: Terms) -> Terms:
-    """a * b for operands whose exponents are below the limit: then no field
-    carries, and a guard bit set in a product term means overflow."""
-    out: Terms = {}
+def _cleared(terms: Terms) -> Tuple[dict, int]:
+    """(numerators, d): the terms times d, Python ints over the lcm d of the
+    denominators of a rational polynomial, the coefficients themselves over
+    d = 1 in an extension ring."""
+    nums, d = clear_denominators(terms.values())
+    return dict(zip(terms, nums)), d
+
+
+def _over(nums: dict, d: int) -> Terms:
+    """The terms of numerators over d, each divided once, in place."""
+    if d == 1:
+        for e, n in nums.items():
+            if type(n) is int:
+                nums[e] = Fraction(n)
+    else:
+        inv = Fraction(1, d)
+        for e, n in nums.items():
+            nums[e] = Fraction(n, d) if type(n) is int else n * inv
+    return nums
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of numerator terms, this module's one product loop, for
+    operands whose exponents are below the limit: then no field carries,
+    and a guard bit set in a product term means overflow."""
+    out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
@@ -105,6 +133,12 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
     if any(e & _GUARD for e in out):
         raise OverflowError(_TOO_LARGE)
     return out
+
+
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """a * b on numerators, divided once by the product of the denominators."""
+    (a, da), (b, db) = _cleared(a), _cleared(b)
+    return _over(_product(a, b), da * db)
 
 
 def _terms_of(x) -> Terms:
@@ -226,14 +260,15 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out, base = _terms_of(1), self._terms
-        while n:
-            if n & 1:
-                out = _mul_terms(out, base)
-            n >>= 1
-            if n:
-                base = _mul_terms(base, base)
-        return Polynomial._of(out)
+        base, d = _cleared(self._terms)
+        out, k = {0: 1}, n
+        while k:
+            if k & 1:
+                out = _product(out, base)
+            k >>= 1
+            if k:
+                base = _product(base, base)
+        return Polynomial._of(_over(out, d ** n))
 
     def __truediv__(self, c):
         if isinstance(c, Polynomial):
@@ -265,25 +300,36 @@ class Polynomial:
         return Polynomial._of(out)
 
     def subs(self, bindings: Mapping[str, Union["Polynomial", Scalar, int]]) -> "Polynomial":
-        """Simultaneous substitution, fully expanded; the powers of each
-        bound value are computed once per call."""
-        bound = []                     # (shift, powers of the value)
+        """Simultaneous substitution, fully expanded, on numerators over one
+        denominator: a bound value V/v whose variable has top power t in
+        self turns c * x^k into c * V^k * v^(t - k) over v^t.  The powers
+        of each V are computed once per call."""
+        terms, d = _cleared(self._terms)
+        bound = []                     # (shift, powers of V)
+        scaled = []                    # (shift, v, t) where v != 1
         keep = -1                      # the fields left alone
         for name, value in bindings.items():
             sh = _shift(name)
             keep &= ~(_MASK << sh)
-            bound.append((sh, [_terms_of(1), _terms_of(value)]))
-        out: Terms = {}
-        for e, c in self._terms.items():
+            num, v = _cleared(_terms_of(value))
+            bound.append((sh, [{0: 1}, num]))
+            if v != 1:
+                top = max(((e >> sh) & _MASK for e in terms), default=0)
+                scaled.append((sh, v, top))
+                d *= v ** top
+        out: dict = {}
+        for e, c in terms.items():
+            for sh, v, top in scaled:
+                c *= v ** (top - ((e >> sh) & _MASK))
             term = {e & keep: c}
             for sh, powers in bound:
                 k = (e >> sh) & _MASK
                 if k:
                     while len(powers) <= k:
-                        powers.append(_mul_terms(powers[-1], powers[1]))
-                    term = _mul_terms(term, powers[k])
+                        powers.append(_product(powers[-1], powers[1]))
+                    term = _product(term, powers[k])
             _accumulate(out, term)
-        return Polynomial._of(out)
+        return Polynomial._of(_over(out, d))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
         acc = None
@@ -597,16 +643,13 @@ def _integer_coefficients(p: Polynomial, name: str, t) -> Tuple[List[List[int]],
     clearing denominators, and the multiplier d that cleared them."""
     i = _shift(name)
     j = _shift(t) if t is not None else None
-    d = 1
-    for c in p._terms.values():
-        if not isinstance(c, (int, Fraction)):
-            raise ValueError("resultant needs rational coefficients")
-        d = lcm(d, Fraction(c).denominator)
+    nums, d = _cleared(p._terms)
+    if any(type(c) is not int for c in nums.values()):
+        raise ValueError("resultant needs rational coefficients")
     coeffs: Dict[int, Dict[int, int]] = {}
-    for e, c in p._terms.items():
-        c = Fraction(c) * d
+    for e, c in nums.items():
         coeffs.setdefault((e >> i) & _MASK, {})[
-            (e >> j) & _MASK if j is not None else 0] = c.numerator
+            (e >> j) & _MASK if j is not None else 0] = c
     out = []
     for k in range(max(coeffs) + 1):
         dense = coeffs.get(k, {})

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
+from .exact import clear_denominators
+
 Vector = Tuple[Fraction, ...]
 
 CASE_IDS = ("A3B2D4", "A5B3D5", "D4C3D6", "D4G2E6", "D4G2E7", "E6F4E7")
@@ -80,10 +82,6 @@ class RootSystem:
 
     def inner(self, a: Vector, b: Vector) -> Fraction:
         return _inner(self.form, a, b)
-
-    def cartan_matrix(self) -> List[List[int]]:
-        return [[int(self.inner(a, b)) for b in self.simple_roots]
-                for a in self.simple_roots]
 
 
 def _inner(form, a: Vector, b: Vector) -> Fraction:
@@ -220,8 +218,7 @@ def cartan_point(rs: RootSystem, coords: Sequence) -> Vector:
 def vanishing_set(rs: RootSystem, h: Sequence) -> frozenset:
     """All roots vanishing on h: a reflection-closed sub-root system."""
     hv = cartan_point(rs, h)
-    den = math.lcm(*(x.denominator for x in hv))
-    hi = [int(x * den) for x in hv]
+    hi, _ = clear_denominators(hv)
     return frozenset(r for r, a in zip(rs.by_index, rs.ambient)
                      if not sum(x * y for x, y in zip(a, hi)))
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
-                    Scalar, invert, nullspace, upoly_factor, upoly_gcd,
-                    upoly_squarefree_part, upoly_str)
+                    Scalar, clear_denominators, invert, nullspace,
+                    upoly_factor, upoly_gcd, upoly_squarefree_part, upoly_str)
 from .poly import (Polynomial, binary_cubic_shape, monomials, resultant,
                    univariate_coefficients)
 from .subsys import TypeMultiset, canonical_type, format_type
@@ -299,9 +299,13 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
     ones = (1,) * len(names)
-    graded = [(g.lowest_degree(),
-               [(sum(e), e, c) for e, c in g.exponents(names).items()])
-              for g in parts]
+    graded = []
+    for g in parts:
+        # a scalar multiple spans the same rows: clear each partial once
+        terms = g.exponents(names)
+        nums, _ = clear_denominators(terms.values())
+        graded.append((g.lowest_degree(),
+                       [(sum(e), e, c) for e, c in zip(terms, nums)]))
     K = 5
     while K <= cap:
         ech = Echelon()

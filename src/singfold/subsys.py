@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .exact import nullspace
+from .exact import clear_denominators, nullspace
 from .rootsys import (RootSystem, Vector, build_root_system, case_meta, closure,
                       positive_root_count, root_from_coefficients, theta_roots)
 
@@ -212,10 +212,8 @@ def _witness_problem(rs: RootSystem, gens: Sequence[int]):
     subspace that the roots span.
     """
     eqs = [rs.ambient[i] for i in gens] + list(rs.hyperplanes)
-    basis = []
-    for b in nullspace(eqs or [[0] * rs.dim]):
-        den = math.lcm(*(c.denominator for c in b))
-        basis.append(tuple(int(c * den) for c in b))
+    basis = [tuple(clear_denominators(b)[0])
+             for b in nullspace(eqs or [[0] * rs.dim])]
     pairs = [[sum(x * y for x, y in zip(a, b)) for b in basis]
              for a in rs.ambient[:rs.npos]]
     return basis, [row for row in pairs if any(row)]

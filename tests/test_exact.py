@@ -11,18 +11,37 @@ try:
 except ImportError:  # the factorizer's oracle test is optional
     sympy = None
 
-from singfold.exact import (Echelon, invert, make_extension,
+from singfold.exact import (AlgebraicScalar, Echelon, ExtensionRing, invert,
                             nullspace, row_reduce, solve_linear, upoly,
                             upoly_deg, upoly_factor, upoly_gcd, upoly_mul,
                             upoly_squarefree_part, upoly_str)
 from singfold.poly import Polynomial, parse
 
 
+def make_extension(modulus) -> ExtensionRing:
+    """Ring Q[a]/(squarefree part of a monic modulus of degree >= 1); at
+    degree 1 it is Q, with the generator pinned to a rational value."""
+    m = upoly(modulus)
+    if upoly_deg(m) < 1:
+        raise ValueError("modulus must have degree >= 1")
+    if m[-1] != 1:
+        raise ValueError("modulus must be monic")
+    return ExtensionRing(upoly_squarefree_part(m))
+
+
+def as_rational(a: AlgebraicScalar) -> Fraction:
+    """The value of a as a plain rational; requires degree < 1 in the
+    generator."""
+    if len(a.num) > 1:
+        raise ValueError(f"{a!r} is not rational")
+    return Fraction(a.num[0], a.den) if a.num else Fraction(0)
+
+
 def test_make_extension_linear_is_rational():
     ring = make_extension([-3, 1])  # x - 3
     assert ring.degree == 1
     a = ring.generator()
-    assert a.as_rational() == 3
+    assert as_rational(a) == 3
 
 
 def test_make_extension_squarefree_reduction():
@@ -57,7 +76,7 @@ def test_invert_zero_divisor_splits():
     with pytest.raises(ZeroDivisionError,
                        match=r"a - 1 is a zero divisor modulo a\^2 \+ a - 2"):
         invert(ring.generator() - 1)
-    assert upoly_factor(ring.modulus) == [upoly((-1, 1)), upoly((2, 1))]
+    assert upoly_factor(ring.modulus) == (upoly((-1, 1)), upoly((2, 1)))
     assert invert(ring.generator() + 3) * (ring.generator() + 3) == 1
 
 
@@ -69,7 +88,7 @@ def test_invert_rational():
     ring = make_extension([-3, 1])
     five = ring.element(5)
     assert (invert(five) * five) == ring.one()
-    assert invert(five).as_rational() == Fraction(1, 5)
+    assert as_rational(invert(five)) == Fraction(1, 5)
 
 
 def test_inverse_roundtrip_random():
@@ -387,7 +406,7 @@ def test_zero_divisor_pivot_splits():
                                                             ring.zero()):
         with pytest.raises(ZeroDivisionError, match=r"modulo a\^2 - 1"):
             call()
-    assert upoly_factor(ring.modulus) == [upoly((-1, 1)), upoly((1, 1))]
+    assert upoly_factor(ring.modulus) == (upoly((-1, 1)), upoly((1, 1)))
     for root in (Fraction(1), Fraction(-1)):
         answers = [call() for call in calls(root, Fraction(1), Fraction(0))]
         assert [answers[0][0], answers[3][0]] == [1, 2]
@@ -420,10 +439,10 @@ def _sympy_factors(p):
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(p)], x, domain="QQ")
-    return sorted((tuple(Fraction(int(c.p), int(c.q))
-                         for c in reversed(f.monic().all_coeffs()))
-                   for f, _ in poly.factor_list()[1]),
-                  key=lambda f: (len(f), f))
+    return tuple(sorted((tuple(Fraction(int(c.p), int(c.q))
+                               for c in reversed(f.monic().all_coeffs()))
+                         for f, _ in poly.factor_list()[1]),
+                        key=lambda f: (len(f), f)))
 
 
 _factor_coeffs = st.builds(Fraction, st.integers(-12, 12),

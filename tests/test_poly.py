@@ -12,13 +12,15 @@ try:
 except ImportError:  # the differential test against sympy is optional
     sympy = None
 
-from singfold.exact import (AlgebraicScalar, ExtensionRing, make_extension,
-                            upoly, upoly_deriv, upoly_factor, upoly_mul,
+import singfold.poly as packed
+from singfold.exact import (AlgebraicScalar, ExtensionRing, upoly,
+                            upoly_deriv, upoly_factor, upoly_mul,
                             upoly_squarefree_part)
 from singfold.poly import (ParseError, Polynomial, _integer_coefficients,
                            _zt_div_exact, _zt_mul, _zt_resultant, _zt_sub,
                            binary_cubic_shape, div_exact, gcd_univariate,
                            parse, resultant, to_text, univariate_coefficients)
+from test_exact import as_rational, make_extension
 
 
 def _rand_poly(rng, names, deg=2, terms=4):
@@ -157,7 +159,7 @@ def test_gcd_over_extension_ring_splits():
     # Q(sqrt 2); over each, gcd((y - a)(y + a), y - a) = y - a
     y = Polynomial.var("y")
     factors = upoly_factor((2, -2, -1, 1))
-    assert factors == [upoly((-1, 1)), upoly((-2, 0, 1))]
+    assert factors == (upoly((-1, 1)), upoly((-2, 0, 1)))
     for f in factors:
         a = Polynomial.constant(ExtensionRing(f).generator())
         assert gcd_univariate((y - a) * (y + a), y - a) == y - a
@@ -294,7 +296,7 @@ def _as_poly(coeffs):
 
 
 def _rational_coeffs(coeffs):
-    return tuple(c if isinstance(c, Fraction) else c.as_rational()
+    return tuple(c if isinstance(c, Fraction) else as_rational(c)
                  for c in coeffs)
 
 
@@ -739,3 +741,122 @@ def test_algebraic_terms_are_joined_by_plus():
     p = Polynomial(("x", "y"), {(1, 0): a, (0, 1): a + 1})
     assert to_text(p) == "(a)*x + (a + 1)*y"
     assert parse(to_text(p)).subs({"a": a}) == p
+
+
+# ---------------------------------------------------------------------------
+# the numerator kernel against the Fraction loops it replaced (the oracle):
+# one Fraction multiply and one Fraction add per term product
+# ---------------------------------------------------------------------------
+
+def _fraction_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    if any(e & packed._GUARD for e in out):
+        raise OverflowError("exponent too large")
+    return out
+
+
+def _fraction_pow(terms, n):
+    out, base = {0: Fraction(1)}, terms
+    while n:
+        if n & 1:
+            out = _fraction_mul(out, base)
+        n >>= 1
+        if n:
+            base = _fraction_mul(base, base)
+    return out
+
+
+def _fraction_subs(terms, bindings):
+    bound, keep = [], -1
+    for name, value in bindings.items():
+        sh = packed._shift(name)
+        keep &= ~(packed._MASK << sh)
+        bound.append((sh, [{0: Fraction(1)}, packed._terms_of(value)]))
+    out = {}
+    for e, c in terms.items():
+        term = {e & keep: c}
+        for sh, powers in bound:
+            k = (e >> sh) & packed._MASK
+            if k:
+                while len(powers) <= k:
+                    powers.append(_fraction_mul(powers[-1], powers[1]))
+                term = _fraction_mul(term, powers[k])
+        for e2, c2 in term.items():
+            s = out.get(e2, 0) + c2
+            if s:
+                out[e2] = s
+            else:
+                out.pop(e2, None)
+    return out
+
+
+# pairwise coprime denominators, up to 2^61 - 1
+_PRIMES = (3, 7, 10 ** 9 + 7, 998244353, 2 ** 31 - 1, 2 ** 61 - 1)
+_KINDS = ("int", "big", "sqrt2")
+
+
+@st.composite
+def _kernel_scalar(draw, kind):
+    """A Python int (kept as it is by the constructor), a Fraction over a
+    large prime, or an element of Q(sqrt 2) with such a coefficient."""
+    n = draw(st.integers(-10 ** 12, 10 ** 12))
+    if kind == "int":
+        return n
+    c = Fraction(n, draw(st.sampled_from(_PRIMES)))
+    return c if kind == "big" else _SQRT2.element((c, draw(_small)))
+
+
+@st.composite
+def _kernel_poly(draw, kind):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(0, 3)) for _ in _NAMES)
+        terms[e] = draw(_kernel_scalar(kind))
+    return Polynomial(_NAMES, terms)
+
+
+def _same(got, want):
+    """Equal terms, inserted in the same order."""
+    assert list(got._terms.items()) == list(want.items())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_numerator_kernel_matches_fraction_loops(data):
+    P, Q, R = (data.draw(_kernel_poly(data.draw(st.sampled_from(_KINDS))))
+               for _ in range(3))
+    c = data.draw(_kernel_scalar(data.draw(st.sampled_from(_KINDS))))
+    _same(P * Q, _fraction_mul(P._terms, Q._terms))
+    _same(P * c, _fraction_mul(P._terms, Polynomial.constant(c)._terms))
+    # every cross term cancels
+    _same((P + Q) * (P - Q), _fraction_mul((P + Q)._terms, (P - Q)._terms))
+    assert (P * Q - Q * P).is_zero()
+    k = data.draw(st.integers(0, 3))
+    _same(P ** k, _fraction_pow(P._terms, k))
+    if not Q.is_zero():
+        assert div_exact(P * Q, Q) == P
+    # simultaneous: each value contains the other bound name, and u -> -v,
+    # v -> u cancels the terms of u + v
+    i, j = data.draw(st.lists(st.integers(0, len(_NAMES) - 1), min_size=2,
+                              max_size=2, unique=True))
+    u, v = (Polynomial.var(_NAMES[n]) for n in (i, j))
+    for bindings in ({_NAMES[i]: Q + v, _NAMES[j]: R - u},
+                     {_NAMES[i]: -v, _NAMES[j]: u},
+                     {_NAMES[i]: c, _NAMES[j]: R}):
+        _same(P.subs(bindings), _fraction_subs(P._terms, bindings))
+    assert (P * (u + v)).subs({_NAMES[i]: -v}).is_zero()
+    if all(type(x) is not AlgebraicScalar for x in (*P._terms.values(),
+                                                    *Q._terms.values())):
+        # the printed rationals read back through the products of parse
+        p, q = parse(to_text(P)), parse(to_text(Q))
+        assert (p, q) == (P, Q)
+        _same(parse(f"({to_text(P)}) * ({to_text(Q)})^{k}"),
+              _fraction_mul(p._terms, _fraction_pow(q._terms, k)))

@@ -11,10 +11,11 @@ except ImportError:  # the irreducibility check against sympy is optional
     sympy = None
 
 from singfold import families, singclass
-from singfold.exact import AlgebraicScalar, Echelon, make_extension, upoly
+from singfold.exact import AlgebraicScalar, Echelon, upoly
 from singfold.poly import Polynomial, monomials, parse
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, singular_points)
+from test_exact import make_extension
 
 KLEIN_FORMS = [
     ("X^4 + Y*Z", "A3"),
@@ -466,6 +467,39 @@ def test_milnor_matches_oracle_over_an_extension():
         mu = int(label[1:])
         assert milnor_number(F, point) == truncated_milnor_oracle(G, names) == mu
         assert classify_point(F, point).ade_type == label
+
+
+_SCALES = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                       max_denominator=10 ** 12).filter(bool)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(form=st.sampled_from(NORMAL_FORMS), c=_SCALES,
+       weights=st.lists(_SCALES, min_size=3, max_size=3),
+       q=st.tuples(_small, _small, _small),
+       shear=st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+def test_milnor_is_blind_to_a_rescaled_equation(form, c, weights, q, shear):
+    # each partial is cleared of its denominators once: c*G spans the rows
+    # of G, with other integers in them.  Nonzero weights on the monomials
+    # of a normal form keep its type and give each term its own denominator
+    text, mu = form
+    names = ("x", "y", "z")
+    F = parse(" + ".join(f"({w})*{m}" for w, m in zip(weights,
+                                                         text.split(" + "))))
+    moved = _moved(F, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], q, shear)
+    G = singclass._translate(moved, names, q)
+    assert singclass._milnor_translated(G, names) == mu
+    assert singclass._milnor_translated(G * c, names) == mu
+
+
+def test_milnor_is_blind_to_a_rescaling_over_an_extension():
+    ring = make_extension((-2, 0, 1))
+    a = ring.generator()
+    F = parse("x^2*(y^2 - 2) + (y^2 - 2)^4 + z^2")
+    names = F.used_variables()
+    G = singclass._translate(F, names, (ring.element(0), a, ring.element(0)))
+    for c in (Fraction(1), Fraction(-7, 10 ** 9 + 7), a + Fraction(1, 3)):
+        assert singclass._milnor_translated(G * c, names) == 5
 
 
 def _record_orders(monkeypatch):
