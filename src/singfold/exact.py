@@ -413,9 +413,6 @@ class ExtensionRing:
     def generator(self) -> "AlgebraicScalar":
         return self.element((0, 1))
 
-    def zero(self) -> "AlgebraicScalar":
-        return AlgebraicScalar(self, (), 1)
-
     def one(self) -> "AlgebraicScalar":
         return AlgebraicScalar(self, (1,), 1)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -56,10 +56,7 @@ class CaseDescriptor:
     embedding: Dict[str, Polynomial]     # quotient var (or var+"^2") -> invariant
     strata: Tuple[Stratum, ...]          # finest first; last is "generic"
     fixed_locus: Subst                   # printed fixed locus, free symbol "s"
-    b_fixed: Optional[Tuple[int, int, Polynomial]] = None  # (y sign, square sign, const)
-    # the group closure, filled on the first group_elements() call
-    _elements: List[Subst] = field(default_factory=list, init=False,
-                                   repr=False, compare=False)
+    b_fixed: Optional[Tuple[int, Polynomial]] = None  # (square sign, const)
 
     def stratum(self, stratum_id: str) -> Stratum:
         for s in self.strata:
@@ -68,24 +65,27 @@ class CaseDescriptor:
         raise ValueError(f"unknown stratum {stratum_id!r} in {self.case_id}")
 
     def group_elements(self) -> List[Subst]:
-        """The symmetry group as substitution maps, identity first: its orbit
-        under the generators, keyed by the images of the fiber variables,
-        found on the first call and cached on the descriptor."""
-        if not self._elements:
-            fv = self.fiber_vars
+        """The symmetry group as substitution maps, identity first."""
+        return list(_group(self.case_id))
 
-            def products(images):
-                e = dict(zip(fv, images))
-                return [tuple(compose_subst(g, e, fv).values())
-                        for g in self.omega_gens.values()]
 
-            elems = closure([tuple(map(Polynomial.var, fv))], products)
-            if len(elems) != self.omega_order:
-                raise AssertionError(
-                    f"{self.case_id}: generated group of order {len(elems)}, "
-                    f"expected {self.omega_order}")
-            self._elements.extend(dict(zip(fv, e)) for e in elems)
-        return list(self._elements)
+@functools.cache
+def _group(case_id: str) -> Tuple[Subst, ...]:
+    """The symmetry group of a case: the orbit of the identity under the
+    generators, keyed by the images of the fiber variables."""
+    case = descriptor(case_id)
+    fv = case.fiber_vars
+
+    def products(images):
+        e = dict(zip(fv, images))
+        return [tuple(compose_subst(g, e, fv).values())
+                for g in case.omega_gens.values()]
+
+    elems = closure([tuple(map(Polynomial.var, fv))], products)
+    if len(elems) != case.omega_order:
+        raise AssertionError(f"{case_id}: generated group of order "
+                             f"{len(elems)}, expected {case.omega_order}")
+    return tuple(dict(zip(fv, e)) for e in elems)
 
 
 def compose_subst(g: Subst, h: Subst, variables: Sequence[str]) -> Subst:
@@ -513,9 +513,9 @@ def _build_case(case_id: str) -> CaseDescriptor:
     floc = {v: parse(expr) for v, expr in _FIXED_LOCUS[case_id].items()}
     b_fixed = None
     if case_id == "A3B2D4":
-        b_fixed = (1, 1, parse("t4 + t2^2/8"))
+        b_fixed = (1, parse("t4 + t2^2/8"))
     elif case_id == "A5B3D5":
-        b_fixed = (-1, -1, parse(_C3))
+        b_fixed = (-1, parse(_C3))
     strata = _build_strata(case_id, params, entries["fiber"])
     for s in strata:
         if format_type(s.quotient_config.split("+")) != s.quotient_config:
@@ -647,17 +647,16 @@ def fiber_at(case_id: str, t: Dict[str, Fraction]) -> Polynomial:
     return case.fiber.subs({p: Fraction(v) for p, v in t.items()})
 
 
-_fiber_cache: Dict[Tuple, FiberConfiguration] = {}
-
-
 def classify_quotient_fiber(case_id: str, t: Dict[str, Fraction]) -> FiberConfiguration:
     """The classified quotient fiber at t, computed once per process for each
     case and point; the configuration returned is shared, so it is read-only."""
-    key = (case_id, tuple(sorted((p, Fraction(v)) for p, v in t.items())))
-    conf = _fiber_cache.get(key)
-    if conf is None:
-        conf = _fiber_cache[key] = fiber_configuration(quotient_fiber(case_id, t))
-    return conf
+    return _classified(case_id,
+                       tuple(sorted((p, Fraction(v)) for p, v in t.items())))
+
+
+@functools.cache
+def _classified(case_id: str, point: Tuple) -> FiberConfiguration:
+    return fiber_configuration(quotient_fiber(case_id, dict(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +770,7 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
             report["ok"] = False
             report["failures"].append({k: str(v) for k, v in t.items()})
     if case.b_fixed is not None:
-        ysign, sqsign, const = case.b_fixed
+        sqsign, const = case.b_fixed
         for i in range(count):
             s = Fraction(rng.randint(1, 12), rng.choice((1, 2)))
             t = {p: Fraction(rng.randint(-12, 12)) for p in case.params}
@@ -779,7 +778,8 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
             # sqsign * s^2 = const(t)
             last = case.params[-1]
             t[last] = _root_in(const - sqsign * s ** 2, last, t)
-            point = {"x": s, "y": ysign * s, "z": Fraction(0)}
+            point = {v: p.evaluate({"s": s})     # the fixed locus at s
+                     for v, p in case.fixed_locus.items()}
             val = fiber_at(case_id, t).evaluate(point)
             if val != 0:
                 report["ok"] = False

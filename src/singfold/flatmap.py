@@ -1,19 +1,21 @@
-"""Restricted flat charts, base changes, and the correspondence engine.
+"""Restricted flat charts with their base changes, and the correspondence
+engine.
 
-Each case carries the distinguished invariant coordinates psi of the big
-root system restricted to the intersection of the pinned reflection
-hyperplanes, the polynomial relations they satisfy, and the base change f
-from the small parameter space with its one-sided inverse g.  The
-correspondence engine routes every enumerated subsystem witness through
-the chart into the parameter space and matches the classified quotient
-fiber against the subsystem type.
+The flat record of a case, :class:`FlatChart`, holds the distinguished
+invariant coordinates psi of the big root system restricted to the
+intersection of the pinned reflection hyperplanes, the polynomial relations
+they satisfy, and the base change f from the small parameter space with its
+one-sided inverse g; :func:`flat_chart` parses all of it once per case.  The
+correspondence engine routes every enumerated subsystem witness through the
+chart into the parameter space and matches the classified quotient fiber
+against the subsystem type.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .families import (classify_quotient_fiber, descriptor, sample_stratum,
@@ -32,13 +34,8 @@ class FlatChart:
     psi_names: Tuple[str, ...]
     formulas: Optional[Dict[str, Polynomial]]   # None: withheld (stratum route)
     relations: Tuple[Polynomial, ...]      # vanish identically in psi symbols
-
-
-@dataclass(frozen=True)
-class BaseChange:
-    case_id: str
-    forward: Tuple[Polynomial, ...]        # one component per psi name
-    inverse: Dict[str, Polynomial]         # t parameter -> polynomial in psi
+    forward: Tuple[Polynomial, ...]        # f: one component per psi name
+    inverse: Dict[str, Polynomial]         # g: t parameter -> polynomial in psi
 
 
 _D6_SYM2 = ("x1^6*x3^2 + x1^6*x5^2 + x1^2*x3^6 + x1^2*x5^6 + x3^6*x5^2"
@@ -253,27 +250,20 @@ _INVERSE_TEXT = {
                       " - 1/3125*p12"},
 }
 
-@lru_cache(maxsize=None)
+@functools.cache
 def flat_chart(case_id: str) -> FlatChart:
-    """The restricted flat coordinates and their relations, verified at load."""
-    names = _PSI_NAMES[case_id]
+    """The flat record of a case, its chart relations verified at load."""
     text = _CHART_TEXT[case_id]
     formulas = None if text is None else {k: parse(v) for k, v in text.items()}
     relations = tuple(parse(r) for r in _RELATION_TEXT[case_id])
-    chart = FlatChart(case_id, names, formulas, relations)
     if formulas is not None:
         for rel in relations:
             if not rel.subs(formulas).is_zero():
                 raise AssertionError(
                     f"{case_id}: flat-chart relation fails to vanish: {rel}")
-    return chart
-
-
-@lru_cache(maxsize=None)
-def base_change(case_id: str) -> BaseChange:
-    fwd = tuple(parse(s) for s in _FORWARD_TEXT[case_id])
-    inv = {k: parse(v) for k, v in _INVERSE_TEXT[case_id].items()}
-    return BaseChange(case_id, fwd, inv)
+    return FlatChart(case_id, _PSI_NAMES[case_id], formulas, relations,
+                     tuple(parse(s) for s in _FORWARD_TEXT[case_id]),
+                     {k: parse(v) for k, v in _INVERSE_TEXT[case_id].items()})
 
 
 def verify_iso(case_id: str) -> dict:
@@ -286,17 +276,16 @@ def verify_iso(case_id: str) -> dict:
     """
     case = descriptor(case_id)
     chart = flat_chart(case_id)
-    bc = base_change(case_id)
     report = {"case": case_id, "ok": True, "g_after_f": {}, "f_after_g": {}}
-    psi_of_t = dict(zip(chart.psi_names, bc.forward))
+    psi_of_t = dict(zip(chart.psi_names, chart.forward))
     for p in case.params:
-        resid = bc.inverse[p].subs(psi_of_t) - Polynomial.var(p)
+        resid = chart.inverse[p].subs(psi_of_t) - Polynomial.var(p)
         report["g_after_f"][p] = resid.is_zero()
     # f o g on the image of the chart
-    t_of_psi = bc.inverse
+    t_of_psi = chart.inverse
     if chart.formulas is not None:
         target = {name: chart.formulas[name] for name in chart.psi_names}
-        for name, fwd in zip(chart.psi_names, bc.forward):
+        for name, fwd in zip(chart.psi_names, chart.forward):
             lhs = fwd.subs(t_of_psi).subs(target)
             resid = lhs - target[name]
             report["f_after_g"][name] = resid.is_zero()
@@ -313,7 +302,7 @@ def verify_iso(case_id: str) -> dict:
                     break
             else:
                 raise AssertionError("relation not solvable for a psi symbol")
-        for name, fwd in zip(chart.psi_names, bc.forward):
+        for name, fwd in zip(chart.psi_names, chart.forward):
             lhs = fwd.subs(t_of_psi)
             rhs = rel_sub.get(name, Polynomial.var(name))
             resid = (lhs - rhs).subs(rel_sub)
@@ -351,9 +340,8 @@ def pi_prime(case_id: str, witness: Vector) -> Dict[str, Fraction]:
 
 
 def chart_point_to_params(case_id: str, psi: Dict[str, Fraction]) -> Dict[str, Fraction]:
-    case = descriptor(case_id)
-    bc = base_change(case_id)
-    return {p: bc.inverse[p].evaluate(psi) for p in case.params}
+    inverse = flat_chart(case_id).inverse
+    return {p: inverse[p].evaluate(psi) for p in descriptor(case_id).params}
 
 
 def correspondence_check(case_id: str) -> dict:
@@ -361,12 +349,12 @@ def correspondence_check(case_id: str) -> dict:
     configuration of the quotient fiber it induces.
 
     For the cases with explicit chart formulas the witness is routed
-    through psi and the inverse base change; for E6F4E7 each subsystem
-    type is verified through its stratum with freshly sampled points.
+    through psi and the inverse base change; where the chart is withheld
+    (E6F4E7) each subsystem type is verified through its stratum with
+    freshly sampled points, and the type census must equal the strata.
     """
     case = descriptor(case_id)
     chart = flat_chart(case_id)
-    bc = base_change(case_id)
     subs = subsystems_for_case(case_id)
     # the stratum realizing each subsystem type
     type_map = {st.quotient_config: st.stratum_id for st in case.strata}
@@ -388,7 +376,7 @@ def correspondence_check(case_id: str) -> dict:
             t = chart_point_to_params(case_id, psi)
             # consistency: f(t) must reproduce psi
             tvals = {k: Fraction(v) for k, v in t.items()}
-            for name, fwd in zip(chart.psi_names, bc.forward):
+            for name, fwd in zip(chart.psi_names, chart.forward):
                 if fwd.evaluate(tvals) != psi[name]:
                     entry["error"] = f"f(g(psi)) != psi at {name}"
                     ok = False
@@ -416,7 +404,7 @@ def correspondence_check(case_id: str) -> dict:
         entries.append(entry)
     report = {"case": case_id, "ok": ok, "subsystems": len(subs),
               "entries": entries}
-    if case_id == "E6F4E7":
+    if chart.formulas is None:
         census = sorted({s.type_string() for s in subs})
         report["type_census"] = census
         report["census_matches_strata"] = census == sorted(type_map.keys())

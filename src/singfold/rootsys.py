@@ -70,7 +70,6 @@ class RootSystem:
     simple_roots: Tuple[Vector, ...]
     positive_roots: Tuple[Vector, ...]
     roots: frozenset
-    form: Tuple[Tuple[Fraction, ...], ...]      # bilinear form on root coords
     expansions: Dict[Vector, Tuple[int, ...]]   # root -> simple-root coefficients
     hyperplanes: Tuple[Vector, ...]             # equations of Cartan points
     by_index: Tuple[Vector, ...]
@@ -79,9 +78,6 @@ class RootSystem:
     ambient: Tuple[Tuple[int, ...], ...]
     pair: Tuple[Tuple[int, ...], ...]   # pair[i][j] = (root i, root j)
     refl: Tuple[Tuple[int, ...], ...]   # refl[i][j] = index of s_j(root i)
-
-    def inner(self, a: Vector, b: Vector) -> Fraction:
-        return _inner(self.form, a, b)
 
 
 def _inner(form, a: Vector, b: Vector) -> Fraction:
@@ -192,16 +188,9 @@ def build_root_system(label: str) -> RootSystem:
     by_index = tuple(tuple(Fraction(x, den) for x in a) for a in ambient)
     npos = len(positive)
     return RootSystem(label, dim, simples, by_index[:npos], frozenset(by_index),
-                      form, dict(zip(by_index, order)), hyperplanes, by_index,
+                      dict(zip(by_index, order)), hyperplanes, by_index,
                       {r: i for i, r in enumerate(by_index)}, npos, ambient,
                       tuple(map(tuple, pair)), tuple(map(tuple, refl)))
-
-
-def reflect(rs: RootSystem, beta: Vector, alpha: Vector) -> Vector:
-    """Reflection of beta in the hyperplane of alpha; both must be roots."""
-    if beta not in rs.index or alpha not in rs.index:
-        raise ValueError("reflect needs members of the root system")
-    return rs.by_index[rs.refl[rs.index[beta]][rs.index[alpha]]]
 
 
 def cartan_point(rs: RootSystem, coords: Sequence) -> Vector:

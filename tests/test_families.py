@@ -68,19 +68,23 @@ def cold_descriptors():
 
 
 def test_group_elements_are_cached_lazily(monkeypatch, cold_descriptors):
+    families._group.cache_clear()
     assert verify_catalogue()["ok"]
     cases = [descriptor(cid) for cid in CASE_IDS]
-    assert all(not case._elements for case in cases)
+    assert families._group.cache_info().currsize == 0
     cached = [case.group_elements() for case in cases]
     for case, elems in zip(cases, cached):
         fresh = _fresh_closure(case)
         assert len(elems) == len(fresh) == case.omega_order
         assert all(sub in fresh for sub in elems)
         assert elems[0] == {v: Polynomial.var(v) for v in case.fiber_vars}
-        assert case._elements == elems
-    # later calls read the cache
+        assert list(families._group(case.case_id)) == elems
+    assert families._group.cache_info().currsize == len(cases)
+    # later calls read the cache, and each returns a list of its own
     monkeypatch.setattr(families, "compose_subst", None)
-    assert [case.group_elements() for case in cases] == cached
+    again = [case.group_elements() for case in cases]
+    assert again == cached
+    assert all(a is not c for a, c in zip(again, cached))
 
 
 def test_catalogue_files_match_constants():
@@ -488,7 +492,7 @@ def test_echelon_degenerate_matrices():
 def test_quotient_fiber_memo_classifies_each_point_once(monkeypatch):
     # the tables and correspondence sections meet some points twice; each
     # (case, t) is classified once and the bundle is the recorded one
-    monkeypatch.setattr(families, "_fiber_cache", {})
+    families._classified.cache_clear()
     seen = []
     memo = families.classify_quotient_fiber
 
@@ -505,7 +509,8 @@ def test_quotient_fiber_memo_classifies_each_point_once(monkeypatch):
                         lambda F: calls.append(F) or classify(F))
     bundle = verify_case("D4G2E6")
     assert len(set(seen)) < len(seen)
-    assert len(calls) == len(set(seen)) == len(families._fiber_cache)
+    assert len(calls) == len(set(seen)) == \
+        families._classified.cache_info().currsize
     want = json.loads(EXPECTED.read_text())["sections"]["D4G2E6"]
     got = json.dumps(bundle).encode()
     assert {s: _section_digest(got, s) for s in want} == want

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singfold.families import descriptor
-from singfold.flatmap import (base_change, chart_point_to_params, correspondence_check,
+from singfold.flatmap import (chart_point_to_params, correspondence_check,
                               flat_chart, pi_prime, verify_iso,
                               witness_to_chart)
 from singfold.rootsys import CASE_IDS
@@ -58,29 +58,28 @@ def test_d6_chart_example():
 
 
 def test_b2_forward_example():
-    bc = base_change("A3B2D4")
+    chart = flat_chart("A3B2D4")
     t = {"t2": Fraction(8), "t4": Fraction(8)}
     vals = [f.evaluate(t) if not f.is_constant() else f.constant_value()
-            for f in bc.forward]
+            for f in chart.forward]
     assert vals == [8, 0, Fraction(-128, 27), 0]
 
 
 def test_forward_has_no_constant_term():
     for cid in CASE_IDS:
-        bc = base_change(cid)
+        chart = flat_chart(cid)
         zero = {p: Fraction(0) for p in ("t2", "t4", "t6", "t8", "t12")}
-        for f in bc.forward:
+        for f in chart.forward:
             val = f.evaluate({k: zero[k] for k in f.used_variables()}) \
                 if not f.is_constant() else f.constant_value()
             assert val == 0
 
 
 def test_e6_zero_slots():
-    bc = base_change("D4G2E6")
     chart = flat_chart("D4G2E6")
     idx = {n: i for i, n in enumerate(chart.psi_names)}
-    assert bc.forward[idx["p5"]].is_zero()
-    assert bc.forward[idx["p9"]].is_zero()
+    assert chart.forward[idx["p5"]].is_zero()
+    assert chart.forward[idx["p9"]].is_zero()
 
 
 def test_pi_prime_invariant_under_chart_symmetries():
@@ -149,12 +148,11 @@ def test_witness_to_chart_refuses_withheld_chart():
 def test_chart_point_roundtrip():
     # witness -> psi -> t -> forward reproduces psi for a sample witness
     subs = subsystems_for_case("A5B3D5")
-    bc = base_change("A5B3D5")
     chart = flat_chart("A5B3D5")
     for s in subs[:6]:
         psi = pi_prime("A5B3D5", s.witness)
         t = chart_point_to_params("A5B3D5", psi)
-        for name, f in zip(chart.psi_names, bc.forward):
+        for name, f in zip(chart.psi_names, chart.forward):
             val = f.evaluate(t) if not f.is_constant() else f.constant_value()
             assert val == psi[name]
 
@@ -173,3 +171,19 @@ def test_chart_formulas_are_pinned():
                 sorted((k, to_text(p)) for k, p in formulas.items()))
         digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == CHART_FORMULAS_SHA256
+
+
+# sha256 of the to_text of every component of f and g of the six cases,
+# recorded when the base change was still parsed apart from the chart
+BASE_CHANGE_SHA256 = \
+    "687d3b9f787dae8921e7a865088dbd89ff413235520ffc6b6a9231d999c5bb0b"
+
+
+def test_base_changes_are_pinned():
+    digest = hashlib.sha256()
+    for cid in CASE_IDS:
+        chart = flat_chart(cid)
+        line = (cid, [to_text(f) for f in chart.forward],
+                sorted((k, to_text(g)) for k, g in chart.inverse.items()))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == BASE_CHANGE_SHA256

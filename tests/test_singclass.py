@@ -163,7 +163,7 @@ def test_conjugate_points_share_type_on_quadratic_branches():
     def conj(c):
         if not isinstance(c, AlgebraicScalar):
             return c
-        out = ring.zero()
+        out = AlgebraicScalar(ring, (), 1)
         for i, coef in enumerate(c.value):
             out = out + coef * gen_conj ** i
         return out

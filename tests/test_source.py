@@ -1,6 +1,8 @@
 """Leftover names in the package source: every import is used by its module,
-every module-level private name is used somewhere in the package, and every
-function the benchmark's tracer wraps by name still exists."""
+every module-level private name is used somewhere in the package, every
+public function, class and method is used by the package itself or wrapped
+by name by the benchmark's tracer, and every name the tracer wraps still
+exists."""
 
 import ast
 import importlib
@@ -67,13 +69,41 @@ def test_every_private_name_is_used(module):
     assert not unused, f"{module}.py defines {unused} and nothing uses them"
 
 
-def test_tracer_targets_exist():
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods of
+    those classes."""
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        yield from (n for n in names if not n.startswith("_"))
+
+
+def _tracer_targets() -> dict:
     # the tracer wraps each TARGETS name with getattr on its module
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     (targets,) = [ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
                   and [t.id for t in node.targets] == ["TARGETS"]]
-    for mod_name, funcs in targets.items():
+    return targets
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_name_is_used(module):
+    # code that only the tests call belongs in the tests
+    everywhere = set().union(*(_reads(t) | _imported_from_siblings(t)
+                               for t in MODULES.values()))
+    wrapped = set(_tracer_targets().get(module, ()))
+    unused = sorted(set(_public_definitions(MODULES[module]))
+                    - everywhere - wrapped)
+    assert not unused, f"{module}.py defines {unused} and only the tests use them"
+
+
+def test_tracer_targets_exist():
+    for mod_name, funcs in _tracer_targets().items():
         mod = importlib.import_module(f"singfold.{mod_name}")
         for fname in funcs:
             assert callable(getattr(mod, fname, None)), f"{mod_name}.{fname}"

@@ -16,6 +16,7 @@ from singfold.subsys import (EXPECTED_SUBSYSTEM_COUNTS, REALIZATIONS,
                              classify_subsystem, enumerate_subsystems,
                              format_type, match_realizations, parse_type,
                              reflection_closure, subsystems_for_case)
+from test_rootsys import inner
 
 EXPECTED_COUNTS_BY_TYPE = {
     "A3B2D4": {"A1+A1": 1, "A1+A1+A1": 2, "A3": 2, "D4": 1},
@@ -147,8 +148,8 @@ def _pairwise_closure(rs, gens):
         nxt = []
         for b in list(roots):
             for a in frontier:
-                for r in (tuple(x - rs.inner(b, a) * y for x, y in zip(b, a)),
-                          tuple(x - rs.inner(a, b) * y for x, y in zip(a, b))):
+                for r in (tuple(x - inner(rs, b, a) * y for x, y in zip(b, a)),
+                          tuple(x - inner(rs, a, b) * y for x, y in zip(a, b))):
                     if r not in roots:
                         roots.add(r)
                         nxt.append(r)
