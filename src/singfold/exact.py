@@ -32,10 +32,10 @@ are top-reduced against pivot rows, fraction-free.  Over Q a pivot row is a
 primitive row of Python ints, and a vector of ints goes in as it is; only a
 lead in an extension ring is inverted with :func:`invert`.  A vector added
 with an index carries its combination of the added vectors, and the
-relations and solutions come out as Fractions.  The Milnor numbers and the
-Reynolds re-derivation use it directly; :func:`row_reduce`,
-:func:`nullspace` and :func:`solve_linear` are queries on the echelon of a
-matrix's columns.
+relations and solutions come out as Fractions.  The Milnor numbers (on
+packed integer keys) and the Reynolds re-derivation use it directly;
+:func:`row_reduce`, :func:`nullspace` and :func:`solve_linear` are queries
+on the echelon of a matrix's columns.
 """
 
 from __future__ import annotations
@@ -599,7 +599,8 @@ class Echelon:
 
     A vector is a dict from keys to nonzero scalars; its lead is its largest
     key, so callers choose the pivot order through their keys.  An added
-    vector, cleared of denominators if it is rational, is top-reduced: while
+    vector is copied, as it is if all its entries are Python ints, else
+    cleared of denominators if it is rational, and top-reduced: while
     its lead a is the lead of a pivot row with lead b, it becomes
     b * vec - a * row, with a and b divided by their gcd if both are ints
     (fraction-free elimination: Bareiss, Math. Comp. 1968; Cohen, GTM 138,
@@ -623,8 +624,11 @@ class Echelon:
         """Top-reduce a copy of vec, with its combination (None without an
         index) in step: the lead left over (None if vec vanishes), the
         remainder and the combination."""
-        nums, d = clear_denominators(vec.values())
-        vec = dict(zip(vec, nums))
+        if {int}.issuperset(map(type, vec.values())):
+            vec, d = dict(vec), 1           # ints go in as they are
+        else:
+            nums, d = clear_denominators(vec.values())
+            vec = dict(zip(vec, nums))
         combo = None if index is None else {index: d}
         while vec:
             lead = max(vec)

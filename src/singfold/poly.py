@@ -209,9 +209,6 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((_degree(e) for e in self._terms), default=-1)
 
-    def lowest_degree(self) -> int:
-        return min((_degree(e) for e in self._terms), default=-1)
-
     def degree_in(self, name: str) -> int:
         sh = _shift(name)
         return max(((e >> sh) & _MASK for e in self._terms), default=0)

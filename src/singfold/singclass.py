@@ -19,6 +19,8 @@ of the truncated Jacobian rows in a local degree ordering.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -285,41 +287,66 @@ def _translate(F: Polynomial, names: Sequence[str], point: Point) -> Polynomial:
     return F.subs(subs)
 
 
+_WIDTH = 8  # bits per name in a Milnor echelon key
+
+
+def _key(e: Tuple[int, ...]) -> int:
+    """The Milnor echelon key of an exponent tuple e of degree below
+    2^_WIDTH: pack(e) - (deg(e) << S), where pack(e) < 2^S = 2^(_WIDTH * n)
+    holds e in one _WIDTH-bit field per name, the first name highest.  It
+    sorts as (-deg(e), e) does, key(e + m) = key(e) + key(m), and the
+    degree is -(key >> S)."""
+    top = _WIDTH * len(e)
+    return (sum(x << (top - _WIDTH * i) for i, x in enumerate(e, 1))
+            - (sum(e) << top))
+
+
+@functools.cache
+def _monomial_keys(n: int, d: int) -> Tuple[int, ...]:
+    """The keys of the monomials of degree d in n names."""
+    return tuple(map(_key, monomials((1,) * n, d)))
+
+
 def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     """Milnor number of G at the origin from one echelon in a local degree
     ordering (Greuel-Pfister, sections 1.5-1.7).
 
-    The rows g*m of the partials g, truncated below degree K, are keyed
-    (-degree, exponents), so each pivot's lead is its lowest-degree term.
-    A row g*m with deg m >= N - low(g) has no term below degree N, so for
-    every N <= K, mu_N = #monomials of degree < N - #pivots whose lead has
-    degree < N.  K starts at 5 and grows, up to cap, while mu_N has not
-    stabilized."""
+    The rows g*m of the partials g, truncated below degree K, are keyed by
+    :func:`_key`, so each pivot's lead is its lowest-degree term and a row
+    term is one int addition.  A row g*m with deg m >= N - low(g) has no
+    term below degree N, so for every N <= K, mu_N = #monomials of degree
+    < N - #pivots whose lead has degree < N.  K starts at 5 and grows, up
+    to cap (at most 2^_WIDTH), while mu_N has not stabilized."""
     parts = [p for p in (G.diff(n) for n in names) if not p.is_zero()]
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
-    ones = (1,) * len(names)
+    n, top = len(names), _WIDTH * len(names)
     graded = []
     for g in parts:
-        # a scalar multiple spans the same rows: clear each partial once
+        # a scalar multiple spans the same rows: clear each partial once;
+        # no row keeps a term of degree cap or more, so every field of a
+        # key stays below 2^_WIDTH
         terms = g.exponents(names)
         nums, _ = clear_denominators(terms.values())
-        graded.append((g.lowest_degree(),
-                       [(sum(e), e, c) for e, c in zip(terms, nums)]))
+        packed = sorted((sum(e), _key(e), c) for e, c in zip(terms, nums)
+                        if sum(e) < cap)
+        if packed:
+            graded.append(([d for d, _, _ in packed],
+                           [(k, c) for _, k, c in packed]))
     K = 5
     while K <= cap:
         ech = Echelon()
-        for low, terms in graded:
-            for dm in range(K - low):
-                for m in monomials(ones, dm):
-                    ech.add({(-d - dm, tuple(a + b for a, b in zip(e, m))): c
-                             for d, e, c in terms if d + dm < K})
+        for degrees, terms in graded:
+            for dm in range(K - degrees[0]):
+                head = terms[:bisect.bisect_left(degrees, K - dm)]
+                for km in _monomial_keys(n, dm):
+                    ech.add({k + km: c for k, c in head})
         pivots_at = [0] * K                 # pivots by degree of their lead
-        for neg_d, _ in ech.pivots:
-            pivots_at[-neg_d] += 1
+        for key in ech.pivots:
+            pivots_at[-(key >> top)] += 1
         mu, prev = 0, None
         for N in range(1, K + 1):
-            mu += len(monomials(ones, N - 1)) - pivots_at[N - 1]
+            mu += len(monomials((1,) * n, N - 1)) - pivots_at[N - 1]
             if N >= 5 and mu == prev:
                 if mu < 1:
                     raise ClassificationError(

@@ -391,7 +391,7 @@ def truncated_milnor_oracle(G, names, cap=16):
     for N in range(4, cap + 1):
         ech = Echelon()
         for g in parts:
-            low = g.lowest_degree()
+            low = min(map(sum, g.exponents(names)))
             for dm in range(max(N - low, 1)):
                 for m in monomials((1,) * nv, dm):
                     row = {}
@@ -503,8 +503,10 @@ def test_milnor_is_blind_to_a_rescaling_over_an_extension():
 
 
 def _record_orders(monkeypatch):
-    """Truncation order K of each Milnor echelon built (highest degree + 1)."""
+    """Truncation order K of each Milnor echelon built (highest degree + 1),
+    the degree read off each packed key over the three names."""
     orders = []
+    top = 3 * singclass._WIDTH
 
     class Recording(Echelon):
         def __init__(self):
@@ -513,7 +515,7 @@ def _record_orders(monkeypatch):
 
         def add(self, vec, index=None):
             if vec:
-                orders[-1] = max(orders[-1], 1 + max(-k[0] for k in vec))
+                orders[-1] = max(orders[-1], 1 + max(-(k >> top) for k in vec))
             return super().add(vec, index)
 
     monkeypatch.setattr(singclass, "Echelon", Recording)
@@ -537,6 +539,40 @@ def test_milnor_rebuilds_stop_at_the_cap(monkeypatch, cap):
         milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=cap)
     assert orders == sorted(set(orders))
     assert orders[-1] == cap and max(orders) <= cap
+
+
+def test_milnor_rebuilds_reach_the_ninth_order_in_general_position(monkeypatch):
+    # an A8 point after a GL3 change with entries in -2..2 and a translation
+    # stabilizes only at N = 9: three echelons, K = 5, 7, 9
+    orders = _record_orders(monkeypatch)
+    q = (Fraction(1, 2), Fraction(-1), Fraction(2, 3))
+    F = _moved(parse("x^9 + y^2 + z^2"), [[1, 2, -1], [0, 1, 2], [-2, 1, 1]], q)
+    assert milnor_number(F, q) == 8
+    assert orders == [5, 7, 9]
+    names = F.used_variables()
+    assert truncated_milnor_oracle(singclass._translate(F, names, q), names) == 8
+
+
+_TRIPLES = [e for d in range(16) for e in monomials((1, 1, 1), d)]
+
+
+def _tuple_key(e):
+    return (-sum(e), e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.sampled_from(_TRIPLES), b=st.sampled_from(_TRIPLES))
+def test_milnor_key_orders_as_the_degree_tuple(a, b):
+    ka, kb = singclass._key(a), singclass._key(b)
+    assert (ka < kb) == (_tuple_key(a) < _tuple_key(b))
+    assert (ka == kb) == (a == b)
+    assert -(ka >> 3 * singclass._WIDTH) == sum(a)
+    assert ka + kb == singclass._key(tuple(x + y for x, y in zip(a, b)))
+
+
+def test_milnor_key_sorts_every_triple_below_degree_16():
+    assert (sorted(_TRIPLES, key=singclass._key)
+            == sorted(_TRIPLES, key=_tuple_key))
 
 
 # ---------------------------------------------------------------------------
