@@ -26,6 +26,10 @@ EXPECTED_COUNTS_BY_TYPE = {
                "A3+A1+A1": 6, "D4+A1": 3, "A5": 4, "D6": 1},
     "D4G2E6": {"A2+A2": 1, "A2+A2+A1": 3, "A5": 3, "E6": 1},
     "D4G2E7": {"A2+A1+A1+A1": 1, "A3+A2+A1": 3, "D5+A1": 3, "E7": 1},
+    # the W(F4)-orbits of the flats of the restricted arrangement
+    "E6F4E7": {"A1+A1+A1": 1, "A1+A1+A1+A1": 12, "A3+A1": 12,
+               "A2+A1+A1+A1": 16, "A3+A1+A1": 72, "A5": 16, "D4+A1": 18,
+               "A3+A2+A1": 48, "A5+A1": 48, "D5+A1": 12, "D6": 12, "E7": 1},
 }
 
 F4_EXPECTED_TYPES = sorted(canonical_type(t.split("+")) for t in (
@@ -39,7 +43,7 @@ def test_type_label_helpers():
     assert parse_type("A1+A3") == ("A3", "A1")
 
 
-@pytest.mark.parametrize("cid", [c for c in CASE_IDS if c != "E6F4E7"])
+@pytest.mark.parametrize("cid", CASE_IDS)
 def test_enumeration_counts(cid):
     subs = subsystems_for_case(cid)
     assert len(subs) == EXPECTED_SUBSYSTEM_COUNTS[cid]
@@ -201,16 +205,61 @@ def _box_first(pairs, k):
     return None
 
 
+def _all_root_rows(rs, gens):
+    """The pairing rows that the witness search used before it took one
+    root per cover, kept as its reference: every positive root outside the
+    flat of ``gens``, paired with the flat's basis."""
+    basis, _ = _witness_problem(rs, gens, ())
+    rows = [[sum(x * y for x, y in zip(a, b)) for b in basis]
+            for a in rs.ambient[:rs.npos]]
+    return basis, [row for row in rows if any(row)]
+
+
+def _cover_reps(masks, mask, npos):
+    """The first positive root of each cover of the flat with positive-root
+    mask ``mask``, found in the lattice of enumerated flats: the cover
+    through a root r outside the flat is the smallest flat holding both."""
+    above = sorted((m for m in masks if m & mask == mask and m != mask),
+                   key=lambda m: bin(m).count("1"))
+    reps, seen = [], set()
+    for r in range(npos):
+        if not mask >> r & 1:
+            cover = next(m for m in above if m >> r & 1)
+            if cover not in seen:
+                seen.add(cover)
+                reps.append(r)
+    return reps
+
+
 @pytest.mark.parametrize("cid", CASE_IDS)
-def test_witness_walk_matches_box_search(cid):
+def test_witness_walk_matches_box_search(cid, monkeypatch):
     rs = build_root_system(case_meta(cid).quotient_type)
-    for s in subsystems_for_case(cid):
+    subs = subsystems_for_case(cid)
+    walked = {}
+
+    def record(rs, gens, reps):
+        w = _find_witness(rs, gens, reps)
+        walked[w] = list(reps)
+        return w
+
+    monkeypatch.setattr(subsys, "_find_witness", record)
+    assert enumerate_subsystems(rs, theta_roots(cid)) == subs
+    masks = {sum(1 << rs.index[r] for r in s.roots if rs.index[r] < rs.npos): s
+             for s in subs}
+    assert len(masks) == len(walked) == len(subs)
+    for mask, s in masks.items():
         gens = [rs.index[r] for r in s.simple_system]
-        basis, pairs = _witness_problem(rs, gens)
-        first = _box_first(pairs, len(basis)) if basis else ()
+        reps = _cover_reps(masks, mask, rs.npos)
+        assert walked[s.witness] == reps
+        basis, pairs = _witness_problem(rs, gens, reps)
+        all_basis, rows = _all_root_rows(rs, gens)
+        assert all_basis == basis
+        k = len(basis)
+        first = _box_first(pairs, k) if basis else ()
         assert first is not None
-        assert _first_avoiding(pairs, len(basis)) == first
-        assert _find_witness(rs, gens) == s.witness == _point(rs, basis, first)
+        assert (_box_first(rows, k) if basis else ()) == first
+        assert _first_avoiding(pairs, k) == _first_avoiding(rows, k) == first
+        assert _find_witness(rs, gens, reps) == s.witness == _point(rs, basis, first)
 
 
 @st.composite
@@ -248,6 +297,30 @@ def test_witness_walk_matches_box_search_on_random_pairings(problem):
         assert _first_avoiding(pairs, k) == _box_first(pairs, k)
 
 
+@st.composite
+def _scaled_copies(draw):
+    """A pairing matrix, and its rows scaled by nonzero integers, each row
+    one to three times, shuffled."""
+    pairs, k = draw(_pairings())
+    copies = [[c * x for x in row] for row in pairs
+              for c in draw(st.lists(st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=3))]
+    return pairs, k, draw(st.permutations(copies))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_copies())
+def test_witness_walk_ignores_row_scale_repeats_and_order(problem):
+    # the cover rows stand for the proportional rows of all roots of a cover
+    pairs, k, copies = problem
+    if k and not all(map(any, pairs)):
+        for rows in (pairs, copies):
+            with pytest.raises(ValueError, match="zero row"):
+                _first_avoiding(rows, k)
+    else:
+        assert _first_avoiding(copies, k) == _first_avoiding(pairs, k)
+
+
 def test_witness_walk_falls_through_as_the_box_search_does():
     # a zero row bans every vector: the box search runs out at radius 39,
     # and the walk refuses the row before it searches
@@ -260,7 +333,7 @@ def test_witness_walk_falls_through_as_the_box_search_does():
 def test_witness_check_refuses_a_larger_vanishing_set(monkeypatch):
     rs = build_root_system("D4")
     monkeypatch.setattr(subsys, "_find_witness",
-                        lambda rs, gens: (Fraction(0),) * rs.dim)
+                        lambda rs, gens, reps: (Fraction(0),) * rs.dim)
     with pytest.raises(AssertionError, match="witness does not realize"):
         enumerate_subsystems(rs, theta_roots("A3B2D4"))
 
@@ -272,8 +345,8 @@ def test_witness_check_refuses_a_point_off_the_e7_hyperplane(monkeypatch):
     assert all(a[6] + a[7] == 0 for a in rs.ambient)
     find = subsys._find_witness
 
-    def shifted(rs, gens):
-        w = find(rs, gens)
+    def shifted(rs, gens, reps):
+        w = find(rs, gens, reps)
         return w[:6] + (w[6] + 1, w[7] + 1)
 
     monkeypatch.setattr(subsys, "_find_witness", shifted)
