@@ -329,12 +329,37 @@ class Polynomial:
         return Polynomial._of(_over(out, d))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
-        acc = None
-        for e, c in self._terms.items():
-            for i, k in _fields(e):
-                c = c * values[_NAMES[i]] ** k
-            acc = c if acc is None else acc + c
-        return acc if acc is not None else Fraction(0)
+        """The value at ``values``, on numerators over one denominator: a
+        value n/m (a ring value over m = 1) of a variable with top power t
+        turns c * x^k into c * n^k * m^(t - k) over m^t, so each term is
+        a product of table entries and the one division comes last."""
+        terms = self._terms
+        nums, d = clear_denominators(terms.values())
+        used = 0
+        for e in terms:
+            used |= e
+        tables = []                    # (shift, [n^k * m^(t - k)])
+        for i, _ in _fields(used):
+            sh = _BITS * i
+            x = values[_NAMES[i]]
+            n, m = (x, 1) if type(x) is AlgebraicScalar else \
+                (x.numerator, x.denominator)
+            top = max((e >> sh) & _MASK for e in terms)
+            table = [1, n]
+            for _ in range(top - 1):
+                table.append(table[-1] * n)
+            if m != 1:
+                table = [a * m ** (top - k) for k, a in enumerate(table)]
+                d *= m ** top
+            tables.append((sh, table))
+        acc = 0
+        for e, c in zip(terms, nums):
+            for sh, table in tables:
+                c *= table[(e >> sh) & _MASK]
+            acc += c
+        if type(acc) is int:
+            return Fraction(acc, d)
+        return acc / d if d != 1 else acc
 
     def coefficients_in(self, name: str) -> List["Polynomial"]:
         """Coefficients of powers of ``name``, low to high, over the other

@@ -4,7 +4,11 @@ D-types and E7 live in an orthonormal epsilon-basis (E7 inside the ξ7+ξ8=0
 hyperplane of C^8); E6 is carried in fundamental-coweight pairing: roots are
 stored by their simple-root coordinates and evaluate on a Cartan point by a
 plain dot product.  Numbering follows Bourbaki throughout.  A root system
-is built once, on first use, together with its integer root tables.
+is built once, on first use, together with its integer root tables.  The
+reflection table is filled on packed keys: each root's simple-root
+coefficients (|c_i| <= 4 here) packed into one int, a signed 8-bit field
+per coordinate, so s_b(a) = a - <a, b^v> b, integral on these coordinates
+(Bourbaki, VI §1.1), is one int operation and one dict lookup.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .exact import clear_denominators
@@ -23,6 +28,8 @@ CASE_IDS = ("A3B2D4", "A5B3D5", "D4C3D6", "D4G2E6", "D4G2E7", "E6F4E7")
 
 # the quotient types X of the six cases: the types build_root_system builds
 ROOT_TYPES = ("D4", "D5", "D6", "E6", "E7")
+
+_FIELD = 8   # bits per simple-root coefficient in a packed root key (signed)
 
 
 def _vec(xs) -> Vector:
@@ -157,7 +164,7 @@ def build_root_system(label: str) -> RootSystem:
     cols = list(zip(*cartan))
 
     def reflections(c):
-        pairings = (sum(x * y for x, y in zip(c, col)) for col in cols)
+        pairings = (sum(map(mul, c, col)) for col in cols)
         return [c[:i] + (c[i] - k,) + c[i + 1:] for i, k in enumerate(pairings)]
 
     coeffs = closure((tuple(int(i == j) for j in range(rank))
@@ -169,7 +176,7 @@ def build_root_system(label: str) -> RootSystem:
 
     den = math.lcm(*(x.denominator for a in simples for x in a))
     scaled = list(zip(*([int(x * den) for x in a] for a in simples)))
-    amb = {c: tuple(sum(x * y for x, y in zip(c, row)) for row in scaled)
+    amb = {c: tuple(sum(map(mul, c, row)) for row in scaled)
            for c in coeffs}
     # integer ambient vectors sort as the roots do
     positive = sorted((c for c in coeffs if min(c) >= 0),
@@ -178,12 +185,16 @@ def build_root_system(label: str) -> RootSystem:
         raise AssertionError("positive roots are not half of all roots")
 
     order = positive + [vneg(c) for c in positive]
-    rows = [[sum(x * y for x, y in zip(c, col)) for col in cols] for c in order]
-    pair = [[sum(x * y for x, y in zip(row, c)) for c in order] for row in rows]
-    at = {c: i for i, c in enumerate(order)}
-    refl = [[at[tuple(x - p * y for x, y in zip(ci, cj))]
-             for cj, p in zip(order, prow)]
-            for ci, prow in zip(order, pair)]
+    rows = [[sum(map(mul, c, col)) for col in cols] for c in order]
+    pair = [[sum(map(mul, row, c)) for c in order] for row in rows]
+    # packing is linear, so s_j(root i) = root i - pair[i][j] root j is one
+    # int operation on the keys; injective on the roots, it finds the index
+    keys = [sum(x << _FIELD * k for k, x in enumerate(c)) for c in order]
+    at = {p: i for i, p in enumerate(keys)}
+    if len(at) != len(order):
+        raise AssertionError(f"{label}: packed root keys collide")
+    refl = [[at[pi - p * pj] for pj, p in zip(keys, prow)]
+            for pi, prow in zip(keys, pair)]
     ambient = tuple(amb[c] for c in order)
     by_index = tuple(tuple(Fraction(x, den) for x in a) for a in ambient)
     npos = len(positive)

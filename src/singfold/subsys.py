@@ -44,11 +44,21 @@ def parse_type(text: str) -> TypeMultiset:
 
 @dataclass(frozen=True)
 class SubRootSystem:
+    """A vanishing-set subsystem of the root system of type ``ambient``,
+    held by the indices of its roots there (``members``: the positive
+    roots ascending, then their negatives).  The roots themselves, as
+    vectors, are built on first read of ``roots``."""
+
     ambient: str
-    roots: FrozenSet[Vector]
+    members: Tuple[int, ...]
     witness: Vector
     type_label: TypeMultiset
     simple_system: Tuple[Vector, ...]
+
+    @functools.cached_property
+    def roots(self) -> FrozenSet[Vector]:
+        by_index = build_root_system(self.ambient).by_index
+        return frozenset(by_index[i] for i in self.members)
 
     def type_string(self) -> str:
         return format_type(self.type_label)
@@ -196,13 +206,13 @@ def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRoo
         if sum(1 << i for i, a in enumerate(rs.ambient[:npos])
                if not sum(map(mul, a, w))) != mask:
             raise AssertionError("witness does not realize its subsystem maximally")
-        members = [i + s for s in (0, npos) for i in range(npos) if mask >> i & 1]
+        members = tuple(i + s for s in (0, npos) for i in range(npos)
+                        if mask >> i & 1)
         label, simple = _classify(rs, members)
         # integer ambient vectors sort as the roots do: as sorted(roots)
         key = (len(simple), label, sorted(rs.ambient[i] for i in members))
-        roots = frozenset(rs.by_index[i] for i in members)
-        out.append((key, SubRootSystem(rs.label, roots, tuple(map(Fraction, w)),
-                                       label, simple)))
+        out.append((key, SubRootSystem(rs.label, members,
+                                       tuple(map(Fraction, w)), label, simple)))
     out.sort(key=lambda e: e[0])
     return [s for _, s in out]
 

@@ -213,6 +213,17 @@ def test_point_no_row_takes_has_no_stratum():
     assert classify_quotient_fiber("E6F4E7", t).type_string() == "A1+A1+A1+A1"
 
 
+def _fraction_value(p, params, t):
+    """p at the point t, one Fraction product per term over its exponent
+    tuples: independent of `Polynomial.evaluate`, which membership uses."""
+    acc = Fraction(0)
+    for exps, c in p.exponents(params).items():
+        for name, k in zip(params, exps):
+            c = c * t[name] ** k
+        acc += c
+    return acc
+
+
 def test_membership_unique_and_total_on_random_points():
     rng = random.Random(1)
     for cid in CASE_IDS:
@@ -222,8 +233,10 @@ def test_membership_unique_and_total_on_random_points():
                  for p in case.params}
             sid = stratum_membership(cid, t)
             matches = [s.stratum_id for s in case.strata
-                       if all(eq.evaluate(t) == 0 for eq in s.equations)
-                       and all(iq.evaluate(t) != 0 for iq in s.inequations)]
+                       if all(_fraction_value(eq, case.params, t) == 0
+                              for eq in s.equations)
+                       and all(_fraction_value(iq, case.params, t) != 0
+                               for iq in s.inequations)]
             assert matches and matches[0] == sid
 
 

@@ -860,3 +860,39 @@ def test_numerator_kernel_matches_fraction_loops(data):
         assert (p, q) == (P, Q)
         _same(parse(f"({to_text(P)}) * ({to_text(Q)})^{k}"),
               _fraction_mul(p._terms, _fraction_pow(q._terms, k)))
+
+
+# ---------------------------------------------------------------------------
+# evaluate on numerators against the per-term Fraction loop (_o_evaluate)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _eval_value(draw, ring):
+    """0, a small or large int, a small fraction, a Fraction over a large
+    prime, or (ring) an element of Q(sqrt 2) with such coefficients."""
+    kind = draw(st.sampled_from(("zero", "small", "int", "big")
+                                + ("sqrt2",) * ring))
+    if kind == "zero":
+        return draw(st.sampled_from((0, Fraction(0))))
+    if kind == "small":
+        return draw(st.one_of(_small, st.integers(-3, 3)))
+    return draw(_kernel_scalar(kind))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_evaluate_matches_fraction_loop(data):
+    # rational polynomials at rational or Q(sqrt 2) values, ring
+    # coefficients at rational values; names outside the polynomial bound too
+    ring_coefficients = data.draw(st.booleans())
+    ring_values = not ring_coefficients and data.draw(st.booleans())
+    P = data.draw(_kernel_poly("sqrt2" if ring_coefficients else
+                               data.draw(st.sampled_from(("int", "big")))))
+    values = [data.draw(_eval_value(ring_values)) for _ in _NAMES]
+    bound = dict(zip(_NAMES, values), y=data.draw(_eval_value(ring_values)),
+                 t12=_SQRT2.generator())
+    for p in (P.exponents(_NAMES), {(0,) * len(_NAMES): Fraction(7, 3)}, {}):
+        got = Polynomial(_NAMES, p).evaluate(bound)
+        assert got == _o_evaluate(p, values)
+        if all(type(x) is not AlgebraicScalar for x in (*p.values(), *values)):
+            assert type(got) is Fraction

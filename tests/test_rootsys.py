@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 import singfold
-from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
-                              closure, expected_cartan,
+from singfold import rootsys
+from singfold.rootsys import (CASE_IDS, ROOT_TYPES, build_root_system,
+                              case_meta, closure, expected_cartan,
                               root_from_coefficients, theta_roots, to_json,
                               vanishing_set, vneg)
 
@@ -125,6 +126,20 @@ def test_integer_tables_match_fraction_oracle(label):
             p = inner(rs, a, b)
             assert rs.pair[i][j] == p
             assert roots[rs.refl[i][j]] == tuple(x - p * y for x, y in zip(a, b))
+
+
+def test_every_type_builds_past_the_cache(monkeypatch):
+    # a fresh build of each type runs the injectivity check of the packed
+    # coefficient keys and gives the cached tables; the coefficients fit
+    # their signed 8-bit fields with room to spare
+    for label in ROOT_TYPES:
+        rs = build_root_system.__wrapped__(label)
+        assert rs == build_root_system(label)
+        assert max(abs(c) for e in rs.expansions.values() for c in e) <= 4
+    # with no room per field a key is the root's height, and keys collide
+    monkeypatch.setattr(rootsys, "_FIELD", 0)
+    with pytest.raises(AssertionError, match="packed root keys collide"):
+        build_root_system.__wrapped__("D4")
 
 
 def test_case_setup_builds_no_root_system():

@@ -1,12 +1,16 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import singfold
 from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
                               theta_roots, vanishing_set, vneg)
 from singfold import subsys
@@ -70,9 +74,25 @@ def test_enumeration_is_stable():
 def test_witness_is_maximal(cid):
     rs = build_root_system(case_meta(cid).quotient_type)
     for s in subsystems_for_case(cid):
-        assert vanishing_set(rs, s.witness) == s.roots
+        assert vanishing_set(rs, s.witness) == s.roots == \
+            frozenset(rs.by_index[i] for i in s.members)
+        assert list(s.members) == sorted(s.members)
         for t in theta_roots(cid):
             assert t in s.roots
+
+
+def test_e6f4e7_verification_builds_no_root_vectors():
+    # no section of the E6F4E7 bundle reads a subsystem's roots as vectors,
+    # so none is built; a fresh process keeps other tests' reads out
+    code = ("from singfold import cli, subsys\n"
+            "assert cli.verify_case('E6F4E7')['ok']\n"
+            "subs = subsys.subsystems_for_case('E6F4E7')\n"
+            "print(len(subs), sum('roots' in vars(s) for s in subs))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(singfold.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "268 0\n"
 
 
 def test_d4_enumeration_against_point_sweep():
