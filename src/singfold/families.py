@@ -793,10 +793,9 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
 # invariant-theoretic re-derivation of the quotient charts
 # ---------------------------------------------------------------------------
 
-def _qdeg(case: CaseDescriptor, p: Polynomial, extra: Dict[str, int] = {}) -> int:
+def _qdeg(case: CaseDescriptor, p: Polynomial) -> int:
     """Quasi-degree of a quasi-homogeneous polynomial; -1 for the zero one."""
-    w = {**case.weights, **extra}
-    names = p.used_variables()
+    w, names = case.weights, p.used_variables()
     degs = {sum(w[v] * k for v, k in zip(names, e)) for e in p.exponents(names)}
     if not degs:
         return -1
@@ -806,21 +805,22 @@ def _qdeg(case: CaseDescriptor, p: Polynomial, extra: Dict[str, int] = {}) -> in
 
 
 class _Tables:
-    """The tables of one derivation.  A generator tuple indexes `admitted`;
-    a generator-power product is keyed by its exponents over the admitted
-    generators, as (index, exponent) pairs, so that prefix and one-out
-    tuples share it; a candidate vector by that key (None for the fiber)
-    and a monomial.  Echelons are kept for the last tuple queried only."""
+    """The tables of one derivation.  `admitted` maps the index of each
+    admitted invariant to it; a generator-power product is keyed by its
+    exponents over the admitted generators, as (index, exponent) pairs; a
+    candidate vector by that key (None for the fiber) and a monomial.  One
+    echelon is kept per quasi-degree, and it grows with the generators."""
 
     def __init__(self, case: CaseDescriptor):
         self.case = case
         self.names = tuple(case.fiber_vars) + tuple(case.params)
         self.weights = tuple(case.weights[v] for v in self.names)
         self.fdeg = _qdeg(case, case.fiber)
-        self.admitted: List[Polynomial] = []
+        self.admitted: Dict[int, Polynomial] = {}
+        self.degrees: Dict[int, int] = {}       # of the admitted generators
         self.products: Dict = {(): Polynomial.constant(Fraction(1))}
         self.vectors: Dict = {}
-        self.live: Tuple = (None, {})   # (generator tuple, degree -> echelon)
+        self.echelons: Dict[int, Tuple[Echelon, List]] = {}
 
     def product(self, gvec: Tuple) -> Polynomial:
         if gvec not in self.products:
@@ -843,139 +843,142 @@ class _Tables:
             self.vectors[gvec, mono] = vec
         return self.vectors[gvec, mono]
 
-    def candidates(self, gens: Tuple[int, ...], d: int):
+    def candidates(self, d: int):
         """Spanning set of the quasi-degree-d part of the algebra generated
-        by `gens` over the parameters, plus that of the fiber ideal.
+        by the admitted generators over the parameters, plus that of the
+        fiber ideal.
 
         Yields (vector, symbol): a generator monomial times a parameter
-        monomial comes with its exponent tuple over the abstract symbols
-        g1, g2, ... and the parameters; a fiber-ideal element (fiber times a
-        monomial) comes with None.
+        monomial comes with its product key and parameter exponents; a
+        fiber-ideal element (fiber times a monomial) comes with None.
         """
+        gens = sorted(self.admitted)
         n = len(gens)
-        weights = tuple(_qdeg(self.case, self.admitted[g]) for g in gens) \
-            + self.weights[3:]                      # then the parameters
+        weights = tuple(self.degrees[g] for g in gens) + self.weights[3:]
         for e in monomials(weights, d):
             gvec = tuple((g, k) for g, k in zip(gens, e) if k)
-            yield self.vector(gvec, e[n:]), e
+            yield self.vector(gvec, e[n:]), (gvec, e[n:])
         for mono in monomials(self.weights, d - self.fdeg):
             yield self.vector(None, mono), None
 
-    def span(self, gens: Tuple[int, ...], d: int) -> Tuple[Echelon, List]:
+    def span(self, d: int) -> Tuple[Echelon, List]:
         """The echelon of the degree-d candidates, each added with its
-        index, and their symbols; dropped with every other echelon of the
-        live tuple when a query names another tuple."""
-        if self.live[0] != gens:
-            self.live = (gens, {})
-        echelons = self.live[1]
-        if d not in echelons:
+        index, and their symbols; built on first use."""
+        if d not in self.echelons:
             ech, symbols = Echelon(), []
-            for vec, s in self.candidates(gens, d):
+            for vec, s in self.candidates(d):
                 ech.add(vec, len(symbols))
                 symbols.append(s)
-            echelons[d] = ech, symbols
-        return echelons[d]
+            self.echelons[d] = ech, symbols
+        return self.echelons[d]
+
+    def admit(self, i: int, v: Polynomial) -> None:
+        """Admit invariant i, v: its one candidate of its own degree, v
+        itself, joins that degree's echelon; those of higher degrees are
+        built later, with v in."""
+        d = _qdeg(self.case, v)
+        ech, symbols = self.span(d)
+        self.admitted[i], self.degrees[i] = v, d
+        key = (((i, 1),), (0,) * len(self.case.params))
+        ech.add(self.vector(*key), len(symbols))
+        symbols.append(key)
 
 
-def _algebra_certificate(tables: _Tables, gens: Tuple[int, ...],
+def _algebra_certificate(tables: _Tables,
                          target: Polynomial) -> Optional[Polynomial]:
-    """Expression of target in the generators (modulo the fiber ideal), as a
-    polynomial in the abstract symbols g1, g2, g3 with parameter
-    coefficients; None if target is not in the algebra."""
+    """Expression of target in the admitted generators (modulo the fiber
+    ideal), as a polynomial in the abstract symbols g1, g2, ... with
+    parameter coefficients; None if target is not in their algebra."""
     d = _qdeg(tables.case, target)
     if d < 0:
         return Polynomial.zero()
-    ech, symbols = tables.span(gens, d)
+    ech, symbols = tables.span(d)
     sol = ech.solve(target.exponents(tables.names))
-    return None if sol is None else _symbolic(tables, len(gens), symbols, sol)
+    return None if sol is None else _symbolic(tables, symbols, sol)
 
 
-def _symbolic(tables: _Tables, n: int, symbols: List[Optional[tuple]],
+def _symbolic(tables: _Tables, symbols: List[Optional[tuple]],
               coeffs: Dict[int, Fraction]) -> Polynomial:
     """The generator-monomial part of a column combination, in the symbols
-    g1..gn and the parameters."""
-    names = [f"g{i + 1}" for i in range(n)] + list(tables.case.params)
-    return Polynomial(names, {symbols[j]: c for j, c in coeffs.items()
-                              if symbols[j] is not None})
+    g1..gn (the admitted generators in invariant order) and the
+    parameters."""
+    gens = sorted(tables.admitted)
+    names = [f"g{k + 1}" for k in range(len(gens))] + list(tables.case.params)
+    return Polynomial(names, {
+        tuple(dict(symbols[j][0]).get(g, 0) for g in gens) + symbols[j][1]: c
+        for j, c in coeffs.items() if symbols[j] is not None})
+
+
+@functools.cache
+def _image(case_id: str, k: int, mono: Tuple[int, ...]) -> Polynomial:
+    """The image of a fiber monomial under the case's k-th group element:
+    the image of mono / x_i times that of x_i, x_i its first variable."""
+    if not any(mono):
+        return Polynomial.constant(Fraction(1))
+    i = next(j for j, e in enumerate(mono) if e)
+    rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+    return _image(case_id, k, rest) * _group(case_id)[k][_FIBER_VARS[i]]
 
 
 def reynolds_average(case: CaseDescriptor, p: Polynomial) -> Polynomial:
-    elems = case.group_elements()
-    acc = Polynomial.zero()
-    for sub in elems:
-        acc = acc + p.subs(sub)
-    return acc / Fraction(len(elems))
+    """The average of p, a polynomial in the fiber variables, over the
+    symmetry group, each term's images read from the image tables."""
+    n, acc = case.omega_order, Polynomial.zero()
+    for mono, c in p.exponents(case.fiber_vars).items():
+        images = (_image(case.case_id, k, mono) for k in range(n))
+        acc = acc + sum(images, Polynomial.zero()) * (c / n)
+    return acc
 
 
 def derive_quotient_chart(case_id: str) -> dict:
     """Re-derive the quotient chart by Reynolds averaging.
 
-    Averages all coordinate monomials of degree at most 6, reduces the
-    resulting invariants to a generating triple modulo the fiber ideal,
-    derives the unique quasi-homogeneous relation among the generators, and
-    checks that the catalogued chart generates the same invariant algebra
-    and satisfies the catalogued quotient equation modulo the fiber ideal.
+    Averages all coordinate monomials of degree at most 6 over the group G:
+    |G| is 2, 2, 2, 3, 6 and 2, so 6 is Noether's bound and the averages
+    generate the invariants over the parameters.  They are admitted in
+    order of quasi-degree, each one not in the algebra of those before it
+    (modulo the fiber ideal) as a generator; the parameters have positive
+    weight, so the admitted set is minimal (graded Nakayama), and each
+    invariant left out is certified in the algebra of a subset of it.
+    Reports the generators in invariant order, derives the unique
+    quasi-homogeneous relation among them, and checks that the catalogued
+    chart generates the same algebra and satisfies the catalogued quotient
+    equation modulo the fiber ideal.
 
-    The linear algebra is exact and sparse: the candidate vectors of one
-    generator tuple and quasi-degree go into one `exact.Echelon`, built on
-    the shared tables of monomials (`poly.monomials`), and the derivation's
-    generator-power products and vectors.  Only the echelons of the tuple
-    queried last are kept: a minimization query builds and drops its own,
-    and the coverage checks and chart certificates share the final triple's.
+    The linear algebra is exact and sparse: one `exact.Echelon` per
+    quasi-degree, built on first use from the shared tables of monomials
+    (`poly.monomials`), generator-power products and vectors; a generator
+    joins the echelon of its own degree, and the chart certificates are
+    read from the same echelons.
     """
     case = descriptor(case_id)
-    invariants: List[Polynomial] = []
-    seen = set()
-    for d in range(1, 7):
-        for mono in monomials((1,) * len(case.fiber_vars), d):
-            p = Polynomial(case.fiber_vars,
-                           {mono: Fraction(1)})
-            avg = reynolds_average(case, p)
-            if avg.is_zero() or avg.used_variables() == () or \
-                    not (set(avg.used_variables()) & set(case.fiber_vars)):
-                continue
-            key = repr(avg)
-            if key not in seen:
-                seen.add(key)
-                invariants.append(avg)
+    fv = case.fiber_vars
+    averages = (reynolds_average(case, Polynomial(fv, {m: Fraction(1)}))
+                for d in range(1, 7) for m in monomials((1, 1, 1), d))
+    invariants = list(dict.fromkeys(   # distinct, in order of first monomial
+        a for a in averages if set(a.used_variables()) & set(fv)))
     tables = _Tables(case)
-    # greedy admission then minimization, on tuples of admitted generators
-    gens: Tuple[int, ...] = ()
-    for v in invariants:
-        if _algebra_certificate(tables, gens, v) is None:
-            gens += (len(tables.admitted),)
-            tables.admitted.append(v)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens) - 1, -1, -1):
-            rest = gens[:i] + gens[i + 1:]
-            if _algebra_certificate(tables, rest,
-                                    tables.admitted[gens[i]]) is not None:
-                gens = rest
-                changed = True
+    for i in sorted(range(len(invariants)),
+                    key=lambda i: _qdeg(case, invariants[i])):
+        if _algebra_certificate(tables, invariants[i]) is None:
+            tables.admit(i, invariants[i])
+    gens = sorted(tables.admitted)
     report = {"case": case_id, "ok": True,
               "generators": [repr(tables.admitted[g]) for g in gens]}
     if len(gens) != 3:
         report["ok"] = False
         report["error"] = f"{len(gens)} generators, expected a triple"
         return report
-    # every averaged invariant reduces to the triple
-    report["invariants_generated"] = all(
-        _algebra_certificate(tables, gens, v) is not None for v in invariants)
+    # every averaged invariant was admitted, or certified by the loop above
+    report["invariants_generated"] = True
     # the unique relation among the generators
-    rel = _derive_relation(tables, gens)
+    rel = _derive_relation(tables)
     report["relation"] = repr(rel) if rel is not None else None
     report["relation_found"] = rel is not None
     # certificates: the catalogued chart inside the derived algebra
-    certs: Dict[str, Polynomial] = {}
-    emb_ok = True
-    for key, p in case.embedding.items():
-        cert = _algebra_certificate(tables, gens, p)
-        if cert is None:
-            emb_ok = False
-        else:
-            certs[key] = cert
+    certs = {key: _algebra_certificate(tables, p)
+             for key, p in case.embedding.items()}
+    emb_ok = None not in certs.values()
     report["chart_in_derived_algebra"] = emb_ok
     # the catalogued equation, rewritten through the certificates, must be
     # an exact scalar multiple of the derived relation
@@ -986,8 +989,7 @@ def derive_quotient_chart(case_id: str) -> dict:
     report["relation_matches_quotient"] = match is not None
     # ... and the chart satisfies the quotient equation modulo the fiber ideal
     report["quotient_identity"] = _quotient_identity_holds(case)
-    report["ok"] = all((report["invariants_generated"], rel is not None,
-                        emb_ok, match is not None,
+    report["ok"] = all((rel is not None, emb_ok, match is not None,
                         report["quotient_identity"]))
     return report
 
@@ -1045,21 +1047,19 @@ def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
     return None
 
 
-def _derive_relation(tables: _Tables, gens: Tuple[int, ...]):
+def _derive_relation(tables: _Tables):
     """The quasi-homogeneous relation among the generator triple, found by
     exact linear algebra at the quasi-degree of the quotient equation: the
     kernel vector of the first free candidate column whose generator part
     is nonzero."""
-    case = tables.case
-    qw = {v: case.weights[v] for v in case.quotient_vars}
-    target = _qdeg(case, case.quotient, extra=qw)
+    target = _qdeg(tables.case, tables.case.quotient)
     ech = Echelon()
     symbols: List[Optional[tuple]] = []
-    for vec, s in tables.candidates(gens, target):
+    for vec, s in tables.candidates(target):
         kernel = ech.add(vec, len(symbols))
         symbols.append(s)
         if kernel is not None:
-            rel = _symbolic(tables, len(gens), symbols, kernel)
+            rel = _symbolic(tables, symbols, kernel)
             if not rel.is_zero():
                 return rel
     return None

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import random
-import weakref
 from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import mul
@@ -415,22 +414,107 @@ def test_monomials_of_negative_degree_are_empty():
     assert monomials((), 0) == ((),)
 
 
-def test_derivation_keeps_echelons_of_the_live_tuple_only(monkeypatch):
-    live, built, peak = weakref.WeakSet(), [0], [0]
+# echelons built per derivation: one per quasi-degree queried, plus the
+# relation's own.  Admitting by standard degree, with a minimization loop
+# and the echelons of the last queried tuple only, built 28, 38, 43, 41, 34
+# and 63
+DERIVATION_ECHELONS = {"A3B2D4": 12, "A5B3D5": 17, "D4C3D6": 17,
+                       "D4G2E6": 17, "D4G2E7": 13, "E6F4E7": 28}
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_derivation_builds_one_echelon_per_quasi_degree(cid, monkeypatch):
+    built, degrees = [0], []
+    candidates = families._Tables.candidates
 
     class Counted(Echelon):
         def __init__(self):
             super().__init__()
-            live.add(self)
             built[0] += 1
-            peak[0] = max(peak[0], len(live))
+
+    def recording(self, d):
+        degrees.append(d)
+        return candidates(self, d)
 
     monkeypatch.setattr(families, "Echelon", Counted)
-    rep = derive_quotient_chart("E6F4E7")
-    want = json.loads(EXPECTED.read_text())["sections"]["E6F4E7"]
+    monkeypatch.setattr(families._Tables, "candidates", recording)
+    rep = derive_quotient_chart(cid)
+    want = json.loads(EXPECTED.read_text())["sections"][cid]
     assert _sha(json.dumps(rep, sort_keys=True).encode()) == \
         want["quotient-derivation"]
-    assert built[0] > 0 and 2 * peak[0] <= built[0], (peak, built)
+    # every echelon is filled by one candidates call: the kept one of each
+    # quasi-degree once, and the relation's at the quotient's degree
+    case = descriptor(cid)
+    relation = families._qdeg(case, case.quotient)
+    kept = Counter(degrees) - Counter([relation])
+    assert len(degrees) == built[0] == DERIVATION_ECHELONS[cid]
+    assert set(kept.values()) == {1}, degrees
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_derivation_admits_a_minimal_triple(cid, monkeypatch):
+    # in quasi-degree order the greedy admission is minimal by graded
+    # Nakayama: exactly three invariants are admitted, and they are the
+    # reported generators
+    admitted = []
+    admit = families._Tables.admit
+
+    def spy(self, i, v):
+        admitted.append((i, v))
+        admit(self, i, v)
+
+    monkeypatch.setattr(families._Tables, "admit", spy)
+    rep = derive_quotient_chart(cid)
+    assert len(admitted) == 3, [repr(v) for _, v in admitted]
+    assert [repr(v) for _, v in sorted(admitted, key=lambda e: e[0])] == \
+        rep["generators"]
+    # no generator lies in the algebra of the other two
+    monkeypatch.undo()
+    case = descriptor(cid)
+    for i, v in admitted:
+        tables = families._Tables(case)
+        for j, w in admitted:
+            if j != i:
+                tables.admit(j, w)
+        assert families._algebra_certificate(tables, v) is None, repr(v)
+
+
+def _subs_average(case, p):
+    """The Reynolds average by one substitution per group element."""
+    elems = case.group_elements()
+    acc = Polynomial.zero()
+    for sub in elems:
+        acc = acc + p.subs(sub)
+    return acc / Fraction(len(elems))
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_reynolds_image_tables_match_substitution(cid, monkeypatch):
+    case = descriptor(cid)
+    for d in range(7):
+        for mono in monomials((1, 1, 1), d):
+            p = Polynomial(case.fiber_vars, {mono: Fraction(1)})
+            assert families.reynolds_average(case, p) == \
+                _subs_average(case, p), (cid, mono)
+    p = parse("3*x^2*y - 1/2*z + 5")
+    assert families.reynolds_average(case, p) == _subs_average(case, p)
+    # the derivation queries the same invariants, in the same order
+    certificate = families._algebra_certificate
+
+    def targets():
+        seen = []
+
+        def spy(tables, v):
+            seen.append(v)
+            return certificate(tables, v)
+
+        monkeypatch.setattr(families, "_algebra_certificate", spy)
+        derive_quotient_chart(cid)
+        return seen
+
+    queried = targets()
+    monkeypatch.setattr(families, "reynolds_average", _subs_average)
+    assert targets() == queried
 
 
 def _check_echelon_against_dense(nrows, columns, rhs):

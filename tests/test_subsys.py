@@ -57,6 +57,51 @@ def test_enumeration_counts(cid):
     assert counts == EXPECTED_COUNTS_BY_TYPE[cid]
 
 
+# the exponents of each case's inhomogeneous (folded) type
+EXPONENTS = {"B2": (1, 3), "B3": (1, 3, 5), "C3": (1, 3, 5), "G2": (1, 5),
+             "F4": (1, 5, 7, 11)}
+
+
+def characteristic_polynomial(subs):
+    """chi(t) = sum of mu(V, X) t^dim X over the flats X, a flat being the
+    subspace on which exactly a subsystem's roots vanish, ordered by
+    inclusion of root sets; integer coefficients, constant term first."""
+    top = max(len(s.simple_system) for s in subs)
+    flats = sorted(((len(s.simple_system), frozenset(s.members)) for s in subs),
+                   key=lambda f: f[0])
+    mu = {}
+    for rank, roots in flats:
+        mu[roots] = 1 if not mu else -sum(m for r, m in mu.items() if r < roots)
+    chi = [0] * (top - flats[0][0] + 1)
+    for rank, roots in flats:
+        chi[top - rank] += mu[roots]
+    return chi
+
+
+def product_of_linear_factors(roots):
+    """The integer coefficients of prod (t - m) over roots, constant first."""
+    out = [1]
+    for m in roots:
+        out = [a - m * b for a, b in zip([0] + out, out + [0])]
+    return out
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_characteristic_polynomial_of_the_flats_factors_by_exponents(cid):
+    # Orlik-Solomon, Invent. Math. 56 (1980); Terao, Invent. Math. 63
+    # (1981): the restricted arrangement is free with the exponents of the
+    # folded type
+    want = product_of_linear_factors(
+        EXPONENTS[case_meta(cid).inhomogeneous_type])
+    assert characteristic_polynomial(subsystems_for_case(cid)) == want
+
+
+def test_product_of_linear_factors():
+    assert product_of_linear_factors(()) == [1]
+    assert product_of_linear_factors((1, 3)) == [3, -4, 1]
+    assert product_of_linear_factors((1, 5, 7, 11)) == [385, -552, 190, -24, 1]
+
+
 def test_f4_census_matches_types():
     subs = subsystems_for_case("E6F4E7")
     census = sorted({s.type_label for s in subs})
