@@ -821,6 +821,7 @@ class _Tables:
         self.products: Dict = {(): Polynomial.constant(Fraction(1))}
         self.vectors: Dict = {}
         self.echelons: Dict[int, Tuple[Echelon, List]] = {}
+        self.relations: Dict[int, Dict] = {}
 
     def product(self, gvec: Tuple) -> Polynomial:
         if gvec not in self.products:
@@ -863,12 +864,17 @@ class _Tables:
 
     def span(self, d: int) -> Tuple[Echelon, List]:
         """The echelon of the degree-d candidates, each added with its
-        index, and their symbols; built on first use."""
+        index, and their symbols; built on first use.  The first relation
+        the candidates complete with a nonzero generator part is kept in
+        ``relations[d]``."""
         if d not in self.echelons:
             ech, symbols = Echelon(), []
             for vec, s in self.candidates(d):
-                ech.add(vec, len(symbols))
+                rel = ech.add(vec, len(symbols))
                 symbols.append(s)
+                if rel and d not in self.relations and any(
+                        symbols[j] is not None for j in rel):
+                    self.relations[d] = rel
             self.echelons[d] = ech, symbols
         return self.echelons[d]
 
@@ -1048,21 +1054,18 @@ def _match_relation(case: CaseDescriptor, certs: Dict[str, Polynomial],
 
 
 def _derive_relation(tables: _Tables):
-    """The quasi-homogeneous relation among the generator triple, found by
-    exact linear algebra at the quasi-degree of the quotient equation: the
-    kernel vector of the first free candidate column whose generator part
-    is nonzero."""
+    """The quasi-homogeneous relation among the generator triple: the first
+    relation among the candidates of the quotient equation's quasi-degree
+    with a nonzero generator part, kept when that degree's echelon was built.
+
+    Each quotient variable occurs to a power of at least 2 in some term of
+    the quotient equation, so every generator has a lower quasi-degree than
+    the relation.  Admission runs in quasi-degree order, so that echelon is
+    built after the last generator is admitted, from all the candidates."""
     target = _qdeg(tables.case, tables.case.quotient)
-    ech = Echelon()
-    symbols: List[Optional[tuple]] = []
-    for vec, s in tables.candidates(target):
-        kernel = ech.add(vec, len(symbols))
-        symbols.append(s)
-        if kernel is not None:
-            rel = _symbolic(tables, symbols, kernel)
-            if not rel.is_zero():
-                return rel
-    return None
+    _, symbols = tables.span(target)
+    kernel = tables.relations.get(target)
+    return None if kernel is None else _symbolic(tables, symbols, kernel)
 
 
 def _quotient_identity_holds(case: CaseDescriptor) -> bool:

@@ -288,6 +288,7 @@ def _translate(F: Polynomial, names: Sequence[str], point: Point) -> Polynomial:
 
 
 _WIDTH = 8  # bits per name in a Milnor echelon key
+_ORDER = 9  # every row is truncated below this degree
 
 
 def _key(e: Tuple[int, ...]) -> int:
@@ -307,16 +308,18 @@ def _monomial_keys(n: int, d: int) -> Tuple[int, ...]:
     return tuple(map(_key, monomials((1,) * n, d)))
 
 
-def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
+def _milnor_translated(G: Polynomial, names) -> int:
     """Milnor number of G at the origin from one echelon in a local degree
     ordering (Greuel-Pfister, sections 1.5-1.7).
 
-    The rows g*m of the partials g, truncated below degree K, are keyed by
-    :func:`_key`, so each pivot's lead is its lowest-degree term and a row
-    term is one int addition.  A row g*m with deg m >= N - low(g) has no
-    term below degree N, so for every N <= K, mu_N = #monomials of degree
-    < N - #pivots whose lead has degree < N.  K starts at 5 and grows, up
-    to cap (at most 2^_WIDTH), while mu_N has not stabilized."""
+    The rows g*m of the partials g, truncated below degree _ORDER, are
+    keyed by :func:`_key`, so each pivot's lead is its lowest-degree term
+    and a row term is one int addition.  They go in by lowest degree
+    low(g) + deg m; once those below N are in, mu_N = #monomials of degree
+    < N - #pivots whose lead has degree < N, as no later row has a term
+    below N.  The first N with mu_N = mu_(N-1) puts m^(N-1) in the Jacobian
+    ideal (Nakayama), and mu = mu_N.  Until then mu_N rises by at least 1
+    per order from mu_1 = 1, so every mu <= 8 is stable by N = _ORDER."""
     parts = [p for p in (G.diff(n) for n in names) if not p.is_zero()]
     if not parts:
         raise ClassificationError("zero gradient: not an isolated singularity")
@@ -324,39 +327,31 @@ def _milnor_translated(G: Polynomial, names, cap: int = 16) -> int:
     graded = []
     for g in parts:
         # a scalar multiple spans the same rows: clear each partial once;
-        # no row keeps a term of degree cap or more, so every field of a
+        # no row keeps a term of degree _ORDER or more, so every field of a
         # key stays below 2^_WIDTH
         terms = g.exponents(names)
         nums, _ = clear_denominators(terms.values())
         packed = sorted((sum(e), _key(e), c) for e, c in zip(terms, nums)
-                        if sum(e) < cap)
+                        if sum(e) < _ORDER)
         if packed:
             graded.append(([d for d, _, _ in packed],
                            [(k, c) for _, k, c in packed]))
-    K = 5
-    while K <= cap:
-        ech = Echelon()
+    ech, mu, prev = Echelon(), 0, None
+    for low in range(_ORDER):           # add the rows of lowest degree low
         for degrees, terms in graded:
-            for dm in range(K - degrees[0]):
-                head = terms[:bisect.bisect_left(degrees, K - dm)]
-                for km in _monomial_keys(n, dm):
-                    ech.add({k + km: c for k, c in head})
-        pivots_at = [0] * K                 # pivots by degree of their lead
-        for key in ech.pivots:
-            pivots_at[-(key >> top)] += 1
-        mu, prev = 0, None
-        for N in range(1, K + 1):
-            mu += len(monomials((1,) * n, N - 1)) - pivots_at[N - 1]
-            if N >= 5 and mu == prev:
-                if mu < 1:
-                    raise ClassificationError(
-                        "vanishing local algebra: smooth point?")
-                return mu
-            prev = mu
-        if K == cap:
-            break
-        K = min(K + 2, cap)
-    raise ClassificationError(f"Milnor truncation did not stabilize by N = {cap}")
+            dm = low - degrees[0]           # no monomial has degree < 0
+            head = terms[:bisect.bisect_left(degrees, _ORDER - dm)]
+            for km in _monomial_keys(n, dm):
+                ech.add({k + km: c for k, c in head})
+        leads = sum(key >> top == -low for key in ech.pivots)
+        mu += len(_monomial_keys(n, low)) - leads
+        if mu == prev:
+            if mu < 1:
+                raise ClassificationError(
+                    "vanishing local algebra: smooth point?")
+            return mu
+        prev = mu
+    raise ClassificationError(f"mu >= {_ORDER}: outside the ADE range")
 
 
 def _hessian(G: Polynomial, names) -> List[List[Scalar]]:

@@ -11,9 +11,11 @@ from singfold.families import (check_stratum_point, derive_quotient_chart,
                                theorem_singular_spotcheck, verify_equivariance)
 from singfold.flatmap import correspondence_check, flat_chart, verify_iso
 from singfold.poly import parse
-from singfold.rootsys import CASE_IDS
+from singfold.rootsys import CASE_IDS, case_meta
 from singfold.singclass import fiber_configuration
-from singfold.subsys import match_realizations
+from singfold.subsys import match_realizations, subsystems_for_case
+from test_subsys import (EXPONENTS, characteristic_polynomial,
+                         product_of_linear_factors)
 
 EXPECTED_ROW_COUNTS = {"A3B2D4": 4, "A5B3D5": 7, "D4C3D6": 7,
                        "D4G2E6": 4, "D4G2E7": 4, "E6F4E7": 12}
@@ -140,3 +142,21 @@ def test_criterion_6_quotient_fibers_always_singular():
             "100 points per case")
     assert not failures, failures
     assert elapsed < 600
+
+
+def test_criterion_7_characteristic_polynomial_of_the_flats():
+    # chi(t) of the lattice of flats is prod (t - m_i) over the exponents of
+    # the folded type (Orlik-Solomon 1980, Terao 1981)
+    t0 = time.time()
+    failures = []
+    for cid in CASE_IDS:
+        exponents = EXPONENTS[case_meta(cid).inhomogeneous_type]
+        chi = characteristic_polynomial(subsystems_for_case(cid))
+        if chi != product_of_linear_factors(exponents):
+            failures.append((cid, chi, exponents))
+    elapsed = time.time() - t0
+    ok = not failures and elapsed < 60
+    _report("criterion 7: chi(t) of the flats", ok, elapsed, 60,
+            "prod (t - m_i) in all six cases")
+    assert not failures, failures
+    assert elapsed < 60

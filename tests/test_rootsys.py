@@ -9,6 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
+except ImportError:  # the root oracle from sympy is optional
+    SympyRootSystem = None
+
 import singfold
 from singfold import rootsys
 from singfold.rootsys import (CASE_IDS, ROOT_TYPES, build_root_system,
@@ -98,6 +103,16 @@ def test_d4_roots_match_direct_construction():
                     v[i], v[j] = Fraction(si), Fraction(sj)
                     expected.add(tuple(v))
     assert rs.roots == frozenset(expected)
+
+
+@pytest.mark.skipif(SympyRootSystem is None, reason="needs sympy")
+@pytest.mark.parametrize("label", ["D4", "D5", "D6"])
+def test_d_roots_match_sympy(label):
+    # an independent construction of the D types; sympy's E6 and E7 are
+    # not closed under reflections, so the E types keep the oracles above
+    roots = SympyRootSystem(label).all_roots().values()
+    assert {tuple(map(Fraction, v)) for v in roots} == \
+        build_root_system(label).roots
 
 
 def cartan_matrix(rs):

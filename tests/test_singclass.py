@@ -51,11 +51,11 @@ def test_arnold_d_family(k):
     assert rec.cubic_shape == ("three-distinct" if k == 4 else "one-double")
 
 
-def milnor_number(F, point, cap=16):
+def milnor_number(F, point):
     """The Milnor number of F at a point, by the classifier's engine."""
     names = F.used_variables()
     return singclass._milnor_translated(singclass._translate(F, names, point),
-                                        names, cap)
+                                        names)
 
 
 def test_milnor_examples():
@@ -64,10 +64,13 @@ def test_milnor_examples():
     assert milnor_number(parse("x^2*y + y^5 + z^2"), (0, 0, 0)) == 6
 
 
-def test_milnor_stabilization_is_cap_independent():
+def test_milnor_stabilization_is_cap_independent(monkeypatch):
+    # the cap is the engine's truncation order _ORDER: a stable mu does not
+    # move when the rows are kept to a higher degree
     for text, mu in (("x^4 + y^2 + z^2", 3), ("X^5 + Y^3 + Z^2", 8)):
         for cap in (12, 14, 16):
-            assert milnor_number(parse(text), (0, 0, 0), cap=cap) == mu
+            monkeypatch.setattr(singclass, "_ORDER", cap)
+            assert milnor_number(parse(text), (0, 0, 0)) == mu
 
 
 def test_hessian_corank_examples():
@@ -261,10 +264,12 @@ def test_linear_variable_non_isolated_locus_is_refused():
         fiber_configuration(parse("x*y + x^2*z"))
 
 
-def test_milnor_cap_reports_no_stabilization():
+def test_milnor_cap_reports_no_stabilization(monkeypatch):
     # a non-isolated singularity: mu grows with every truncation order
-    with pytest.raises(ClassificationError, match="did not stabilize by N = 8"):
-        milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=8)
+    monkeypatch.setattr(singclass, "_ORDER", 8)
+    with pytest.raises(ClassificationError,
+                       match="mu >= 8: outside the ADE range"):
+        milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +414,7 @@ def truncated_milnor_oracle(G, names, cap=16):
     raise ClassificationError(f"Milnor truncation did not stabilize by N = {cap}")
 
 
-def _refuse_milnor(G, names, cap=16):
+def _refuse_milnor(G, names):
     raise AssertionError("corank-0 point entered the Milnor engine")
 
 
@@ -502,55 +507,93 @@ def test_milnor_is_blind_to_a_rescaling_over_an_extension():
         assert singclass._milnor_translated(G * c, names) == 5
 
 
-def _record_orders(monkeypatch):
-    """Truncation order K of each Milnor echelon built (highest degree + 1),
-    the degree read off each packed key over the three names."""
-    orders = []
+def _record_degrees(monkeypatch):
+    """One list per Milnor echelon built: the lowest and highest degree of
+    each row added, read off its packed keys over the three names."""
+    echelons = []
     top = 3 * singclass._WIDTH
 
     class Recording(Echelon):
         def __init__(self):
             super().__init__()
-            orders.append(0)
+            echelons.append([])
 
         def add(self, vec, index=None):
-            if vec:
-                orders[-1] = max(orders[-1], 1 + max(-(k >> top) for k in vec))
+            degrees = [-(k >> top) for k in vec]
+            echelons[-1].append((min(degrees), max(degrees)))
             return super().add(vec, index)
 
     monkeypatch.setattr(singclass, "Echelon", Recording)
-    return orders
-
-
-def test_milnor_rebuilds_a_larger_echelon_until_stable(monkeypatch):
-    orders = _record_orders(monkeypatch)
-    # mu_4 = 7 and mu_5 = 8 at the E8 point: the first echelon does not
-    # stabilize, and a second one is built at a larger order
-    assert milnor_number(parse("x^3 + y^5 + z^2"), (0, 0, 0)) == 8
-    assert len(orders) >= 2 and orders == sorted(set(orders))
-    assert orders[-1] <= 16
+    return echelons
 
 
 @pytest.mark.parametrize("cap", [6, 8, 9])
 def test_milnor_rebuilds_stop_at_the_cap(monkeypatch, cap):
-    orders = _record_orders(monkeypatch)
+    # x^2*y^2 + z^2 is singular along two lines: mu_N rises with every
+    # order, so the engine refuses at its truncation order _ORDER (9 by
+    # default), from one echelon whose rows stay below that degree
+    monkeypatch.setattr(singclass, "_ORDER", cap)
+    echelons = _record_degrees(monkeypatch)
     with pytest.raises(ClassificationError,
-                       match=f"did not stabilize by N = {cap}"):
-        milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0), cap=cap)
-    assert orders == sorted(set(orders))
-    assert orders[-1] == cap and max(orders) <= cap
+                       match=f"mu >= {cap}: outside the ADE range"):
+        milnor_number(parse("x^2*y^2 + z^2"), (0, 0, 0))
+    assert len(echelons) == 1
+    assert max(lo for lo, _ in echelons[0]) == cap - 1
+    assert max(hi for _, hi in echelons[0]) == cap - 1
 
 
-def test_milnor_rebuilds_reach_the_ninth_order_in_general_position(monkeypatch):
+def test_milnor_builds_one_echelon(monkeypatch):
+    # mu_4 = 7 and mu_5 = mu_6 = 8 at the E8 point: one echelon takes
+    # every order, and no row of lowest degree 6 or more is added
+    echelons = _record_degrees(monkeypatch)
+    assert milnor_number(parse("x^3 + y^5 + z^2"), (0, 0, 0)) == 8
+    assert len(echelons) == 1
+    assert max(lo for lo, _ in echelons[0]) == 5
+    assert max(hi for _, hi in echelons[0]) < 9
+
+
+def test_milnor_one_echelon_reaches_the_ninth_order_in_general_position(
+        monkeypatch):
     # an A8 point after a GL3 change with entries in -2..2 and a translation
-    # stabilizes only at N = 9: three echelons, K = 5, 7, 9
-    orders = _record_orders(monkeypatch)
+    # stabilizes only at N = 9, in one echelon
+    echelons = _record_degrees(monkeypatch)
     q = (Fraction(1, 2), Fraction(-1), Fraction(2, 3))
     F = _moved(parse("x^9 + y^2 + z^2"), [[1, 2, -1], [0, 1, 2], [-2, 1, 1]], q)
     assert milnor_number(F, q) == 8
-    assert orders == [5, 7, 9]
+    assert len(echelons) == 1
+    assert max(lo for lo, _ in echelons[0]) == 8
+    assert max(hi for _, hi in echelons[0]) == 8
     names = F.used_variables()
     assert truncated_milnor_oracle(singclass._translate(F, names, q), names) == 8
+
+
+@pytest.mark.parametrize("text,mu,outcome", [
+    ("x^9 + y^2 + z^2", 8, "A8"),
+    *((f"x^{k + 1} + y^2 + z^2", k, "mu >= 9") for k in range(9, 13)),
+    ("x^2*y + y^7 + z^2", 8, "D8"),
+    ("x^2*y + y^8 + z^2", 9, "mu = 9 > 8"),
+    ("x^3 + y^5 + z^2", 8, "E8"),
+    ("x^2 + y^3 + z^6", 10, "mu = 10 > 8")])
+def test_milnor_refusal_boundary_against_the_oracle(text, mu, outcome):
+    # every mu <= 8 is stable by N = 9; A9-A12 are not, and the engine
+    # refuses them.  D9 and J10 are stable by then: the engine counts them,
+    # and classify_point refuses them as outside the ADE range
+    F, origin = parse(text), (Fraction(0),) * 3
+    names = F.used_variables()
+    assert truncated_milnor_oracle(
+        singclass._translate(F, names, origin), names) == mu
+    if outcome == "mu >= 9":
+        with pytest.raises(ClassificationError,
+                           match="mu >= 9: outside the ADE range"):
+            milnor_number(F, origin)
+        return
+    assert milnor_number(F, origin) == mu
+    if outcome.startswith("mu"):
+        with pytest.raises(ClassificationError,
+                           match=f"{outcome}: outside the ADE range"):
+            classify_point(F, origin)
+    else:
+        assert classify_point(F, origin).ade_type == outcome
 
 
 _TRIPLES = [e for d in range(16) for e in monomials((1, 1, 1), d)]

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -51,10 +53,8 @@ def test_type_label_helpers():
 def test_enumeration_counts(cid):
     subs = subsystems_for_case(cid)
     assert len(subs) == EXPECTED_SUBSYSTEM_COUNTS[cid]
-    counts = {}
-    for s in subs:
-        counts[s.type_string()] = counts.get(s.type_string(), 0) + 1
-    assert counts == EXPECTED_COUNTS_BY_TYPE[cid]
+    assert Counter(s.type_string() for s in subs) == \
+        EXPECTED_COUNTS_BY_TYPE[cid]
 
 
 # the exponents of each case's inhomogeneous (folded) type
@@ -94,6 +94,27 @@ def test_characteristic_polynomial_of_the_flats_factors_by_exponents(cid):
     want = product_of_linear_factors(
         EXPONENTS[case_meta(cid).inhomogeneous_type])
     assert characteristic_polynomial(subsystems_for_case(cid)) == want
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_enumeration_is_invariant_under_weyl_conjugation(cid):
+    # W permutes the roots, so w maps the flats through theta onto those
+    # through w(theta) (Bourbaki, Lie Groups and Lie Algebras, VI 1.1): the
+    # same counts per type and the same chi(t), for w a random word of
+    # reflections read from the integer table
+    rs = build_root_system(case_meta(cid).quotient_type)
+    theta = [rs.index[t] for t in theta_roots(cid)]
+    chi = characteristic_polynomial(subsystems_for_case(cid))
+    rng = random.Random(cid)
+    for _ in range(2):
+        moved = theta
+        while moved == theta:
+            for j in (rng.randrange(2 * rs.npos) for _ in range(6)):
+                moved = [rs.refl[i][j] for i in moved]
+        subs = enumerate_subsystems(rs, [rs.by_index[i] for i in moved])
+        assert Counter(s.type_string() for s in subs) == \
+            EXPECTED_COUNTS_BY_TYPE[cid]
+        assert characteristic_polynomial(subs) == chi
 
 
 def test_product_of_linear_factors():
