@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .exact import clear_denominators, nullspace
+from .exact import clear_denominators
 from .rootsys import (RootSystem, Vector, build_root_system, case_meta, closure,
                       positive_root_count, root_from_coefficients, theta_roots)
 
@@ -46,19 +46,13 @@ def parse_type(text: str) -> TypeMultiset:
 class SubRootSystem:
     """A vanishing-set subsystem of the root system of type ``ambient``,
     held by the indices of its roots there (``members``: the positive
-    roots ascending, then their negatives).  The roots themselves, as
-    vectors, are built on first read of ``roots``."""
+    roots ascending, then their negatives)."""
 
     ambient: str
     members: Tuple[int, ...]
     witness: Vector
     type_label: TypeMultiset
     simple_system: Tuple[Vector, ...]
-
-    @functools.cached_property
-    def roots(self) -> FrozenSet[Vector]:
-        by_index = build_root_system(self.ambient).by_index
-        return frozenset(by_index[i] for i in self.members)
 
     def type_string(self) -> str:
         return format_type(self.type_label)
@@ -143,63 +137,83 @@ def reflection_closure(rs: RootSystem, gens: Sequence[Vector]) -> FrozenSet[Vect
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _extend(vals: List[List[int]], r: int):
-    """The flat spanned by a flat and a positive root r outside it, and the
-    mask of its positive roots.  A flat is held as the values on the positive
-    roots of independent integer functionals that cut it out; one
-    fraction-free elimination step keeps those that vanish on r."""
-    piv = next(v for v in vals if v[r])
+def _extend(basis: List[List[int]], k: int) -> List[List[int]]:
+    """The basis of the points of a flat on which row k vanishes too.
+
+    A flat's points are held by the ``exact.nullspace`` basis, each vector
+    cleared of denominators: per free coordinate c, in order, the vector
+    that is 0 at the other free coordinates, so c is its last nonzero one.
+    A vector is its values on the rows, then its coordinates.  Row k makes
+    the first vector V_c0 with a value a_c0 != 0 dependent; it is dropped,
+    and each other V_c with a_c != 0 becomes a_c0 V_c - a_c V_c0 over its
+    gcd times the sign of a_c0 (Bareiss, Math. Comp. 1968): the primitive
+    positive multiple of V_c - (a_c/a_c0) V_c0, which is again 0 at the
+    other free coordinates.  So the basis depends only on the flat."""
+    piv = next(v for v in basis if v[k])
+    sign = 1 if piv[k] > 0 else -1
     out = []
-    for v in vals:
+    for v in basis:
         if v is not piv:
-            if v[r]:
-                v = [piv[r] * a - v[r] * b for a, b in zip(v, piv)]
-                g = math.gcd(*v)
+            if v[k]:
+                v = [piv[k] * a - v[k] * b for a, b in zip(v, piv)]
+                g = sign * math.gcd(*v)
                 v = [a // g for a in v]
             out.append(v)
-    mask = (1 << len(piv)) - 1
-    for v in out:
-        mask &= sum(1 << i for i, x in enumerate(v) if not x)
-    return out, mask
+    return out
+
+
+def _vanishing(basis: List[List[int]], npos: int) -> int:
+    """Mask of the positive roots (the first ``npos`` rows) zero on the flat."""
+    mask = (1 << npos) - 1
+    for v in basis:
+        mask &= sum(1 << i for i, x in enumerate(v[:npos]) if not x)
+    return mask
 
 
 def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRootSystem]:
     """All vanishing-set subsystems containing theta, with rational witnesses.
 
     Walks the flats (root-spanned subspaces) containing theta upward, one
-    root at a time, keyed by the mask of their positive roots.  The roots of
-    a flat form a subsystem, with a witness on which exactly they vanish.
+    root at a time, keyed by the mask of their positive roots.  Each flat
+    carries the `_extend` basis of its points, with their values on the
+    positive roots and the hyperplane rows, from the identity basis on; the
+    hyperplanes and theta go in by the same step as every later root.  The
+    roots of a flat form a subsystem, with a witness on which exactly they
+    vanish.
     """
     for t in theta:
         if t not in rs.roots:
             raise ValueError("theta must consist of roots")
     npos = rs.npos
-    # the simple-root coordinates cut out the zero subspace
-    vals = [list(c) for c in zip(*(rs.expansions[r] for r in rs.positive_roots))]
-    mask, gens = 0, []  # gens: positive roots that span the flat
-    for i in (rs.index[t] % npos for t in theta):
-        if not mask >> i & 1:
-            (vals, mask), gens = _extend(vals, i), gens + [i]
-    flats = {mask: gens}
+    rows = [*rs.ambient[:npos],
+            *(clear_denominators(h)[0] for h in rs.hyperplanes)]
+    basis = [[*col, *(int(i == c) for i in range(rs.dim))]
+             for c, col in enumerate(zip(*rows))]
+    for k in [*range(npos, len(rows)), *(rs.index[t] % npos for t in theta)]:
+        if any(v[k] for v in basis):
+            basis = _extend(basis, k)
+    mask = _vanishing(basis, npos)
+    flats = {mask: basis}
     covers = {}  # per flat, the first positive root of each of its covers
-    frontier = [(vals, mask, gens)]
+    frontier = [(basis, mask)]
     while frontier:
         nxt = []
-        for vals, covered, gens in frontier:
+        for basis, covered in frontier:
             reps = covers[covered] = []
             for r in range(npos):
                 if not covered >> r & 1:
                     reps.append(r)
-                    new, mask = _extend(vals, r)
+                    new = _extend(basis, r)
+                    mask = _vanishing(new, npos)
                     covered |= mask
                     if mask not in flats:
-                        flats[mask] = gens + [r]
-                        nxt.append((new, mask, gens + [r]))
+                        flats[mask] = new
+                        nxt.append((new, mask))
         frontier = nxt
 
     out = []
-    for mask, gens in flats.items():
-        w = _find_witness(rs, gens, covers[mask])
+    for mask, basis in flats.items():
+        w = _find_witness(rs, basis, covers[mask])
         if len(w) != rs.dim or any(
                 sum(map(mul, row, w)) for row in rs.hyperplanes):
             raise AssertionError(f"witness is not a Cartan point of {rs.label}")
@@ -217,37 +231,21 @@ def enumerate_subsystems(rs: RootSystem, theta: Sequence[Vector]) -> List[SubRoo
     return [s for _, s in out]
 
 
-def _witness_problem(rs: RootSystem, gens: Sequence[int], reps: Sequence[int]):
-    """Integer basis of the Cartan points on which the roots with indices
-    ``gens`` vanish, and the integer pairings with it of the roots with
-    indices ``reps``, one root of each cover of the flat they span.
-
-    The basis is the canonical ``nullspace`` one of their integer ambient
-    rows, each vector cleared of denominators, so it depends only on the
-    subspace that the roots span.  Two roots outside the flat pair to
-    proportional rows exactly when they span the same cover, so the cover
-    rows ban the same points as the rows of every root outside the flat.
-    """
-    eqs = [rs.ambient[i] for i in gens] + list(rs.hyperplanes)
-    basis = [tuple(clear_denominators(b)[0])
-             for b in nullspace(eqs or [[0] * rs.dim])]
-    return basis, [[sum(map(mul, rs.ambient[r], b)) for b in basis]
-                   for r in reps]
-
-
 def _point(rs: RootSystem, basis, combo: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(c * b[i] for c, b in zip(combo, basis))
                  for i in range(rs.dim))
 
 
-def _find_witness(rs: RootSystem, gens: Sequence[int],
+def _find_witness(rs: RootSystem, basis: Sequence[Sequence[int]],
                   reps: Sequence[int]) -> Tuple[int, ...]:
-    """An integer Cartan point on which exactly the roots in the span of
-    the roots with indices ``gens`` vanish: the first integer combination
-    of the basis that `_first_avoiding` finds for the cover rows of
-    ``reps``."""
-    basis, pairs = _witness_problem(rs, gens, reps)
-    return _point(rs, basis, _first_avoiding(pairs, len(basis)))
+    """An integer Cartan point on which exactly the roots of a flat vanish:
+    the first combination of its `_extend` basis that `_first_avoiding`
+    finds for the rows of ``reps``, one root of each cover of the flat.
+    Two roots outside the flat pair to proportional rows exactly when they
+    span the same cover, so these rows ban the points that all do."""
+    points = [v[-rs.dim:] for v in basis]
+    pairs = [[v[r] for v in basis] for r in reps]
+    return _point(rs, points, _first_avoiding(pairs, len(basis)))
 
 
 def _first_avoiding(pairs: List[List[int]], k: int) -> Tuple[int, ...]:
@@ -472,9 +470,9 @@ def match_realizations(case_id: str) -> MatchReport:
     used = set()
     for type_str, gen_sets in REALIZATIONS[case_id]:
         for gens in gen_sets:
-            vecs = [root_from_coefficients(rs, g) for g in gens]
-            closure = reflection_closure(rs, vecs)
-            hits = [i for i, s in enumerate(subs) if s.roots == closure]
+            closed = {rs.index[r] for r in reflection_closure(
+                rs, [root_from_coefficients(rs, g) for g in gens])}
+            hits = [i for i, s in enumerate(subs) if set(s.members) == closed]
             entry = {"type": type_str, "generators": [list(g) for g in gens]}
             if len(hits) != 1:
                 errors.append(f"{type_str} realization {gens} matched {len(hits)} subsystems")

@@ -1,26 +1,25 @@
 import hashlib
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import singfold
+from singfold.exact import clear_denominators, nullspace
 from singfold.rootsys import (CASE_IDS, build_root_system, case_meta,
-                              theta_roots, vanishing_set, vneg)
+                              root_from_coefficients, theta_roots,
+                              vanishing_set, vneg)
 from singfold import subsys
 from singfold.subsys import (EXPECTED_SUBSYSTEM_COUNTS, REALIZATIONS,
-                             _find_witness, _first_avoiding, _point,
-                             _witness_problem, canonical_type,
-                             classify_subsystem, enumerate_subsystems,
-                             format_type, match_realizations, parse_type,
+                             _extend, _find_witness, _first_avoiding, _point,
+                             canonical_type, classify_subsystem,
+                             enumerate_subsystems, format_type,
+                             match_realizations, parse_type,
                              reflection_closure, subsystems_for_case)
 from test_rootsys import inner
 
@@ -41,6 +40,12 @@ EXPECTED_COUNTS_BY_TYPE = {
 F4_EXPECTED_TYPES = sorted(canonical_type(t.split("+")) for t in (
     "A1+A1+A1", "A3+A1", "D4+A1", "D5+A1", "D6", "A5", "A1+A1+A1+A1",
     "A2+A1+A1+A1", "A3+A1+A1", "A3+A2+A1", "A5+A1", "E7"))
+
+
+def root_vectors(s):
+    """The roots of a subsystem record, as vectors, from its indices."""
+    by_index = build_root_system(s.ambient).by_index
+    return frozenset(by_index[i] for i in s.members)
 
 
 def test_type_label_helpers():
@@ -132,33 +137,18 @@ def test_f4_census_matches_types():
 def test_enumeration_is_stable():
     first = subsystems_for_case("A3B2D4")
     second = subsystems_for_case("A3B2D4")
-    assert [(s.type_label, sorted(s.roots)) for s in first] == \
-        [(s.type_label, sorted(s.roots)) for s in second]
+    assert [(s.type_label, sorted(root_vectors(s))) for s in first] == \
+        [(s.type_label, sorted(root_vectors(s))) for s in second]
 
 
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_witness_is_maximal(cid):
     rs = build_root_system(case_meta(cid).quotient_type)
     for s in subsystems_for_case(cid):
-        assert vanishing_set(rs, s.witness) == s.roots == \
-            frozenset(rs.by_index[i] for i in s.members)
+        assert vanishing_set(rs, s.witness) == root_vectors(s)
         assert list(s.members) == sorted(s.members)
         for t in theta_roots(cid):
-            assert t in s.roots
-
-
-def test_e6f4e7_verification_builds_no_root_vectors():
-    # no section of the E6F4E7 bundle reads a subsystem's roots as vectors,
-    # so none is built; a fresh process keeps other tests' reads out
-    code = ("from singfold import cli, subsys\n"
-            "assert cli.verify_case('E6F4E7')['ok']\n"
-            "subs = subsys.subsystems_for_case('E6F4E7')\n"
-            "print(len(subs), sum('roots' in vars(s) for s in subs))\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(singfold.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "268 0\n"
+            assert t in root_vectors(s)
 
 
 def test_d4_enumeration_against_point_sweep():
@@ -169,7 +159,7 @@ def test_d4_enumeration_against_point_sweep():
     for a in range(-6, 7):
         for b in range(-6, 7):
             found.add(vanishing_set(rs, (Fraction(a), Fraction(b), 0, 0)))
-    enumerated = {s.roots for s in subsystems_for_case("A3B2D4")}
+    enumerated = {root_vectors(s) for s in subsystems_for_case("A3B2D4")}
     assert found == enumerated
 
 
@@ -180,7 +170,7 @@ def test_e6_enumeration_against_point_sweep():
         for b in range(-8, 9):
             found.add(vanishing_set(
                 rs, (0, Fraction(a), 0, Fraction(b), 0, 0)))
-    enumerated = {s.roots for s in subsystems_for_case("D4G2E6")}
+    enumerated = {root_vectors(s) for s in subsystems_for_case("D4G2E6")}
     assert found == enumerated
 
 
@@ -215,6 +205,23 @@ def test_match_realizations(cid):
     listed = sum(len(gens) for _, gens in REALIZATIONS[cid])
     matched = sum(1 for m in rep.matches if m.get("match") is not None)
     assert matched == listed
+
+
+@pytest.mark.parametrize("cid", CASE_IDS)
+def test_match_realizations_compares_root_indices(cid):
+    # each match is the subsystem whose root indices are those of the
+    # catalogued set's reflection closure, and no other subsystem has them
+    rs = build_root_system(case_meta(cid).quotient_type)
+    subs = subsystems_for_case(cid)
+    entries = match_realizations(cid).matches
+    assert len(entries) == sum(len(gens) for _, gens in REALIZATIONS[cid])
+    for m in entries:
+        closed = reflection_closure(
+            rs, [root_from_coefficients(rs, g) for g in m["generators"]])
+        want = tuple(sorted(rs.index[r] for r in closed))
+        assert [i for i, s in enumerate(subs) if s.members == want] == \
+            [m["match"]]
+        assert root_vectors(subs[m["match"]]) == closed
 
 
 def test_e7_case_has_uncatalogued_realization():
@@ -273,7 +280,7 @@ def test_enumeration_matches_recorded_digest(cid):
     def ser(v):
         return [str(c) for c in v]
     doc = [[s.type_string(), [ser(v) for v in s.simple_system], ser(s.witness),
-            [ser(v) for v in sorted(s.roots)]] for s in subsystems_for_case(cid)]
+            [ser(v) for v in sorted(root_vectors(s))]] for s in subsystems_for_case(cid)]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == ENUMERATION_DIGESTS[cid]
 
@@ -289,6 +296,19 @@ def _box_first(pairs, k):
             if all(sum(c * p for c, p in zip(combo, row)) for row in pairs):
                 return combo
     return None
+
+
+def _witness_problem(rs, gens, reps):
+    """The per-flat solve that the walk's carried basis replaced, kept as
+    its reference: the canonical ``nullspace`` basis of the Cartan points on
+    which the roots with indices ``gens`` vanish, each vector cleared of
+    denominators, and the integer pairings with it of the roots with
+    indices ``reps``."""
+    eqs = [rs.ambient[i] for i in gens] + list(rs.hyperplanes)
+    basis = [tuple(clear_denominators(b)[0])
+             for b in nullspace(eqs or [[0] * rs.dim])]
+    return basis, [[sum(map(mul, rs.ambient[r], b)) for b in basis]
+                   for r in reps]
 
 
 def _all_root_rows(rs, gens):
@@ -323,21 +343,25 @@ def test_witness_walk_matches_box_search(cid, monkeypatch):
     subs = subsystems_for_case(cid)
     walked = {}
 
-    def record(rs, gens, reps):
-        w = _find_witness(rs, gens, reps)
-        walked[w] = list(reps)
+    def record(rs, basis, reps):
+        w = _find_witness(rs, basis, reps)
+        walked[w] = basis, list(reps)
         return w
 
     monkeypatch.setattr(subsys, "_find_witness", record)
     assert enumerate_subsystems(rs, theta_roots(cid)) == subs
-    masks = {sum(1 << rs.index[r] for r in s.roots if rs.index[r] < rs.npos): s
-             for s in subs}
+    masks = {sum(1 << i for i in s.members if i < rs.npos): s for s in subs}
     assert len(masks) == len(walked) == len(subs)
     for mask, s in masks.items():
         gens = [rs.index[r] for r in s.simple_system]
         reps = _cover_reps(masks, mask, rs.npos)
-        assert walked[s.witness] == reps
+        carried, walked_reps = walked[s.witness]
+        assert walked_reps == reps
         basis, pairs = _witness_problem(rs, gens, reps)
+        # the carried basis is the cleared nullspace basis, and its values
+        # are the pairings with the roots
+        assert [tuple(v[-rs.dim:]) for v in carried] == basis
+        assert [[v[r] for v in carried] for r in reps] == pairs
         all_basis, rows = _all_root_rows(rs, gens)
         assert all_basis == basis
         k = len(basis)
@@ -345,7 +369,34 @@ def test_witness_walk_matches_box_search(cid, monkeypatch):
         assert first is not None
         assert (_box_first(rows, k) if basis else ()) == first
         assert _first_avoiding(pairs, k) == _first_avoiding(rows, k) == first
-        assert _find_witness(rs, gens, reps) == s.witness == _point(rs, basis, first)
+        assert _find_witness(rs, carried, reps) == s.witness == \
+            _point(rs, basis, first)
+
+
+@st.composite
+def _row_stacks(draw):
+    """Integer rows in dim <= 8 coordinates, entries -3..3."""
+    dim = draw(st.integers(1, 8))
+    return dim, draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim,
+                                       max_size=dim), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_stacks())
+def test_step_gives_the_cleared_nullspace_basis(problem):
+    # any integer rows, applied one at a time by the walk's step to the
+    # identity basis, give the canonical basis of the points on which all
+    # of them vanish; a row that already vanishes on the flat is skipped
+    dim, rows = problem
+    basis = [list(col) for col in zip(*rows, *(
+        [int(i == c) for i in range(dim)] for c in range(dim)))]
+    for k in range(len(rows)):
+        if any(v[k] for v in basis):
+            basis = _extend(basis, k)
+        want = [tuple(clear_denominators(b)[0]) for b in nullspace(rows[:k + 1])]
+        assert [tuple(v[-dim:]) for v in basis] == want
+    for v in basis:
+        assert v[:len(rows)] == [sum(map(mul, row, v[-dim:])) for row in rows]
 
 
 @st.composite
@@ -419,7 +470,7 @@ def test_witness_walk_falls_through_as_the_box_search_does():
 def test_witness_check_refuses_a_larger_vanishing_set(monkeypatch):
     rs = build_root_system("D4")
     monkeypatch.setattr(subsys, "_find_witness",
-                        lambda rs, gens, reps: (Fraction(0),) * rs.dim)
+                        lambda rs, basis, reps: (Fraction(0),) * rs.dim)
     with pytest.raises(AssertionError, match="witness does not realize"):
         enumerate_subsystems(rs, theta_roots("A3B2D4"))
 
@@ -431,8 +482,8 @@ def test_witness_check_refuses_a_point_off_the_e7_hyperplane(monkeypatch):
     assert all(a[6] + a[7] == 0 for a in rs.ambient)
     find = subsys._find_witness
 
-    def shifted(rs, gens, reps):
-        w = find(rs, gens, reps)
+    def shifted(rs, basis, reps):
+        w = find(rs, basis, reps)
         return w[:6] + (w[6] + 1, w[7] + 1)
 
     monkeypatch.setattr(subsys, "_find_witness", shifted)
