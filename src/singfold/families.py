@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .exact import Echelon, Scalar
 from .poly import Polynomial, div_exact, gcd_univariate, monomials, parse
@@ -56,7 +56,7 @@ class CaseDescriptor:
     embedding: Dict[str, Polynomial]     # quotient var (or var+"^2") -> invariant
     strata: Tuple[Stratum, ...]          # finest first; last is "generic"
     fixed_locus: Subst                   # printed fixed locus, free symbol "s"
-    b_fixed: Optional[Tuple[int, Polynomial]] = None  # (square sign, const)
+    fixed_square: Optional[Polynomial] = None  # B types: const(t) - sign*s^2
 
     def stratum(self, stratum_id: str) -> Stratum:
         for s in self.strata:
@@ -162,18 +162,6 @@ QUOT_VARS = {
     "A3B2D4": ("X", "W", "Z"), "A5B3D5": ("X", "W", "Z"),
     "D4C3D6": ("X", "Y", "W"), "D4G2E6": ("X", "Y", "Z"),
     "D4G2E7": ("X", "Y", "Z"), "E6F4E7": ("X", "Y", "Z"),
-}
-
-# fixed locus of the symmetry whose smooth points the configuration rows
-# track: the full fixed locus for Z/2 and S3, the rho-fixed locus for Z/3;
-# a curve in the free symbol s, or a point where s does not occur
-_FIXED_LOCUS = {
-    "A3B2D4": {"x": "s", "y": "s", "z": "0"},
-    "A5B3D5": {"x": "s", "y": "-s", "z": "0"},
-    "D4C3D6": {"x": "s", "y": "t2/4 - s/2", "z": "0"},
-    "D4G2E6": {"x": "t2/6", "y": "t2/6", "z": "s"},
-    "D4G2E7": {"x": "t2/6", "y": "t2/6", "z": "0"},
-    "E6F4E7": {"x": "0", "y": "s", "z": "0"},
 }
 
 _SWEEPS = {2: _pair, 3: _triple, 4: _quad}
@@ -432,40 +420,37 @@ def _build_f4_strata(params: Tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
-# catalogue files: the one copy of fiber, quotient, action and chart
+# catalogue files: the one copy of every per-case polynomial not bound to a
+# sampler
 # ---------------------------------------------------------------------------
 
 CATALOGUE = importlib.resources.files(__package__) / "data"
 
 
 class CatalogueError(ValueError):
-    """A malformed case catalogue file; each problem starts with its key."""
+    """A malformed catalogue file; each problem starts with its key."""
 
-    def __init__(self, case_id: str, problems: List[str]):
-        super().__init__(f"case catalogue {case_id}: " + "; ".join(problems))
+    def __init__(self, name: str, problems: List[str]):
+        super().__init__(f"case catalogue {name}: " + "; ".join(problems))
         self.problems = problems
 
 
-def _read_catalogue(case_id: str, params: Sequence[str],
-                    quot_vars: Sequence[str],
-                    generators: Sequence[str]) -> Dict[str, Polynomial]:
-    """Parse and validate `data/<case>.txt`: key -> polynomial, in file order.
+def read_catalogue(name: str, allowed: Dict[str, Set[str]],
+                   optional: Tuple[str, ...] = (),
+                   rule: Callable[[Dict[str, Optional[Polynomial]]],
+                                  List[str]] = lambda entries: []
+                   ) -> Dict[str, Polynomial]:
+    """Parse and validate `data/<name>.txt`: key -> polynomial, in file order.
 
-    Every non-comment line is `key = expr`.  The keys are exactly `fiber`,
-    `quotient`, `action.<gen>.<x|y|z>` for each generator, and one of
-    `chart.V` or `chart.V^2` for each quotient variable V; each expression
-    uses only the variables allowed for its key.
+    Every non-comment line is `key = expr`, with a key of `allowed` whose
+    expression uses only the variables allowed for that key.  Every key is
+    required but those that start with a prefix in `optional`; `rule` lists
+    the further problems of the keys given, an expression that does not
+    parse mapping to None.  All problems are raised as one CatalogueError.
     """
-    cover = {*_FIBER_VARS, *params}
-    allowed = {"fiber": cover, "quotient": {*quot_vars, *params}}
-    allowed.update((f"action.{g}.{v}", cover)
-                   for g in generators for v in _FIBER_VARS)
-    allowed.update((f"chart.{v}{sq}", cover)
-                   for v in quot_vars for sq in ("", "^2"))
-    entries: Dict[str, Polynomial] = {}
-    seen = set()
+    entries: Dict[str, Optional[Polynomial]] = {}
     problems = []
-    text = (CATALOGUE / f"{case_id}.txt").read_text()
+    text = (CATALOGUE / f"{name}.txt").read_text()
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -475,47 +460,68 @@ def _read_catalogue(case_id: str, params: Sequence[str],
             problems.append(f"line {n}: {line!r} is not 'key = expr'")
         elif key not in allowed:
             problems.append(f"{key}: unknown key")
-        elif key in seen:
+        elif key in entries:
             problems.append(f"{key}: given twice")
         else:
-            seen.add(key)
             try:
                 entries[key] = parse(expr)
             except (ValueError, ZeroDivisionError) as exc:
+                entries[key] = None
                 problems.append(f"{key}: {exc}")
                 continue
             stray = set(entries[key].used_variables()) - allowed[key]
             if stray:
                 problems.append(f"{key}: variables {sorted(stray)} "
                                 "not allowed")
-    for key in allowed:
-        if not key.startswith("chart.") and key not in seen:
-            problems.append(f"{key}: missing")
-    for v in quot_vars:
-        given = [k for k in (f"chart.{v}", f"chart.{v}^2") if k in seen]
-        if len(given) != 1:
-            problems.append(f"chart.{v}: " + ("missing" if not given else
-                                              "given both plain and squared"))
+    problems += [f"{key}: missing" for key in allowed
+                 if not key.startswith(optional) and key not in entries]
+    problems += rule(entries)
     if problems:
-        raise CatalogueError(case_id, problems)
+        raise CatalogueError(name, problems)
     return entries
+
+
+def _read_cover(case_id: str, params: Sequence[str], quot_vars: Sequence[str],
+                generators: Sequence[str]) -> Dict[str, Polynomial]:
+    """The entries of `data/<case>.txt`: `fiber`, `quotient`,
+    `action.<gen>.<x|y|z>` for each generator, one of `chart.V` or
+    `chart.V^2` for each quotient variable V, the fixed locus
+    `fixed.<x|y|z>`, and optionally `fixed.square`, linear in the last
+    parameter."""
+    cover = {*_FIBER_VARS, *params}
+    allowed = {"fiber": cover, "quotient": {*quot_vars, *params}}
+    allowed.update((f"action.{g}.{v}", cover)
+                   for g in generators for v in _FIBER_VARS)
+    allowed.update((f"chart.{v}{sq}", cover)
+                   for v in quot_vars for sq in ("", "^2"))
+    allowed.update((f"fixed.{v}", {"s", *params})
+                   for v in (*_FIBER_VARS, "square"))
+
+    def rule(entries) -> List[str]:
+        problems = []
+        for v in quot_vars:
+            given = [k for k in (f"chart.{v}", f"chart.{v}^2")
+                     if k in entries]
+            if len(given) != 1:
+                problems.append(f"chart.{v}: " + (
+                    "missing" if not given else "given both plain and squared"))
+        square = entries.get("fixed.square")
+        if square is not None and square.degree_in(params[-1]) != 1:
+            problems.append(f"fixed.square: not linear in {params[-1]}")
+        return problems
+
+    return read_catalogue(case_id, allowed, ("chart.", "fixed.square"), rule)
 
 
 def _build_case(case_id: str) -> CaseDescriptor:
     meta = case_meta(case_id)
     params, slots = _PARAMS[case_id]
     order, generators = _OMEGA[meta.omega]
-    entries = _read_catalogue(case_id, params, QUOT_VARS[case_id], generators)
+    entries = _read_cover(case_id, params, QUOT_VARS[case_id], generators)
     gens = {g: {v: entries[f"action.{g}.{v}"] for v in _FIBER_VARS}
             for g in generators}
     emb = {k[len("chart."):]: p for k, p in entries.items()
            if k.startswith("chart.")}
-    floc = {v: parse(expr) for v, expr in _FIXED_LOCUS[case_id].items()}
-    b_fixed = None
-    if case_id == "A3B2D4":
-        b_fixed = (1, parse("t4 + t2^2/8"))
-    elif case_id == "A5B3D5":
-        b_fixed = (-1, parse(_C3))
     strata = _build_strata(case_id, params, entries["fiber"])
     for s in strata:
         if format_type(s.quotient_config.split("+")) != s.quotient_config:
@@ -526,7 +532,9 @@ def _build_case(case_id: str) -> CaseDescriptor:
         weights=_WEIGHTS[case_id], fiber_vars=_FIBER_VARS,
         fiber=entries["fiber"], quotient_vars=QUOT_VARS[case_id],
         quotient=entries["quotient"], omega_gens=gens, omega_order=order,
-        embedding=emb, strata=strata, fixed_locus=floc, b_fixed=b_fixed)
+        embedding=emb, strata=strata,
+        fixed_locus={v: entries[f"fixed.{v}"] for v in _FIBER_VARS},
+        fixed_square=entries.get("fixed.square"))
 
 
 @functools.cache
@@ -769,15 +777,14 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
         if not pts:
             report["ok"] = False
             report["failures"].append({k: str(v) for k, v in t.items()})
-    if case.b_fixed is not None:
-        sqsign, const = case.b_fixed
+    if case.fixed_square is not None:
         for i in range(count):
             s = Fraction(rng.randint(1, 12), rng.choice((1, 2)))
             t = {p: Fraction(rng.randint(-12, 12)) for p in case.params}
             # adjust the last parameter so that the fixed point is rational:
-            # sqsign * s^2 = const(t)
+            # the fixed square vanishes at (s, t)
             last = case.params[-1]
-            t[last] = _root_in(const - sqsign * s ** 2, last, t)
+            t[last] = _root_in(case.fixed_square, last, {**t, "s": s})
             point = {v: p.evaluate({"s": s})     # the fixed locus at s
                      for v, p in case.fixed_locus.items()}
             val = fiber_at(case_id, t).evaluate(point)

@@ -63,6 +63,17 @@ def positive_root_count(label: str) -> int:
     return {"E6": 36, "E7": 63}[label]
 
 
+def basic_invariants(label: str) -> Tuple[str, ...]:
+    """Names of the basic invariants of the Weyl group of ``label``: p<d> for
+    each degree d, and pf for the degree-n Pfaffian of D_n, last (Humphreys,
+    Reflection Groups and Coxeter Groups, §3.7)."""
+    if label[0] == "D":
+        n = int(label[1:])
+        return tuple(f"p{d}" for d in range(2, 2 * n - 1, 2)) + ("pf",)
+    degrees = {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18)}
+    return tuple(f"p{d}" for d in degrees[label])
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A simply-laced root system with its case coordinate convention.

@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import random
+import tomllib
 from collections import Counter, defaultdict
+from fnmatch import fnmatch
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -103,6 +105,10 @@ BROKEN_CATALOGUES = [
     ("D4G2E7", "chart.Y = z^2\n", "chart.Y^2 = z^4\nchart.Y = z^2\n",
      "chart.Y: given both plain and squared"),
     ("D4C3D6", "fiber = ", "fiber ", "line 3: "),
+    ("D4G2E6", "fixed.x = t2/6\n", "fixed.x = x/6\n",
+     "fixed.x: variables ['x'] not allowed"),
+    ("A5B3D5", "fixed.square = t6 + ", "fixed.square = t6^2 + ",
+     "fixed.square: not linear in t6"),
 ]
 
 
@@ -162,6 +168,36 @@ def test_catalogue_facts_are_pinned():
                 put(None if t is None else
                     sorted((p, str(v)) for p, v in t.items()))
     assert digest.hexdigest() == CATALOGUE_FACTS_SHA256
+
+
+# sha256 of each case's fixed locus and fixed square; recorded while they
+# were still Python tables
+FIXED_LOCI_SHA256 = \
+    "a9aa09a079e248e913df8afc1136a5910ee7f4f7b4d170e821c47113922b8911"
+
+
+def test_fixed_loci_are_pinned():
+    digest = hashlib.sha256()
+    for cid in CASE_IDS:
+        case = descriptor(cid)
+        square = case.fixed_square
+        line = (cid, sorted((v, to_text(p))
+                            for v, p in case.fixed_locus.items()),
+                None if square is None else to_text(square))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == FIXED_LOCI_SHA256
+
+
+def test_data_files_are_the_case_files_and_are_packaged():
+    # <case>.txt and <case>.flat.txt for each case, nothing else, and all
+    # of them in the package-data globs of pyproject.toml
+    names = sorted(p.name for p in families.CATALOGUE.iterdir())
+    assert names == sorted(f"{cid}{kind}.txt" for cid in CASE_IDS
+                           for kind in ("", ".flat"))
+    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent
+                               / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["singfold"]
+    assert all(any(fnmatch(f"data/{n}", g) for g in globs) for n in names)
 
 
 def test_noncanonical_configuration_is_refused(monkeypatch):
@@ -345,9 +381,15 @@ def test_theorem2_fixed_locus_gives_a_singular_point_on_every_fiber(cid):
     assert P.degree_in("s") == THEOREM2_DEGREES[cid]
     lead = P.coefficients_in("s")[-1]
     assert lead.is_constant() and not lead.is_zero()
+    _assert_singular_modulo(case, case.fixed_locus, P)
+
+
+def _assert_singular_modulo(case, locus, P):
+    """(ii) of Theorem 2: Q and each dQ/dV vanish modulo P at the chart
+    image of the locus."""
     image = {}
     for key, chart in case.embedding.items():
-        value = _rem_in_s(chart.subs(case.fixed_locus), P)
+        value = _rem_in_s(chart.subs(locus), P)
         if key.endswith("^2"):
             assert value.is_zero(), key
             image[key[:-2]] = Polynomial.zero()
@@ -361,12 +403,26 @@ def test_theorem2_fixed_locus_gives_a_singular_point_on_every_fiber(cid):
 
 @pytest.mark.parametrize("cid", ["A3B2D4", "A5B3D5"])
 def test_theorem2_b_types_fixed_point_is_an_identity(cid):
-    # (iii) the spot check's fixed point: F(phi(s), t) = 0 wherever
-    # sqsign * s^2 = const(t), as an identity
+    # (iii) the spot check's fixed point: F(phi(s), t) = 0 wherever the
+    # fixed square const(t) - sqsign * s^2 vanishes, as an identity
     case = descriptor(cid)
-    sqsign, const = case.b_fixed
     P = case.fiber.subs(case.fixed_locus)
-    assert _rem_in_s(P, sqsign * Polynomial.var("s") ** 2 - const).is_zero()
+    assert _rem_in_s(P, case.fixed_square).is_zero()
+
+
+def test_theorem2_holds_for_d4g2e7_on_the_fixed_line_of_rho():
+    # rho fixes the line phi(s) = (t2/6, t2/6, s), which meets every fiber:
+    # (i) P = t6/4 - t2^3/432 - s^2, of degree 2 in s with leading
+    # coefficient -1; (ii) the chart image of phi(s) is a singular point of
+    # the quotient fiber modulo P
+    case = descriptor("D4G2E7")
+    line = {"x": parse("t2/6"), "y": parse("t2/6"), "z": parse("s")}
+    rho = case.omega_gens["rho"]
+    assert {v: rho[v].subs(line) for v in case.fiber_vars} == line
+    P = case.fiber.subs(line)
+    assert P == parse("t6/4 - t2^3/432 - s^2")
+    assert P.degree_in("s") == 2 and P.coefficients_in("s")[-1] == parse("-1")
+    _assert_singular_modulo(case, line, P)
 
 
 def test_d4g2e7_fixed_point_lies_on_one_hypersurface_of_fibers():

@@ -1,15 +1,19 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from singfold.families import descriptor
+from singfold import families, flatmap
+from singfold.cli import main, verify_case
+from singfold.families import CatalogueError, descriptor, verify_catalogue
 from singfold.flatmap import (chart_point_to_params, correspondence_check,
                               flat_chart, pi_prime, verify_iso,
                               witness_to_chart)
 from singfold.rootsys import CASE_IDS
-from singfold.poly import to_text
+from singfold.poly import Polynomial, parse, to_text
 from singfold.subsys import subsystems_for_case
 
 RELATION_COUNTS = {"A3B2D4": 1, "A5B3D5": 1, "D4C3D6": 3, "D4G2E6": 2,
@@ -187,3 +191,167 @@ def test_base_changes_are_pinned():
                 sorted((k, to_text(g)) for k, g in chart.inverse.items()))
         digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == BASE_CHANGE_SHA256
+
+
+# sha256 of each case's psi names and the to_text of its relations, in file
+# order; recorded while the flat records were still Python tables
+FLAT_RELATIONS_SHA256 = \
+    "e2c7e341b9e464189f9b165661adc53d0bbb482e4a3c15649d3b76171f1f6554"
+
+
+def test_psi_names_and_relations_are_pinned():
+    digest = hashlib.sha256()
+    for cid in CASE_IDS:
+        chart = flat_chart(cid)
+        line = (cid, list(chart.psi_names),
+                [to_text(r) for r in chart.relations])
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == FLAT_RELATIONS_SHA256
+
+
+@pytest.fixture
+def cold_flat_charts():
+    """Empty flat-chart and descriptor caches, emptied again at the end."""
+    flat_chart.cache_clear()
+    descriptor.cache_clear()
+    yield
+    flat_chart.cache_clear()
+    descriptor.cache_clear()
+
+
+def _catalogue_copy(tmp_path, monkeypatch, names, edit=None):
+    """The named data files copied to tmp_path, `edit` = (name, old, new)
+    applied once, and the catalogue pointed there."""
+    for name in names:
+        text = (families.CATALOGUE / name).read_text()
+        if edit and edit[0] == name:
+            assert edit[1] in text
+            text = text.replace(edit[1], edit[2], 1)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(families, "CATALOGUE", tmp_path)
+
+
+ALL_DATA_FILES = [f"{cid}{kind}.txt" for cid in CASE_IDS
+                  for kind in ("", ".flat")]
+
+# (case, line to replace, replacement, problem the error must name)
+BROKEN_FLAT_FILES = [
+    ("A3B2D4", "flat.pf = 0\n", "flat.pf = 0\nflat.p7 = x1^7\n",
+     "flat.p7: unknown key"),
+    ("A5B3D5", "flat.p2 = x1^2 + x2^2 + x3^2\n", "flat.p2 = t2\n",
+     "flat.p2: variables ['t2'] not allowed"),
+    ("D4C3D6", "forward.pf = ", "# forward.pf = ", "forward.pf: missing"),
+    ("D4G2E6", "flat.p5 = 0\n", "", "flat.p5: missing"),
+    ("D4G2E7", "relation.p8 = ", "relation.p6 = ",
+     "relation.p6: not monic and linear in p6"),
+    ("E6F4E7", "inverse.t2 = p2\n", "inverse.t2 = p2\ninverse.t2 = p2\n",
+     "inverse.t2: given twice"),
+    ("A3B2D4", "1/108*p2^3", "1/107*p2^3",
+     "relation.p6: does not vanish on the chart"),
+]
+
+
+@pytest.mark.parametrize("cid,old,new,problem", BROKEN_FLAT_FILES,
+                         ids=[f"{b[0]}-{b[3].split(':')[0]}"
+                              for b in BROKEN_FLAT_FILES])
+def test_malformed_flat_file_is_reported(tmp_path, monkeypatch, capsys,
+                                         cold_flat_charts,
+                                         cid, old, new, problem):
+    _catalogue_copy(tmp_path, monkeypatch, ALL_DATA_FILES,
+                    (f"{cid}.flat.txt", old, new))
+    with pytest.raises(CatalogueError) as exc:
+        flat_chart(cid)
+    assert [p for p in exc.value.problems if p.startswith(problem)], \
+        exc.value.problems
+    # set-up reads no flat file, so the broken one stops only its section
+    assert verify_catalogue()["ok"]
+    assert main(["verify", "--case", cid, "--sections", "iso"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: case catalogue {cid}.flat: " in err and problem in err
+
+
+def test_set_up_reads_no_flat_file(tmp_path, monkeypatch, cold_flat_charts):
+    _catalogue_copy(tmp_path, monkeypatch, [f"{cid}.txt" for cid in CASE_IDS])
+    assert verify_catalogue() == {"ok": True,
+                                  "cases": {cid: [] for cid in CASE_IDS}}
+    assert [descriptor(cid).case_id for cid in CASE_IDS] == list(CASE_IDS)
+    with pytest.raises(FileNotFoundError):
+        flat_chart("A3B2D4")
+
+
+# each verdict conjunct made false on its own, through monkeypatch: the
+# section, verify_case and the command line must all fail
+
+def _fails_everywhere(cid, section, report, capsys):
+    assert report["ok"] is False
+    assert verify_case(cid, sections=[section])["ok"] is False
+    assert main(["verify", "--case", cid, "--sections", section]) == 1
+    capsys.readouterr()
+
+
+def test_iso_fails_on_g_after_f_alone(monkeypatch, capsys):
+    # a chart restricted to the line x2 = 0 and an inverse that is wrong off
+    # that line only: f o g still holds on the chart, g o f does not
+    chart = flat_chart("A3B2D4")
+    inverse = {**chart.inverse,
+               "t4": chart.inverse["t4"] + parse("p4 + p2^2/4")}
+    line = {k: f.subs({"x2": Polynomial.zero()})
+            for k, f in chart.formulas.items()}
+    broken = dataclasses.replace(chart, formulas=line, inverse=inverse)
+    monkeypatch.setattr(flatmap, "flat_chart", lambda cid: broken)
+    rep = verify_iso("A3B2D4")
+    assert rep["g_after_f"] == {"t2": True, "t4": False}
+    assert all(rep["f_after_g"].values())
+    _fails_everywhere("A3B2D4", "iso", rep, capsys)
+
+
+@pytest.mark.parametrize("cid", ["A3B2D4", "E6F4E7"])
+def test_iso_fails_on_f_after_g_alone(cid, monkeypatch, capsys):
+    # a component of f that g never reads: g o f still holds
+    chart = flat_chart(cid)
+    last = chart.psi_names[-1]
+    forward = chart.forward[:-1] + (chart.forward[-1] + parse("t2"),)
+    broken = dataclasses.replace(chart, forward=forward)
+    assert all(last not in g.used_variables() for g in chart.inverse.values())
+    monkeypatch.setattr(flatmap, "flat_chart", lambda cid: broken)
+    rep = verify_iso(cid)
+    assert all(rep["g_after_f"].values())
+    assert [k for k, v in rep["f_after_g"].items() if not v] == [last]
+    _fails_everywhere(cid, "iso", rep, capsys)
+
+
+def test_correspondence_fails_on_the_stratum_alone(monkeypatch, capsys):
+    monkeypatch.setattr(flatmap, "stratum_membership",
+                        lambda cid, t: "generic")
+    rep = correspondence_check("A3B2D4")
+    assert all(e["configuration"] == e["type"] for e in rep["entries"])
+    assert not all(e["match"] for e in rep["entries"])
+    _fails_everywhere("A3B2D4", "correspondence", rep, capsys)
+
+
+def test_correspondence_fails_on_the_configuration_alone(monkeypatch, capsys):
+    classify = flatmap.classify_quotient_fiber
+
+    def misread(cid, t):
+        real = classify(cid, t).type_string()
+        return SimpleNamespace(type_string=lambda: real + "+A1")
+
+    monkeypatch.setattr(flatmap, "classify_quotient_fiber", misread)
+    rep = correspondence_check("A3B2D4")
+    assert all(e["stratum"] == e["stratum_expected"] for e in rep["entries"])
+    assert not any(e["match"] for e in rep["entries"])
+    _fails_everywhere("A3B2D4", "correspondence", rep, capsys)
+
+
+def test_correspondence_fails_on_the_census_alone(monkeypatch, capsys):
+    # every subsystem of one type left out: each entry still matches its
+    # stratum, but the census misses that stratum
+    subs = subsystems_for_case("E6F4E7")
+    dropped = subs[0].type_string()
+    monkeypatch.setattr(flatmap, "subsystems_for_case",
+                        lambda cid: [s for s in subs
+                                     if s.type_string() != dropped])
+    rep = correspondence_check("E6F4E7")
+    assert all(e["match"] for e in rep["entries"])
+    assert rep["census_matches_strata"] is False
+    _fails_everywhere("E6F4E7", "correspondence", rep, capsys)

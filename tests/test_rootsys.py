@@ -16,12 +16,27 @@ except ImportError:  # the root oracle from sympy is optional
 
 import singfold
 from singfold import rootsys
-from singfold.rootsys import (CASE_IDS, ROOT_TYPES, build_root_system,
-                              case_meta, closure, expected_cartan,
-                              root_from_coefficients, theta_roots, to_json,
-                              vanishing_set, vneg)
+from singfold.rootsys import (CASE_IDS, ROOT_TYPES, basic_invariants,
+                              build_root_system, case_meta, closure,
+                              expected_cartan, root_from_coefficients,
+                              theta_roots, to_json, vanishing_set, vneg)
 
 ROOT_COUNTS = {"D4": 24, "D5": 40, "D6": 60, "E6": 72, "E7": 126}
+WEYL_ORDERS = {"D4": 192, "D5": 1920, "D6": 23040, "E6": 51840,
+               "E7": 2903040}
+
+
+@pytest.mark.parametrize("label", ROOT_TYPES)
+def test_basic_invariants_have_the_weyl_group_degrees(label):
+    # one basic invariant per simple root, pf of degree n for D_n; the
+    # degrees multiply to |W| and their d - 1 sum to the number of positive
+    # roots (Humphreys, Reflection Groups and Coxeter Groups, Theorem 3.9)
+    rank = int(label[1:])
+    degrees = [rank if p == "pf" else int(p[1:])
+               for p in basic_invariants(label)]
+    assert len(degrees) == rank
+    assert math.prod(degrees) == WEYL_ORDERS[label]
+    assert sum(d - 1 for d in degrees) == ROOT_COUNTS[label] // 2
 
 
 def inner(rs, a, b):
