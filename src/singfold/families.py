@@ -94,7 +94,7 @@ def compose_subst(g: Subst, h: Subst, variables: Sequence[str]) -> Subst:
 
 
 # ---------------------------------------------------------------------------
-# deterministic sweep helpers for samplers
+# samplers: deterministic sweeps, weighted orbits and F4's fiber points
 # ---------------------------------------------------------------------------
 
 def _sval(k: int) -> Fraction:
@@ -122,6 +122,94 @@ def _quad(k: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     a, b = _pair(k % 21)
     c, d = _pair(k // 21)
     return a, b, c, d
+
+
+def _swept(names: Sequence[str], k: int) -> Dict[str, Fraction]:
+    return dict(zip(names, {2: _pair, 3: _triple, 4: _quad}[len(names)](k)))
+
+
+def _on_orbit(params: Tuple[str, ...], weights: Dict[str, int],
+              base: Tuple[Fraction, ...], k: int) -> Dict[str, Fraction]:
+    """The weighted orbit of the base point: t_d = s^(d/2) * c_d at
+    s = _sval(k).  Every parameter weight is even, so the point is rational,
+    and the fiber at it is isomorphic to the fiber at the base point."""
+    s = _sval(k)
+    return {p: s ** (weights[p] // 2) * c for p, c in zip(params, base)}
+
+
+def _solved(params: Tuple[str, ...], name: str, coefficients,
+            k: int) -> Dict[str, Fraction]:
+    """A sweep of the other parameters, `name` solved from an equation
+    linear in it, given by its coefficients in `name`."""
+    t = _swept([p for p in params if p != name], k)
+    t[name] = _root(coefficients, t)
+    return {p: t[p] for p in params}
+
+
+def _root(coefficients: Sequence[Polynomial], values) -> Fraction:
+    """The root in v of c0 + c1*v, for the coefficients (c0, c1) in v of a
+    polynomial linear in v, evaluated at `values`."""
+    c0, c1 = coefficients
+    return -c0.evaluate(values) / c1.evaluate(values)
+
+
+def _f4_point(fiber: Polynomial):
+    """point(x0, y0, t2, t6): the parameter point whose catalogued fiber F
+    has F = F_y = 0 at (x0, y0, 0), t8 solved from F_y and t12 from F."""
+    on_z0 = fiber.subs({"z": Fraction(0)})
+    t8, t12 = on_z0.diff("y").coefficients_in("t8"), \
+        on_z0.coefficients_in("t12")
+
+    def point(x0, y0, t2, t6) -> Dict[str, Fraction]:
+        t = {"x": x0, "y": y0, "t2": t2, "t6": t6}
+        t["t8"] = _root(t8, t)
+        t["t12"] = _root(t12, t)
+        return {p: t[p] for p in ("t2", "t6", "t8", "t12")}
+    return point
+
+
+# the six F4 rows sampled off an orbit: each picks (x0, y0, t2, t6) so
+# that F_x vanishes at (x0, y0, 0) as well, a singular point of the fiber
+def _f4_h1(point, k: int) -> Optional[Dict[str, Fraction]]:
+    return point(Fraction(0), *_triple(k))
+
+
+def _f4_h2(point, k: int) -> Optional[Dict[str, Fraction]]:
+    x0, t2, t6 = _triple(k)
+    if t2 == 0 or x0 == 0:
+        return None
+    return point(x0, 2 * (-x0 ** 2 + (t6 - t2 ** 3 / 8) / 24) / t2, t2, t6)
+
+
+def _f4_d4a1(point, k: int) -> Optional[Dict[str, Fraction]]:
+    t2, t6 = _pair(k)
+    if t2 == 0:
+        return None
+    return point(Fraction(0), (t6 - t2 ** 3 / 8) / (12 * t2), t2, t6)
+
+
+def _f4_a5(point, k: int) -> Optional[Dict[str, Fraction]]:
+    return point(Fraction(0), Fraction(0), *_pair(k))
+
+
+def _f4_a2a1(point, k: int) -> Optional[Dict[str, Fraction]]:
+    x0, t2 = _pair(k)
+    if t2 == 0 or x0 == 0:
+        return None
+    return point(x0, -t2 ** 2 / 48, t2, 24 * x0 ** 2 - t2 ** 3 / 8)
+
+
+def _f4_h1h2(point, k: int) -> Optional[Dict[str, Fraction]]:
+    x0, d = _pair(k)
+    if x0 == 0 or d == 0:
+        return None
+    y1 = (d - x0 ** 4 / (4 * d ** 2)) / 3
+    y0 = y1 - d
+    t2 = 12 * (y0 ** 2 - y1 ** 2) / x0 ** 2
+    if t2 == 0:
+        return None
+    t6 = t2 ** 3 / 8 + 24 * (x0 ** 2 + t2 * y0 / 2)
+    return point(Fraction(0), y1, t2, t6)
 
 
 # ---------------------------------------------------------------------------
@@ -164,39 +252,67 @@ QUOT_VARS = {
     "D4G2E7": ("X", "Y", "Z"), "E6F4E7": ("X", "Y", "Z"),
 }
 
-_SWEEPS = {2: _pair, 3: _triple, 4: _quad}
+# the named polynomials of the strata; a pair is a named one under a
+# substitution.  B3 and C3 share a Weyl group, so A5B3D5 and D4C3D6 share
+# their discriminant: the zeros of c3 (H1, or L) and of h (H2, or H)
+_NAMED = {
+    "c3": "t6 + t2*t4/6 + t2^3/108",
+    "h": ("-t2^6/432 + t2^4*t4/12 - t2^2*t4^2/4 - 9*t2*t4*t6 + 4*t4^3"
+          " + 27*t6^2"),
+    "H1": ("t2^12 - 144*t2^9*t6 + 576*t2^8*t8 + 5184*t2^6*t6^2"
+           " - 13824*t2^5*t6*t8 - 138240*t2^4*t8^2 - 69120*t2^3*t6^3"
+           " - 331776*t12*t2^3*t6 + 829440*t2^2*t6^2*t8"
+           " + 3981312*t12*t2^2*t8 - 5308416*t2*t6*t8^2 - 248832*t6^4"
+           " + 3981312*t12*t6^2 + 7077888*t8^3 - 15925248*t12^2"),
+    "H2": ("H1", {"t6": "-t6", "t12": "-t12"}),     # F4's H2
+    "pinch": "96*t2^2*t8 - t2^6 - 96*t6^2",
+    "t8+": "192*t8 + t2^4 - 48*t2*t6",     # t8 = -t2^4/192 + t2*t6/4
+    "t8-": "192*t8 + t2^4 + 48*t2*t6",     # t8 = -t2^4/192 - t2*t6/4
+}
 
+# each row's geometry by name: its equations and inequations, "; "-separated
+# names in _NAMED or polynomial texts, and its sampler: a base point c in
+# parameter order, sampled on its weighted orbit; a parameter, solved from
+# the first equation over a sweep of the others; None, a sweep of every
+# parameter; or an F4 function of the point helper and k
+_GEOMETRY = {
+    "t4=-t2^2/8": ("t4 + t2^2/8", "t2", "1, -1/8"),
+    "t4=t2^2/8": ("t4 - t2^2/8", "t2", "1, 1/8"),
+    "c3,t4=-t2^2/4": ("c3; t4 + t2^2/4", "t2", "1, -1/4, 7/216"),
+    "c3,t4=0": ("c3; t4", "t2", "1, 0, -1/108"),
+    "h,t4=t2^2/12": ("h; t4 - t2^2/12; t6 - t2^3/72", "t2", "1, 1/12, 1/72"),
+    "c3": ("c3", "t4; t4 + t2^2/4", "t6"),
+    "h": ("h", "c3; t4 - t2^2/12", "1, 0, 1/108"),
+    "t6=t2^3/108": ("108*t6 - t2^3", "t2", "1, 1/108"),
+    "t6=-t2^3/108": ("108*t6 + t2^3", "t2", "1, -1/108"),
+    "D6": ("H1; pinch; t2^3 - 8*t6", "t2", "1, 1/8, 5/192, 1/256"),
+    "D5+A1": ("H1; pinch; t2^3 + 8*t6", "t2", "1, -1/8, 5/192, -1/256"),
+    "A5+A1": ("H1; H2; t8+", "t2; t2^3 - 8*t6", "1, 1/72, -1/576, -7/20736"),
+    "A3+A2+A1": ("H1; H2; t8-", "t2; t2^3 + 8*t6",
+                 "1, -1/72, -1/576, 7/20736"),
+    "D4+A1": ("H1; pinch", "t2; t2^3 - 8*t6; t2^3 + 8*t6", _f4_d4a1),
+    "H1&H2": ("H1; H2", "t2; t8+; t8-; pinch", _f4_h1h2),
+    "A5": ("H1; t8+", "t2^3 - 8*t6; H2", _f4_a5),
+    "H1": ("H1", "", _f4_h1),
+    "A2+A1+A1+A1": ("H2; t8-", "t2; t2^3 + 8*t6", _f4_a2a1),
+    "H2": ("H2", "t2", _f4_h2),
+}
 
-def _origin(params: Tuple[str, ...], config: str, fiber_orbits, fixed,
-            description: Optional[str] = None) -> Stratum:
-    return Stratum("origin", description or " = ".join(params) + " = 0",
-                   tuple(map(Polynomial.var, params)), (), config,
-                   fiber_orbits, fixed,
-                   lambda k: dict.fromkeys(params, Fraction(0)),
-                   max_samples=1)
-
-
-def _generic(params: Tuple[str, ...], inequations, config: str,
-             fixed: Optional[int]) -> Stratum:
-    """Off the discriminant; where the covering fiber is catalogued (fixed
-    is not None) it has no singular orbits."""
-    sweep = _SWEEPS[len(params)]
-    return Stratum("generic", "off the discriminant", (), tuple(inequations),
-                   config, None if fixed is None else (), fixed,
-                   lambda k: dict(zip(params, sweep(k))))
-
-
-# B3 and C3 share a Weyl group, so A5B3D5 and D4C3D6 share their
-# discriminant: the zeros of c3 (H1, or L) and of h (H2, or H)
-_C3 = "t6 + t2*t4/6 + t2^3/108"
-_H = ("-t2^6/432 + t2^4*t4/12 - t2^2*t4^2/4 - 9*t2*t4*t6 + 4*t4^3"
-      " + 27*t6^2")
-
-# per case: the origin's (configuration, fiber orbits, fixed count), the
-# generic stratum's (configuration, fixed count), then the rows finest first
-# as (row, id, description, configuration, fiber orbits, fixed count)
-_RANK3 = {
-    "A5B3D5": (("D5", (("A5", 1),), 0), ("A1+A1", 2), (
+# per case, its rows finest first: (geometry, id, description,
+# configuration, and where the covering fiber is catalogued its singular
+# orbits as (type, orbit size) and smooth fixed count).  The origin is the
+# zero orbit; the generic row is off the rows of one equation
+_STRATA = {
+    "A3B2D4": (
+        ("origin", "origin", "t2 = t4 = 0", "D4", (("A3", 1),), 0),
+        ("t4=-t2^2/8", "t4=-t2^2/8", "t4 = -t2^2/8, t2 != 0", "A3",
+         (("A1", 1),), 0),
+        ("t4=t2^2/8", "t4=t2^2/8", "t4 = t2^2/8, t2 != 0", "A1+A1+A1",
+         (("A1", 2),), 2),
+        ("generic", "generic", "off the discriminant", "A1+A1", (), 2),
+    ),
+    "A5B3D5": (
+        ("origin", "origin", "t2 = t4 = t6 = 0", "D5", (("A5", 1),), 0),
         ("c3,t4=-t2^2/4", "H1,t4=-t2^2/4", "H1 with t4 = -t2^2/4 != 0", "D4",
          (("A3", 1),), 0),
         ("c3,t4=0", "H1,t4=0", "H1 with t4 = 0, t2 != 0", "A3+A1",
@@ -205,8 +321,10 @@ _RANK3 = {
          "A2+A1+A1", (("A2", 2),), 2),
         ("c3", "H1", "H1, generic", "A3", (("A1", 1),), 0),
         ("h", "H2", "H2 away from H1, generic", "A1+A1+A1", (("A1", 2),), 2),
-    )),
-    "D4C3D6": (("D6", (("D4", 1),), 0), ("A1+A1+A1", 3), (
+        ("generic", "generic", "off the discriminant", "A1+A1", (), 2),
+    ),
+    "D4C3D6": (
+        ("origin", "origin", "t2 = t4 = t6 = 0", "D6", (("D4", 1),), 0),
         ("c3,t4=-t2^2/4", "L,t4=-t2^2/4", "L with t4 = -t2^2/4 != 0", "D4+A1",
          (("A3", 1),), 1),
         ("h,t4=t2^2/12", "H,t4=t2^2/12", "H with t4 = t2^2/12 != 0", "A5",
@@ -215,208 +333,84 @@ _RANK3 = {
          (("A1", 2), ("A1", 1)), 1),
         ("c3", "L", "L, generic", "A1+A1+A1+A1", (("A1", 2),), 3),
         ("h", "H", "H away from L, generic", "A3+A1", (("A1", 1),), 1),
-    )),
+        ("generic", "generic", "off the discriminant", "A1+A1+A1", (), 3),
+    ),
+    "D4G2E6": (
+        ("origin", "origin", "t2 = t6 = 0", "E6", (("D4", 1),), 0),
+        ("t6=t2^3/108", "t6=t2^3/108", "t6 = t2^3/108 != 0", "A5",
+         (("A1", 1),), 0),
+        ("t6=-t2^3/108", "t6=-t2^3/108", "t6 = -t2^3/108 != 0", "A2+A2+A1",
+         (("A1", 3),), 2),
+        ("generic", "generic", "off the discriminant", "A2+A2", (), 2),
+    ),
+    "D4G2E7": (
+        ("origin", "origin", "t2 = t6 = 0", "E7", (("D4", 1),), 0),
+        ("t6=t2^3/108", "t6=t2^3/108", "t6 = t2^3/108 != 0", "D5+A1",
+         (("A1", 1),), 0),
+        ("t6=-t2^3/108", "t6=-t2^3/108", "t6 = -t2^3/108 != 0", "A3+A2+A1",
+         (("A1", 3),), 0),
+        ("generic", "generic", "off the discriminant", "A2+A1+A1+A1", (), 0),
+    ),
+    "E6F4E7": (
+        ("origin", "origin", "t = 0", "E7"),
+        ("D6", "D6", "H1, t8-pinch, t2^3 = 8 t6", "D6"),
+        ("D5+A1", "D5+A1", "H1, t8-pinch, t2^3 = -8 t6", "D5+A1"),
+        ("A5+A1", "A5+A1", "H1 & H2, t8 = -t2^4/192 + t2 t6/4", "A5+A1"),
+        ("A3+A2+A1", "A3+A2+A1", "H1 & H2, t8 = -t2^4/192 - t2 t6/4",
+         "A3+A2+A1"),
+        # the t8-pinch component of H1 lies inside H1 & H2 as a set, so it
+        # must precede the transverse H1 & H2 row
+        ("D4+A1", "D4+A1", "H1, t8 = (t2^6 + 96 t6^2)/(96 t2^2)", "D4+A1"),
+        ("H1&H2", "H1&H2", "H1 & H2, generic", "A3+A1+A1"),
+        ("A5", "A5", "H1, t8 = -t2^4/192 + t2 t6/4", "A5"),
+        ("H1", "H1", "H1, generic", "A3+A1"),
+        ("A2+A1+A1+A1", "A2+A1+A1+A1", "H2, t8 = -t2^4/192 - t2 t6/4",
+         "A2+A1+A1+A1"),
+        ("H2", "H2", "H2, generic (t2 != 0)", "A1+A1+A1+A1"),
+        ("generic", "generic", "off the discriminant", "A1+A1+A1"),
+    ),
 }
 
 
 def _build_strata(case_id: str, params: Tuple[str, ...],
                   fiber: Polynomial) -> Tuple[Stratum, ...]:
-    P = parse
-    if case_id == "A3B2D4":
-        minus, plus = P("t4 + t2^2/8"), P("t4 - t2^2/8")
-        return (
-            _origin(params, "D4", (("A3", 1),), 0),
-            Stratum("t4=-t2^2/8", "t4 = -t2^2/8, t2 != 0",
-                    (minus,), (P("t2"),), "A3", (("A1", 1),), 0,
-                    lambda k: {"t2": _sval(k), "t4": -_sval(k) ** 2 / 8}),
-            Stratum("t4=t2^2/8", "t4 = t2^2/8, t2 != 0",
-                    (plus,), (P("t2"),), "A1+A1+A1", (("A1", 2),), 2,
-                    lambda k: {"t2": _sval(k), "t4": _sval(k) ** 2 / 8}),
-            _generic(params, (minus, plus), "A1+A1", 2),
-        )
-    if case_id in _RANK3:
-        c3, h, t2 = P(_C3), P(_H), P("t2")
+    """The rows of a case from its table, each polynomial parsed once."""
+    parsed: Dict[str, Polynomial] = {}
 
-        def on_c3(t2, t4):
-            return {"t2": t2, "t4": t4, "t6": -t2 * t4 / 6 - t2 ** 3 / 108}
+    def poly(name: str) -> Polynomial:
+        if name not in parsed:
+            text = _NAMED.get(name, name)
+            parsed[name] = parse(text) if isinstance(text, str) else \
+                poly(text[0]).subs({v: parse(e) for v, e in text[1].items()})
+        return parsed[name]
 
-        # the five B3/C3 rows by name: (equations, inequations, sampler)
-        rows = {
-            "c3,t4=-t2^2/4": ((c3, P("t4 + t2^2/4")), (t2,),
-                              lambda k: on_c3(_sval(k), -_sval(k) ** 2 / 4)),
-            "c3,t4=0": ((c3, P("t4")), (t2,),
-                        lambda k: on_c3(_sval(k), Fraction(0))),
-            "h,t4=t2^2/12": ((h, P("t4 - t2^2/12"), P("t6 - t2^3/72")), (t2,),
-                             lambda k: {"t2": _sval(k),
-                                        "t4": _sval(k) ** 2 / 12,
-                                        "t6": _sval(k) ** 3 / 72}),
-            "c3": ((c3,), (P("t4"), P("t4 + t2^2/4")),
-                   lambda k: on_c3(*_pair(k))),
-            "h": ((h,), (c3, P("t4 - t2^2/12")),
-                  lambda k: {"t2": _sval(k), "t4": Fraction(0),
-                             "t6": _sval(k) ** 3 / 108}),
-        }
-        origin, generic, table = _RANK3[case_id]
-        return (
-            _origin(params, *origin),
-            *(Stratum(sid, text, *rows[row][:2], conf, orbits, fixed,
-                      rows[row][2])
-              for row, sid, text, conf, orbits, fixed in table),
-            _generic(params, (c3, h), *generic),
-        )
-    if case_id in ("D4G2E6", "D4G2E7"):
-        e7 = case_id == "D4G2E7"
-        plus, minus = P("108*t6 - t2^3"), P("108*t6 + t2^3")
-        return (
-            _origin(params, "E7" if e7 else "E6", (("D4", 1),), 0),
-            Stratum("t6=t2^3/108", "t6 = t2^3/108 != 0",
-                    (plus,), (P("t2"),), "D5+A1" if e7 else "A5",
-                    (("A1", 1),), 0,
-                    lambda k: {"t2": _sval(k), "t6": _sval(k) ** 3 / 108}),
-            Stratum("t6=-t2^3/108", "t6 = -t2^3/108 != 0",
-                    (minus,), (P("t2"),), "A3+A2+A1" if e7 else "A2+A2+A1",
-                    (("A1", 3),), 0 if e7 else 2,
-                    lambda k: {"t2": _sval(k), "t6": -_sval(k) ** 3 / 108}),
-            _generic(params, (plus, minus), "A2+A1+A1+A1" if e7 else "A2+A2",
-                     0 if e7 else 2),
-        )
-    if case_id == "E6F4E7":
-        return _build_f4_strata(params, fiber)
-    raise ValueError(case_id)
+    def polys(names: str) -> Tuple[Polynomial, ...]:
+        return tuple(map(poly, names.split("; "))) if names else ()
 
-
-_F4_H1_TEXT = ("t2^12 - 144*t2^9*t6 + 576*t2^8*t8 + 5184*t2^6*t6^2"
-               " - 13824*t2^5*t6*t8 - 138240*t2^4*t8^2 - 69120*t2^3*t6^3"
-               " - 331776*t12*t2^3*t6 + 829440*t2^2*t6^2*t8"
-               " + 3981312*t12*t2^2*t8 - 5308416*t2*t6*t8^2 - 248832*t6^4"
-               " + 3981312*t12*t6^2 + 7077888*t8^3 - 15925248*t12^2")
-
-
-def _root_in(p: Polynomial, name: str, values) -> Fraction:
-    """The value of `name` at which p, linear in it, vanishes at `values`."""
-    c0, c1 = p.coefficients_in(name)
-    return -c0.evaluate(values) / c1.evaluate(values)
-
-
-def _f4_point(fiber: Polynomial):
-    """point(x0, y0, t2, t6, t8): the parameter point whose catalogued
-    fiber passes through (x0, y0, 0), solved for t12."""
-    on_z0 = fiber.subs({"z": Fraction(0)})
-
-    def point(x0, y0, t2, t6, t8) -> Dict[str, Fraction]:
-        t = {"t2": t2, "t6": t6, "t8": t8}
-        return {**t, "t12": _root_in(on_z0, "t12", {"x": x0, "y": y0, **t})}
-    return point
-
-
-def _f4_h1_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
-    y1, t2, t6 = _triple(k)
-    t8 = 144 * y1 ** 2 + t6 * t2 / 4 - t2 ** 4 / 192
-    return point(Fraction(0), y1, t2, t6, t8)
-
-
-def _f4_h2_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
-    x0, t2, t6 = _triple(k)
-    if t2 == 0 or x0 == 0:
-        return None
-    y0 = 2 * (-x0 ** 2 + (t6 - t2 ** 3 / 8) / 24) / t2
-    t8 = 48 * (3 * y0 ** 2 - t2 * x0 ** 2 / 4) + t6 * t2 / 4 - t2 ** 4 / 192
-    return point(x0, y0, t2, t6, t8)
-
-
-def _f4_d4a1_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
-    t2, t6 = _pair(k)
-    if t2 == 0:
-        return None
-    y0 = (t6 - t2 ** 3 / 8) / (12 * t2)
-    t8 = 144 * y0 ** 2 + t6 * t2 / 4 - t2 ** 4 / 192
-    return point(Fraction(0), y0, t2, t6, t8)
-
-
-def _f4_a5row_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
-    t2, t6 = _pair(k)
-    t8 = -t2 ** 4 / 192 + t2 * t6 / 4
-    return point(Fraction(0), Fraction(0), t2, t6, t8)
-
-
-def _f4_a2a1_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
-    x0, t2 = _pair(k)
-    if t2 == 0 or x0 == 0:
-        return None
-    t6 = 24 * x0 ** 2 - t2 ** 3 / 8
-    t8 = -t2 ** 4 / 192 - t2 * t6 / 4
-    return point(x0, -t2 ** 2 / 48, t2, t6, t8)
-
-
-def _f4_h1h2_sample(point, k: int) -> Optional[Dict[str, Fraction]]:
-    x0, d = _pair(k)
-    if x0 == 0 or d == 0:
-        return None
-    y1 = (d - x0 ** 4 / (4 * d ** 2)) / 3
-    y0 = y1 - d
-    if y0 ** 2 == y1 ** 2:
-        return None
-    t2 = 12 * (y0 ** 2 - y1 ** 2) / x0 ** 2
-    if t2 == 0:
-        return None
-    t6 = t2 ** 3 / 8 + 24 * (x0 ** 2 + t2 * y0 / 2)
-    t8 = 144 * y1 ** 2 + t6 * t2 / 4 - t2 ** 4 / 192
-    return point(Fraction(0), y1, t2, t6, t8)
-
-
-def _build_f4_strata(params: Tuple[str, ...],
-                     fiber: Polynomial) -> Tuple[Stratum, ...]:
-    P = parse
-    point = _f4_point(fiber)
-    H1 = P(_F4_H1_TEXT)
-    H2 = H1.subs({"t6": -P("t6"), "t12": -P("t12")})
-    d4cond = P("96*t2^2*t8 - t2^6 - 96*t6^2")
-    t8plus = P("192*t8 + t2^4 - 48*t2*t6")    # t8 = -t2^4/192 + t2*t6/4
-    t8minus = P("192*t8 + t2^4 + 48*t2*t6")   # t8 = -t2^4/192 - t2*t6/4
-    t2v = P("t2")
-    return (
-        _origin(params, "E7", None, None, description="t = 0"),
-        Stratum("D6", "H1, t8-pinch, t2^3 = 8 t6",
-                (H1, d4cond, P("t2^3 - 8*t6")), (t2v,), "D6", None, None,
-                lambda k: {"t2": (t2 := _sval(k)), "t6": t2 ** 3 / 8,
-                           "t8": 5 * t2 ** 4 / 192, "t12": t2 ** 6 / 256}),
-        Stratum("D5+A1", "H1, t8-pinch, t2^3 = -8 t6",
-                (H1, d4cond, P("t2^3 + 8*t6")), (t2v,), "D5+A1", None, None,
-                lambda k: {"t2": (t2 := _sval(k)), "t6": -t2 ** 3 / 8,
-                           "t8": 5 * t2 ** 4 / 192, "t12": -t2 ** 6 / 256}),
-        Stratum("A5+A1", "H1 & H2, t8 = -t2^4/192 + t2 t6/4",
-                (H1, H2, t8plus), (t2v, P("t2^3 - 8*t6")), "A5+A1", None, None,
-                lambda k: {"t2": (t2 := _sval(k)), "t6": t2 ** 3 / 72,
-                           "t8": -t2 ** 4 / 576,
-                           "t12": -7 * t2 ** 6 / 20736}),
-        Stratum("A3+A2+A1", "H1 & H2, t8 = -t2^4/192 - t2 t6/4",
-                (H1, H2, t8minus), (t2v, P("t2^3 + 8*t6")), "A3+A2+A1", None,
-                None,
-                lambda k: {"t2": (t2 := _sval(k)), "t6": -t2 ** 3 / 72,
-                           "t8": -t2 ** 4 / 576,
-                           "t12": 7 * t2 ** 6 / 20736}),
-        # the t8-pinch component of H1 lies inside H1 & H2 as a set, so it
-        # must precede the transverse H1 & H2 row
-        Stratum("D4+A1", "H1, t8 = (t2^6 + 96 t6^2)/(96 t2^2)",
-                (H1, d4cond), (t2v, P("t2^3 - 8*t6"), P("t2^3 + 8*t6")),
-                "D4+A1", None, None, functools.partial(_f4_d4a1_sample, point)),
-        Stratum("H1&H2", "H1 & H2, generic",
-                (H1, H2), (t2v, t8plus, t8minus, d4cond), "A3+A1+A1", None,
-                None, functools.partial(_f4_h1h2_sample, point)),
-        Stratum("A5", "H1, t8 = -t2^4/192 + t2 t6/4",
-                (H1, t8plus), (P("t2^3 - 8*t6"), H2), "A5", None, None,
-                functools.partial(_f4_a5row_sample, point)),
-        Stratum("H1", "H1, generic",
-                (H1,), (), "A3+A1", None, None,
-                functools.partial(_f4_h1_sample, point)),
-        Stratum("A2+A1+A1+A1", "H2, t8 = -t2^4/192 - t2 t6/4",
-                (H2, t8minus), (t2v, P("t2^3 + 8*t6")), "A2+A1+A1+A1", None,
-                None, functools.partial(_f4_a2a1_sample, point)),
-        Stratum("H2", "H2, generic (t2 != 0)",
-                (H2,), (t2v,), "A1+A1+A1+A1", None, None,
-                functools.partial(_f4_h2_sample, point)),
-        _generic(params, (H1, H2), "A1+A1+A1", None),
-    )
+    rows = _STRATA[case_id]
+    zero = ", ".join("0" * len(params))
+    geometry = {"origin": ("; ".join(params), "", zero), **_GEOMETRY}
+    walls = (geometry[row[0]][0] for row in rows[:-1])
+    geometry["generic"] = ("", "; ".join(w for w in walls if ";" not in w),
+                           None)
+    strata = []
+    for name, sid, text, conf, *fiber_facts in rows:
+        equations, inequations, spec = geometry[name]
+        equations = polys(equations)
+        if spec is None:
+            sampler = functools.partial(_swept, params)
+        elif callable(spec):
+            sampler = functools.partial(spec, _f4_point(fiber))
+        elif spec in params:
+            sampler = functools.partial(
+                _solved, params, spec, equations[0].coefficients_in(spec))
+        else:
+            sampler = functools.partial(_on_orbit, params, _WEIGHTS[case_id],
+                                        tuple(map(Fraction, spec.split(","))))
+        strata.append(Stratum(sid, text, equations, polys(inequations), conf,
+                              *(fiber_facts or (None, None)), sampler,
+                              max_samples=1 if sid == "origin" else None))
+    return tuple(strata)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +610,11 @@ def stratum_membership(case_id: str, t: Dict[str, Fraction]) -> Optional[str]:
     return None
 
 
-def sample_stratum(case_id: str, stratum_id: str, count: int,
-                   budget: int = 4000) -> List[Dict[str, Fraction]]:
+SAMPLE_BUDGET = 4000      # the sampler indices that sample_stratum tries
+
+
+def sample_stratum(case_id: str, stratum_id: str,
+                   count: int) -> List[Dict[str, Fraction]]:
     """Distinct rational points on the stratum and on no finer one."""
     case = descriptor(case_id)
     strat = case.stratum(stratum_id)
@@ -625,7 +622,7 @@ def sample_stratum(case_id: str, stratum_id: str, count: int,
         count = min(count, strat.max_samples)
     out: List[Dict[str, Fraction]] = []
     seen = set()
-    for k in range(budget):
+    for k in range(SAMPLE_BUDGET):
         if len(out) >= count:
             break
         t = strat.sampler(k)
@@ -641,7 +638,7 @@ def sample_stratum(case_id: str, stratum_id: str, count: int,
     if len(out) < count:
         raise ValueError(
             f"{case_id}/{stratum_id}: found {len(out)} of {count} samples "
-            f"in a budget of {budget} candidates")
+            f"in a budget of {SAMPLE_BUDGET} candidates")
     return out
 
 
@@ -784,7 +781,8 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
             # adjust the last parameter so that the fixed point is rational:
             # the fixed square vanishes at (s, t)
             last = case.params[-1]
-            t[last] = _root_in(case.fixed_square, last, {**t, "s": s})
+            t[last] = _root(case.fixed_square.coefficients_in(last),
+                           {**t, "s": s})
             point = {v: p.evaluate({"s": s})     # the fixed locus at s
                      for v, p in case.fixed_locus.items()}
             val = fiber_at(case_id, t).evaluate(point)

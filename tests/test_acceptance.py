@@ -5,6 +5,7 @@ lines and timings.
 """
 
 import time
+from functools import partial
 
 from singfold.families import (check_stratum_point, derive_quotient_chart,
                                descriptor, sample_stratum,
@@ -14,6 +15,10 @@ from singfold.poly import parse
 from singfold.rootsys import CASE_IDS, case_meta
 from singfold.singclass import fiber_configuration
 from singfold.subsys import match_realizations, subsystems_for_case
+from test_families import (THEOREM2_B_TYPES, THEOREM2_DEGREES,
+                           check_theorem2_d4g2e7_on_the_line_of_rho,
+                           check_theorem2_fixed_square,
+                           check_theorem2_on_the_fixed_locus)
 from test_subsys import (EXPONENTS, characteristic_polynomial,
                          product_of_linear_factors)
 
@@ -160,3 +165,29 @@ def test_criterion_7_characteristic_polynomial_of_the_flats():
             "prod (t - m_i) in all six cases")
     assert not failures, failures
     assert elapsed < 60
+
+
+def test_criterion_8_theorem2_identities():
+    # Theorem 2 as identities in s and t: (i) and (ii) on the fixed locus
+    # of five cases, (iii) on the fixed square of the B types, and (i) and
+    # (ii) for D4G2E7 on the fixed line of rho
+    t0 = time.time()
+    checks = [(f"(i)-(ii) {cid}", partial(check_theorem2_on_the_fixed_locus,
+                                          cid))
+              for cid in sorted(THEOREM2_DEGREES)]
+    checks += [(f"(iii) {cid}", partial(check_theorem2_fixed_square, cid))
+               for cid in THEOREM2_B_TYPES]
+    checks.append(("(i)-(ii) D4G2E7 on the line of rho",
+                   check_theorem2_d4g2e7_on_the_line_of_rho))
+    failures = []
+    for name, check in checks:
+        try:
+            check()
+        except AssertionError as exc:
+            failures.append((name, exc))
+    elapsed = time.time() - t0
+    ok = not failures and elapsed < 10
+    _report("criterion 8: Theorem 2 identities", ok, elapsed, 10,
+            f"{len(checks)} identities")
+    assert not failures, failures
+    assert elapsed < 10

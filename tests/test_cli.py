@@ -4,8 +4,8 @@ import json
 import pytest
 
 import singfold.cli
+from singfold import families
 from singfold.cli import main, verify_case
-from singfold.families import sample_stratum
 
 
 def run(capsys, *argv):
@@ -161,10 +161,7 @@ def test_theorem2_count_below_one_is_usage_error(tmp_path, capsys, count):
 
 
 def test_sampler_budget_exhaustion_exits_1(capsys, monkeypatch):
-    def starved(case_id, stratum_id, count):
-        return sample_stratum(case_id, stratum_id, count, budget=1)
-
-    monkeypatch.setattr(singfold.cli, "sample_stratum", starved)
+    monkeypatch.setattr(families, "SAMPLE_BUDGET", 1)
     assert main(["verify", "--case", "A3B2D4", "--sections", "tables"]) == 1
     err = capsys.readouterr().err
     assert "error: A3B2D4/t4=-t2^2/8: found 1 of 3 samples" in err

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import random
-import tomllib
 from collections import Counter, defaultdict
 from fnmatch import fnmatch
 from fractions import Fraction
@@ -190,7 +189,9 @@ def test_fixed_loci_are_pinned():
 
 def test_data_files_are_the_case_files_and_are_packaged():
     # <case>.txt and <case>.flat.txt for each case, nothing else, and all
-    # of them in the package-data globs of pyproject.toml
+    # of them in the package-data globs of pyproject.toml (tomllib is in
+    # the standard library from Python 3.11)
+    tomllib = pytest.importorskip("tomllib")
     names = sorted(p.name for p in families.CATALOGUE.iterdir())
     assert names == sorted(f"{cid}{kind}.txt" for cid in CASE_IDS
                            for kind in ("", ".flat"))
@@ -287,6 +288,71 @@ def test_sample_every_stratum(cid):
             assert stratum_membership(cid, t) == s.stratum_id
 
 
+def _orbit_rows():
+    """(case, row, base point) for each row sampled on a weighted orbit."""
+    for cid in CASE_IDS:
+        for s in descriptor(cid).strata:
+            if s.sampler.func is families._on_orbit:
+                params, _, base = s.sampler.args
+                yield cid, s, dict(zip(params, base))
+
+
+def _weighted_degrees(p):
+    """The weighted degrees of the terms of p, t<d> of weight d."""
+    names = p.used_variables()
+    return {sum(int(v[1:]) * k for v, k in zip(names, e))
+            for e in p.exponents(names)}
+
+
+def test_orbit_rows_sample_the_orbit_of_a_point_on_the_row():
+    # the fiber at t_d * s^(d/2) is isomorphic to the fiber at t, so a
+    # row whose equations and inequations are quasi-homogeneous holds the
+    # whole orbit of its base point, and the sampler sweeps that orbit:
+    # the one-dimensional rows, each case's origin and the B3/C3 h rows
+    rows = list(_orbit_rows())
+    assert len(rows) == 24
+    assert {(cid, s.stratum_id) for cid, s, _ in rows} >= \
+        {(cid, "origin") for cid in CASE_IDS}
+    for cid, s, base in rows:
+        assert stratum_membership(cid, base) == s.stratum_id, (cid, s)
+        for p in s.equations + s.inequations:
+            assert len(_weighted_degrees(p)) == 1, (cid, s.stratum_id, p)
+        for k in range(6):
+            scale = Fraction((k // 2 + 1) * (-1) ** k)
+            assert s.sampler(k) == {p: scale ** (int(p[1:]) // 2) * c
+                                    for p, c in base.items()}
+
+
+F4_FUNCTION_ROWS = ("D4+A1", "H1&H2", "A5", "H1", "A2+A1+A1+A1", "H2")
+
+
+def test_f4_samplers_pick_a_singular_point_of_the_catalogued_fiber():
+    # each of the six rows off an orbit picks (x0, y0, t2, t6); t8 and t12
+    # then make F and its gradient vanish at (x0, y0, 0)
+    case = descriptor("E6F4E7")
+    swept = (families._on_orbit, families._swept)
+    assert tuple(s.stratum_id for s in case.strata
+                 if s.sampler.func not in swept) == F4_FUNCTION_ROWS
+    gradient = [case.fiber] + [case.fiber.diff(v) for v in case.fiber_vars]
+    for sid in F4_FUNCTION_ROWS:
+        sampler = case.stratum(sid).sampler
+        (point,) = sampler.args
+        checked = 0
+        for k in range(30):
+            picked = []
+            t = sampler.func(lambda *a: picked.append(a) or point(*a), k)
+            assert t == sampler(k)
+            if t is None:
+                continue
+            ((x0, y0, t2, t6),) = picked
+            assert list(t) == ["t2", "t6", "t8", "t12"]
+            assert (t["t2"], t["t6"]) == (t2, t6)
+            at = {"x": x0, "y": y0, "z": Fraction(0), **t}
+            assert all(g.evaluate(at) == 0 for g in gradient), (sid, k)
+            checked += 1
+        assert checked >= 5, sid
+
+
 def test_quotient_configurations_spot_rows():
     # one row from each case at one point
     rows = [("A3B2D4", "t4=-t2^2/8", "A3"),
@@ -371,6 +437,10 @@ THEOREM2_DEGREES = {"A3B2D4": 2, "A5B3D5": 2, "D4C3D6": 3, "D4G2E6": 2,
 
 @pytest.mark.parametrize("cid", sorted(THEOREM2_DEGREES))
 def test_theorem2_fixed_locus_gives_a_singular_point_on_every_fiber(cid):
+    check_theorem2_on_the_fixed_locus(cid)
+
+
+def check_theorem2_on_the_fixed_locus(cid):
     # Theorem 2 as an identity in s and t, with P(s, t) = F(phi(s), t):
     # (i) P has a nonzero constant leading coefficient in s, so every t has
     # a root s; (ii) the quotient equation Q and each dQ/dV vanish at the
@@ -401,8 +471,15 @@ def _assert_singular_modulo(case, locus, P):
         assert _rem_in_s(Q.diff(v).subs(image), P).is_zero(), v
 
 
-@pytest.mark.parametrize("cid", ["A3B2D4", "A5B3D5"])
+THEOREM2_B_TYPES = ("A3B2D4", "A5B3D5")
+
+
+@pytest.mark.parametrize("cid", THEOREM2_B_TYPES)
 def test_theorem2_b_types_fixed_point_is_an_identity(cid):
+    check_theorem2_fixed_square(cid)
+
+
+def check_theorem2_fixed_square(cid):
     # (iii) the spot check's fixed point: F(phi(s), t) = 0 wherever the
     # fixed square const(t) - sqsign * s^2 vanishes, as an identity
     case = descriptor(cid)
@@ -411,6 +488,10 @@ def test_theorem2_b_types_fixed_point_is_an_identity(cid):
 
 
 def test_theorem2_holds_for_d4g2e7_on_the_fixed_line_of_rho():
+    check_theorem2_d4g2e7_on_the_line_of_rho()
+
+
+def check_theorem2_d4g2e7_on_the_line_of_rho():
     # rho fixes the line phi(s) = (t2/6, t2/6, s), which meets every fiber:
     # (i) P = t6/4 - t2^3/432 - s^2, of degree 2 in s with leading
     # coefficient -1; (ii) the chart image of phi(s) is a singular point of

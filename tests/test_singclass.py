@@ -13,6 +13,7 @@ except ImportError:  # the irreducibility check against sympy is optional
 from singfold import families, singclass
 from singfold.exact import AlgebraicScalar, Echelon, upoly
 from singfold.poly import Polynomial, monomials, parse
+from singfold.rootsys import CASE_IDS
 from singfold.singclass import (ClassificationError, classify_point,
                                 fiber_configuration, singular_points)
 from test_exact import make_extension
@@ -759,3 +760,37 @@ def test_hessian_matches_second_derivatives(terms, over_sqrt2, shift):
         point = tuple(c for c, _ in shift)
     G = singclass._translate(F, names, point)
     assert singclass._hessian(G, names) == _hessian_by_diffs(G, names)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@pytest.mark.parametrize("text,tau", [
+    ("x^2 + y^2 + z^4", 3), ("x^4 + y^3 + z^2", 6),
+    ("x^2 + y^2 + z^2 - 1", 0),                  # smooth
+    ("(x^2 - 2)^2 + y^2 + z^2", 2),              # two conjugate A1 points
+    ("x^4 + y^5 + x^2*y^3 + z^2", 11),           # not quasi-homogeneous:
+])                                               # tau = 11 < mu = 12
+def test_tjurina_dimension_of_known_surfaces(text, tau):
+    from oracles import tjurina_dimension
+    assert tjurina_dimension(parse(text), ("x", "y", "z")) == tau
+    with pytest.raises(ValueError, match="infinite quotient"):
+        tjurina_dimension(parse("x^2 + y^2"), ("x", "y", "z"))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+def test_tjurina_dimension_matches_the_table_configurations():
+    # at every point the tables section of a bundle samples (three per
+    # row, one at an origin), the Tjurina algebra of the quotient fiber has
+    # the dimension of the reported configuration: ADE points are
+    # quasi-homogeneous, so tau = mu there, the rank of the type
+    from oracles import rank_sum, tjurina_dimension
+    points = 0
+    for cid in CASE_IDS:
+        names = families.descriptor(cid).quotient_vars
+        for strat in families.descriptor(cid).strata:
+            for t in families.sample_stratum(cid, strat.stratum_id, 3):
+                conf = families.classify_quotient_fiber(cid, t).type_string()
+                assert tjurina_dimension(families.quotient_fiber(cid, t),
+                                         names) == rank_sum(conf), \
+                    (cid, strat.stratum_id, t, conf)
+                points += 1
+    assert points == 102
