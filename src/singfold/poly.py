@@ -17,12 +17,14 @@ as in :class:`singfold.exact.Echelon`: each operand is split once into
 numerators over one denominator (Python ints over the lcm of its
 denominators; ring coefficients as they are, over 1), one loop multiplies
 and adds numerators only, and each coefficient of the result is divided
-once by the product of the denominators.
+once by the product of the denominators.  :func:`parse` builds every node
+on numerators over one denominator too, and divides once, at the end.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
@@ -133,6 +135,26 @@ def _product(a: dict, b: dict) -> dict:
     if any(e & _GUARD for e in out):
         raise OverflowError(_TOO_LARGE)
     return out
+
+
+def _power(base: dict, n: int) -> dict:
+    """base ** n on numerator terms, this module's one power loop."""
+    out = {0: 1}
+    while n:
+        if n & 1:
+            out = _product(out, base)
+        n >>= 1
+        if n:
+            base = _product(base, base)
+    return out
+
+
+def _scale(nums: dict, k: int) -> dict:
+    """Numerator terms times a nonzero int k, in place."""
+    if k != 1:
+        for e in nums:
+            nums[e] *= k
+    return nums
 
 
 def _mul_terms(a: Terms, b: Terms) -> Terms:
@@ -258,14 +280,7 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative power")
         base, d = _cleared(self._terms)
-        out, k = {0: 1}, n
-        while k:
-            if k & 1:
-                out = _product(out, base)
-            k >>= 1
-            if k:
-                base = _product(base, base)
-        return Polynomial._of(_over(out, d ** n))
+        return Polynomial._of(_over(_power(base, n), d ** n))
 
     def __truediv__(self, c):
         if isinstance(c, Polynomial):
@@ -434,7 +449,11 @@ class ParseError(ValueError):
 def parse(text: str) -> Polynomial:
     """Parse exact polynomial text: rationals, + - * / ^ ( ), and variables.
     ``^`` and ``**`` are right-associative, as in Python, and exponents stay
-    below 2^15."""
+    below 2^15.  Parsing runs on numerators: each node is a pair
+    (numerators, d), Python ints over one positive int d as
+    :func:`_product` takes them; a sum raises its accumulator in place to
+    the lcm of the denominators, and the terms are divided once, at the
+    end."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -448,45 +467,52 @@ def parse(text: str) -> Polynomial:
         pos[0] += 1
         return t
 
-    def parse_expr() -> Polynomial:
-        node = parse_term()
+    def parse_expr() -> Tuple[dict, int]:
+        nums, d = parse_term()
         while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            sign = -1 if take() == "-" else 1
+            term, dt = parse_term()
+            lcm = math.lcm(d, dt)
+            _scale(nums, lcm // d)
+            d = lcm
+            _accumulate(nums, _scale(term, sign * (d // dt)))
+        return nums, d
 
-    def parse_term() -> Polynomial:
-        node = parse_factor()
+    def parse_term() -> Tuple[dict, int]:
+        nums, d = parse_factor()
         while True:
             t = peek()
+            if t == "/":
+                take()
+                c, dc = parse_factor()
+                if any(c):
+                    raise ParseError("division only by constants")
+                if not c:
+                    raise ParseError("division by zero")
+                # nums/d over c/dc is nums*dc / (d*c), with d kept positive
+                c = c[0]
+                _scale(nums, dc if c > 0 else -dc)
+                d *= abs(c)
+                continue
             if t == "*":
                 take()
-                node = node * parse_factor()
-            elif t == "/":
-                take()
-                d = parse_factor()
-                if not d.is_constant():
-                    raise ParseError("division only by constants")
-                if d.is_zero():
-                    raise ParseError("division by zero")
-                node = node / d.constant_value()
-            elif t is not None and (t == "(" or _is_name(t) or _is_num(t)):
-                # juxtaposition
-                node = node * parse_factor()
-            else:
-                return node
+            elif t is None or not (t == "(" or _is_name(t) or _is_num(t)):
+                return nums, d
+            # a product, or juxtaposition
+            b, db = parse_factor()
+            nums, d = _product(nums, b), d * db
 
-    def parse_factor() -> Polynomial:
+    def parse_factor() -> Tuple[dict, int]:
         """A signed power: the signs bind looser than ``^``, as in Python."""
         sign = 1
         while peek() in ("+", "-"):
             sign = -sign if take() == "-" else sign
-        node = parse_atom()
+        nums, d = parse_atom()
         if peek() in ("^", "**"):
             take()
-            node = node ** parse_exponent()
-        return node if sign > 0 else -node
+            k = parse_exponent()
+            nums, d = _power(nums, k), d ** k
+        return _scale(nums, sign), d
 
     def parse_exponent() -> int:
         """A natural number, raised to the exponent that follows it."""
@@ -508,7 +534,7 @@ def parse(text: str) -> Polynomial:
             raise ParseError(_TOO_LARGE)
         return k
 
-    def parse_atom() -> Polynomial:
+    def parse_atom() -> Tuple[dict, int]:
         t = peek()
         if t is None:
             raise ParseError("unexpected end of input")
@@ -521,18 +547,19 @@ def parse(text: str) -> Polynomial:
             return node
         take()
         if _is_num(t):
-            return Polynomial.constant(Fraction(t))
+            n = int(t)
+            return ({0: n} if n else {}), 1
         if _is_name(t):
-            return Polynomial.var(t)
+            return {1 << _shift(t): 1}, 1
         raise ParseError(f"unexpected token {t!r}")
 
     try:
-        node = parse_expr()
+        nums, d = parse_expr()
     except OverflowError as exc:
         raise ParseError(str(exc)) from None
     if pos[0] != len(tokens):
         raise ParseError(f"trailing input at token {tokens[pos[0]]!r}")
-    return node
+    return Polynomial._of(_over(nums, d))
 
 
 def _is_name(t: str) -> bool:
@@ -540,7 +567,8 @@ def _is_name(t: str) -> bool:
 
 
 def _is_num(t: str) -> bool:
-    return t[0].isdigit()
+    # isdecimal, not isdigit: a superscript digit is no number
+    return t[0].isdecimal()
 
 
 _TOKEN = re.compile(r"\s*(?:(\*\*|[-+*/^()]|\d+|[^\W\d]\w*)|(\S))")

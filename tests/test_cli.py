@@ -93,6 +93,16 @@ def test_classify_usage_errors(capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_classify_superscript_digit_is_usage_error(capsys):
+    # a superscript digit is a word character but no decimal digit: the
+    # text does not parse, which is a usage error, not a computation error
+    for surface, message in (("x^² + y^2 + z^2", "bad exponent '²'"),
+                             ("x*² + y^2 + z^2", "unexpected token '²'"),
+                             ("2² + y^2 + z^2", "trailing input at token '²'")):
+        assert main(["classify", "--surface", surface]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["verify", "--bogus"]) == 2
     assert main(["subsystems", "--case", "NOPE"]) == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from typing import List
 
@@ -52,6 +53,12 @@ def test_parse_errors():
     for zero in ("x/0", "x/(1 - 1)", "1/0^2"):
         with pytest.raises(ParseError, match="division by zero"):
             parse(zero)
+    # a superscript digit is a word character, not a decimal digit
+    with pytest.raises(ParseError, match="bad exponent '²'"):
+        parse("x^²")
+    for text in ("²", "2²", "x*²"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
@@ -896,3 +903,234 @@ def test_evaluate_matches_fraction_loop(data):
         assert got == _o_evaluate(p, values)
         if all(type(x) is not AlgebraicScalar for x in (*p.values(), *values)):
             assert type(got) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# parse on numerators against the parser it replaced (the oracle), which
+# builds every node with Polynomial + - * / **
+# ---------------------------------------------------------------------------
+
+def _fraction_parse(text):
+    tokens = packed._tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take():
+        if pos[0] == len(tokens):
+            raise ParseError("unexpected end of input")
+        t = tokens[pos[0]]
+        pos[0] += 1
+        return t
+
+    def parse_expr():
+        node = parse_term()
+        while peek() in ("+", "-"):
+            op = take()
+            rhs = parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term():
+        node = parse_factor()
+        while True:
+            t = peek()
+            if t == "*":
+                take()
+                node = node * parse_factor()
+            elif t == "/":
+                take()
+                d = parse_factor()
+                if not d.is_constant():
+                    raise ParseError("division only by constants")
+                if d.is_zero():
+                    raise ParseError("division by zero")
+                node = node / d.constant_value()
+            elif t is not None and (t == "(" or packed._is_name(t)
+                                    or packed._is_num(t)):
+                node = node * parse_factor()
+            else:
+                return node
+
+    def parse_factor():
+        sign = 1
+        while peek() in ("+", "-"):
+            sign = -sign if take() == "-" else sign
+        node = parse_atom()
+        if peek() in ("^", "**"):
+            take()
+            node = node ** parse_exponent()
+        return node if sign > 0 else -node
+
+    def parse_exponent():
+        neg = peek() == "-"
+        if neg:
+            take()
+        e = take()
+        if not packed._is_num(e):
+            raise ParseError(f"bad exponent {e!r}")
+        if neg:
+            raise ParseError("negative exponents unsupported")
+        k = int(e)
+        if k < packed._LIMIT and peek() in ("^", "**"):
+            take()
+            j = parse_exponent()
+            k = k ** j if k < 2 or j < packed._BITS - 1 else packed._LIMIT
+        if k >= packed._LIMIT:
+            raise ParseError(packed._TOO_LARGE)
+        return k
+
+    def parse_atom():
+        t = peek()
+        if t is None:
+            raise ParseError("unexpected end of input")
+        if t == "(":
+            take()
+            node = parse_expr()
+            if peek() != ")":
+                raise ParseError("missing ')'")
+            take()
+            return node
+        take()
+        if packed._is_num(t):
+            return Polynomial.constant(Fraction(t))
+        if packed._is_name(t):
+            return Polynomial.var(t)
+        raise ParseError(f"unexpected token {t!r}")
+
+    try:
+        node = parse_expr()
+    except OverflowError as exc:
+        raise ParseError(str(exc)) from None
+    if pos[0] != len(tokens):
+        raise ParseError(f"trailing input at token {tokens[pos[0]]!r}")
+    return node
+
+
+def _chain(values):
+    """The value of a right-associative exponent chain."""
+    k = 1
+    for v in reversed(values):
+        k = v ** k
+    return k
+
+
+@st.composite
+def _parse_factor(draw, depth, signs=True, divisor=False):
+    """(text, the same in Python syntax) of a signed power.  After ``/`` it
+    is one of the divisors a parse must tell apart: positive, negative,
+    zero, a constant that needs expanding, or a polynomial."""
+    if divisor and draw(st.booleans()):
+        text = draw(st.sampled_from(("3", "-2", "0", "-0", "(1 - 1)",
+                                     "(2 - 5)", "(x - x + 4)", "y", "-(x)",
+                                     "(x^2 - x*x)", "(z + 1)")))
+        return text, text.replace("^", "**")
+    sign = draw(st.sampled_from(("", "-", "+", "- -", "+-"))) if signs else ""
+    kind = draw(st.sampled_from(("num", "name", "paren") if depth else
+                                ("num", "name")))
+    if kind == "paren":
+        inner, py = draw(_parse_expr(depth - 1))
+        atom, py_atom, top = f"({inner})", f"({py})", 2
+    else:
+        atom = (str(draw(st.integers(0, 12))) if kind == "num" else
+                draw(st.sampled_from(("x", "y", "z", "t2"))))
+        py_atom, top = atom, 4
+    chain = draw(st.lists(st.integers(0, 3), max_size=3).filter(
+        lambda c: _chain(c) <= top))
+    ops = [draw(st.sampled_from(("^", "**"))) for _ in chain]
+    text = sign + atom + "".join(f"{op}{k}" for op, k in zip(ops, chain))
+    py = sign + py_atom + "".join(f"**{k}" for k in chain)
+    return text, py
+
+
+@st.composite
+def _parse_term(draw, depth):
+    text, py = draw(_parse_factor(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("*", "/", " ")))
+        # a juxtaposed factor starts with no sign: that would be a sum
+        f, f_py = draw(_parse_factor(depth, signs=op != " ",
+                                     divisor=op == "/"))
+        text, py = text + op + f, f"{py}{'*' if op == ' ' else op}{f_py}"
+    return text, py
+
+
+@st.composite
+def _parse_expr(draw, depth=2):
+    text, py = draw(_parse_term(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from((" + ", " - ")))
+        t, t_py = draw(_parse_term(depth))
+        text, py = text + op + t, py + op + t_py
+    return text, py
+
+
+# token soup: mostly malformed texts, for the error messages
+_SOUP = st.lists(st.sampled_from(("x", "y", "t2", "0", "2", "3", "(", ")",
+                                  "+", "-", "*", "/", "^", "**", "²")),
+                 max_size=10).map(lambda ts: (" ".join(ts), None))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_parse_expr(), _SOUP))
+@example(("3/-2*x - x/-4", "3/-2*x - x/-4"))
+@example(("x/(1 - 1)", None))
+@example(("x/(y - y + 3)*y^2^1", None))
+@example(("-(1/2 x + 1/3)^2 + 1/4 x^2", None))
+@example(("x - x + 0", None))
+@example(("x^7^2", None))
+def test_parse_matches_the_polynomial_parser(case):
+    text, py = case
+    divisors = []
+    over = packed._over
+
+    def spy(nums, d):
+        divisors.append(d)
+        assert d > 0 and all(type(n) is int for n in nums.values())
+        return over(nums, d)
+
+    try:
+        want = _fraction_parse(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert str(got.value) == str(exc)
+        return
+    packed._over = spy
+    try:
+        got = parse(text)
+    finally:
+        packed._over = over
+    # the same terms in the same order, divided once, as Fractions
+    _same(got, want._terms)
+    assert all(type(c) is Fraction for c in got._terms.values())
+    assert len(divisors) == 1
+    if sympy is not None and py is not None:
+        value = sympy.sympify(to_text(got).replace("^", "**"))
+        assert sympy.expand(value - sympy.sympify(py)) == 0
+
+
+def test_long_sum_parses_over_the_lcm_no_slower_than_the_polynomial_parser(
+        monkeypatch):
+    # 3000 terms over 2..8: the accumulator is raised to the lcm, 840, in
+    # place; a product of the denominators or a copy per + is far slower
+    text = " + ".join(f"{i}/{i % 7 + 2}*x^{i}*y" for i in range(1, 3001))
+    divisors = []
+    over = packed._over
+    monkeypatch.setattr(packed, "_over",
+                        lambda nums, d: divisors.append(d) or over(nums, d))
+    got = parse(text)
+    monkeypatch.undo()
+    assert divisors == [math.lcm(*range(2, 9))]
+    _same(got, _fraction_parse(text)._terms)
+
+    def best(parser):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parser(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(parse) <= best(_fraction_parse)
