@@ -22,7 +22,7 @@ from .families import (all_descriptors, check_stratum_point, descriptor,
                        derive_quotient_chart, sample_stratum,
                        theorem_singular_spotcheck, verify_catalogue,
                        verify_equivariance)
-from .flatmap import correspondence_check, flat_chart, verify_iso
+from .flatmap import correspondence_check, verify_iso, verify_relations
 from .poly import ParseError, parse, to_text
 from .rootsys import CASE_IDS, ROOT_TYPES, build_root_system, to_json
 from .singclass import fiber_configuration
@@ -51,12 +51,7 @@ def verify_case(case_id: str, seed: int = 0, samples: int = 3,
     if "quotient-derivation" in todo:
         sec["quotient-derivation"] = derive_quotient_chart(case_id)
     if "flat-relations" in todo:
-        chart = flat_chart(case_id)  # relations are verified at load
-        sec["flat-relations"] = {
-            "ok": True,
-            "relations": [to_text(r) for r in chart.relations],
-            "verified_in_chart_coordinates": chart.formulas is not None,
-        }
+        sec["flat-relations"] = verify_relations(case_id)
     if "iso" in todo:
         sec["iso"] = verify_iso(case_id)
     if "tables" in todo:

@@ -577,6 +577,9 @@ _TOKEN = re.compile(r"\s*(?:(\*\*|[-+*/^()]|\d+|[^\W\d]\w*)|(\S))")
 def _tokenize(text: str) -> List[str]:
     out = []
     for token, bad in _TOKEN.findall(text):
+        if _is_name(token):  # \w also takes non-decimal digits such as '²'
+            bad = next((c for c in token if not (c.isalpha() or c.isdecimal()
+                                                 or c == "_")), bad)
         if bad:
             raise ParseError(f"bad character {bad!r}")
         out.append(token)

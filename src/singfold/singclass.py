@@ -4,13 +4,14 @@ Given F(u,v,w) = 0 with rational coefficients, the singular points are the
 common zeros of (F, F_u, F_v, F_w), with coordinates in Q or in number
 fields Q[a]/(m), one per irreducible factor m of an eliminant
 (:func:`split_branch`), so each record is one Galois orbit.  They are found
-by one substitution rule:
-an equation linear in a variable with a constant coefficient is solved for
-that variable, the lowest-degree solution first, and substituted into the
-rest.  A system left in one variable takes a gcd, one in two variables
-takes resultants, projected on one variable or, where that projection does
-not separate the points, on a sheared coordinate v + k*u; in three, F must
-be linear in one variable, F = A*w + B.
+by one substitution rule and one projection-and-lift rule.  An equation
+linear in a variable with a constant coefficient is solved for that
+variable, the lowest-degree solution first, and substituted into the rest.
+Without one, a name is lifted (:func:`_lift`) to the roots of the system's
+gcd over each zero of a projection on the other names: the empty point for
+one name; for two, the resultants' zeros on u, or on a sheared coordinate
+v + k*u where u does not separate them; for three, F = A*w + B must hold,
+and the projection is [A, B, A_u*B_v - A_v*B_u].
 Each point is classified by Hessian corank, Milnor number and the shape of the
 kernel-restricted cubic.  At Hessian corank 0 the point is A1 (Morse
 lemma) and no Milnor number is computed; otherwise mu comes from one echelon
@@ -26,10 +27,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import (RATIONAL_RING, AlgebraicScalar, Echelon, ExtensionRing,
-                    Scalar, clear_denominators, invert, nullspace,
-                    upoly_factor, upoly_gcd, upoly_squarefree_part, upoly_str)
-from .poly import (Polynomial, binary_cubic_shape, monomials, resultant,
-                   univariate_coefficients)
+                    Scalar, clear_denominators, nullspace, upoly_factor,
+                    upoly_gcd, upoly_squarefree_part, upoly_str)
+from .poly import Polynomial, binary_cubic_shape, monomials, resultant
 from .subsys import TypeMultiset, canonical_type, format_type
 
 Point = Tuple[Scalar, ...]
@@ -88,7 +88,7 @@ class FiberConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# univariate roots over Q
+# projection and lift
 # ---------------------------------------------------------------------------
 
 def split_branch(coeffs) -> List[Scalar]:
@@ -98,19 +98,32 @@ def split_branch(coeffs) -> List[Scalar]:
             for f in upoly_factor(coeffs)]
 
 
-# ---------------------------------------------------------------------------
-# bivariate singular-point solver
-# ---------------------------------------------------------------------------
-
-def _eval_coeffs(p: Polynomial, u: str, v: str, alpha: Scalar) -> List[Scalar]:
-    """Coefficients in v of p(u=alpha, v), low to high."""
-    return [c.constant_value() if c.is_constant() else c.evaluate({u: alpha})
-            for c in p.coefficients_in(v)]
-
-
-class _NotSeparating(Exception):
-    """A root of the eliminant over a proper extension leaves more than one
-    value of the other name: the projection does not separate the zeros."""
+def _lift(points: Sequence[Point], polys: Sequence[Polynomial],
+          names: Tuple[str, ...], k: int) -> Optional[List[Point]]:
+    """The common zeros of ``polys`` over ``points`` of the names other than
+    w = names[k]: at each point, the roots in w of the polys' gcd
+    (Cox-Little-O'Shea, ch. 3 section 2), with w put back at index k.  Over
+    Q each irreducible factor gives one root (:func:`split_branch`); over a
+    proper extension the squarefree gcd must be linear or constant, else
+    the projection does not separate the zeros and the lift returns None."""
+    rest = names[:k] + names[k + 1:]
+    coeffs = [p.coefficients_in(names[k]) for p in polys]
+    out: List[Point] = []
+    for point in points:
+        at = dict(zip(rest, point))
+        g = upoly_gcd(*([c.constant_value() if c.is_constant()
+                         else c.evaluate(at) for c in cs] for cs in coeffs))
+        if not g:
+            raise ClassificationError("non-isolated singular locus")
+        if all(isinstance(c, Fraction) for c in point):
+            roots = split_branch(g)
+        else:
+            g = upoly_squarefree_part(g)
+            if len(g) > 2:
+                return None
+            roots = [-g[0]] if len(g) == 2 else []  # constant: no zero here
+        out += [point[:k] + (r,) + point[k:] for r in roots]
+    return out
 
 
 def _common_zeros(polys: List[Polynomial], u: str,
@@ -121,27 +134,25 @@ def _common_zeros(polys: List[Polynomial], u: str,
     them, the system is solved again projected on s = v + k*u for
     k = 0 ... 11 (k = 0 swaps u and v), with v = s - k*u (Cox-Little-O'Shea,
     *Using Algebraic Geometry*, ch. 2 section 4)."""
-    try:
-        return _projected_zeros(polys, u, v)
-    except _NotSeparating:
-        pass
     s = Polynomial.var("_s")
-    for k in range(12):
-        sheared = [p.subs({v: s - k * Polynomial.var(u)}) for p in polys]
-        try:
+    for k in (None, *range(12)):
+        if k is None:
+            zeros = _projected_zeros(polys, u, v)
+        else:
+            sheared = [p.subs({v: s - k * Polynomial.var(u)}) for p in polys]
             zeros = _projected_zeros(sheared, "_s", u)
-        except _NotSeparating:
-            continue
-        return [(uval, sval - k * uval) for sval, uval in zeros]
+            zeros = zeros and [(uval, sval - k * uval) for sval, uval in zeros]
+        if zeros is not None:  # None: not separated, try the next shear
+            return zeros
     raise ClassificationError(
         "no separating coordinate v + k*u for k = 0 ... 11")
 
 
 def _projected_zeros(polys: List[Polynomial], u: str,
-                     v: str) -> List[Tuple[Scalar, Scalar]]:
-    """Common zeros (u, v) by resultants in v, a gcd of the eliminants in u,
-    and a gcd in v over each root; raises _NotSeparating where a root over a
-    proper extension leaves more than one v."""
+                     v: str) -> Optional[List[Tuple[Scalar, Scalar]]]:
+    """Common zeros (u, v): the roots in u of the resultants in v, each
+    lifted to v by :func:`_lift`; None where the projection on u does not
+    separate them."""
     pure_u = [p for p in polys if not p.is_zero() and v not in p.used_variables()]
     with_v = [p for p in polys if not p.is_zero() and v in p.used_variables()]
     if not with_v:
@@ -157,23 +168,7 @@ def _projected_zeros(polys: List[Polynomial], u: str,
                 elim.append(r)
     if not elim:
         raise ClassificationError("every eliminant vanishes: non-isolated locus")
-
-    def over_root(alpha: Scalar):
-        g = upoly_gcd(*(_eval_coeffs(p, u, v, alpha) for p in with_v))
-        if not g:
-            raise ClassificationError(
-                "all polynomials vanish identically: non-isolated locus")
-        if isinstance(alpha, Fraction):  # over Q, one root per factor of g
-            return [(alpha, beta) for beta in split_branch(g)]
-        g = upoly_squarefree_part(g)
-        if len(g) > 2:
-            raise _NotSeparating
-        # a constant g is a spurious eliminant root: no common v here
-        return [(alpha, -g[0])] if len(g) == 2 else []
-
-    return [z for alpha in split_branch(
-        upoly_gcd(*(univariate_coefficients(p, u) for p in elim)))
-            for z in over_root(alpha)]
+    return _lift(_lift([()], elim, (u,), 0), with_v, (u, v), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +213,10 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Poin
     A polynomial linear in w with a constant coefficient is solved for w and
     substituted into the rest (Cox-Little-O'Shea, ch. 3); w is lifted on
     each point of the smaller system by evaluation, which inverts nothing.
-    Without such a pivot, one name takes a gcd, two take resultants in
-    :func:`_common_zeros`, and three, reached only by the system
-    [F, F_x, F_y, F_z] itself, need F = polys[0] linear in one variable."""
+    Without such a pivot, :func:`_lift` extends the zeros of a projection:
+    the empty point for one name, :func:`_common_zeros` for two, and for
+    three, reached only by [F, F_x, F_y, F_z] itself with F = A*w + B, the
+    zeros of [A, B, A_u*B_v - A_v*B_u] in the other two names."""
     polys = [p for p in polys if not p.is_zero()]
     if any(p.is_constant() for p in polys):
         return []
@@ -238,42 +234,21 @@ def _eliminate(polys: Sequence[Polynomial], names: Tuple[str, ...]) -> List[Poin
         return [coords[:k] + (expr.evaluate(dict(zip(rest, coords))),)
                 + coords[k:] for coords in sub]
     if len(names) == 1:
-        (u,) = names
-        return [(val,) for val in split_branch(
-            upoly_gcd(*(univariate_coefficients(p, u) for p in polys)))]
+        return _lift([()], polys, names, 0)
     if len(names) == 2:
         return _common_zeros(polys, *names)
     w = next((w for w in names if polys[0].degree_in(w) == 1), None)
     if w is None:
         raise ClassificationError(
             "unsupported equation shape for singular-point elimination")
+    # F = A*w + B: F_u = A_u*w + B_u and F_v = A_v*w + B_v share their root
+    # w only where A_u*B_v - A_v*B_u vanishes; every poly is linear in w, so
+    # the lift never finds a gcd it cannot separate
     B, A = polys[0].coefficients_in(w)
-    return _solve_linear_var(names, w, A, B)
-
-
-def _solve_linear_var(names, w: str, A: Polynomial, B: Polynomial) -> List[Point]:
-    """Singular points of F = A*w + B with A and B free of w.
-
-    They lie over the common zeros of A, B and A_u*B_v - A_v*B_u, where
-    w = -B_u/A_u or -B_v/A_v solves A_u*w + B_u = A_v*w + B_v = 0.
-    """
     u, v = (n for n in names if n != w)
-    Au, Av, Bu, Bv = A.diff(u), A.diff(v), B.diff(u), B.diff(v)
-
-    def lift(a: Scalar, b: Scalar) -> List[Point]:
-        at = {u: a, v: b}
-        for dA, dB in ((Au, Bu), (Av, Bv)):
-            da = dA.evaluate(at)
-            if da:
-                at[w] = -dB.evaluate(at) * invert(da)
-                return [tuple(at[n] for n in names)]
-        if Bu.evaluate(at) or Bv.evaluate(at):
-            return []  # no w solves both equations: not singular
-        raise ClassificationError(
-            "non-isolated singular locus: w is free over a point")
-
-    return [pt for zero in _common_zeros([A, B, Au * Bv - Av * Bu], u, v)
-            for pt in lift(*zero)]
+    zeros = _common_zeros([A, B, A.diff(u) * B.diff(v) - A.diff(v) * B.diff(u)],
+                          u, v)
+    return _lift(zeros, polys, names, names.index(w))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,14 @@ def test_classify_superscript_digit_is_usage_error(capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_classify_superscript_digit_in_a_name_is_usage_error(capsys):
+    # x² is no variable: the digit after a letter is refused, not taken
+    # into the name
+    for surface, bad in (("x² + y^2 + z^2", "²"), ("x₁^2 + y^2 + z^2", "₁")):
+        assert main(["classify", "--surface", surface]) == 2
+        assert f"error: bad character '{bad}'" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["verify", "--bogus"]) == 2
     assert main(["subsystems", "--case", "NOPE"]) == 2

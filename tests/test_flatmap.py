@@ -11,7 +11,7 @@ from singfold.cli import main, verify_case
 from singfold.families import CatalogueError, descriptor, verify_catalogue
 from singfold.flatmap import (chart_point_to_params, correspondence_check,
                               flat_chart, pi_prime, verify_iso,
-                              witness_to_chart)
+                              verify_relations, witness_to_chart)
 from singfold.rootsys import CASE_IDS
 from singfold.poly import Polynomial, parse, to_text
 from singfold.subsys import subsystems_for_case
@@ -22,8 +22,11 @@ RELATION_COUNTS = {"A3B2D4": 1, "A5B3D5": 1, "D4C3D6": 3, "D4G2E6": 2,
 
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_chart_relations_vanish(cid):
-    chart = flat_chart(cid)  # raises if a relation fails
+    chart = flat_chart(cid)
     assert len(chart.relations) == RELATION_COUNTS[cid]
+    rep = verify_relations(cid)
+    assert rep["ok"] is True
+    assert rep["verified_in_chart_coordinates"] is (cid != "E6F4E7")
     if cid == "E6F4E7":
         assert chart.formulas is None
     else:
@@ -246,8 +249,6 @@ BROKEN_FLAT_FILES = [
      "relation.p6: not monic and linear in p6"),
     ("E6F4E7", "inverse.t2 = p2\n", "inverse.t2 = p2\ninverse.t2 = p2\n",
      "inverse.t2: given twice"),
-    ("A3B2D4", "1/108*p2^3", "1/107*p2^3",
-     "relation.p6: does not vanish on the chart"),
 ]
 
 
@@ -268,6 +269,21 @@ def test_malformed_flat_file_is_reported(tmp_path, monkeypatch, capsys,
     assert main(["verify", "--case", cid, "--sections", "iso"]) == 1
     err = capsys.readouterr().err
     assert f"error: case catalogue {cid}.flat: " in err and problem in err
+
+
+def test_flat_relations_fail_on_a_relation_off_the_chart(
+        tmp_path, monkeypatch, capsys, cold_flat_charts):
+    # the chart loads; only the flat-relations section finds the relation
+    # that does not vanish on it
+    _catalogue_copy(tmp_path, monkeypatch, ALL_DATA_FILES,
+                    ("A3B2D4.flat.txt", "1/108*p2^3", "1/107*p2^3"))
+    rep = verify_relations("A3B2D4")
+    assert rep["verified_in_chart_coordinates"] is True
+    assert any("1/107*p2^3" in r for r in rep["relations"])
+    _fails_everywhere("A3B2D4", "flat-relations", rep, capsys)
+    doc = verify_case("A3B2D4", samples=1, theorem2_count=2)
+    assert [s for s, body in doc["sections"].items() if not body["ok"]] == \
+        ["flat-relations"]
 
 
 def test_set_up_reads_no_flat_file(tmp_path, monkeypatch, cold_flat_charts):

@@ -59,6 +59,10 @@ def test_parse_errors():
     for text in ("²", "2²", "x*²"):
         with pytest.raises(ParseError):
             parse(text)
+    # a name is a letter or _ followed by letters, decimal digits or _
+    for text, bad in (("x²", "²"), ("x₁", "₁"), ("y²x", "²")):
+        with pytest.raises(ParseError, match=f"bad character '{bad}'"):
+            parse(text)
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")

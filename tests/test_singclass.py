@@ -219,20 +219,32 @@ def test_general_position_forms_linear_in_one_variable(text, label):
     assert fiber_configuration(F).type_string() == label
 
 
+def _spy_common_zeros(monkeypatch):
+    """Record (polys, (u, v)) for every call of _common_zeros."""
+    calls = []
+    solve = singclass._common_zeros
+
+    def spy(polys, u, v):
+        calls.append((polys, (u, v)))
+        return solve(polys, u, v)
+
+    monkeypatch.setattr(singclass, "_common_zeros", spy)
+    return calls
+
+
+def _linear_projection(A, B):
+    """The projection [A, B, A_x*B_y - A_y*B_x] of F = A*z + B on (x, y)."""
+    return [A, B, A.diff("x") * B.diff("y") - A.diff("y") * B.diff("x")]
+
+
 def test_linear_variable_points_over_an_extension(monkeypatch):
     # no equation of the system is linear in a variable with a constant
-    # coefficient, so F = A*z + B goes to the linear-variable fallback
-    calls = []
-    solve = singclass._solve_linear_var
-
-    def spy(names, w, A, B):
-        calls.append((w, A, B))
-        return solve(names, w, A, B)
-
-    monkeypatch.setattr(singclass, "_solve_linear_var", spy)
+    # coefficient, so F = A*z + B is projected on (x, y) and lifted to z
+    calls = _spy_common_zeros(monkeypatch)
     # A = x^2 - 2 vanishes at x = +-sqrt(2); there y = 0 and z = -x
     conf = fiber_configuration(parse("(x^2 - 2)*z + y^3 + x^3 - 2*x"))
-    assert calls == [("z", parse("x^2 - 2"), parse("y^3 + x^3 - 2*x"))]
+    assert calls == [(_linear_projection(parse("x^2 - 2"),
+                                         parse("y^3 + x^3 - 2*x")), ("x", "y"))]
     assert conf.type_string() == "A2+A2"
     (rec,) = conf.points
     assert rec.orbit_size == 2 and rec.ring.degree == 2
@@ -240,23 +252,23 @@ def test_linear_variable_points_over_an_extension(monkeypatch):
     assert rec.coords[1] == 0 and rec.coords[2] == -a
 
 
-def test_linear_variable_lift_splits_a_composite_branch(monkeypatch):
-    # the roots of (x - 1)(x^2 - 2) come as one branch per factor.  The
-    # lift's divisor A_x vanishes on the rational one, x = 1, where
-    # w = -B_y/A_y instead, and is a unit of the field Q(sqrt 2)
+def test_linear_variable_lift_splits_a_composite_branch():
+    # the roots of (x - 1)(x^2 - 2) come as one branch per factor.  On the
+    # rational one, x = 1, A_x vanishes, so F_x vanishes identically in z
+    # and F_y = A_y*z + B_y alone gives z; on Q(sqrt 2), A_x is a unit
     A = parse("y + (x - 1)^2*(x^2 - 2)")
     B = parse("y^3") + parse("x") * A
+    F = A * parse("z") + B
     roots = singclass.split_branch(upoly((2, -2, -1, 1)))
     assert roots[0] == 1 and roots[1].ring.modulus == (-2, 0, 1)
-    monkeypatch.setattr(singclass, "_common_zeros",
-                        lambda polys, u, v: [(a, Fraction(0)) for a in roots])
-    points = singclass._solve_linear_var(("x", "y", "z"), "z", A, B)
+    points = singclass._lift([(a, Fraction(0)) for a in roots],
+                             [F] + [F.diff(n) for n in "xyz"],
+                             ("x", "y", "z"), 2)
     assert points[0] == (1, 0, -1)
     x0, y0, z0 = points[1]
     assert x0 == roots[1] and y0 == 0 and z0 == -x0
-    # the whole surface is solved through pivots, with the real _common_zeros
-    monkeypatch.undo()
-    assert fiber_configuration(A * parse("z") + B).type_string() == "A5+A2+A2"
+    # the whole surface is solved through pivots, with the real projection
+    assert fiber_configuration(F).type_string() == "A5+A2+A2"
 
 
 def test_linear_variable_non_isolated_locus_is_refused():
@@ -271,16 +283,10 @@ def test_linear_variable_lift_drops_a_point_where_one_b_derivative_is_left(
     # (0, 0), where A_x = A_y = 0 and B_x = 1, B_y = 0.  No z solves
     # A_x*z + B_x = 0, so F is smooth there; a lift that asked for both
     # B-derivatives would call the point's line non-isolated
-    calls = []
-    solve = singclass._solve_linear_var
-
-    def spy(names, w, A, B):
-        calls.append((w, A, B))
-        return solve(names, w, A, B)
-
-    monkeypatch.setattr(singclass, "_solve_linear_var", spy)
+    calls = _spy_common_zeros(monkeypatch)
     conf = fiber_configuration(parse("(x^2 + y^2)*z + x + y^2"))
-    assert calls == [("z", parse("x^2 + y^2"), parse("x + y^2"))]
+    assert calls == [(_linear_projection(parse("x^2 + y^2"), parse("x + y^2")),
+                      ("x", "y"))]
     assert conf.type_string() == "smooth" and conf.points == []
 
 
@@ -305,6 +311,21 @@ def assert_points_are_singular(F, conf):
             assert G.evaluate(at) == 0, (G, rec.coords)
 
 
+def _spy_projected_zeros(monkeypatch):
+    """Record ((u, v), rejected) for every projection, rejected when
+    _projected_zeros finds that it does not separate the zeros."""
+    calls = []
+    project = singclass._projected_zeros
+
+    def spy(polys, u, v):
+        out = project(polys, u, v)
+        calls.append(((u, v), out is None))
+        return out
+
+    monkeypatch.setattr(singclass, "_projected_zeros", spy)
+    return calls
+
+
 @pytest.mark.parametrize("text,label,ring,shears", [
     # over x = +-sqrt(2) two values y^2 = x remain: the points are
     # (a^2, a, 0) with a^4 = 2, one orbit of four; s = y separates them
@@ -316,19 +337,7 @@ def assert_points_are_singular(F, conf):
 ])
 def test_tower_points_are_solved_in_a_sheared_coordinate(monkeypatch, text,
                                                          label, ring, shears):
-    calls = []                   # (names, rejected) for every projection
-    project = singclass._projected_zeros
-
-    def spy(polys, u, v):
-        try:
-            out = project(polys, u, v)
-        except singclass._NotSeparating:
-            calls.append(((u, v), True))
-            raise
-        calls.append(((u, v), False))
-        return out
-
-    monkeypatch.setattr(singclass, "_projected_zeros", spy)
+    calls = _spy_projected_zeros(monkeypatch)
     F = parse(text)
     conf = fiber_configuration(F)
     assert conf.type_string() == label
@@ -338,6 +347,29 @@ def test_tower_points_are_solved_in_a_sheared_coordinate(monkeypatch, text,
     # next shear separates the points
     assert calls == ([(("x", "y"), True)] + [(("_s", "x"), True)] * (shears - 1)
                      + [(("_s", "x"), False)])
+
+
+def test_linear_variable_projection_is_solved_in_a_sheared_coordinate(
+        monkeypatch):
+    # F = A*z + B with A = x^2 - 2, B = (y^2 - x)^3: the projection
+    # [A, B, A_x*B_y - A_y*B_x] on (x, y) vanishes at x = +-sqrt(2) for two
+    # values y^2 = x each, so the x-projection is rejected and s = y
+    # separates the four points (a^2, a, 0), a^4 = 2
+    zeros = _spy_common_zeros(monkeypatch)
+    projections = _spy_projected_zeros(monkeypatch)
+    F = parse("(x^2 - 2)*z + (y^2-x)^3")
+    conf = fiber_configuration(F)
+    assert zeros == [(_linear_projection(parse("x^2 - 2"), parse("(y^2-x)^3")),
+                      ("x", "y"))]
+    assert projections == [(("x", "y"), True), (("_s", "x"), False)]
+    assert conf.type_string() == "A2+A2+A2+A2"
+    (rec,) = conf.points
+    assert rec.to_json()["ring_modulus"] == "a^4 - 2" and rec.orbit_size == 4
+    assert_points_are_singular(F, conf)
+    if sympy is not None:
+        from oracles import rank_sum, tjurina_dimension
+        assert tjurina_dimension(F, ("x", "y", "z")) == \
+            rank_sum(conf.type_string()) == 8
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
@@ -371,7 +403,7 @@ def test_exhausted_shears_name_the_bound(monkeypatch):
 
     def reject(polys, u, v):
         calls.append((u, v))
-        raise singclass._NotSeparating
+        return None
 
     monkeypatch.setattr(singclass, "_projected_zeros", reject)
     with pytest.raises(ClassificationError,
