@@ -9,10 +9,10 @@ start from it.
 irreducibles over Q (Zassenhaus: factors modulo a small prime, Hensel
 lifting, exhaustive recombination), so every ring ``Q[a]/(m)`` that the
 singular-point solver builds has an irreducible modulus and is a field.
-The factors are cached per process, keyed by the input's primitive integer
-form, so proportional inputs share one squarefree part.  An
-:class:`ExtensionRing` built by hand on a reducible modulus still works;
-there :func:`invert` of a zero divisor raises ZeroDivisionError.
+The factors of each squarefree part are cached per process, keyed by its
+primitive integer form.  An :class:`ExtensionRing` built by hand on a
+reducible modulus still works; there :func:`invert` of a zero divisor
+raises ZeroDivisionError.
 
 Univariate polynomials are tuples of coefficients in increasing degree,
 with no trailing zeros, over one scalar ring: :class:`fractions.Fraction`
@@ -344,20 +344,18 @@ def _factor_z(f: list) -> List[list]:
 def upoly_factor(p: Iterable) -> Tuple[UPoly, ...]:
     """The distinct monic irreducible factors over Q of a rational p,
     sorted by degree, then by coefficients; () if p is constant."""
-    nums, _ = clear_denominators(upoly(p))
-    content = math.gcd(*nums) * (-1 if nums and nums[-1] < 0 else 1)
-    return _factor_q(tuple(c // content for c in nums))
+    f = upoly_squarefree_part(upoly(p))
+    if len(f) < 3:
+        return (f,) if len(f) == 2 else ()
+    return _factor_q(tuple(clear_denominators(f)[0]))
 
 
 @functools.cache
 def _factor_q(f: Tuple[int, ...]) -> Tuple[UPoly, ...]:
-    """upoly_factor of f in its primitive integer form, lead positive,
-    cached per process: proportional inputs share one squarefree part."""
-    f = upoly_squarefree_part(upoly(f))
-    if len(f) < 3:
-        return (f,) if len(f) == 2 else ()
+    """upoly_factor of a squarefree f of degree >= 2 in its primitive
+    integer form, cached per process."""
     return tuple(sorted((tuple(Fraction(c, g[-1]) for c in g)
-                         for g in _factor_z(clear_denominators(f)[0])),
+                         for g in _factor_z(list(f))),
                         key=lambda g: (len(g), g)))
 
 

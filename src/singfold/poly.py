@@ -226,7 +226,8 @@ class Polynomial:
         return self.constant_term()
 
     def constant_term(self) -> Scalar:
-        return self._terms.get(0, Fraction(0))
+        c = self._terms.get(0)  # no Fraction(0) built where the term exists
+        return Fraction(0) if c is None else c
 
     def total_degree(self) -> int:
         return max((_degree(e) for e in self._terms), default=-1)
@@ -577,7 +578,9 @@ _TOKEN = re.compile(r"\s*(?:(\*\*|[-+*/^()]|\d+|[^\W\d]\w*)|(\S))")
 def _tokenize(text: str) -> List[str]:
     out = []
     for token, bad in _TOKEN.findall(text):
-        if _is_name(token):  # \w also takes non-decimal digits such as '²'
+        # a name's \w also takes non-decimal digits such as '²'; an ASCII
+        # token (or '' where no branch matched) has none
+        if not token.isascii() and _is_name(token):
             bad = next((c for c in token if not (c.isalpha() or c.isdecimal()
                                                  or c == "_")), bad)
         if bad:

@@ -111,7 +111,7 @@ def _lift(points: Sequence[Point], polys: Sequence[Polynomial],
     out: List[Point] = []
     for point in points:
         at = dict(zip(rest, point))
-        g = upoly_gcd(*([c.constant_value() if c.is_constant()
+        g = upoly_gcd(*([c.constant_term() if c.is_constant()
                          else c.evaluate(at) for c in cs] for cs in coeffs))
         if not g:
             raise ClassificationError("non-isolated singular locus")
@@ -134,16 +134,15 @@ def _common_zeros(polys: List[Polynomial], u: str,
     them, the system is solved again projected on s = v + k*u for
     k = 0 ... 11 (k = 0 swaps u and v), with v = s - k*u (Cox-Little-O'Shea,
     *Using Algebraic Geometry*, ch. 2 section 4)."""
+    zeros = _projected_zeros(polys, u, v)
+    if zeros is not None:
+        return zeros
     s = Polynomial.var("_s")
-    for k in (None, *range(12)):
-        if k is None:
-            zeros = _projected_zeros(polys, u, v)
-        else:
-            sheared = [p.subs({v: s - k * Polynomial.var(u)}) for p in polys]
-            zeros = _projected_zeros(sheared, "_s", u)
-            zeros = zeros and [(uval, sval - k * uval) for sval, uval in zeros]
+    for k in range(12):
+        sheared = [p.subs({v: s - k * Polynomial.var(u)}) for p in polys]
+        zeros = _projected_zeros(sheared, "_s", u)
         if zeros is not None:  # None: not separated, try the next shear
-            return zeros
+            return [(uval, sval - k * uval) for sval, uval in zeros]
     raise ClassificationError(
         "no separating coordinate v + k*u for k = 0 ... 11")
 

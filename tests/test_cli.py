@@ -88,7 +88,8 @@ def test_classify_usage_errors(capsys):
     code, _ = run(capsys, "classify", "--surface", "x +")
     assert code == 2
     for surface, message in (("x/0 + y^2 + z^2", "division by zero"),
-                             ("x^70000 + y^2 + z^2", "exponent too large")):
+                             ("x^70000 + y^2 + z^2", "exponent too large"),
+                             ("x^2 + y^2 + z^2 = 0", "bad character '='")):
         assert main(["classify", "--surface", surface]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 

@@ -11,7 +11,6 @@ try:
 except ImportError:  # the factorizer's oracle test is optional
     sympy = None
 
-from singfold import exact
 from singfold.exact import (AlgebraicScalar, Echelon, ExtensionRing, invert,
                             nullspace, row_reduce, solve_linear, upoly,
                             upoly_deg, upoly_factor, upoly_gcd, upoly_mul,
@@ -479,24 +478,6 @@ def test_factor_matches_sympy(p):
     for f in factors:
         prod = upoly_mul(prod, f)
     assert prod == upoly_squarefree_part(p)
-
-
-def test_proportional_inputs_share_one_squarefree_part(monkeypatch):
-    calls = []
-    squarefree = exact.upoly_squarefree_part
-
-    def spy(p):
-        calls.append(p)
-        return squarefree(p)
-
-    monkeypatch.setattr(exact, "upoly_squarefree_part", spy)
-    exact._factor_q.cache_clear()
-    # (x^2 - 2)^2 (x + 3), and the same times -3/7
-    p = upoly_mul(upoly((4, 0, -4, 0, 1)), upoly((3, 1)))
-    q = upoly(Fraction(-3, 7) * c for c in p)
-    factors = upoly_factor(p)
-    assert upoly_factor(q) == factors == (upoly((3, 1)), upoly((-2, 0, 1)))
-    assert len(calls) == 1
 
 
 # -- extension-ring arithmetic against the Fraction-tuple ring -------------

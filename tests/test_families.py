@@ -108,6 +108,8 @@ BROKEN_CATALOGUES = [
      "fixed.x: variables ['x'] not allowed"),
     ("A5B3D5", "fixed.square = t6 + ", "fixed.square = t6^2 + ",
      "fixed.square: not linear in t6"),
+    ("A3B2D4", "fixed.x = s\n", "fixed.x = s = 0\n",
+     "fixed.x: bad character '='"),
 ]
 
 

@@ -60,7 +60,8 @@ def test_parse_errors():
         with pytest.raises(ParseError):
             parse(text)
     # a name is a letter or _ followed by letters, decimal digits or _
-    for text, bad in (("x²", "²"), ("x₁", "₁"), ("y²x", "²")):
+    for text, bad in (("x²", "²"), ("x₁", "₁"), ("y²x", "²"), ("x = 0", "="),
+                      ("x @ y", "@")):
         with pytest.raises(ParseError, match=f"bad character '{bad}'"):
             parse(text)
 
