@@ -233,7 +233,7 @@ def _check_args(args) -> Optional[List[str]]:
 
 
 def _cmd_verify(args) -> int:
-    cases = CASE_IDS if args.all or not args.case else (args.case,)
+    cases = (args.case,) if args.case else CASE_IDS
     sections = _check_args(args)
     ok = True
     for cid in cases:
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification sections")
     v.add_argument("--case", choices=CASE_IDS)
-    v.add_argument("--all", action="store_true")
     v.add_argument("--sections", help=f"comma list from {','.join(SECTIONS)}")
     v.add_argument("--theorem2-count", type=int, default=10)
     v.set_defaults(run=_cmd_verify)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .exact import Echelon, Scalar
+from .exact import Echelon
 from .poly import Polynomial, div_exact, gcd_univariate, monomials, parse
 from .rootsys import CASE_IDS, CaseMeta, case_meta, closure
 from .singclass import (FiberConfiguration, classify_point,
@@ -137,33 +137,32 @@ def _on_orbit(params: Tuple[str, ...], weights: Dict[str, int],
     return {p: s ** (weights[p] // 2) * c for p, c in zip(params, base)}
 
 
-def _solved(params: Tuple[str, ...], name: str, coefficients,
+def _solved(params: Tuple[str, ...], name: str, equation: Polynomial,
             k: int) -> Dict[str, Fraction]:
     """A sweep of the other parameters, `name` solved from an equation
-    linear in it, given by its coefficients in `name`."""
+    linear in it."""
     t = _swept([p for p in params if p != name], k)
-    t[name] = _root(coefficients, t)
+    t[name] = _root(equation, name, t)
     return {p: t[p] for p in params}
 
 
-def _root(coefficients: Sequence[Polynomial], values) -> Fraction:
-    """The root in v of c0 + c1*v, for the coefficients (c0, c1) in v of a
-    polynomial linear in v, evaluated at `values`."""
-    c0, c1 = coefficients
-    return -c0.evaluate(values) / c1.evaluate(values)
+def _root(p: Polynomial, name: str, values) -> Fraction:
+    """The root in `name` of c0 + c1*name, a polynomial linear in `name`,
+    with the other names at `values`."""
+    c0, c1 = p.coefficients_at(name, values)
+    return -c0 / c1
 
 
 def _f4_point(fiber: Polynomial):
     """point(x0, y0, t2, t6): the parameter point whose catalogued fiber F
     has F = F_y = 0 at (x0, y0, 0), t8 solved from F_y and t12 from F."""
     on_z0 = fiber.subs({"z": Fraction(0)})
-    t8, t12 = on_z0.diff("y").coefficients_in("t8"), \
-        on_z0.coefficients_in("t12")
+    on_z0_y = on_z0.diff("y")
 
     def point(x0, y0, t2, t6) -> Dict[str, Fraction]:
         t = {"x": x0, "y": y0, "t2": t2, "t6": t6}
-        t["t8"] = _root(t8, t)
-        t["t12"] = _root(t12, t)
+        t["t8"] = _root(on_z0_y, "t8", t)
+        t["t12"] = _root(on_z0, "t12", t)
         return {p: t[p] for p in ("t2", "t6", "t8", "t12")}
     return point
 
@@ -403,7 +402,7 @@ def _build_strata(case_id: str, params: Tuple[str, ...],
             sampler = functools.partial(spec, _f4_point(fiber))
         elif spec in params:
             sampler = functools.partial(
-                _solved, params, spec, equations[0].coefficients_in(spec))
+                _solved, params, spec, equations[0])
         else:
             sampler = functools.partial(_on_orbit, params, _WEIGHTS[case_id],
                                         tuple(map(Fraction, spec.split(","))))
@@ -668,31 +667,22 @@ def _classified(case_id: str, point: Tuple) -> FiberConfiguration:
 # the fiber side: orbits and fixed points
 # ---------------------------------------------------------------------------
 
-def _instantiate(sub: Subst, t: Dict[str, Fraction], variables) -> Subst:
-    vals = {p: Fraction(v) for p, v in t.items()}
-    return {v: sub[v].subs(vals) for v in variables}
-
-
-def _apply_map(sub: Subst, variables, coords) -> Tuple[Scalar, ...]:
-    binding = dict(zip(variables, coords))
-    return tuple(sub[v].evaluate(binding) for v in variables)
-
-
 def fiber_orbit_configuration(case_id: str, t: Dict[str, Fraction]):
     """Classified singular points of the covering fiber with their orbit
     sizes under the symmetry group, plus the smooth fixed-point count."""
     case = descriptor(case_id)
     F = fiber_at(case_id, t)
-    nontrivial = [_instantiate(sub, t, case.fiber_vars)
-                  for sub in case.group_elements()[1:]]
+    vals = {p: Fraction(v) for p, v in t.items()}
+    nontrivial = case.group_elements()[1:]
     order = case.omega_order
 
     records = []
     for coords in singular_points(F):
         # the ring is a field, so a group element fixes all the conjugate
         # points of a record or none of them
-        stab = 1 + sum(_apply_map(sub, case.fiber_vars, coords) == coords
-                       for sub in nontrivial)
+        at = {**vals, **dict(zip(case.fiber_vars, coords))}
+        stab = 1 + sum(tuple(sub[v].evaluate(at) for v in case.fiber_vars)
+                       == coords for sub in nontrivial)
         if order % stab != 0:
             raise AssertionError("stabilizer order does not divide the group order")
         records.append((classify_point(F, coords), order // stab))
@@ -781,8 +771,7 @@ def theorem_singular_spotcheck(case_id: str, count: int = 10,
             # adjust the last parameter so that the fixed point is rational:
             # the fixed square vanishes at (s, t)
             last = case.params[-1]
-            t[last] = _root(case.fixed_square.coefficients_in(last),
-                           {**t, "s": s})
+            t[last] = _root(case.fixed_square, last, {**t, "s": s})
             point = {v: p.evaluate({"s": s})     # the fixed locus at s
                      for v, p in case.fixed_locus.items()}
             val = fiber_at(case_id, t).evaluate(point)
@@ -837,17 +826,16 @@ class _Tables:
 
     def vector(self, gvec: Optional[Tuple], mono: Tuple[int, ...]) -> Dict:
         """Exponent vector of a product (the fiber if gvec is None) times
-        mono, a monomial over the trailing names: the bare vector, shifted."""
-        if (gvec, mono) not in self.vectors:
-            if any(mono):
-                shift = (0,) * (len(self.names) - len(mono)) + mono
-                vec = {tuple(map(add, e, shift)): c for e, c in
-                       self.vector(gvec, (0,) * len(mono)).items()}
-            else:
-                p = self.case.fiber if gvec is None else self.product(gvec)
-                vec = p.exponents(self.names)
-            self.vectors[gvec, mono] = vec
-        return self.vectors[gvec, mono]
+        mono, a monomial over the trailing names: the bare vector, cached,
+        shifted on each call."""
+        if gvec not in self.vectors:
+            p = self.case.fiber if gvec is None else self.product(gvec)
+            self.vectors[gvec] = p.exponents(self.names)
+        vec = self.vectors[gvec]
+        if not any(mono):
+            return vec
+        shift = (0,) * (len(self.names) - len(mono)) + mono
+        return {tuple(map(add, e, shift)): c for e, c in vec.items()}
 
     def candidates(self, d: int):
         """Spanning set of the quasi-degree-d part of the algebra generated

@@ -40,7 +40,7 @@ class FlatChart:
 
 def _monic_linear(p: Polynomial, name: str) -> bool:
     cs = p.coefficients_in(name)
-    return len(cs) == 2 and cs[1].is_constant() and cs[1].constant_value() == 1
+    return len(cs) == 2 and cs[1].is_constant() and cs[1].constant_term() == 1
 
 
 @functools.cache

@@ -27,7 +27,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import (AlgebraicScalar, Scalar, _frac, _zt_mul, _zt_sub,
                     clear_denominators, invert, upoly_gcd)
@@ -220,11 +220,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not any(self._terms)
 
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.constant_term()
-
     def constant_term(self) -> Scalar:
         c = self._terms.get(0)  # no Fraction(0) built where the term exists
         return Fraction(0) if c is None else c
@@ -345,17 +340,32 @@ class Polynomial:
         return Polynomial._of(_over(out, d))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
-        """The value at ``values``, on numerators over one denominator: a
-        value n/m (a ring value over m = 1) of a variable with top power t
-        turns c * x^k into c * n^k * m^(t - k) over m^t, so each term is
-        a product of table entries and the one division comes last."""
+        """The value at ``values``: :meth:`coefficients_at` with no name
+        left free."""
+        return self.coefficients_at(None, values)[0]
+
+    def coefficients_at(self, name: Optional[str],
+                        values: Mapping[str, Scalar]) -> List[Scalar]:
+        """The scalar coefficients in ``name``, low to high, untrimmed, with
+        every other used variable bound to ``values`` (a value of ``name``
+        itself is ignored); [the value] for ``name`` None.  On numerators
+        over one denominator: a value n/m (a ring value over m = 1) of a
+        variable with top power t turns c * x^k into c * n^k * m^(t - k)
+        over m^t, so each term is a product of table entries and the one
+        division per coefficient comes last."""
         terms = self._terms
         nums, d = clear_denominators(terms.values())
         used = 0
         for e in terms:
             used |= e
+        free = fsh = deg = 0           # the free name's field, shift, degree
+        if name is not None:
+            fsh = _shift(name)
+            free = _MASK << fsh
+            if used & free:
+                deg = max(e & free for e in terms) >> fsh
         tables = []                    # (shift, [n^k * m^(t - k)])
-        for i, _ in _fields(used):
+        for i, _ in _fields(used & ~free):
             sh = _BITS * i
             x = values[_NAMES[i]]
             n, m = (x, 1) if type(x) is AlgebraicScalar else \
@@ -368,14 +378,13 @@ class Polynomial:
                 table = [a * m ** (top - k) for k, a in enumerate(table)]
                 d *= m ** top
             tables.append((sh, table))
-        acc = 0
+        acc = [0] * (deg + 1)
         for e, c in zip(terms, nums):
             for sh, table in tables:
                 c *= table[(e >> sh) & _MASK]
-            acc += c
-        if type(acc) is int:
-            return Fraction(acc, d)
-        return acc / d if d != 1 else acc
+            acc[(e & free) >> fsh] += c
+        return [Fraction(a, d) if type(a) is int else (a / d if d != 1 else a)
+                for a in acc]
 
     def coefficients_in(self, name: str) -> List["Polynomial"]:
         """Coefficients of powers of ``name``, low to high, over the other
@@ -749,15 +758,6 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
                               for k, c in enumerate(det) if c})
 
 
-def univariate_coefficients(p: Polynomial, name: str) -> tuple:
-    """Scalar coefficients of a polynomial in ``name`` alone, low to high."""
-    terms = p.exponents((name,))
-    out: List[Scalar] = [Fraction(0)] * (max(terms, default=(-1,))[0] + 1)
-    for (k,), c in terms.items():
-        out[k] = c
-    return tuple(out)
-
-
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd of univariate polynomials over one scalar ring.
 
@@ -769,8 +769,7 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     if len(names) > 1:
         raise ValueError("gcd_univariate needs univariate input")
     name = names.pop() if names else "x"
-    g = upoly_gcd(univariate_coefficients(p, name),
-                  univariate_coefficients(q, name))
+    g = upoly_gcd(p.coefficients_at(name, {}), q.coefficients_at(name, {}))
     return Polynomial((name,), {(i,): c for i, c in enumerate(g)})
 
 

@@ -107,12 +107,10 @@ def _lift(points: Sequence[Point], polys: Sequence[Polynomial],
     proper extension the squarefree gcd must be linear or constant, else
     the projection does not separate the zeros and the lift returns None."""
     rest = names[:k] + names[k + 1:]
-    coeffs = [p.coefficients_in(names[k]) for p in polys]
     out: List[Point] = []
     for point in points:
         at = dict(zip(rest, point))
-        g = upoly_gcd(*([c.constant_term() if c.is_constant()
-                         else c.evaluate(at) for c in cs] for cs in coeffs))
+        g = upoly_gcd(*(p.coefficients_at(names[k], at) for p in polys))
         if not g:
             raise ClassificationError("non-isolated singular locus")
         if all(isinstance(c, Fraction) for c in point):
@@ -198,7 +196,7 @@ def _pivot(polys: Sequence[Polynomial], names: Sequence[str]):
                 continue
             r, a = p.coefficients_in(w)
             if a.is_constant() and (best is None or r.total_degree() < best[0]):
-                best = (r.total_degree(), i, w, r, a.constant_value())
+                best = (r.total_degree(), i, w, r, a.constant_term())
     if best is None:
         return None
     _, i, w, r, a = best

@@ -6,6 +6,7 @@ import pytest
 import singfold.cli
 from singfold import families
 from singfold.cli import main, verify_case
+from singfold.rootsys import CASE_IDS
 
 
 def run(capsys, *argv):
@@ -124,6 +125,20 @@ def test_verify_single_section(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert set(doc["sections"]) == {"equivariance", "iso", "realizations"}
+
+
+def test_verify_without_case_covers_every_case(capsys):
+    code, out = run(capsys, "verify", "--sections", "equivariance")
+    assert code == 0
+    # one indented bundle per case: only a bundle's braces start a line
+    docs = json.loads("[" + out.replace("}\n{", "},{") + "]")
+    assert [doc["case"] for doc in docs] == list(CASE_IDS)
+    assert all(set(doc["sections"]) == {"equivariance"} for doc in docs)
+
+
+def test_verify_all_is_not_an_option(capsys):
+    assert main(["verify", "--all"]) == 2
+    assert "unrecognized arguments: --all" in capsys.readouterr().err
 
 
 def test_verify_bad_section(capsys):

@@ -422,10 +422,11 @@ def _rem_in_s(p, P):
     """The remainder of p on division by P in s, whose leading coefficient
     in s is a nonzero constant: plain division, no pseudo-remainder."""
     *_, lead = P.coefficients_in("s")
+    assert lead.is_constant()
     n, s = P.degree_in("s"), Polynomial.var("s")
     while not p.is_zero() and p.degree_in("s") >= n:
         d = p.degree_in("s")
-        p = p - p.coefficients_in("s")[d] / lead.constant_value() \
+        p = p - p.coefficients_in("s")[d] / lead.constant_term() \
             * s ** (d - n) * P
     return p
 

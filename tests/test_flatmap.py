@@ -67,7 +67,7 @@ def test_d6_chart_example():
 def test_b2_forward_example():
     chart = flat_chart("A3B2D4")
     t = {"t2": Fraction(8), "t4": Fraction(8)}
-    vals = [f.evaluate(t) if not f.is_constant() else f.constant_value()
+    vals = [f.evaluate(t) if not f.is_constant() else f.constant_term()
             for f in chart.forward]
     assert vals == [8, 0, Fraction(-128, 27), 0]
 
@@ -78,7 +78,7 @@ def test_forward_has_no_constant_term():
         zero = {p: Fraction(0) for p in ("t2", "t4", "t6", "t8", "t12")}
         for f in chart.forward:
             val = f.evaluate({k: zero[k] for k in f.used_variables()}) \
-                if not f.is_constant() else f.constant_value()
+                if not f.is_constant() else f.constant_term()
             assert val == 0
 
 
@@ -160,7 +160,7 @@ def test_chart_point_roundtrip():
         psi = pi_prime("A5B3D5", s.witness)
         t = chart_point_to_params("A5B3D5", psi)
         for name, f in zip(chart.psi_names, chart.forward):
-            val = f.evaluate(t) if not f.is_constant() else f.constant_value()
+            val = f.evaluate(t) if not f.is_constant() else f.constant_term()
             assert val == psi[name]
 
 

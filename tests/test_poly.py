@@ -16,11 +16,11 @@ except ImportError:  # the differential test against sympy is optional
 import singfold.poly as packed
 from singfold.exact import (AlgebraicScalar, ExtensionRing, upoly,
                             upoly_deriv, upoly_factor, upoly_mul,
-                            upoly_squarefree_part)
+                            upoly_squarefree_part, upoly_trim)
 from singfold.poly import (ParseError, Polynomial, _integer_coefficients,
                            _zt_div_exact, _zt_mul, _zt_resultant, _zt_sub,
                            binary_cubic_shape, div_exact, gcd_univariate,
-                           parse, resultant, to_text, univariate_coefficients)
+                           parse, resultant, to_text)
 from test_exact import as_rational, make_extension
 
 
@@ -317,7 +317,7 @@ def _gcd_and_squarefree(p, q, ring):
     mapped back to rational coefficients."""
     g = gcd_univariate(_as_poly(_embed(p, ring)), _as_poly(_embed(q, ring)))
     sq = upoly_squarefree_part(_embed(p, ring))
-    return (_rational_coeffs(univariate_coefficients(g, "x")),
+    return (_rational_coeffs(upoly_trim(g.coefficients_at("x", {}))),
             _rational_coeffs(sq))
 
 
@@ -383,7 +383,8 @@ def _oracle_resultant(p, q, name):
     """The Sylvester determinant over Z[t] by `_zt_det`, same sign rule;
     the rows are cleared of denominators here."""
     def integer_coefficients(f):
-        cs = [univariate_coefficients(c, "t") for c in f.coefficients_in(name)]
+        cs = [upoly_trim(c.coefficients_at("t", {}))
+              for c in f.coefficients_in(name)]
         d = math.lcm(*(c.denominator for cc in cs for c in cc))
         return [[int(c * d) for c in cc] for cc in cs], d
 
@@ -911,6 +912,101 @@ def test_evaluate_matches_fraction_loop(data):
 
 
 # ---------------------------------------------------------------------------
+# coefficients at a point against the path they replaced (the oracle): each
+# coefficient built as a Polynomial, then evaluated
+# ---------------------------------------------------------------------------
+
+_AT_NAMES = ("x", "y", "z")
+
+
+def _coefficients_then_evaluate(P, name, values, evaluate):
+    """Each coefficient of P in name by `coefficients_in`, then `evaluate`,
+    or `constant_term` for a constant one."""
+    return [c.constant_term() if c.is_constant() else evaluate(c, values)
+            for c in P.coefficients_in(name)]
+
+
+def _loop_evaluate(c, values):
+    """The value of c by a product-sum loop over its terms.  `evaluate` is
+    the kernel itself, with no name free, so the oracle needs this one."""
+    names = c.used_variables()
+    acc = 0
+    for e, a in c.exponents(names).items():
+        for n, k in zip(names, e):
+            if k:
+                a = a * values[n] ** k
+        acc = acc + a
+    return acc
+
+
+def _assert_same_coefficients(P, name, values):
+    """The same values, of the same types, as the oracle, with each
+    coefficient evaluated by the loop and by `evaluate`."""
+    got = P.coefficients_at(name, values)
+    for evaluate in (_loop_evaluate, Polynomial.evaluate):
+        want = _coefficients_then_evaluate(P, name, values, evaluate)
+        assert got == want, (P, name, values)
+        assert list(map(type, got)) == list(map(type, want)), (P, name, values)
+
+
+@st.composite
+def _at_scalar(draw, ring):
+    """A rational or (ring) ring zero, a small rational, or (ring) an
+    element of the ring.  Zeros are drawn often, so that coefficients over
+    the ring often vanish at the point."""
+    kind = draw(st.sampled_from(("zero", "rational") + ("ring",) * bool(ring)))
+    if kind == "zero":
+        return ring.element(0) if ring and draw(st.booleans()) else Fraction(0)
+    if kind == "rational":
+        return draw(_small)
+    return ring.element(tuple(draw(_small) for _ in range(ring.degree)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_coefficients_at_matches_coefficients_then_evaluate(data):
+    # over Q, Q(sqrt 2) and Q[a]/(a^3 - 3a + 1): coefficients and values
+    # rational or in the ring, mixed within one polynomial
+    ring = data.draw(st.sampled_from(_RINGS))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        e = tuple(data.draw(st.integers(0, 3)) for _ in _AT_NAMES)
+        terms[e] = data.draw(_at_scalar(ring))
+    values = {n: data.draw(_at_scalar(ring)) for n in _AT_NAMES}
+    for P in (Polynomial(_AT_NAMES, terms), Polynomial.zero()):
+        # w: a free name that P does not use
+        for name in _AT_NAMES + ("w",):
+            # the free name's own value, when bound, is ignored
+            _assert_same_coefficients(P, name, values)
+            _assert_same_coefficients(
+                P, name, {n: v for n, v in values.items() if n != name})
+
+
+def test_coefficients_at_edge_cases():
+    P = parse("x^2*y + z")
+    with pytest.raises(KeyError):
+        P.coefficients_at("x", {"y": Fraction(1)})
+    assert P.coefficients_at("x", {"y": Fraction(1), "z": Fraction(2)}) == \
+        [2, 0, 1]
+    # untrimmed: x^2*y at y = 0 keeps its three zero coefficients
+    assert P.coefficients_at("x", {"y": Fraction(0), "z": Fraction(0)}) == \
+        [0, 0, 0]
+    assert P.coefficients_at(None, {"x": Fraction(1), "y": Fraction(1),
+                                    "z": Fraction(2)}) == [3]
+    zero = Polynomial.zero()
+    assert zero.coefficients_at("x", {}) == [0] and zero.evaluate({}) == 0
+    assert upoly_trim(zero.coefficients_at("x", {})) == ()
+    # a ring zero stays a ring element: (x - a)*y at x = a
+    for ring in _RINGS[1:]:
+        a = ring.generator()
+        Q = (parse("x") - Polynomial.constant(a)) * parse("y")
+        c0, c1 = Q.coefficients_at("y", {"x": a})
+        assert type(c0) is Fraction and c0 == 0
+        assert type(c1) is AlgebraicScalar and not c1
+        assert type(Q.evaluate({"x": a, "y": Fraction(3)})) is AlgebraicScalar
+
+
+# ---------------------------------------------------------------------------
 # parse on numerators against the parser it replaced (the oracle), which
 # builds every node with Polynomial + - * / **
 # ---------------------------------------------------------------------------
@@ -951,7 +1047,7 @@ def _fraction_parse(text):
                     raise ParseError("division only by constants")
                 if d.is_zero():
                     raise ParseError("division by zero")
-                node = node / d.constant_value()
+                node = node / d.constant_term()
             elif t is not None and (t == "(" or packed._is_name(t)
                                     or packed._is_num(t)):
                 node = node * parse_factor()

@@ -192,12 +192,13 @@ def test_mu_orbit_sum_invariant_under_variable_permutation():
 
 
 # ---------------------------------------------------------------------------
-# surfaces linear in one variable: F = A*w + B
+# general-position forms that the pivots finish
 # ---------------------------------------------------------------------------
 
 # General-position ADE forms whose square coefficient cancels, leaving one
 # variable of degree 1 (the benchmark's seeded surface inputs 3/130, 4/35,
-# 5/33, 7/130 and 18/131).
+# 5/33, 7/130 and 18/131).  Pivots reduce each system to one name, so only
+# one-name lifts are made: none takes the projection of F = A*w + B.
 LINEAR_VARIABLE_FORMS = [
     ("(-1/4)*((-1)*x+(1)*y+(2)*z+(1))^2 + (1)*((2)*x+(2)*y+(-1)*z+(1))^2"
      " + (3/2)*((-2)*x+(-1)*y+(0)*z+(1/3))^4", "A3"),
@@ -212,12 +213,32 @@ LINEAR_VARIABLE_FORMS = [
 ]
 
 
+def _spy_lift(monkeypatch):
+    """Record the names of every call of _lift."""
+    calls = []
+    lift = singclass._lift
+
+    def spy(points, polys, names, k):
+        calls.append(names)
+        return lift(points, polys, names, k)
+
+    monkeypatch.setattr(singclass, "_lift", spy)
+    return calls
+
+
 @pytest.mark.parametrize("text,label", LINEAR_VARIABLE_FORMS)
-def test_general_position_forms_linear_in_one_variable(text, label):
+def test_general_position_forms_are_finished_by_pivots(monkeypatch, text,
+                                                        label):
+    calls = _spy_lift(monkeypatch)
     F = parse(text)
     assert 1 in (F.degree_in(n) for n in F.used_variables())
     assert fiber_configuration(F).type_string() == label
+    assert calls and all(len(names) == 1 for names in calls), calls
 
+
+# ---------------------------------------------------------------------------
+# surfaces linear in one variable: F = A*w + B
+# ---------------------------------------------------------------------------
 
 def _spy_common_zeros(monkeypatch):
     """Record (polys, (u, v)) for every call of _common_zeros."""
